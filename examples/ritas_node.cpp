@@ -16,6 +16,7 @@
 #include <cstring>
 #include <iostream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -99,9 +100,13 @@ int main(int argc, char** argv) {
   std::optional<Context> ctx_holder;
   try {
     ctx_holder.emplace(std::move(o));
-  } catch (const std::exception& e) {
+  } catch (const std::invalid_argument& e) {
     std::fprintf(stderr, "[ritas] invalid configuration: %s\n", e.what());
     return 2;
+  } catch (const std::exception& e) {
+    // The node listens from construction: its port is taken.
+    std::fprintf(stderr, "[ritas] failed to join the group: %s\n", e.what());
+    return 1;
   }
   Context& ctx = *ctx_holder;
 
@@ -110,8 +115,8 @@ int main(int argc, char** argv) {
   try {
     ctx.start();
   } catch (const std::exception& e) {
-    // A mesh that never reaches n-f-1 links (peers down, port conflict, or
-    // a wrong --secret: the authenticated handshake refuses an impostor).
+    // A mesh that never reaches n-f-1 links (peers down, or a wrong
+    // --secret: the authenticated handshake refuses an impostor).
     std::fprintf(stderr, "[ritas] failed to join the group: %s\n", e.what());
     return 1;
   }

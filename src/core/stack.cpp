@@ -246,7 +246,24 @@ Protocol* ProtocolStack::resolve(const InstanceId& path, bool& drop) {
     }
     if (d == 1) break;
   }
-  if (cur == nullptr) return nullptr;  // root missing: out of context
+  if (cur == nullptr) {
+    // Root missing: out of context, unless the session owner creates the
+    // root on demand or knows it is gone for good.
+    if (!root_resolver_) return nullptr;
+    const InstanceId root = path.prefix(1);
+    switch (root_resolver_(root)) {
+      case RootVerdict::kOutOfContext:
+        return nullptr;
+      case RootVerdict::kDrop:
+        drop = true;
+        return nullptr;
+      case RootVerdict::kCreated:
+        break;
+    }
+    auto it = registry_.find(root);
+    if (it == registry_.end()) return nullptr;
+    cur = it->second;
+  }
 
   while (cur->id().depth() < path.depth()) {
     const Component next = path.at(cur->id().depth());

@@ -149,6 +149,25 @@ TcpTransport::TcpTransport(Options opts, const KeyChain& keys)
     }
   }
   epoch_ns_ = now_ns();
+
+  // Listen before anyone dials: a peer that dials us before our start()
+  // lands in the accept backlog instead of hitting ECONNREFUSED and a
+  // backoff. The handshake completes once start() polls.
+  Fd lfd(::socket(AF_INET, SOCK_STREAM, 0));
+  if (!lfd.valid()) throw std::runtime_error("socket() failed");
+  int one = 1;
+  ::setsockopt(lfd.get(), SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(opts_.peers[opts_.self].port);
+  addr.sin_addr.s_addr = INADDR_ANY;
+  if (::bind(lfd.get(), reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    throw std::runtime_error("bind() failed on port " +
+                             std::to_string(opts_.peers[opts_.self].port));
+  }
+  if (::listen(lfd.get(), 64) != 0) throw std::runtime_error("listen() failed");
+  set_nonblocking(lfd.get());
+  listen_fd_ = std::move(lfd);
 }
 
 TcpTransport::~TcpTransport() { stop(); }
@@ -178,23 +197,6 @@ void TcpTransport::start() {
   wake_rx_ = Fd(pipefd[0]);
   wake_tx_ = Fd(pipefd[1]);
   set_nonblocking(wake_rx_.get());
-
-  // Listen socket.
-  Fd lfd(::socket(AF_INET, SOCK_STREAM, 0));
-  if (!lfd.valid()) throw std::runtime_error("socket() failed");
-  int one = 1;
-  ::setsockopt(lfd.get(), SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(opts_.peers[opts_.self].port);
-  addr.sin_addr.s_addr = INADDR_ANY;
-  if (::bind(lfd.get(), reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    throw std::runtime_error("bind() failed on port " +
-                             std::to_string(opts_.peers[opts_.self].port));
-  }
-  if (::listen(lfd.get(), 64) != 0) throw std::runtime_error("listen() failed");
-  set_nonblocking(lfd.get());
-  listen_fd_ = std::move(lfd);
 
   // Partial-mesh startup: pump the reactor until enough links are up; the
   // stragglers keep dialing from poll_once() for the session's lifetime.
@@ -768,7 +770,8 @@ void TcpTransport::link_down(ProcessId peer) {
   c.hs_rx.clear();
   c.rx.clear();
   if (c.retry) c.retry->on_down(now_ms());
-  if (was_up) trace_link(TraceEventKind::kLinkDown, peer, old_sid);
+  // A dialer's attempt that failed before its handshake traces with sid 0.
+  if (was_up || c.retry) trace_link(TraceEventKind::kLinkDown, peer, old_sid);
 }
 
 void TcpTransport::execute_kill(ProcessId peer) {

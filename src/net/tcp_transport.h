@@ -198,14 +198,18 @@ class TcpTransport final : public Transport {
     kHalfClose,  // shutdown(SHUT_WR): peer sees EOF, teardown propagates back
   };
 
+  /// Binds and listens on peers[self] (throws std::runtime_error if the
+  /// port is taken), so peers that dial before this node's start() queue
+  /// in the accept backlog instead of being refused into backoff.
   TcpTransport(Options opts, const KeyChain& keys);
   ~TcpTransport() override;
 
-  /// Binds + listens, then dials the mesh (higher id connects, lower id
-  /// accepts; an authenticated handshake identifies the peer and opens a
-  /// session). Blocks until at least min_start_links links are up (throws
-  /// std::runtime_error on timeout); remaining links keep connecting in
-  /// the background as long as poll_once keeps being called.
+  /// Dials the mesh (higher id connects, lower id accepts; an
+  /// authenticated handshake identifies the peer and opens a session) and
+  /// accepts the dials queued since construction. Blocks until at least
+  /// min_start_links links are up (throws std::runtime_error on timeout);
+  /// remaining links keep connecting in the background as long as
+  /// poll_once keeps being called.
   void start();
   /// Closes every socket; subsequent sends are dropped silently.
   void stop();
@@ -217,7 +221,9 @@ class TcpTransport final : public Transport {
     sink_ = std::move(sink);
   }
 
-  /// Optional link-event tracing (kLinkUp/kLinkDown/kLinkHandshake). The
+  /// Optional link-event tracing (kLinkUp/kLinkDown/kLinkHandshake; a
+  /// dial attempt that fails before its handshake is a kLinkDown with
+  /// sid 0 and puts the dialer into backoff). The
   /// tracer is not thread-safe: events are recorded only from the polling
   /// thread, so share a tracer with the stack only when the stack runs on
   /// that same thread (as ritas::Context does).

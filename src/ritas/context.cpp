@@ -2,6 +2,7 @@
 
 #include <random>
 #include <stdexcept>
+#include <string>
 
 #include "core/binary_consensus.h"
 #include "core/echo_broadcast.h"
@@ -88,6 +89,8 @@ Context::Context(Options opts)
     seed = (static_cast<std::uint64_t>(rd()) << 32) ^ rd();
   }
   stack_ = std::make_unique<ProtocolStack>(cfg, *transport_, keys_, seed);
+  stack_->set_root_resolver(
+      [this](const InstanceId& root) { return admit_bcast_root(root); });
 }
 
 Context::~Context() { stop(); }
@@ -116,8 +119,8 @@ void Context::start() {
   running_.store(true);
   reactor_ = std::thread([this] { reactor_loop(); });
 
-  // Create the session-wide atomic broadcast root and the initial
-  // receive-side broadcast windows on the reactor.
+  // Create the session-wide atomic broadcast root on the reactor. rb/eb
+  // roots are created on first reference (admit_bcast_root).
   run_on_reactor([this] {
     auto ab = std::make_unique<AtomicBroadcast>(
         *stack_, nullptr, InstanceId::root(ProtocolType::kAtomicBroadcast, 0),
@@ -133,7 +136,6 @@ void Context::start() {
         });
     ab_ = ab.get();
     roots_.emplace(ab_->id(), std::move(ab));
-    ensure_bcast_windows();
   });
 }
 
@@ -205,42 +207,70 @@ void Context::run_on_reactor(std::function<void()> fn) {
   fut.get();
 }
 
-void Context::ensure_bcast_windows() {
-  for (ProcessId o = 0; o < opts_.n; ++o) {
-    while (rb_created_[o] < rb_delivered_[o] + opts_.recv_window) {
-      const std::uint64_t k = rb_created_[o]++;
-      const InstanceId id =
-          InstanceId::root(ProtocolType::kReliableBroadcast, bcast_seq(o, k));
+RootVerdict Context::admit_bcast_root(const InstanceId& root) {
+  const Component c = root.at(0);
+  const bool rb = c.type == ProtocolType::kReliableBroadcast;
+  if (!rb && c.type != ProtocolType::kEchoBroadcast) {
+    // Consensus roots exist only once the local process calls bc/mvc/vc.
+    return RootVerdict::kOutOfContext;
+  }
+  const std::uint64_t origin = c.seq >> 32;
+  if (origin >= opts_.n) return RootVerdict::kDrop;  // no such sender
+  const auto o = static_cast<ProcessId>(origin);
+  const std::uint64_t k = c.seq & 0xffffffffu;
+  std::uint64_t& created = (rb ? rb_created_ : eb_created_)[o];
+  const std::uint64_t delivered = (rb ? rb_delivered_ : eb_delivered_)[o];
+  // Below the watermark the root was delivered and destroyed: late
+  // ECHO/READY stragglers are dropped, like AtomicBroadcast's done_ rule.
+  if (k < created) return RootVerdict::kDrop;
+  if (k >= delivered + opts_.recv_window) return RootVerdict::kOutOfContext;
+  for (; created <= k; ++created) {
+    const std::uint64_t j = created;
+    const InstanceId id = InstanceId::root(c.type, bcast_seq(o, j));
+    auto deliver = [this, type = c.type, o, j](Slice payload) {
+      on_bcast_deliver(type, o, j, payload.to_bytes());
+    };
+    if (rb) {
       roots_.emplace(id, make_rb(*stack_, nullptr, id, o, Attribution::kPayload,
-                                 [this, o, k](Slice payload) {
-                                   on_bcast_deliver(
-                                       ProtocolType::kReliableBroadcast, o, k,
-                                       payload.to_bytes());
-                                 }));
-    }
-    while (eb_created_[o] < eb_delivered_[o] + opts_.recv_window) {
-      const std::uint64_t k = eb_created_[o]++;
-      const InstanceId id =
-          InstanceId::root(ProtocolType::kEchoBroadcast, bcast_seq(o, k));
+                                 std::move(deliver)));
+    } else {
       roots_.emplace(id, std::make_unique<EchoBroadcast>(
                              *stack_, nullptr, id, o, Attribution::kPayload,
-                             [this, o, k](Slice payload) {
-                               on_bcast_deliver(ProtocolType::kEchoBroadcast, o,
-                                                k, payload.to_bytes());
-                             }));
+                             std::move(deliver)));
     }
   }
+  return RootVerdict::kCreated;
+}
+
+Protocol& Context::local_bcast_root(ProtocolType type, std::uint64_t k) {
+  const InstanceId id = InstanceId::root(type, bcast_seq(opts_.self, k));
+  auto it = roots_.find(id);
+  if (it == roots_.end() && admit_bcast_root(id) == RootVerdict::kCreated) {
+    it = roots_.find(id);
+  }
+  if (it == roots_.end()) {
+    throw std::logic_error(
+        std::string(type == ProtocolType::kReliableBroadcast ? "rb_bcast"
+                                                             : "eb_bcast") +
+        ": sender outran the receive window");
+  }
+  return *it->second;
 }
 
 void Context::on_bcast_deliver(ProtocolType type, ProcessId origin,
                                std::uint64_t k, Bytes payload) {
-  auto& delivered = type == ProtocolType::kReliableBroadcast ? rb_delivered_
-                                                             : eb_delivered_;
-  if (k + 1 > delivered[origin]) delivered[origin] = k + 1;
+  std::uint64_t& delivered = (type == ProtocolType::kReliableBroadcast
+                                  ? rb_delivered_
+                                  : eb_delivered_)[origin];
+  const std::uint64_t old_end = delivered + opts_.recv_window;
+  if (k + 1 > delivered) delivered = k + 1;
+  // Frames parked beyond the old window end may now create their roots.
+  for (std::uint64_t j = old_end; j < delivered + opts_.recv_window; ++j) {
+    stack_->retry_ooc(InstanceId::root(type, bcast_seq(origin, j)));
+  }
   // This instance finished its job; free it at the next safe point (we are
   // currently inside its delivery callback).
   dead_roots_.push_back(InstanceId::root(type, bcast_seq(origin, k)));
-  ensure_bcast_windows();
   if (type == ProtocolType::kReliableBroadcast) {
     rb_rx_.push(Delivery{origin, std::move(payload)});
   } else {
@@ -250,29 +280,17 @@ void Context::on_bcast_deliver(ProtocolType type, ProcessId origin,
 
 void Context::rb_bcast(Bytes payload) {
   run_on_reactor([this, &payload] {
-    const std::uint64_t k = rb_sent_++;
-    const InstanceId id = InstanceId::root(ProtocolType::kReliableBroadcast,
-                                           bcast_seq(opts_.self, k));
-    // The instance exists in our own receive window unless the sender has
-    // outrun it.
-    auto it = roots_.find(id);
-    if (it == roots_.end()) {
-      throw std::logic_error("rb_bcast: sender outran the receive window");
-    }
-    static_cast<RbAlgorithm&>(*it->second).bcast(std::move(payload));
+    auto& rb = static_cast<RbAlgorithm&>(
+        local_bcast_root(ProtocolType::kReliableBroadcast, rb_sent_++));
+    rb.bcast(std::move(payload));
   });
 }
 
 void Context::eb_bcast(Bytes payload) {
   run_on_reactor([this, &payload] {
-    const std::uint64_t k = eb_sent_++;
-    const InstanceId id = InstanceId::root(ProtocolType::kEchoBroadcast,
-                                           bcast_seq(opts_.self, k));
-    auto it = roots_.find(id);
-    if (it == roots_.end()) {
-      throw std::logic_error("eb_bcast: sender outran the receive window");
-    }
-    static_cast<EchoBroadcast&>(*it->second).bcast(std::move(payload));
+    auto& eb = static_cast<EchoBroadcast&>(
+        local_bcast_root(ProtocolType::kEchoBroadcast, eb_sent_++));
+    eb.bcast(std::move(payload));
   });
 }
 

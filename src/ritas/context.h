@@ -70,7 +70,13 @@ class Context {
     GroupId group = 0;
     StackConfig stack;         // n/self/group overwritten
     std::uint64_t rng_seed = 0;  // 0 = seed from std::random_device
-    /// Receive-side broadcast instances pre-created per origin.
+    /// How far an origin's rb (and, separately, eb) broadcasts may run
+    /// ahead of the last one delivered here: broadcast k of origin o is
+    /// admitted while k < d + recv_window, with d one past the highest k
+    /// of o delivered so far; frames further ahead wait out of context
+    /// until deliveries catch up. Also bounds the local sender
+    /// (rb_bcast/eb_bcast throw std::logic_error beyond it). Instances are
+    /// created on first reference, not up front.
     std::uint32_t recv_window = 64;
     /// start() returns once this many links are up (0 = auto: n - f - 1);
     /// the remaining links keep dialing in the background and heal through
@@ -255,8 +261,14 @@ class Context {
   static std::uint64_t bcast_seq(ProcessId origin, std::uint64_t k) {
     return (static_cast<std::uint64_t>(origin) << 32) | k;
   }
-  /// Maintains the pre-created receive window for rb/eb roots. Reactor only.
-  void ensure_bcast_windows();
+  /// The stack's root resolver: creates rb/eb roots on first reference.
+  /// For root (type, origin o, k): drop below created[o] (delivered and
+  /// destroyed), park out of context at or beyond delivered[o] +
+  /// recv_window, else create roots created[o]..k. Reactor only.
+  RootVerdict admit_bcast_root(const InstanceId& root);
+  /// The local origin's k-th rb/eb root, created under the same rule;
+  /// throws std::logic_error when the sender outran the receive window.
+  Protocol& local_bcast_root(ProtocolType type, std::uint64_t k);
   void on_bcast_deliver(ProtocolType type, ProcessId origin, std::uint64_t k,
                         Bytes payload);
 
@@ -274,14 +286,16 @@ class Context {
   std::mutex tasks_mutex_;
   std::deque<std::function<void()>> tasks_;
 
-  // Reactor-owned protocol state. Broadcast-window roots are destroyed
-  // once delivered (deferred to a safe point — never inside their own
-  // delivery callback); consensus roots stay for the session (peers may
-  // still need our courtesy-round participation).
+  // Reactor-owned protocol state. rb/eb roots are created on first
+  // reference and destroyed once delivered (deferred to a safe point —
+  // never inside their own delivery callback); consensus roots stay for
+  // the session (peers may still need our courtesy-round participation).
   std::map<InstanceId, std::unique_ptr<Protocol>> roots_;
   std::vector<InstanceId> dead_roots_;
   AtomicBroadcast* ab_ = nullptr;
-  std::vector<std::uint64_t> rb_created_, eb_created_;   // per origin
+  // Per origin: roots 0..created-1 exist or were delivered; delivered is
+  // one past the highest delivered k.
+  std::vector<std::uint64_t> rb_created_, eb_created_;
   std::vector<std::uint64_t> rb_delivered_, eb_delivered_;
   std::uint64_t rb_sent_ = 0, eb_sent_ = 0;
   std::uint64_t bc_calls_ = 0, mvc_calls_ = 0, vc_calls_ = 0;

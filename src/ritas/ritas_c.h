@@ -49,7 +49,8 @@ enum {
   RITAS_OPT_BATCH_ENABLED = 1,   /* 0 or 1 (default 0) */
   RITAS_OPT_BATCH_MAX_MSGS = 2,  /* messages per batch, > 0 (default 64) */
   RITAS_OPT_BATCH_MAX_BYTES = 3, /* framed bytes per batch, > 0 (default 16384) */
-  RITAS_OPT_RECV_WINDOW = 4,     /* pre-created rb/eb receive roots, > 0 */
+  RITAS_OPT_RECV_WINDOW = 4,     /* rb/eb broadcasts an origin may run
+                                  * ahead of its last delivered one, > 0 */
   RITAS_OPT_MIN_START_LINKS = 5, /* links ritas_start waits for; 0 = n-f-1 */
   RITAS_OPT_GROUP_ID = 6,        /* consensus group on a shared mesh;
                                   * 0 (default) keeps the original wire

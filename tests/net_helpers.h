@@ -67,8 +67,7 @@ class RawPeer {
 
   ~RawPeer() { close(); }
 
-  /// TCP-connects to the victim, retrying while its listener comes up
-  /// (the victim binds inside start(), which runs on its own thread).
+  /// TCP-connects to the victim, retrying while its listener comes up.
   /// Throws on persistent failure.
   void connect(int timeout_ms = 5000) {
     close();

@@ -1,6 +1,7 @@
 // Public-API edge cases: Context lifecycle (stop wakes blocked receivers,
 // idempotent stop, errors after stop), the delivered-root garbage
-// collection behind rb/eb windows, and C-API buffer-size corners.
+// collection behind rb/eb windows and its straggler drops, and C-API
+// buffer-size corners.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -81,10 +82,11 @@ TEST(ContextLifecycle, DeliveredBroadcastRootsAreFreed) {
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
   const Metrics after = cluster[3]->metrics();
   EXPECT_GE(after.msgs_received, before.msgs_received + 40);
-  // Windows are 64 per origin x 2 protocols x 4 origins plus the AB tree;
-  // 40 delivered instances must NOT have stacked on top permanently. We
+  // An rb root lives from its first reference until its delivery, and an
+  // origin may run at most recv_window (64) broadcasts ahead of the last
+  // one delivered; the 40 delivered instances must NOT stay allocated. We
   // can't see instance_count through the facade, so probe indirectly: the
-  // stream above still works after far more than one window of traffic.
+  // stream still works after more than one window of traffic.
   for (int i = 0; i < 80; ++i) {
     cluster[1]->rb_bcast(to_bytes("beyond-one-window"));
     (void)cluster[3]->rb_recv();
@@ -93,15 +95,40 @@ TEST(ContextLifecycle, DeliveredBroadcastRootsAreFreed) {
   SUCCEED();
 }
 
+TEST(ContextLifecycle, LateFramesForDeliveredRootsAreDroppedNotParked) {
+  // ECHO/READY frames that arrive after their broadcast was delivered and
+  // its root destroyed are counted drops. Parking them out of context
+  // would leak table entries that nothing ever drains, until the
+  // per-sender quota starts evicting.
+  auto cluster = make_cluster(4);
+  for (int i = 0; i < 500; ++i) {
+    cluster[i % 4]->rb_bcast(to_bytes("straggler-probe"));
+    for (auto& c : cluster) {
+      ASSERT_TRUE(c->rb_recv_for(std::chrono::seconds(30)).has_value()) << i;
+    }
+  }
+  std::uint64_t dropped = 0;
+  for (std::uint32_t p = 0; p < 4; ++p) {
+    const Metrics m = cluster[p]->metrics();
+    EXPECT_EQ(m.ooc_stored, 0u) << "p" << p;
+    EXPECT_EQ(m.ooc_evicted, 0u) << "p" << p;
+    dropped += m.unroutable_dropped;
+  }
+  EXPECT_GT(dropped, 0u);  // stragglers did arrive, and were counted
+  for (auto& c : cluster) c->stop();
+}
+
 TEST(ContextOptions, InvalidMembershipFailsFast) {
   // Construction validates the membership instead of letting a broken
   // configuration reach the TCP mesh (where it used to surface as a
-  // confusing connect failure or an out-of-range peer lookup).
-  auto base = [] {
+  // confusing connect failure or an out-of-range peer lookup). The valid
+  // case listens on its own port from construction, so it needs a free one.
+  const auto peers = local_peers(free_ports(4));
+  auto base = [&peers] {
     Context::Options o;
     o.n = 4;
     o.self = 0;
-    o.peers = std::vector<net::PeerAddr>(4, net::PeerAddr{"127.0.0.1", 1});
+    o.peers = peers;
     o.master_secret = to_bytes("v");
     return o;
   };
@@ -133,11 +160,12 @@ TEST(ContextOptions, InvalidMembershipFailsFast) {
 }
 
 TEST(ContextOptions, NonsensicalKnobsFailFast) {
-  auto base = [] {
+  const auto peers = local_peers(free_ports(4));
+  auto base = [&peers] {
     Context::Options o;
     o.n = 4;
     o.self = 1;
-    o.peers = std::vector<net::PeerAddr>(4, net::PeerAddr{"127.0.0.1", 1});
+    o.peers = peers;
     o.master_secret = to_bytes("v");
     return o;
   };

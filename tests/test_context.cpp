@@ -8,6 +8,8 @@
 #include <array>
 #include <chrono>
 #include <mutex>
+#include <set>
+#include <string>
 #include <thread>
 
 #include "net_helpers.h"
@@ -268,6 +270,68 @@ TEST(Context, BatchedAtomicBroadcastTotalOrder) {
   EXPECT_EQ(batch_msgs, static_cast<std::uint64_t>(4 * kPer));
   EXPECT_GT(sealed, 0u);
   EXPECT_LT(sealed, static_cast<std::uint64_t>(4 * kPer));
+}
+
+TEST(Context, BroadcastRootsAreCreatedOnFirstFrame) {
+  // Node 2 never touches the rb/eb API before the peer's frames arrive:
+  // the first frame creates the receive-side root, nothing is parked.
+  ContextCluster cluster(4);
+  cluster[1].rb_bcast(to_bytes("first rb"));
+  cluster[1].eb_bcast(to_bytes("first eb"));
+  const auto rb = cluster[2].rb_recv_for(std::chrono::seconds(30));
+  ASSERT_TRUE(rb.has_value());
+  EXPECT_EQ(rb->origin, 1u);
+  EXPECT_EQ(to_string(rb->payload), "first rb");
+  const auto eb = cluster[2].eb_recv_for(std::chrono::seconds(30));
+  ASSERT_TRUE(eb.has_value());
+  EXPECT_EQ(eb->origin, 1u);
+  EXPECT_EQ(to_string(eb->payload), "first eb");
+  EXPECT_EQ(cluster[2].metrics().ooc_stored, 0u);
+}
+
+TEST(Context, FramesBeyondANarrowWindowDrainAsItAdvances) {
+  // Node 3 admits only 2 broadcasts per origin beyond its last delivery,
+  // and joins after the other three already ran 10 broadcasts of node 0:
+  // the catch-up burst parks everything past k = 1 out of context, and
+  // each delivery must drain the keys it admits until all 10 arrive.
+  const auto peers = local_peers(free_ports(4));
+  std::vector<std::unique_ptr<Context>> nodes;
+  for (std::uint32_t p = 0; p < 4; ++p) {
+    Context::Options o;
+    o.n = 4;
+    o.self = p;
+    o.peers = peers;
+    o.master_secret = to_bytes("context-test-master");
+    o.rng_seed = 1700 + p;
+    if (p == 3) o.recv_window = 2;
+    nodes.push_back(std::make_unique<Context>(o));
+  }
+  {
+    std::vector<std::thread> starters;
+    for (std::uint32_t p = 0; p < 3; ++p) {
+      starters.emplace_back([&nodes, p] { nodes[p]->start(); });
+    }
+    for (auto& t : starters) t.join();
+  }
+  for (int i = 0; i < 10; ++i) nodes[0]->rb_bcast(to_bytes("w" + std::to_string(i)));
+  for (std::uint32_t p = 0; p < 3; ++p) {
+    for (int i = 0; i < 10; ++i) {
+      ASSERT_TRUE(nodes[p]->rb_recv_for(std::chrono::seconds(30)).has_value());
+    }
+  }
+  nodes[3]->start();
+  std::set<std::string> got;
+  for (int i = 0; i < 10; ++i) {
+    const auto d = nodes[3]->rb_recv_for(std::chrono::seconds(30));
+    ASSERT_TRUE(d.has_value()) << "only " << i << " of 10 delivered";
+    EXPECT_EQ(d->origin, 0u);
+    got.insert(to_string(d->payload));
+  }
+  EXPECT_EQ(got.size(), 10u);
+  const Metrics m = nodes[3]->metrics();
+  EXPECT_GT(m.ooc_stored, 0u);
+  EXPECT_EQ(m.ooc_drained, m.ooc_stored);
+  EXPECT_EQ(m.ooc_evicted, 0u);
 }
 
 TEST(Context, MetricsVisible) {

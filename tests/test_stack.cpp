@@ -1,12 +1,19 @@
 // ProtocolStack unit tests: demultiplexing, spawn-on-demand, the
-// out-of-context table (store/drain/evict/purge), and defensive drops.
+// out-of-context table (store/drain/evict/purge), defensive drops, and the
+// root resolver hook (create / drop / park roots on first reference).
 #include "core/stack.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <map>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "core/message.h"
+#include "core/variants.h"
 
 namespace ritas {
 namespace {
@@ -352,6 +359,225 @@ TEST_F(StackTest, RejectsBadConfig) {
   bad2.n = 4;
   bad2.self = 4;
   EXPECT_THROW(ProtocolStack(bad2, transport_, keys_, 1), std::invalid_argument);
+}
+
+// --- root resolver --------------------------------------------------------
+
+TEST_F(StackTest, ResolverCreatedRootReceivesTheFrame) {
+  const InstanceId root = InstanceId::root(ProtocolType::kAtomicBroadcast, 1);
+  const InstanceId deep = root.child({ProtocolType::kReliableBroadcast, 7});
+  std::vector<InstanceId> asked;
+  std::unique_ptr<Probe> made;
+  stack_.set_root_resolver([&](const InstanceId& r) {
+    asked.push_back(r);
+    made = std::make_unique<Probe>(stack_, nullptr, r, &log_, /*spawnable=*/true);
+    return RootVerdict::kCreated;
+  });
+  stack_.on_packet(1, frame_for(deep, 1, to_bytes("on demand")));
+  ASSERT_EQ(asked.size(), 1u);
+  EXPECT_EQ(asked[0], root);  // asked about the root, not the full path
+  ASSERT_EQ(log_.size(), 1u);
+  EXPECT_EQ(log_[0].path, deep);
+  EXPECT_EQ(stack_.metrics().ooc_stored, 0u);
+  // Once registered, the root is routed to without asking again.
+  stack_.on_packet(2, frame_for(root, 2, {}));
+  EXPECT_EQ(asked.size(), 1u);
+  EXPECT_EQ(log_.size(), 2u);
+}
+
+TEST_F(StackTest, ResolverDropAndOutOfContextVerdicts) {
+  RootVerdict verdict = RootVerdict::kDrop;
+  stack_.set_root_resolver([&](const InstanceId&) { return verdict; });
+  const InstanceId id = InstanceId::root(ProtocolType::kReliableBroadcast, 3);
+  stack_.on_packet(1, frame_for(id, 0, to_bytes("gone")));
+  EXPECT_EQ(stack_.metrics().unroutable_dropped, 1u);
+  EXPECT_EQ(stack_.ooc_size(), 0u);
+  verdict = RootVerdict::kOutOfContext;
+  stack_.on_packet(1, frame_for(id, 0, to_bytes("early")));
+  EXPECT_EQ(stack_.ooc_size(), 1u);
+  // A resolver claiming kCreated without registering anything parks too.
+  verdict = RootVerdict::kCreated;
+  stack_.on_packet(2, frame_for(id, 0, to_bytes("claimed")));
+  EXPECT_EQ(stack_.ooc_size(), 2u);
+  EXPECT_TRUE(log_.empty());
+}
+
+/// n stacks joined by an in-memory loopback: sends queue up and run()
+/// delivers them in FIFO order until the mesh is quiet. Clock-less, so
+/// traces are deterministic.
+class LoopbackMesh {
+ public:
+  struct Hop {
+    ProcessId from, to;
+    Slice frame;
+  };
+
+  explicit LoopbackMesh(std::uint32_t n) {
+    for (ProcessId p = 0; p < n; ++p) {
+      links_.push_back(std::make_unique<Link>(*this, p));
+      keys_.push_back(std::make_unique<KeyChain>(KeyChain::deal(to_bytes("lb"), n, p)));
+      StackConfig cfg;
+      cfg.n = n;
+      cfg.self = p;
+      stacks_.push_back(
+          std::make_unique<ProtocolStack>(cfg, *links_[p], *keys_[p], 100 + p));
+    }
+  }
+  ProtocolStack& stack(ProcessId p) { return *stacks_[p]; }
+  void inject(const Hop& h) { stacks_[h.to]->on_packet(h.from, h.frame); }
+  void run() {
+    while (!queue_.empty()) {
+      Hop h = std::move(queue_.front());
+      queue_.pop_front();
+      delivered.push_back(h);
+      inject(h);
+    }
+  }
+  std::vector<Hop> delivered;
+
+ private:
+  class Link final : public Transport {
+   public:
+    Link(LoopbackMesh& mesh, ProcessId self) : mesh_(mesh), self_(self) {}
+    void send(ProcessId to, Slice frame) override {
+      mesh_.queue_.push_back(Hop{self_, to, std::move(frame)});
+    }
+
+   private:
+    LoopbackMesh& mesh_;
+    ProcessId self_;
+  };
+
+  std::vector<std::unique_ptr<Link>> links_;
+  std::vector<std::unique_ptr<KeyChain>> keys_;
+  std::vector<std::unique_ptr<ProtocolStack>> stacks_;
+  std::deque<Hop> queue_;
+};
+
+/// One process's rb roots for origin 1 (root seq = k), created on demand
+/// under the create / drop-below-watermark / out-of-context-beyond-window
+/// rule, with each delivery re-offering the keys it admits.
+class WindowedRoots {
+ public:
+  WindowedRoots(ProtocolStack& stack, std::uint64_t window)
+      : stack_(stack), window_(window) {}
+
+  RootVerdict admit(const InstanceId& root) {
+    const std::uint64_t k = root.at(0).seq;
+    if (k < created_) return RootVerdict::kDrop;
+    if (k >= delivered_ + window_) return RootVerdict::kOutOfContext;
+    for (; created_ <= k; ++created_) {
+      const std::uint64_t j = created_;
+      roots[j] = make_rb(stack_, nullptr, id(j), 1, Attribution::kPayload,
+                         [this, j](Slice payload) { on_deliver(j, payload); });
+    }
+    return RootVerdict::kCreated;
+  }
+  void install() {
+    stack_.set_root_resolver([this](const InstanceId& r) { return admit(r); });
+  }
+  static InstanceId id(std::uint64_t k) {
+    return InstanceId::root(ProtocolType::kReliableBroadcast, k);
+  }
+
+  std::map<std::uint64_t, std::unique_ptr<RbAlgorithm>> roots;
+  std::vector<std::string> got;
+
+ private:
+  void on_deliver(std::uint64_t k, const Slice& payload) {
+    got.push_back(to_string(payload.to_bytes()));
+    const std::uint64_t old_end = delivered_ + window_;
+    delivered_ = std::max(delivered_, k + 1);
+    for (std::uint64_t j = old_end; j < delivered_ + window_; ++j) {
+      stack_.retry_ooc(id(j));
+    }
+  }
+
+  ProtocolStack& stack_;
+  std::uint64_t window_;
+  std::uint64_t created_ = 0, delivered_ = 0;
+};
+
+TEST(StackRootResolver, CreateParkAndDropOnALoopbackMesh) {
+  LoopbackMesh mesh(4);
+  std::vector<std::unique_ptr<WindowedRoots>> w;
+  for (ProcessId p = 0; p < 4; ++p) {
+    w.push_back(std::make_unique<WindowedRoots>(mesh.stack(p), p == 0 ? 1 : 64));
+    w[p]->install();
+  }
+  // Origin 1 starts broadcasts 0 and 1 before anything is delivered.
+  for (std::uint64_t k = 0; k < 2; ++k) {
+    ASSERT_EQ(w[1]->admit(WindowedRoots::id(k)), RootVerdict::kCreated);
+    w[1]->roots[k]->bcast(to_bytes("b" + std::to_string(k)));
+    mesh.stack(1).pump();
+  }
+  mesh.run();
+  // p0 created root 0 on its first frame, parked broadcast 1 (beyond its
+  // one-wide window) and drained it once broadcast 0 was delivered.
+  const Metrics& m = mesh.stack(0).metrics();
+  EXPECT_EQ(w[0]->got, (std::vector<std::string>{"b0", "b1"}));
+  EXPECT_GT(m.ooc_stored, 0u);
+  EXPECT_EQ(m.ooc_drained, m.ooc_stored);
+  EXPECT_EQ(mesh.stack(0).ooc_size(), 0u);
+  for (ProcessId p = 1; p < 4; ++p) EXPECT_EQ(w[p]->got.size(), 2u);
+
+  // Root 0 delivered and destroyed: a late copy of one of its frames is
+  // dropped below the watermark, not parked.
+  w[0]->roots.erase(0);
+  const std::uint64_t dropped = m.unroutable_dropped;
+  bool replayed = false;
+  for (const auto& h : mesh.delivered) {
+    const auto msg = Message::decode(h.frame);
+    if (h.to == 0 && msg && msg->path == WindowedRoots::id(0)) {
+      mesh.inject(h);
+      replayed = true;
+      break;
+    }
+  }
+  ASSERT_TRUE(replayed);
+  EXPECT_EQ(m.unroutable_dropped, dropped + 1);
+  EXPECT_EQ(mesh.stack(0).ooc_size(), 0u);
+}
+
+TEST(StackRootResolver, DecliningResolverLeavesTheTraceByteIdentical) {
+  // p0 has no rb roots while the broadcasts run, so every frame to it is
+  // parked, then drained when the roots appear. A resolver that always
+  // answers kOutOfContext must produce exactly the no-resolver trace.
+  auto trace = [](bool declining_resolver) {
+    LoopbackMesh mesh(4);
+    Tracer tracer(0);
+    mesh.stack(0).set_tracer(&tracer);
+    if (declining_resolver) {
+      mesh.stack(0).set_root_resolver(
+          [](const InstanceId&) { return RootVerdict::kOutOfContext; });
+    }
+    std::vector<std::unique_ptr<WindowedRoots>> w;
+    for (ProcessId p = 1; p < 4; ++p) {
+      w.push_back(std::make_unique<WindowedRoots>(mesh.stack(p), 64));
+      w.back()->install();
+    }
+    for (std::uint64_t k = 0; k < 2; ++k) {
+      w[0]->admit(WindowedRoots::id(k));
+      w[0]->roots[k]->bcast(to_bytes("b" + std::to_string(k)));
+      mesh.stack(1).pump();
+    }
+    mesh.run();
+    std::vector<Slice> got;
+    std::vector<std::unique_ptr<RbAlgorithm>> late;
+    for (std::uint64_t k = 0; k < 2; ++k) {
+      late.push_back(make_rb(mesh.stack(0), nullptr, WindowedRoots::id(k), 1,
+                             Attribution::kPayload,
+                             [&got](Slice payload) { got.push_back(payload); }));
+    }
+    mesh.stack(0).pump();
+    mesh.run();
+    EXPECT_EQ(got.size(), 2u);
+    EXPECT_GT(mesh.stack(0).metrics().ooc_drained, 0u);
+    return tracer.encode();
+  };
+  const Bytes plain = trace(false);
+  EXPECT_FALSE(plain.empty());
+  EXPECT_EQ(trace(true), plain);
 }
 
 }  // namespace

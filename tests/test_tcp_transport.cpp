@@ -496,5 +496,52 @@ TEST(TcpTransportAdversarial, MalformedHandshakesAreCountedAndContained) {
   EXPECT_EQ(to_string(v.node->received[0].second), "unharmed");
 }
 
+TEST(TcpTransport, DialBeforePeerStartsNeverBacksOff) {
+  // Every transport listens from construction, so node 3 dialing peers
+  // whose start() runs 50 ms later lands in their accept backlog: no
+  // refused connect, no failed attempt, no backoff. A failed dial would
+  // trace a kLinkDown (sid 0) at the dialer.
+  const auto peers = local_peers(free_ports(4));
+  std::vector<std::unique_ptr<Tracer>> tracers;  // outlive the transports
+  std::vector<std::unique_ptr<Node>> nodes;
+  for (ProcessId p = 0; p < 4; ++p) {
+    nodes.push_back(make_node(4, p, peers, to_bytes("listen-early")));
+    tracers.push_back(std::make_unique<Tracer>(p));
+    nodes[p]->transport->set_tracer(tracers[p].get());
+  }
+  nodes[3]->thread = std::thread([raw = nodes[3].get()] { raw->start_and_run(); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  for (ProcessId p = 0; p < 3; ++p) {
+    nodes[p]->thread = std::thread([raw = nodes[p].get()] { raw->start_and_run(); });
+  }
+  const bool meshed = wait_until(
+      [&] {
+        for (auto& node : nodes) {
+          if (node->transport->links_up() != 3) return false;
+        }
+        return true;
+      },
+      20'000);
+  for (auto& node : nodes) {
+    node->stop.store(true);
+    node->transport->wakeup();
+  }
+  // Join every poller before closing any socket: a peer still polling
+  // would trace the teardown as a kLinkDown.
+  for (auto& node : nodes) node->thread.join();
+  for (auto& node : nodes) node->transport->stop();
+  ASSERT_TRUE(meshed);
+  for (ProcessId p = 0; p < 4; ++p) {
+    EXPECT_FALSE(nodes[p]->start_failed.load()) << "p" << p;
+    std::size_t ups = 0;
+    for (const TraceEvent& e : tracers[p]->events()) {
+      EXPECT_NE(e.kind, TraceEventKind::kLinkDown)
+          << "p" << p << " dialer backed off on link to p" << e.peer;
+      if (e.kind == TraceEventKind::kLinkUp) ++ups;
+    }
+    EXPECT_EQ(ups, 3u) << "p" << p;
+  }
+}
+
 }  // namespace
 }  // namespace ritas::net
