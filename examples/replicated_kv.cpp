@@ -58,8 +58,8 @@ std::vector<net::PeerAddr> reserve_local_ports(std::uint32_t n) {
 /// thread (on_delivered runs in the ab_subscribe callback) and main-thread
 /// readers. The service itself is single-threaded by design — the harness
 /// owns the synchronization, exactly like the sim loop owns it in tests.
-struct Node {
-  Node()
+struct KvReplica {
+  KvReplica()
       : service({.shards = 1, .key_of = smr::kv_key_of},
                 [](smr::ShardId) { return std::make_unique<smr::KvMachine>(); }) {}
 
@@ -108,7 +108,7 @@ smr::KvCommand cas(const std::string& key, const std::string& expected,
 int main() {
   const auto peers = reserve_local_ports(kN);
 
-  std::vector<Node> replicas(kN);
+  std::vector<KvReplica> replicas(kN);
   std::vector<std::unique_ptr<Context>> nodes;
   for (std::uint32_t p = 0; p < kN; ++p) {
     Context::Options o;
@@ -160,7 +160,7 @@ int main() {
 
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::minutes(2);
   auto all_applied = [&] {
-    for (Node& r : replicas) {
+    for (KvReplica& r : replicas) {
       if (r.applied() < workload.size()) return false;
     }
     return true;

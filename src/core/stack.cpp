@@ -21,10 +21,6 @@ ProtocolStack::ProtocolStack(StackConfig cfg, Transport& transport,
       ooc_count_(cfg.n, 0) {
   if (cfg_.n < 4) throw std::invalid_argument("ProtocolStack: need n >= 4 (n >= 3f+1, f >= 1)");
   if (cfg_.self >= cfg_.n) throw std::invalid_argument("ProtocolStack: self out of range");
-  if (cfg_.reactor_threads > 64 || cfg_.crypto_threads > 64) {
-    throw std::invalid_argument(
-        "ProtocolStack: reactor_threads/crypto_threads must be <= 64");
-  }
   validate_variants(cfg_.variants, cfg_.n, cfg_.coin_mode);
 }
 

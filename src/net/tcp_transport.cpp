@@ -5,11 +5,9 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
+#include <sys/epoll.h>
 #include <sys/socket.h>
 #include <unistd.h>
-#if RITAS_HAS_EPOLL
-#include <sys/epoll.h>
-#endif
 
 #include <algorithm>
 #include <cassert>
@@ -100,8 +98,6 @@ struct TcpTransport::Counters {
   std::atomic<std::uint64_t> queue_drops{0};
   std::atomic<std::uint64_t> link_reconnects{0};
   std::atomic<std::uint64_t> handshake_failures{0};
-  std::atomic<std::uint64_t> crypto_offloaded{0};
-  std::atomic<std::uint64_t> crypto_mac_offloaded{0};
   std::atomic<std::uint64_t> sendmsg_calls{0};
   std::atomic<std::uint64_t> bytes_to_kernel{0};
   std::atomic<std::uint64_t> batch_copy_bytes{0};
@@ -134,11 +130,6 @@ TcpTransport::TcpTransport(Options opts, const KeyChain& keys)
     seed = (static_cast<std::uint64_t>(rd()) << 32) ^ rd();
   }
   rng_ = std::make_unique<Rng>(seed);
-  // Crypto offload only exists when there is MAC work to move; with
-  // authentication off the option is inert and the wire path untouched.
-  if (opts_.authenticate && opts_.crypto_threads > 0) {
-    crypto_ = std::make_unique<CryptoPool>(opts_.crypto_threads);
-  }
   conns_.reserve(opts_.n);
   for (ProcessId p = 0; p < opts_.n; ++p) {
     conns_.push_back(std::make_unique<Conn>(opts_.max_frame, opts_.authenticate));
@@ -168,6 +159,8 @@ TcpTransport::TcpTransport(Options opts, const KeyChain& keys)
   if (::listen(lfd.get(), 64) != 0) throw std::runtime_error("listen() failed");
   set_nonblocking(lfd.get());
   listen_fd_ = std::move(lfd);
+  epoll_fd_ = Fd(::epoll_create1(EPOLL_CLOEXEC));
+  if (!epoll_fd_.valid()) throw std::runtime_error("epoll_create1() failed");
 }
 
 TcpTransport::~TcpTransport() { stop(); }
@@ -217,10 +210,6 @@ void TcpTransport::start() {
 void TcpTransport::stop() {
   stopped_.store(true);
   wakeup();
-  // Join the crypto workers first: their jobs touch counters_ and the
-  // wakeup pipe, both of which stay alive below; after the join no
-  // off-thread code runs against this object.
-  crypto_.reset();
   for (auto& c : conns_) {
     std::lock_guard<std::mutex> lock(c->mutex);
     c->fd.reset();
@@ -230,12 +219,10 @@ void TcpTransport::stop() {
   }
   pending_accepts_.clear();
   listen_fd_.reset();
-#if RITAS_HAS_EPOLL
   // The kernel dropped every registration when the sockets closed; the
   // mirror map must follow so a restart-free reuse cannot see stale owners.
   epoll_regs_.clear();
   epoll_fd_.reset();
-#endif
 }
 
 void TcpTransport::wakeup() {
@@ -280,22 +267,9 @@ bool TcpTransport::write_all(int fd, ByteView data) {
   return true;
 }
 
-bool TcpTransport::prep_entry(Conn& c, Retained& e, ProcessId to) {
-  if (e.prep_sid == c.sid) return true;  // header + MAC already current
-  bool have_mac = false;
-  if (e.mac) {
-    if (e.mac->sid == c.sid) {
-      if (!e.mac->ready.load(std::memory_order_acquire)) {
-        return false;  // still computing: the drain must stop here (order)
-      }
-      e.mac_trailer = e.mac->mac;
-      have_mac = true;
-    }
-    // Ready and adopted, or staged under a dead session: either way the
-    // slot is spent. A stale-sid slot falls through to the inline re-MAC.
-    e.mac.reset();
-  }
-  if (!have_mac && opts_.authenticate) {
+void TcpTransport::prep_entry(Conn& c, Retained& e, ProcessId to) {
+  if (e.prep_sid == c.sid) return;  // header + MAC already current
+  if (opts_.authenticate) {
     Writer macin(24);
     macin.u32(opts_.self);
     macin.u32(to);
@@ -310,7 +284,6 @@ bool TcpTransport::prep_entry(Conn& c, Retained& e, ProcessId to) {
   const ByteView hb = hdr.data();
   std::memcpy(e.hdr.data(), hb.data(), e.hdr.size());
   e.prep_sid = c.sid;
-  return true;
 }
 
 void TcpTransport::drain_locked(Conn& c, ProcessId to) {
@@ -337,7 +310,7 @@ void TcpTransport::drain_locked(Conn& c, ProcessId to) {
     for (std::size_t i = static_cast<std::size_t>(idx0);
          i < c.retained.size() && nimg < kMaxBatchFrames; ++i) {
       Retained& e = c.retained[i];
-      if (!prep_entry(c, e, to)) break;  // staged MAC still computing
+      prep_entry(c, e, to);
       FrameImage& img = imgs[nimg];
       img.parts[0] = ByteView(e.hdr.data(), e.hdr.size());
       img.parts[1] = e.frame;
@@ -349,7 +322,6 @@ void TcpTransport::drain_locked(Conn& c, ProcessId to) {
       // Soft cap: at least one frame is always offered.
       if (batch_bytes >= opts_.max_batch_bytes) break;
     }
-    if (nimg == 0) return;  // head is waiting on the crypto pool
 
     const BatchWriteResult r = sendmsg_batch(c.fd.get(), imgs, nimg,
                                              c.tx_partial, batch_iov_budget());
@@ -375,7 +347,6 @@ void TcpTransport::drain_locked(Conn& c, ProcessId to) {
       acc -= imgs[fi].size();
       Retained& e = c.retained[static_cast<std::size_t>(idx0) + fi];
       e.written = true;
-      e.mac.reset();
       counters_->frames_sent.fetch_add(1, std::memory_order_relaxed);
       counters_->bytes_sent.fetch_add(imgs[fi].size(), std::memory_order_relaxed);
       if (e.retx) {
@@ -399,35 +370,9 @@ void TcpTransport::drain_pending() {
   for (ProcessId p = 0; p < opts_.n; ++p) {
     if (p == opts_.self) continue;
     Conn& c = *conns_[p];
-    {
-      std::lock_guard<std::mutex> lock(c.mutex);
-      drain_locked(c, p);
-    }
-    if (crypto_) harvest_verified(p);
+    std::lock_guard<std::mutex> lock(c.mutex);
+    drain_locked(c, p);
   }
-}
-
-void TcpTransport::stage_mac(Conn& c, ProcessId to, std::uint64_t counter,
-                             const Slice& frame) {
-  auto slot = std::make_shared<MacSlot>();
-  slot->sid = c.sid;
-  c.retained.back().mac = slot;
-  // The job is self-contained: key view (keys_ outlives the joined pool),
-  // ids, counter, refcounted frame. No transport locks are taken.
-  const ProcessId self = opts_.self;
-  const std::uint64_t sid = c.sid;
-  const ByteView key = keys_.key(to);
-  crypto_->submit([this, slot, key, self, to, sid, counter, frame] {
-    Writer macin(24);
-    macin.u32(self);
-    macin.u32(to);
-    macin.u64(sid);
-    macin.u64(counter);
-    slot->mac = hmac_sha256_2(key, macin.data(), frame);
-    slot->ready.store(true, std::memory_order_release);
-    counters_->crypto_mac_offloaded.fetch_add(1, std::memory_order_relaxed);
-    wakeup();  // poll thread drains the staged frames in counter order
-  });
 }
 
 void TcpTransport::send(ProcessId to, Slice frame) {
@@ -443,7 +388,7 @@ void TcpTransport::send(ProcessId to, Slice frame) {
     // reached a socket is real backpressure loss and is counted. The one
     // frame eviction must never touch is a half-written head — popping it
     // would tear the byte stream mid-frame.
-    c.retained.push_back(Retained{counter, frame, false, false, nullptr});
+    c.retained.push_back(Retained{counter, frame, false, false});
     c.retained_bytes += frame.size();
     while (c.retained_bytes > opts_.send_queue_max_bytes && c.retained.size() > 1) {
       const Retained& victim = c.retained.front();
@@ -456,16 +401,9 @@ void TcpTransport::send(ProcessId to, Slice frame) {
     if (c.state != LinkState::kUp || c.broken || !c.fd.valid()) {
       return;  // queued; the next session's resync flushes it
     }
-    if (crypto_) {
-      // Offload: the MAC computes on the pool and the poll thread drains
-      // once the digest is ready — the sender never blocks on crypto or
-      // I/O here, it only assigned a counter and queued.
-      stage_mac(c, to, counter, frame);
-      return;  // the worker's wakeup() triggers the poll-thread drain
-    }
-    // Inline MAC on the sender thread (keeps multi-sender parallelism even
-    // without a pool); the write either happens here (batching off) or on
-    // the poll thread's next batched drain.
+    // MAC on the sender thread (keeps multi-sender parallelism); the write
+    // either happens here (batching off) or on the poll thread's next
+    // batched drain.
     prep_entry(c, c.retained.back(), to);
     if (opts_.batch_sends) {
       need_wake = !is_poll_thread();
@@ -923,56 +861,6 @@ void TcpTransport::dispatch_event(std::int64_t owner, bool rin, bool rout,
   }
 }
 
-void TcpTransport::wait_with_poll(int timeout_ms) {
-  // Owner encoding: -1 wake pipe, -2 listen socket, -(3+k) pending accept
-  // k, otherwise the peer id.
-  std::vector<pollfd> pfds;
-  std::vector<std::int64_t> owners;
-  pfds.push_back(pollfd{wake_rx_.get(), POLLIN, 0});
-  owners.push_back(-1);
-  if (listen_fd_.valid()) {
-    pfds.push_back(pollfd{listen_fd_.get(), POLLIN, 0});
-    owners.push_back(-2);
-  }
-  for (std::size_t k = 0; k < pending_accepts_.size(); ++k) {
-    pfds.push_back(pollfd{pending_accepts_[k].fd.get(), POLLIN, 0});
-    owners.push_back(-3 - static_cast<std::int64_t>(k));
-  }
-  for (ProcessId p = 0; p < opts_.n; ++p) {
-    if (p == opts_.self) continue;
-    Conn& c = *conns_[p];
-    int fd;
-    bool blocked;
-    {
-      std::lock_guard<std::mutex> lock(c.mutex);
-      fd = c.fd.get();
-      blocked = c.tx_blocked;
-    }
-    if (fd < 0 || c.phase == HsPhase::kIdle) continue;
-    short events;
-    if (c.phase == HsPhase::kDialWait) {
-      events = POLLOUT;
-    } else if (c.phase == HsPhase::kEstablished) {
-      events = static_cast<short>(POLLIN | (blocked ? POLLOUT : 0));
-    } else {
-      events = POLLIN;
-    }
-    pfds.push_back(pollfd{fd, events, 0});
-    owners.push_back(p);
-  }
-
-  const int rc = ::poll(pfds.data(), pfds.size(), timeout_ms);
-  if (rc <= 0) return;
-  for (std::size_t i = 0; i < pfds.size(); ++i) {
-    const short rev = pfds[i].revents;
-    if (rev == 0) continue;
-    dispatch_event(owners[i], (rev & POLLIN) != 0, (rev & POLLOUT) != 0,
-                   (rev & (POLLERR | POLLHUP | POLLNVAL)) != 0);
-  }
-}
-
-#if RITAS_HAS_EPOLL
-
 void TcpTransport::forget_fd(int fd) {
   if (fd >= 0) epoll_regs_.erase(fd);
 }
@@ -983,19 +871,9 @@ void TcpTransport::reset_fd(Fd& fd) {
 }
 
 void TcpTransport::wait_with_epoll(int timeout_ms) {
-  if (!epoll_fd_.valid()) {
-    Fd efd(::epoll_create1(EPOLL_CLOEXEC));
-    if (!efd.valid()) {
-      // No epoll (container seccomp, exotic kernel): permanently fall back.
-      opts_.use_epoll = false;
-      wait_with_poll(timeout_ms);
-      return;
-    }
-    epoll_fd_ = std::move(efd);
-  }
-
-  // Desired interest set for this cycle, same owner encoding as the poll
-  // backend. Level-triggered; EPOLLOUT only while a link has blocked output.
+  // Desired interest set for this cycle (owner encoding: see
+  // dispatch_event). Level-triggered; EPOLLOUT only while a link has
+  // blocked output.
   std::vector<std::pair<int, EpollReg>> desired;
   desired.reserve(2 + pending_accepts_.size() + opts_.n);
   desired.emplace_back(wake_rx_.get(), EpollReg{EPOLLIN, -1});
@@ -1081,8 +959,6 @@ void TcpTransport::wait_with_epoll(int timeout_ms) {
   }
 }
 
-#endif  // RITAS_HAS_EPOLL
-
 void TcpTransport::poll_once(int timeout_ms) {
   if (stopped_.load()) return;
   poll_tid_.store(std::hash<std::thread::id>{}(std::this_thread::get_id()),
@@ -1092,15 +968,7 @@ void TcpTransport::poll_once(int timeout_ms) {
   // last wait — the wakeup pipe got us here for exactly this.
   drain_pending();
   const int tmo = fold_timer_deadlines(timeout_ms);
-#if RITAS_HAS_EPOLL
-  if (opts_.use_epoll) {
-    wait_with_epoll(tmo);
-  } else {
-    wait_with_poll(tmo);
-  }
-#else
-  wait_with_poll(tmo);
-#endif
+  wait_with_epoll(tmo);
   // Flush-before-return: deliveries above may have triggered sends from
   // this thread (sink → protocol → send), which only enqueue when batching.
   drain_pending();
@@ -1155,35 +1023,6 @@ void TcpTransport::process_rx(ProcessId peer) {
       counters_->session_rejects.fetch_add(1, std::memory_order_relaxed);
       ok = false;
     }
-    if (ok && opts_.authenticate && crypto_) {
-      // Offload: park the frame in arrival order and let a worker verify
-      // the MAC. The counter-floor decision and delivery both wait for
-      // the harvest so nothing outruns an unverified predecessor.
-      auto pv = std::make_shared<PendingVerify>();
-      pv->counter = f.counter;
-      pv->body = Slice(Bytes(f.body.begin(), f.body.end()));
-      Sha256::Digest want{};
-      std::memcpy(want.data(), f.mac.data(), kMacSize);
-      c.verify_q.push_back(pv);
-      counters_->crypto_offloaded.fetch_add(1, std::memory_order_relaxed);
-      const ProcessId self = opts_.self;
-      const std::uint64_t sid = f.sid;
-      const ByteView key = keys_.key(peer);
-      crypto_->submit([this, pv, key, peer, self, sid, want] {
-        Writer macin(24);
-        macin.u32(peer);
-        macin.u32(self);
-        macin.u64(sid);
-        macin.u64(pv->counter);
-        const auto mac = hmac_sha256_2(key, macin.data(), pv->body);
-        const bool good = ct_equal(ByteView(mac.data(), mac.size()),
-                                   ByteView(want.data(), want.size()));
-        pv->verdict.store(good ? 1 : 0, std::memory_order_release);
-        wakeup();  // poll thread harvests in arrival order
-      });
-      c.rx.consume();
-      continue;
-    }
     if (ok && opts_.authenticate) {
       Writer macin(24);
       macin.u32(peer);
@@ -1222,37 +1061,6 @@ void TcpTransport::process_rx(ProcessId peer) {
     c.rx.consume();
   }
   c.rx.compact();
-  if (crypto_) harvest_verified(peer);
-}
-
-void TcpTransport::harvest_verified(ProcessId peer) {
-  Conn& c = *conns_[peer];
-  while (!c.verify_q.empty()) {
-    PendingVerify& pv = *c.verify_q.front();
-    const int verdict = pv.verdict.load(std::memory_order_acquire);
-    if (verdict < 0) break;  // FIFO: never deliver past an unresolved frame
-    if (verdict == 0) {
-      // Same accounting as the inline path: a forged frame is a counted
-      // drop that consumes no counter and delays nothing behind it.
-      counters_->mac_failures.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      bool ok = true;
-      if (pv.counter < c.rx_expected) {
-        counters_->replay_drops.fetch_add(1, std::memory_order_relaxed);
-        ok = false;
-      } else if (pv.counter > c.rx_expected) {
-        counters_->counter_gaps.fetch_add(pv.counter - c.rx_expected,
-                                          std::memory_order_relaxed);
-        c.rx_expected = pv.counter;
-      }
-      if (ok) {
-        ++c.rx_expected;
-        counters_->frames_received.fetch_add(1, std::memory_order_relaxed);
-        if (sink_) sink_(peer, std::move(pv.body));
-      }
-    }
-    c.verify_q.pop_front();
-  }
 }
 
 std::vector<LinkState> TcpTransport::link_states() const {
@@ -1293,9 +1101,6 @@ TcpTransport::Stats TcpTransport::stats() const {
   s.link_reconnects = counters_->link_reconnects.load(std::memory_order_relaxed);
   s.handshake_failures =
       counters_->handshake_failures.load(std::memory_order_relaxed);
-  s.crypto_offloaded = counters_->crypto_offloaded.load(std::memory_order_relaxed);
-  s.crypto_mac_offloaded =
-      counters_->crypto_mac_offloaded.load(std::memory_order_relaxed);
   s.sendmsg_calls = counters_->sendmsg_calls.load(std::memory_order_relaxed);
   s.bytes_to_kernel = counters_->bytes_to_kernel.load(std::memory_order_relaxed);
   s.batch_copy_bytes = counters_->batch_copy_bytes.load(std::memory_order_relaxed);

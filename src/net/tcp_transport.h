@@ -25,9 +25,7 @@
 // link, the listen socket, pending accepts and the wakeup pipe; write
 // interest (EPOLLOUT) is registered only while a link actually has queued
 // output, and the reconnect/backoff + handshake deadlines fold into the
-// wait timeout via the deterministic `Link` timeline. Platforms without
-// epoll (and Options::use_epoll = false) run the same cycle over a flat
-// ::poll — identical semantics, tests exercise both.
+// wait timeout via the deterministic `Link` timeline. Linux only.
 //
 // Send fast path: frames enqueue onto the link's retained queue and a
 // drain gathers consecutive ready frames into ONE sendmsg() of
@@ -49,18 +47,10 @@
 //     tests/test_tcp_transport.cpp (ConcurrentSenders*) enforces this
 //     under ASan/TSan.
 //   * Receiving and all link management happen in poll_once(), which the
-//     owner (one thread — see ritas::Context) calls in its loop. Frames
-//     are handed to the sink inline from poll_once. With batch_sends on,
-//     the poll thread also performs the batched drains (senders only
-//     enqueue + wake it).
-//   * With crypto_threads > 0, per-frame HMAC work runs on a CryptoPool:
-//     receive-side MACs verify in parallel and the poll thread re-imposes
-//     per-link arrival order before the sink sees anything (a MAC failure
-//     stays a counted drop and never reorders delivery past a verified
-//     frame); send-side MACs are staged into the retained queue and the
-//     batched drain picks them up strictly in counter order, stopping at
-//     the first frame whose MAC is still computing. 0 keeps every MAC on
-//     the calling thread.
+//     owner (one thread — see ritas::Node) calls in its loop. Frames are
+//     MAC-verified and handed to the sink inline from poll_once. With
+//     batch_sends on, the poll thread also performs the batched drains
+//     (senders only MAC, enqueue and wake it).
 #pragma once
 
 #include <array>
@@ -79,15 +69,8 @@
 #include "core/transport.h"
 #include "crypto/keychain.h"
 #include "crypto/sha256.h"
-#include "net/crypto_pool.h"
 #include "net/frame_reassembler.h"
 #include "net/link.h"
-
-#if defined(__linux__)
-#define RITAS_HAS_EPOLL 1
-#else
-#define RITAS_HAS_EPOLL 0
-#endif
 
 namespace ritas::net {
 
@@ -141,23 +124,16 @@ class TcpTransport final : public Transport {
     /// Seeds handshake nonces and backoff jitter; 0 = std::random_device.
     /// Tests pin it to make reconnect timelines reproducible.
     std::uint64_t rng_seed = 0;
-    /// Crypto worker threads for per-frame HMAC verify/compute. 0 = all
-    /// MAC work inline on the calling thread (the pre-pipeline path,
-    /// bit-identical on the wire). Ignored when authenticate == false.
-    std::uint32_t crypto_threads = 0;
-    /// Batch sends per syscall: send() only enqueues (and MACs, when
-    /// inline) and the poll thread drains each link's backlog into
-    /// multi-frame sendmsg() calls. Off = send() drains inline from the
-    /// calling thread, one frame per syscall when the link is idle. The
-    /// wire bytes are identical either way.
+    /// Batch sends per syscall: send() only MACs and enqueues, and the
+    /// poll thread drains each link's backlog into multi-frame sendmsg()
+    /// calls. Off = send() drains inline from the calling thread, one
+    /// frame per syscall when the link is idle. The wire bytes are
+    /// identical either way.
     bool batch_sends = true;
     /// Soft byte cap per batched sendmsg(); at least one frame is always
     /// offered (so 0 degenerates to one frame per syscall). IOV_MAX caps
     /// the iovec count independently.
     std::size_t max_batch_bytes = 256u << 10;
-    /// Drive readiness with epoll where the platform has it; false forces
-    /// the portable ::poll fallback (same semantics, tests cover both).
-    bool use_epoll = true;
   };
 
   struct Stats {
@@ -173,8 +149,6 @@ class TcpTransport final : public Transport {
     std::uint64_t queue_drops = 0;        // never-sent frames evicted by the cap
     std::uint64_t link_reconnects = 0;    // handshakes that revived a dead link
     std::uint64_t handshake_failures = 0; // malformed/unauthentic handshakes
-    std::uint64_t crypto_offloaded = 0;     // rx MAC verifies run on the pool
-    std::uint64_t crypto_mac_offloaded = 0; // tx MAC computes run on the pool
     std::uint64_t sendmsg_calls = 0;   // batched data-frame sendmsg() syscalls
     std::uint64_t bytes_to_kernel = 0; // bytes those syscalls moved (partial
                                        // frames included as they progress)
@@ -198,9 +172,10 @@ class TcpTransport final : public Transport {
     kHalfClose,  // shutdown(SHUT_WR): peer sees EOF, teardown propagates back
   };
 
-  /// Binds and listens on peers[self] (throws std::runtime_error if the
-  /// port is taken), so peers that dial before this node's start() queue
-  /// in the accept backlog instead of being refused into backoff.
+  /// Binds and listens on peers[self] and creates the epoll instance
+  /// (throws std::runtime_error if the port is taken), so peers that dial
+  /// before this node's start() queue in the accept backlog instead of
+  /// being refused into backoff.
   TcpTransport(Options opts, const KeyChain& keys);
   ~TcpTransport() override;
 
@@ -237,8 +212,8 @@ class TcpTransport final : public Transport {
   void wakeup();
 
   /// Enqueues one frame for `to`: assigns the link counter, retains the
-  /// refcounted body for counter resync, and either drains inline
-  /// (batch_sends off, no crypto pool) or leaves the write to the poll
+  /// refcounted body for counter resync, computes its MAC, and either
+  /// drains inline (batch_sends off) or leaves the write to the poll
   /// thread's batched drain. The body is never copied per peer — the
   /// batched sendmsg() points straight at the shared buffer. If the link
   /// is not up the frame stays queued for the next session's resync.
@@ -273,26 +248,6 @@ class TcpTransport final : public Transport {
     kEstablished,  // session open, frames flow
   };
 
-  /// Crypto-offload result slot for one send-side MAC: a worker fills
-  /// `mac` then publishes with a release store of `ready`; the poll
-  /// thread acquires `ready` before reading. `sid` pins the session the
-  /// MAC was computed under — if the link re-handshakes first, the stale
-  /// MAC is discarded and the drain re-MACs inline under the new sid.
-  struct MacSlot {
-    std::uint64_t sid = 0;
-    Sha256::Digest mac{};
-    std::atomic<bool> ready{false};
-  };
-
-  /// A receive-side frame parked in per-link arrival order while a crypto
-  /// worker verifies its MAC off-thread. verdict: -1 pending, 0 bad MAC,
-  /// 1 verified (release-published by the worker).
-  struct PendingVerify {
-    std::uint64_t counter = 0;
-    Slice body;
-    std::atomic<int> verdict{-1};
-  };
-
   /// A frame retained for retransmission: queued while the link is down,
   /// or recently written and kept until the next resync confirms receipt.
   /// The header/MAC prep is the stable storage the batched iovec triplet
@@ -303,7 +258,6 @@ class TcpTransport final : public Transport {
     Slice frame;
     bool written;      // fully handed to the kernel under the current session
     bool retx;         // rewrite under this session counts as a retransmission
-    std::shared_ptr<MacSlot> mac;  // staged MAC (crypto offload); null = inline
     std::uint64_t prep_sid = 0;    // session the prep below was built for
     std::array<std::uint8_t, FrameReassembler::kHeaderSize> hdr{};
     Sha256::Digest mac_trailer{};
@@ -321,12 +275,6 @@ class TcpTransport final : public Transport {
     std::uint64_t rx_expected = 0;   // next counter expected (survives sessions)
     std::unique_ptr<LinkRetry> retry;  // dialed links only (peer < self)
     bool ever_up = false;
-    /// Frames awaiting an off-thread MAC verdict, in arrival order; the
-    /// poll thread harvests from the front and never past an unresolved
-    /// entry, so offload cannot reorder a link's deliveries. Survives
-    /// link_down: a verified frame that arrived before the failure is
-    /// still delivered (its retransmit then replay-drops).
-    std::deque<std::shared_ptr<PendingVerify>> verify_q;
     // --- shared with sender threads; guarded by mutex ---
     std::mutex mutex;
     LinkState state = LinkState::kDown;
@@ -359,27 +307,15 @@ class TcpTransport final : public Transport {
   std::uint64_t now_ms() const;
   std::uint32_t start_threshold() const;
   bool write_all(int fd, ByteView data);
-  /// Builds (or refreshes) the entry's header/MAC prep for the current
-  /// session: adopts a ready pool-computed MAC, or computes inline (the
-  /// no-pool path and the resync re-MAC path). Returns false when the
-  /// entry must wait for a staged MAC still computing — the drain stops
-  /// there so the batched queue stays in counter order. Caller holds
-  /// c.mutex.
-  bool prep_entry(Conn& c, Retained& e, ProcessId to);
-  /// Drains consecutive ready frames from tx_write_next into batched
-  /// sendmsg() calls until the backlog is empty, the socket stops taking
-  /// bytes (tx_blocked; EPOLLOUT resumes), or the head is waiting on the
-  /// crypto pool. Caller holds c.mutex.
+  /// Builds (or refreshes, after a re-handshake) the entry's header and
+  /// MAC for the current session. Caller holds c.mutex.
+  void prep_entry(Conn& c, Retained& e, ProcessId to);
+  /// Drains consecutive frames from tx_write_next into batched sendmsg()
+  /// calls until the backlog is empty or the socket stops taking bytes
+  /// (tx_blocked; EPOLLOUT resumes). Caller holds c.mutex.
   void drain_locked(Conn& c, ProcessId to);
-  /// Poll thread: drains every up link with pending output and harvests
-  /// crypto-verified receives.
+  /// Poll thread: drains every up link with pending output.
   void drain_pending();
-  /// Send-side offload: attaches a MacSlot to the just-retained frame and
-  /// submits the HMAC job; caller holds c.mutex.
-  void stage_mac(Conn& c, ProcessId to, std::uint64_t counter, const Slice& frame);
-  /// Poll thread: delivers verified frames from the front of verify_q in
-  /// arrival order, stopping at the first unresolved verdict.
-  void harvest_verified(ProcessId peer);
   void begin_dial(ProcessId peer);
   void on_dial_writable(ProcessId peer);
   void handshake_readable(ProcessId peer);
@@ -394,24 +330,18 @@ class TcpTransport final : public Transport {
   void process_rx(ProcessId peer);
   void trace_link(TraceEventKind kind, ProcessId peer, std::uint64_t arg);
   /// Folds the nearest handshake/backoff/pending-accept deadline into the
-  /// caller's timeout so neither wait backend can oversleep a timer.
+  /// caller's timeout so the wait cannot oversleep a timer.
   int fold_timer_deadlines(int timeout_ms);
-  /// Shared readiness dispatch for both wait backends. Owner encoding:
-  /// -1 wake pipe, -2 listen socket, -(3+k) pending accept k, else peer id.
+  /// Readiness dispatch. Owner encoding: -1 wake pipe, -2 listen socket,
+  /// -(3+k) pending accept k, else peer id.
   void dispatch_event(std::int64_t owner, bool rin, bool rout, bool rerr);
-  void wait_with_poll(int timeout_ms);
   bool is_poll_thread() const;
-#if RITAS_HAS_EPOLL
   /// Drops a registration record before closing its fd (the kernel
   /// auto-deregisters on close; forgetting our record keeps a reused fd
   /// number from being mistaken for a still-registered socket).
   void forget_fd(int fd);
   void reset_fd(Fd& fd);
   void wait_with_epoll(int timeout_ms);
-#else
-  void forget_fd(int) {}
-  void reset_fd(Fd& fd) { fd.reset(); }
-#endif
 
   Options opts_;
   const KeyChain& keys_;
@@ -422,19 +352,16 @@ class TcpTransport final : public Transport {
   Fd wake_rx_, wake_tx_;
   std::vector<std::unique_ptr<Conn>> conns_;  // index = peer id; self unused
   std::vector<PendingAccept> pending_accepts_;
-  std::unique_ptr<CryptoPool> crypto_;  // null = inline crypto path
   std::unique_ptr<Counters> counters_;
   std::atomic<bool> stopped_{false};
   std::atomic<std::uint64_t> poll_tid_{0};  // hashed id of the polling thread
   std::uint64_t epoch_ns_ = 0;  // steady_clock origin for now_ms()
-#if RITAS_HAS_EPOLL
   struct EpollReg {
     std::uint32_t events = 0;
     std::int64_t owner = 0;
   };
-  Fd epoll_fd_;  // lazily created on the poll thread; poll-thread-only
+  Fd epoll_fd_;  // created with the listen socket; poll-thread-only after
   std::unordered_map<int, EpollReg> epoll_regs_;  // poll-thread-only
-#endif
 };
 
 }  // namespace ritas::net

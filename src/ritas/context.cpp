@@ -1,6 +1,6 @@
 #include "ritas/context.h"
 
-#include <random>
+#include <future>
 #include <stdexcept>
 #include <string>
 
@@ -18,24 +18,12 @@ namespace {
 /// stack) is built from them — a wrong membership must never reach the
 /// mesh layer.
 Context::Options validate(Context::Options o) {
-  if (o.n < 4) {
-    throw std::invalid_argument("ritas::Context: n must be >= 4 (n >= 3f+1, f >= 1)");
-  }
-  if (o.self >= o.n) {
-    throw std::invalid_argument("ritas::Context: self must be < n");
-  }
-  if (o.peers.size() != o.n) {
-    throw std::invalid_argument("ritas::Context: peers.size() must equal n");
-  }
+  Node::validate("ritas::Context", o);
   if (o.recv_window == 0) {
     throw std::invalid_argument("ritas::Context: recv_window must be > 0");
   }
   if (o.batch.enabled && (o.batch.max_msgs == 0 || o.batch.max_bytes == 0)) {
     throw std::invalid_argument("ritas::Context: batch limits must be > 0");
-  }
-  if (o.reactor_threads > 64 || o.crypto_threads > 64) {
-    throw std::invalid_argument(
-        "ritas::Context: reactor_threads/crypto_threads must be <= 64");
   }
   // Unknown or incompatible protocol-variant selections fail here, before
   // any networking exists (the ProtocolStack constructor re-checks, but
@@ -48,26 +36,11 @@ Context::Options validate(Context::Options o) {
 
 Context::Context(Options opts)
     : opts_(validate(std::move(opts))),
-      keys_(KeyChain::deal(opts_.master_secret, opts_.n, opts_.self)),
+      node_("ritas::Context", opts_),
       rb_created_(opts_.n, 0),
       eb_created_(opts_.n, 0),
       rb_delivered_(opts_.n, 0),
       eb_delivered_(opts_.n, 0) {
-  net::TcpTransport::Options topts;
-  topts.n = opts_.n;
-  topts.self = opts_.self;
-  topts.peers = opts_.peers;
-  topts.authenticate = opts_.authenticate;
-  topts.min_start_links = opts_.min_start_links;
-  topts.crypto_threads = opts_.crypto_threads;
-  topts.batch_sends = opts_.transport_batch;
-  // Decorrelate per-process transport randomness (handshake nonces,
-  // backoff jitter) even when every node is configured with the same seed.
-  topts.rng_seed = opts_.rng_seed == 0
-                       ? 0
-                       : opts_.rng_seed ^ (0x9e3779b97f4a7c15ULL * (opts_.self + 1));
-  transport_ = std::make_unique<net::TcpTransport>(topts, keys_);
-
   StackConfig cfg = opts_.stack;
   cfg.n = opts_.n;
   cfg.self = opts_.self;
@@ -75,52 +48,29 @@ Context::Context(Options opts)
   cfg.ab_batch.enabled = opts_.batch.enabled;
   cfg.ab_batch.max_batch_msgs = opts_.batch.max_msgs;
   cfg.ab_batch.max_batch_bytes = opts_.batch.max_bytes;
-  cfg.reactor_threads = opts_.reactor_threads;
-  cfg.crypto_threads = opts_.crypto_threads;
-  if (opts_.reactor_threads > 0) {
-    ReactorPool::Options popts;
-    popts.threads = opts_.reactor_threads;
-    pool_ = std::make_unique<ReactorPool>(popts);
-    pool_->pin(opts_.group, 0);  // single-group session: reactor 0 owns it
-  }
-  std::uint64_t seed = opts_.rng_seed;
-  if (seed == 0) {
-    std::random_device rd;
-    seed = (static_cast<std::uint64_t>(rd()) << 32) ^ rd();
-  }
-  stack_ = std::make_unique<ProtocolStack>(cfg, *transport_, keys_, seed);
+  stack_ = std::make_unique<ProtocolStack>(cfg, node_.transport(), node_.keys(),
+                                           node_.seed());
   stack_->set_root_resolver(
       [this](const InstanceId& root) { return admit_bcast_root(root); });
+  // The pump runs on the stack's thread at a safe point, so delivered
+  // rb/eb roots are freed there.
+  node_.serve(opts_.group, [this] {
+    stack_->pump();
+    for (const InstanceId& id : dead_roots_) roots_.erase(id);
+    dead_roots_.clear();
+  });
 }
 
 Context::~Context() { stop(); }
 
 void Context::start() {
-  if (running_.load()) return;
-  if (pool_) {
-    // Pipeline mode: the poll thread only moves frames into the reactor
-    // ring; all protocol work (and the roots_ bookkeeping) happens on
-    // reactor 0, which also pumps the stack after every drain batch.
-    pool_->set_idle_hook(0, [this] {
-      stack_->pump();
-      for (const InstanceId& id : dead_roots_) roots_.erase(id);
-      dead_roots_.clear();
-    });
-    pool_->start();
-    transport_->set_sink([this](ProcessId from, Slice frame) {
-      pool_->route(opts_.group, *stack_, from, std::move(frame));
-    });
-  } else {
-    transport_->set_sink([this](ProcessId from, Slice frame) {
-      stack_->on_packet(from, std::move(frame));
-    });
-  }
-  transport_->start();
-  running_.store(true);
-  reactor_ = std::thread([this] { reactor_loop(); });
+  if (node_.running()) return;
+  node_.start([this](ProcessId from, Slice frame) {
+    node_.pool().route(opts_.group, *stack_, from, std::move(frame));
+  });
 
-  // Create the session-wide atomic broadcast root on the reactor. rb/eb
-  // roots are created on first reference (admit_bcast_root).
+  // Create the session-wide atomic broadcast root on the stack's thread.
+  // rb/eb roots are created on first reference (admit_bcast_root).
   run_on_reactor([this] {
     auto ab = std::make_unique<AtomicBroadcast>(
         *stack_, nullptr, InstanceId::root(ProtocolType::kAtomicBroadcast, 0),
@@ -140,71 +90,16 @@ void Context::start() {
 }
 
 void Context::stop() {
-  if (!running_.exchange(false)) return;
-  transport_->wakeup();
-  if (reactor_.joinable()) reactor_.join();
-  // Poll thread is gone, so no new frames enter the rings; drain the
-  // reactors before touching reactor-owned state (roots_).
-  if (pool_) pool_->stop();
+  // Joins the poll thread and the reactors, so nothing touches the
+  // stack-owned state (roots_) below.
+  if (!node_.stop()) return;
   // Wake any threads blocked in the recv calls.
   rb_rx_.close();
   eb_rx_.close();
   ab_rx_.close();
-  // Tear down the control-block trees before the transport goes away.
   roots_.clear();
   dead_roots_.clear();
   ab_ = nullptr;
-  transport_->stop();
-}
-
-void Context::reactor_loop() {
-  if (pool_) {
-    // Pipeline mode: this thread owns only the transport; frames hand
-    // off through the ring and tasks go straight to the pool.
-    while (running_.load()) transport_->poll_once(20);
-    return;
-  }
-  while (running_.load()) {
-    transport_->poll_once(20);
-    std::deque<std::function<void()>> tasks;
-    {
-      std::lock_guard<std::mutex> lock(tasks_mutex_);
-      tasks.swap(tasks_);
-    }
-    for (auto& t : tasks) {
-      t();  // exceptions captured inside the task wrapper
-      stack_->pump();
-    }
-    // Safe point: nothing is on a protocol call stack here.
-    for (const InstanceId& id : dead_roots_) roots_.erase(id);
-    dead_roots_.clear();
-  }
-}
-
-void Context::run_on_reactor(std::function<void()> fn) {
-  if (!running_.load()) throw std::logic_error("Context not started");
-  std::promise<void> done;
-  auto fut = done.get_future();
-  // Exceptions must not unwind the reactor thread: capture and rethrow
-  // in the calling thread instead.
-  auto wrapped = [&done, f = std::move(fn)] {
-    try {
-      f();
-      done.set_value();
-    } catch (...) {
-      done.set_exception(std::current_exception());
-    }
-  };
-  if (pool_) {
-    pool_->post(opts_.group, std::move(wrapped));
-  } else {
-    {
-      std::lock_guard<std::mutex> lock(tasks_mutex_);
-      tasks_.push_back(std::move(wrapped));
-    }
-    transport_->wakeup();
-  }
-  fut.get();
 }
 
 RootVerdict Context::admit_bcast_root(const InstanceId& root) {
@@ -327,7 +222,7 @@ void Context::ab_flush() {
 }
 
 void Context::ab_subscribe(AbSubscriber fn) {
-  if (!running_.load()) {
+  if (!node_.running()) {
     ab_sub_ = std::move(fn);  // reactor not running yet; plain write is safe
     return;
   }

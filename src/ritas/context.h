@@ -10,10 +10,11 @@
 //   ab_bcast / ab_recv     atomic broadcast          (ritas_ab_*)
 //   bc / mvc / vc          propose, block, decide    (ritas_bc/mvc/vc)
 //
-// The protocol stack runs in a single reactor thread, independent of the
+// The protocol stack runs in a single thread, independent of the
 // application thread (§3: "the protocol stack runs in a single thread,
-// independent of the application thread"). Application calls post work to
-// the reactor and block on futures/queues.
+// independent of the application thread"): the poll thread of the shared
+// ritas::Node runtime, or one reactor thread when reactor_threads > 0.
+// Application calls post work to that thread and block on futures/queues.
 //
 // Instance naming convention (implicit agreement across processes): the
 // k-th rb/eb broadcast by origin o is root (kRB/kEB, o<<32|k); consensus
@@ -28,19 +29,15 @@
 #include <deque>
 #include <map>
 #include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
 #include "core/atomic_broadcast.h"
-#include "core/reactor.h"
 #include "core/stack.h"
-#include "crypto/keychain.h"
-#include "net/tcp_transport.h"
+#include "ritas/node.h"
 
 namespace ritas {
 
@@ -54,14 +51,10 @@ class ShutdownError : public std::runtime_error {
 
 class Context {
  public:
-  struct Options {
-    std::uint32_t n = 4;
-    ProcessId self = 0;
-    std::vector<net::PeerAddr> peers;  // one per process, index = id
-    /// Shared secret all processes derive pairwise keys from (the trusted
-    /// dealer of §2; distribute out of band).
-    Bytes master_secret;
-    bool authenticate = true;  // HMAC frames (the "IPSec" switch)
+  /// Membership, secret, transport and reactor knobs come from
+  /// Node::Options (ritas/node.h); reactor_threads > 0 runs this session's
+  /// single group on one reactor thread off the transport poll thread.
+  struct Options : Node::Options {
     /// Consensus group this session runs when several groups share one
     /// mesh (sharded SMR). Authoritative: overwrites stack.group. Group 0
     /// (default) keeps the original wire format; non-zero groups prefix
@@ -69,7 +62,6 @@ class Context {
     /// so all correct processes of a group must configure it identically.
     GroupId group = 0;
     StackConfig stack;         // n/self/group overwritten
-    std::uint64_t rng_seed = 0;  // 0 = seed from std::random_device
     /// How far an origin's rb (and, separately, eb) broadcasts may run
     /// ahead of the last one delivered here: broadcast k of origin o is
     /// admitted while k < d + recv_window, with d one past the highest k
@@ -78,10 +70,6 @@ class Context {
     /// (rb_bcast/eb_bcast throw std::logic_error beyond it). Instances are
     /// created on first reference, not up front.
     std::uint32_t recv_window = 64;
-    /// start() returns once this many links are up (0 = auto: n - f - 1);
-    /// the remaining links keep dialing in the background and heal through
-    /// the transport's backoff/reconnect machinery.
-    std::uint32_t min_start_links = 0;
     /// Atomic-broadcast payload batching (StackConfig::ab_batch). This is
     /// the authoritative knob: it overwrites stack.ab_batch, and — being a
     /// wire-format switch — must be configured identically at every
@@ -92,22 +80,6 @@ class Context {
       std::uint32_t max_bytes = 16 * 1024;
     };
     Batch batch;
-    /// Multi-core execution pipeline knobs (authoritative: overwrite
-    /// stack.reactor_threads / stack.crypto_threads). 0 = today's inline
-    /// single-thread path, bit-identical on wire, trace and bench output.
-    /// reactor_threads > 0 moves protocol work off the transport poll
-    /// thread onto a ReactorPool (this single-group session pins its
-    /// group to reactor 0; smr::ShardedService spreads G groups across
-    /// reactors); crypto_threads > 0 moves per-frame HMAC work onto the
-    /// transport's crypto workers. Validated: both <= 64.
-    std::uint32_t reactor_threads = 0;
-    std::uint32_t crypto_threads = 0;
-    /// Transport send batching (TcpTransport::Options::batch_sends): when
-    /// on, send() stages frames and the poll thread flushes a whole queue
-    /// per sendmsg; when off, every send drains inline (one syscall per
-    /// frame, the pre-fast-path behavior). Local-only — changes no wire
-    /// bytes, so processes may disagree on it.
-    bool transport_batch = true;
   };
 
   struct Delivery {
@@ -174,23 +146,21 @@ class Context {
   std::optional<Bytes> mvc(Bytes proposal);
   std::vector<std::optional<Bytes>> vc(Bytes proposal);
 
-  /// Snapshot of the stack's counters (taken on the reactor).
+  /// Snapshot of the stack's counters (taken on the stack's thread).
   Metrics metrics();
   net::TcpTransport::Stats transport_stats() const {
-    return transport_->stats();
+    return node_.transport().stats();
   }
   /// Execution-pipeline counters: frame handoffs into the reactor rings
   /// and per-reactor queue depths. All-zero (empty depths) in inline mode.
-  ReactorPool::Stats pipeline_stats() const {
-    return pool_ ? pool_->stats() : ReactorPool::Stats{};
-  }
+  ReactorPool::Stats pipeline_stats() const { return node_.pool().stats(); }
   /// Per-peer channel health (self entry reads kUp).
   std::vector<LinkState> link_states() const {
-    return transport_->link_states();
+    return node_.transport().link_states();
   }
   /// The underlying transport — fault injection (kill_link) and
   /// link-level probes for tests and operational tooling.
-  net::TcpTransport& transport() { return *transport_; }
+  net::TcpTransport& transport() { return node_.transport(); }
   ProcessId self() const { return opts_.self; }
   std::uint32_t n() const { return opts_.n; }
 
@@ -255,9 +225,10 @@ class Context {
     bool closed_ = false;
   };
 
-  void reactor_loop();
-  /// Runs fn on the reactor thread and waits for it (fn must not block).
-  void run_on_reactor(std::function<void()> fn);
+  /// Runs fn on the stack's thread and waits for it (fn must not block).
+  void run_on_reactor(std::function<void()> fn) {
+    node_.run(opts_.group, std::move(fn));
+  }
   static std::uint64_t bcast_seq(ProcessId origin, std::uint64_t k) {
     return (static_cast<std::uint64_t>(origin) << 32) | k;
   }
@@ -273,18 +244,8 @@ class Context {
                         Bytes payload);
 
   Options opts_;
-  KeyChain keys_;
-  std::unique_ptr<net::TcpTransport> transport_;
+  Node node_;
   std::unique_ptr<ProtocolStack> stack_;
-  /// Non-null iff reactor_threads > 0: protocol work runs on the pool
-  /// (group pinned to reactor 0) and reactor_loop() is poll-only. Null =
-  /// the original single-thread path, untouched.
-  std::unique_ptr<ReactorPool> pool_;
-
-  std::thread reactor_;
-  std::atomic<bool> running_{false};
-  std::mutex tasks_mutex_;
-  std::deque<std::function<void()>> tasks_;
 
   // Reactor-owned protocol state. rb/eb roots are created on first
   // reference and destroyed once delivered (deferred to a safe point —

@@ -1,0 +1,133 @@
+// ritas::Node — one process's real-TCP runtime, shared by the session
+// fronts built on it (ritas::Context: one group behind the paper's API;
+// ritas::ShardedNode: G KV shards over one mesh).
+//
+// A Node owns everything that does not depend on the front: the pairwise
+// keychain dealt from the master secret, the TcpTransport (listening from
+// construction), the ReactorPool, the poll thread and the task lane that
+// carries application calls onto the thread that owns a group's stack.
+// The front owns its stacks and protocol roots, registers one pump per
+// group with serve(), and hands start() the sink for inbound frames.
+//
+// Thread ownership map:
+//   poll thread  — sockets, link state machines and the inbound sink; with
+//                  reactor_threads = 0 (the inline path) also every posted
+//                  task and every group's pump
+//   reactor r    — (reactor_threads > 0) the stacks of the groups pinned to
+//                  r: their frames (handed over by ReactorPool::route),
+//                  their posted tasks and their pumps
+//   app threads  — post()/run(), stats, waits
+//
+// Protocol work on a group therefore always runs on exactly one thread,
+// the invariant every stack is built on.
+#pragma once
+
+#include <atomic>
+#include <cstdint>
+#include <deque>
+#include <functional>
+#include <memory>
+#include <mutex>
+#include <string>
+#include <thread>
+#include <utility>
+#include <vector>
+
+#include "core/reactor.h"
+#include "crypto/keychain.h"
+#include "net/tcp_transport.h"
+
+namespace ritas {
+
+class Node {
+ public:
+  /// The knobs every front shares; Context::Options and
+  /// ShardedNode::Options extend this.
+  struct Options {
+    std::uint32_t n = 4;
+    ProcessId self = 0;
+    std::vector<net::PeerAddr> peers;  // one per process, index = id
+    /// Shared secret all processes derive pairwise keys from (the trusted
+    /// dealer of §2; distribute out of band).
+    Bytes master_secret;
+    bool authenticate = true;  // HMAC frames (the "IPSec" switch)
+    /// start() returns once this many links are up (0 = auto: n - f - 1);
+    /// the remaining links keep dialing in the background and heal through
+    /// the transport's backoff/reconnect machinery.
+    std::uint32_t min_start_links = 0;
+    /// Reactor threads that run the protocol stacks (<= 64). 0 = the
+    /// inline path: the poll thread runs everything, bit-identical on
+    /// wire, trace and bench output. Local-only, so processes may differ.
+    std::uint32_t reactor_threads = 0;
+    /// Transport send batching (TcpTransport::Options::batch_sends): when
+    /// on, send() stages frames and the poll thread flushes a whole queue
+    /// per sendmsg; when off, every send drains inline (one syscall per
+    /// frame). Local-only — changes no wire bytes.
+    bool transport_batch = true;
+    std::uint64_t rng_seed = 0;  // 0 = seed from std::random_device
+  };
+
+  using Sink = std::function<void(ProcessId from, Slice frame)>;
+
+  /// Throws std::invalid_argument, prefixed with `who`, on an inconsistent
+  /// membership (n < 4, i.e. n < 3f+1 for f >= 1; self >= n;
+  /// peers.size() != n) or reactor_threads > 64.
+  static void validate(const std::string& who, const Options& opts);
+
+  /// Validates `opts`, deals the keychain and binds the listen socket, so
+  /// a wrong membership never reaches the mesh layer.
+  Node(std::string who, const Options& opts);
+  ~Node();
+  Node(const Node&) = delete;
+  Node& operator=(const Node&) = delete;
+
+  /// Registers group g's pump, run on the thread that owns g after every
+  /// batch of frames and tasks (stack->pump() plus any safe-point
+  /// housekeeping). Call before start().
+  void serve(GroupId g, std::function<void()> pump);
+
+  /// Installs `sink` for inbound frames (called on the poll thread; route
+  /// them through pool()), starts the reactors, dials the mesh (blocks
+  /// until min_start_links links are up) and starts the poll thread.
+  void start(Sink sink);
+  /// Stops the poll thread and the reactors — tasks already posted still
+  /// run — then closes every socket. Returns false (and does nothing)
+  /// when the node was not running.
+  bool stop();
+  bool running() const { return running_.load(); }
+
+  /// Runs `fn` on the thread that owns group g; callable from any thread.
+  void post(GroupId g, std::function<void()> fn);
+  /// post() and wait; an exception thrown by `fn` is rethrown here.
+  /// Throws std::logic_error when the node is not running.
+  void run(GroupId g, std::function<void()> fn);
+
+  const KeyChain& keys() const { return keys_; }
+  net::TcpTransport& transport() { return *transport_; }
+  const net::TcpTransport& transport() const { return *transport_; }
+  /// Always present; inline mode (reactor_threads = 0) dispatches frames
+  /// on the poll thread.
+  ReactorPool& pool() { return *pool_; }
+  const ReactorPool& pool() const { return *pool_; }
+  /// The session seed: Options::rng_seed, or a random one when that is 0.
+  std::uint64_t seed() const { return seed_; }
+
+ private:
+  void poll_loop();
+  /// Inline path: runs every queued task, then every pump.
+  void drain_tasks();
+
+  std::string who_;
+  KeyChain keys_;
+  std::uint64_t seed_;
+  std::unique_ptr<net::TcpTransport> transport_;
+  std::unique_ptr<ReactorPool> pool_;
+  std::vector<std::pair<GroupId, std::function<void()>>> pumps_;
+
+  std::atomic<bool> running_{false};
+  std::mutex tasks_mutex_;  // inline path only
+  std::deque<std::function<void()>> tasks_;
+  std::thread poll_thread_;
+};
+
+}  // namespace ritas

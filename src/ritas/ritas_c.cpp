@@ -103,10 +103,6 @@ int ritas_set_opt(ritas_t* r, int opt, long value) {
       if (value < 0 || value > 64) return RITAS_EINVAL;
       r->opts.reactor_threads = static_cast<uint32_t>(value);
       return RITAS_OK;
-    case RITAS_OPT_CRYPTO_THREADS:
-      if (value < 0 || value > 64) return RITAS_EINVAL;
-      r->opts.crypto_threads = static_cast<uint32_t>(value);
-      return RITAS_OK;
     case RITAS_OPT_TRANSPORT_BATCH:
       if (value != 0 && value != 1) return RITAS_EINVAL;
       r->opts.transport_batch = value == 1;
@@ -157,10 +153,6 @@ long long ritas_stat(ritas_t* r, int stat) {
         return static_cast<long long>(s.link_reconnects);
       case RITAS_STAT_HANDSHAKE_FAILURES:
         return static_cast<long long>(s.handshake_failures);
-      case RITAS_STAT_CRYPTO_OFFLOADED:
-        return static_cast<long long>(s.crypto_offloaded);
-      case RITAS_STAT_CRYPTO_MAC_OFFLOADED:
-        return static_cast<long long>(s.crypto_mac_offloaded);
       case RITAS_STAT_SENDMSG_CALLS:
         return static_cast<long long>(s.sendmsg_calls);
       case RITAS_STAT_BYTES_TO_KERNEL:

@@ -75,9 +75,8 @@ enum {
                                   * wire/trace/bench. Local knob: it never
                                   * touches the wire, so processes may
                                   * differ. */
-  RITAS_OPT_CRYPTO_THREADS = 10, /* HMAC worker threads, 0..64; 0 = MACs
-                                  * inline on the calling thread. Local
-                                  * knob like REACTOR_THREADS. */
+  /* 10 is retired (formerly HMAC worker threads); ritas_set_opt rejects
+   * it with RITAS_EINVAL and the value is never reused. */
   RITAS_OPT_TRANSPORT_BATCH = 11 /* transport send batching: 1 (default)
                                   * = sends stage frames and the poll
                                   * thread flushes many per sendmsg; 0 =
@@ -108,9 +107,9 @@ enum {
   RITAS_STAT_QUEUE_DROPS = 10,     /* never-sent frames evicted by the cap */
   RITAS_STAT_LINK_RECONNECTS = 11, /* handshakes that revived a dead link */
   RITAS_STAT_HANDSHAKE_FAILURES = 12,
+  /* 13 and 14 are retired (formerly HMAC worker counters); ritas_stat
+   * rejects them with RITAS_EINVAL and the values are never reused. */
   /* Execution-pipeline counters (all 0 with the default inline knobs). */
-  RITAS_STAT_CRYPTO_OFFLOADED = 13,     /* rx MAC verifies run on workers */
-  RITAS_STAT_CRYPTO_MAC_OFFLOADED = 14, /* tx MAC computes run on workers */
   RITAS_STAT_HANDOFF_ENQUEUED = 15,     /* frames handed to reactor rings */
   RITAS_STAT_HANDOFF_DROPPED = 16,      /* frames dropped on a full ring */
   RITAS_STAT_REACTOR_QUEUE_DEPTH = 17,  /* max current ring occupancy */

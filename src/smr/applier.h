@@ -4,9 +4,8 @@
 // Each carries a (client id, client sequence) pair; at-least-once clients
 // retry and multi-submit, so the applier filters duplicates with a
 // per-client floor+set window and applies survivors to the deterministic
-// StateMachine. Replica (single group) and ShardedService (one applier per
-// shard) both delegate here, so exactly-once semantics cannot drift
-// between the two fronts.
+// StateMachine. ShardedService keeps one applier per shard and delegates
+// here.
 //
 // Wire format of a command: u64 client | u64 seq | bytes op.
 #pragma once

@@ -11,8 +11,8 @@
 //     platforms; never std::hash). Requests submitted at the wrong shard
 //     front are FORWARDED to the owner, never dropped — the `forwarded`
 //     counter audits how often clients guessed wrong.
-//   * framing — commands carry (client, seq) for exactly-once semantics,
-//     shared with the single-group Replica via ExactlyOnceApplier.
+//   * framing — commands carry (client, seq) for exactly-once semantics
+//     (ExactlyOnceApplier). One shard is plain single-group SMR.
 //   * applying — `on_delivered(shard, bytes)` feeds shard s's decided
 //     command stream to shard s's applier. A command whose routing key
 //     does NOT belong to the delivering shard (a Byzantine replica
@@ -22,7 +22,7 @@
 //     (each key lives in exactly one shard) holds.
 //
 // The service is transport-agnostic: it never touches a stack directly.
-// Harnesses (sim::ShardedCluster, the TCP Context, examples) bind a
+// Harnesses (sim::ShardedCluster, ritas::ShardedNode, examples) bind a
 // submitter that places a framed command on shard s's atomic broadcast
 // and call on_delivered from the per-shard AB deliver callback.
 //

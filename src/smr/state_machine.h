@@ -3,8 +3,9 @@
 // The paper's opening argument for consensus is its equivalence to state
 // machine replication [Schneider '90, cited as 23]. This module is the
 // application-facing half of that equivalence: implement a deterministic
-// `StateMachine`, hand it to a `Replica`, and the RITAS atomic broadcast
-// keeps every correct replica's state identical — even with f Byzantine
+// `StateMachine`, hand its factory to a `ShardedService` (one shard for a
+// single group), and the RITAS atomic broadcast keeps every correct
+// replica's state identical — even with f Byzantine
 // replicas in the group.
 #pragma once
 

@@ -399,10 +399,9 @@ TEST(CApi, PipelineOptionsValidation) {
   ASSERT_NE(r, nullptr);
   EXPECT_EQ(ritas_set_opt(r, RITAS_OPT_REACTOR_THREADS, -1), RITAS_EINVAL);
   EXPECT_EQ(ritas_set_opt(r, RITAS_OPT_REACTOR_THREADS, 65), RITAS_EINVAL);
-  EXPECT_EQ(ritas_set_opt(r, RITAS_OPT_CRYPTO_THREADS, 65), RITAS_EINVAL);
   EXPECT_EQ(ritas_set_opt(r, RITAS_OPT_REACTOR_THREADS, 2), RITAS_OK);
-  EXPECT_EQ(ritas_set_opt(r, RITAS_OPT_CRYPTO_THREADS, 64), RITAS_OK);
-  EXPECT_EQ(ritas_set_opt(r, RITAS_OPT_CRYPTO_THREADS, 0), RITAS_OK);
+  // 10 was the retired HMAC-worker knob: rejected, never reused.
+  EXPECT_EQ(ritas_set_opt(r, 10, 0), RITAS_EINVAL);
   EXPECT_EQ(ritas_set_opt(r, RITAS_OPT_TRANSPORT_BATCH, 2), RITAS_EINVAL);
   EXPECT_EQ(ritas_set_opt(r, RITAS_OPT_TRANSPORT_BATCH, -1), RITAS_EINVAL);
   EXPECT_EQ(ritas_set_opt(r, RITAS_OPT_TRANSPORT_BATCH, 0), RITAS_OK);
@@ -411,10 +410,10 @@ TEST(CApi, PipelineOptionsValidation) {
 }
 
 TEST(CApi, PipelineStatsRoundTrip) {
-  // Full round trip of the execution-pipeline knobs and counters through
-  // the C surface: configure reactor + crypto threads pre-start (a local
-  // knob — the peers stay at the inline defaults and interoperate), run a
-  // broadcast, and read the new RITAS_STAT_* counters back.
+  // Full round trip of the execution-pipeline knob and counters through
+  // the C surface: configure reactor threads pre-start (a local knob — the
+  // peers stay at the inline defaults and interoperate), run a broadcast,
+  // and read the RITAS_STAT_* counters back.
   const auto ports = free_ports(4);
   std::array<ritas_t*, 4> r{};
   for (std::uint32_t p = 0; p < 4; ++p) {
@@ -422,7 +421,6 @@ TEST(CApi, PipelineStatsRoundTrip) {
     ASSERT_NE(r[p], nullptr);
     if (p == 0) {
       ASSERT_EQ(ritas_set_opt(r[p], RITAS_OPT_REACTOR_THREADS, 2), RITAS_OK);
-      ASSERT_EQ(ritas_set_opt(r[p], RITAS_OPT_CRYPTO_THREADS, 2), RITAS_OK);
     }
     for (std::uint32_t q = 0; q < 4; ++q) {
       ASSERT_EQ(ritas_proc_add_ipv4(r[p], q, "127.0.0.1", ports[q]), RITAS_OK);
@@ -445,17 +443,17 @@ TEST(CApi, PipelineStatsRoundTrip) {
     EXPECT_EQ(origin, 1u);
   }
 
-  // The pipelined node offloaded its MAC work and moved frames through
-  // the handoff ring; its inline peers read zeros from the same counters.
-  EXPECT_GT(ritas_stat(r[0], RITAS_STAT_CRYPTO_OFFLOADED), 0);
-  EXPECT_GT(ritas_stat(r[0], RITAS_STAT_CRYPTO_MAC_OFFLOADED), 0);
+  // The pipelined node moved frames through the handoff ring; its inline
+  // peers read zeros from the same counters.
   EXPECT_GT(ritas_stat(r[0], RITAS_STAT_HANDOFF_ENQUEUED), 0);
   EXPECT_EQ(ritas_stat(r[0], RITAS_STAT_HANDOFF_DROPPED), 0);
   EXPECT_GE(ritas_stat(r[0], RITAS_STAT_REACTOR_QUEUE_DEPTH), 0);
   for (std::uint32_t p = 1; p < 4; ++p) {
-    EXPECT_EQ(ritas_stat(r[p], RITAS_STAT_CRYPTO_OFFLOADED), 0);
     EXPECT_EQ(ritas_stat(r[p], RITAS_STAT_HANDOFF_ENQUEUED), 0);
   }
+  // 13 and 14 were the retired HMAC-worker counters: rejected.
+  EXPECT_EQ(ritas_stat(r[0], 13), RITAS_EINVAL);
+  EXPECT_EQ(ritas_stat(r[0], 14), RITAS_EINVAL);
   // Pipeline knobs are pre-start only, like every other option.
   EXPECT_EQ(ritas_set_opt(r[0], RITAS_OPT_REACTOR_THREADS, 1), RITAS_ESTATE);
   for (auto* ctx : r) ritas_destroy(ctx);

@@ -1,7 +1,7 @@
 // Multi-core execution pipeline: SPSC handoff queue, ReactorPool
 // ownership/ordering, the determinism battery (per-group traces
-// bit-identical across T for a fixed frame arrival order), crypto-worker
-// MAC ordering on the wire, and the ShardedNode end-to-end path.
+// bit-identical across T for a fixed frame arrival order) and the
+// ShardedNode end-to-end path.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -24,7 +24,6 @@ namespace {
 
 using test::free_ports;
 using test::local_peers;
-using test::RawPeer;
 
 /// Capturing loopback transport (clock-less: now_ns() stays 0, so trace
 /// timestamps are identically zero in the determinism battery).
@@ -340,102 +339,6 @@ TEST(PipelineDeterminism, ReplayIsRepeatableAtFixedThreadCount) {
   EXPECT_EQ(a.second, b.second);
 }
 
-// --- crypto workers on the wire --------------------------------------------
-
-struct CryptoVictim {
-  std::unique_ptr<KeyChain> keys;
-  std::unique_ptr<net::TcpTransport> transport;
-  std::thread thread;
-  std::mutex mutex;
-  std::vector<Bytes> received;
-  std::atomic<bool> stop{false};
-  std::uint16_t port;
-  Bytes peer_key;
-
-  explicit CryptoVictim(std::uint32_t crypto_threads) {
-    const auto ports = free_ports(2);
-    port = ports[0];
-    keys = std::make_unique<KeyChain>(
-        KeyChain::deal(to_bytes("victim-master"), 2, 0));
-    net::TcpTransport::Options o;
-    o.n = 2;
-    o.self = 0;
-    o.peers = local_peers(ports);
-    o.authenticate = true;
-    o.crypto_threads = crypto_threads;
-    transport = std::make_unique<net::TcpTransport>(o, *keys);
-    transport->set_sink([this](ProcessId, Slice frame) {
-      std::lock_guard<std::mutex> lock(mutex);
-      received.push_back(frame.to_bytes());
-    });
-    const KeyChain peer_chain = KeyChain::deal(to_bytes("victim-master"), 2, 1);
-    peer_key.assign(peer_chain.key(0).begin(), peer_chain.key(0).end());
-    thread = std::thread([this] {
-      transport->start();
-      while (!stop.load()) transport->poll_once(20);
-    });
-  }
-
-  ~CryptoVictim() {
-    stop.store(true);
-    transport->wakeup();
-    thread.join();
-    transport->stop();
-  }
-
-  std::size_t count() {
-    std::lock_guard<std::mutex> lock(mutex);
-    return received.size();
-  }
-};
-
-TEST(CryptoPipeline, MacFailureNeverReordersVerifiedFrames) {
-  CryptoVictim v(/*crypto_threads=*/2);
-  RawPeer peer(v.port, 1, 0, v.peer_key);
-  peer.connect();
-  ASSERT_TRUE(peer.handshake(0x7777));
-
-  // One TCP burst: good c0, tampered c1, good c2..c9. The workers verify
-  // out of order, but harvest is strictly arrival-order: the bad frame is
-  // a counted drop in place and every later verified frame still delivers
-  // after every earlier one.
-  Bytes burst = peer.make_frame(peer.sid(), 0, to_bytes("g0"));
-  Bytes forged = peer.make_frame(peer.sid(), 1, to_bytes("evil"));
-  forged.back() ^= 0x01;
-  append(burst, forged);
-  for (std::uint64_t c = 2; c < 10; ++c) {
-    append(burst, peer.make_frame(peer.sid(), c, to_bytes("g" + std::to_string(c))));
-  }
-  peer.send_raw(burst);
-
-  ASSERT_TRUE(wait_until([&] { return v.count() >= 9; }));
-  const auto stats = v.transport->stats();
-  EXPECT_EQ(stats.mac_failures, 1u);
-  EXPECT_GE(stats.crypto_offloaded, 10u);
-  std::lock_guard<std::mutex> lock(v.mutex);
-  ASSERT_EQ(v.received.size(), 9u);
-  EXPECT_EQ(to_string(v.received[0]), "g0");
-  for (std::uint64_t c = 2; c < 10; ++c) {
-    EXPECT_EQ(to_string(v.received[c - 1]), "g" + std::to_string(c));
-  }
-}
-
-TEST(CryptoPipeline, StaleCounterFloodStillDroppedWithWorkers) {
-  CryptoVictim v(/*crypto_threads=*/2);
-  RawPeer peer(v.port, 1, 0, v.peer_key);
-  peer.connect();
-  ASSERT_TRUE(peer.handshake(0x8888));
-  for (std::uint64_t c = 0; c < 3; ++c) peer.send_frame(c, to_bytes("frame"));
-  ASSERT_TRUE(wait_until([&] { return v.count() >= 3; }));
-  // Valid MACs, stale counters: verified by workers, then replay-dropped
-  // at harvest — never delivered twice.
-  for (int i = 0; i < 20; ++i) peer.send_frame(0, to_bytes("flood"));
-  ASSERT_TRUE(wait_until([&] { return v.transport->stats().replay_drops >= 20; }));
-  EXPECT_EQ(v.count(), 3u);
-  peer.send_frame(3, to_bytes("after"));
-  ASSERT_TRUE(wait_until([&] { return v.count() >= 4; }));
-}
-
 // --- ShardedNode end-to-end -------------------------------------------------
 
 TEST(ShardedNode, PipelinedClusterReachesAgreement) {
@@ -453,7 +356,6 @@ TEST(ShardedNode, PipelinedClusterReachesAgreement) {
     o.master_secret = to_bytes("sharded-node");
     o.groups = kShards;
     o.reactor_threads = 2;
-    o.crypto_threads = 1;
     o.rng_seed = 42;
     nodes[p] = std::make_unique<ShardedNode>(std::move(o));
     // start() blocks until the partial mesh is up; bring all nodes up in
@@ -481,15 +383,11 @@ TEST(ShardedNode, PipelinedClusterReachesAgreement) {
       EXPECT_EQ(nodes[p]->service().snapshot(s), snap) << "shard " << s;
     }
   }
-  // The pipeline actually ran: frames crossed the handoff rings and MAC
-  // work hit the crypto workers.
+  // The pipeline actually ran: frames crossed the handoff rings.
   for (std::uint32_t p = 0; p < kN; ++p) {
     const auto ps = nodes[p]->pipeline_stats();
     EXPECT_GT(ps.handoff_enqueued, 0u) << "node " << p;
     EXPECT_EQ(ps.handoff_dropped, 0u) << "node " << p;
-    const auto ts = nodes[p]->transport_stats();
-    EXPECT_GT(ts.crypto_offloaded, 0u) << "node " << p;
-    EXPECT_GT(ts.crypto_mac_offloaded, 0u) << "node " << p;
     EXPECT_EQ(nodes[p]->service().misrouted_dropped(), 0u);
   }
   for (auto& n : nodes) n->stop();
@@ -521,7 +419,6 @@ TEST(ShardedNode, SingleThreadPathMatchesDefaults) {
   for (std::uint32_t p = 0; p < kN; ++p) {
     EXPECT_TRUE(nodes[p]->wait_applied_at_least(4, std::chrono::seconds(60)));
     EXPECT_EQ(nodes[p]->pipeline_stats().handoff_enqueued, 0u);
-    EXPECT_EQ(nodes[p]->transport_stats().crypto_offloaded, 0u);
   }
   for (auto& n : nodes) n->stop();
 }

@@ -1,12 +1,15 @@
 // State machine replication over the stack: exactly-once application,
 // cross-replica consistency under every faultload, deterministic results.
-#include "smr/replica.h"
+// Single-group SMR is a ShardedService with one shard fed by one atomic
+// broadcast per replica.
+#include "smr/sharded_service.h"
 
 #include <gtest/gtest.h>
 
 #include <map>
 
 #include "common/serialize.h"
+#include "core/atomic_broadcast.h"
 #include "sim_helpers.h"
 
 namespace ritas::smr {
@@ -49,22 +52,38 @@ Bytes add_cmd(std::uint64_t x) {
 }
 
 struct Fixture {
-  std::vector<std::unique_ptr<CounterMachine>> machines;
-  std::vector<std::unique_ptr<Replica>> replicas;
+  std::vector<CounterMachine*> machines;  // owned by the replicas
+  std::vector<std::unique_ptr<ShardedService>> replicas;
+  std::vector<std::unique_ptr<AtomicBroadcast>> abs;
 
   Fixture(Cluster& c) {
     const InstanceId id = InstanceId::root(ProtocolType::kAtomicBroadcast, 7);
     machines.resize(c.n());
     replicas.resize(c.n());
+    abs.resize(c.n());
     for (ProcessId p : c.live()) {
-      machines[p] = std::make_unique<CounterMachine>();
-      replicas[p] = std::make_unique<Replica>(c.stack(p), id, *machines[p]);
+      replicas[p] = std::make_unique<ShardedService>(
+          ShardedService::Config{},
+          [this, p](ShardId) -> std::unique_ptr<StateMachine> {
+            auto m = std::make_unique<CounterMachine>();
+            machines[p] = m.get();
+            return m;
+          });
+      ShardedService& svc = *replicas[p];
+      abs[p] = std::make_unique<AtomicBroadcast>(
+          c.stack(p), nullptr, id,
+          [&svc](ProcessId, std::uint64_t, Slice payload) {
+            svc.on_delivered(0, payload.view());
+          });
+      svc.bind_submitter([ab = abs[p].get()](ShardId, const Bytes& command) {
+        ab->bcast(Bytes(command));
+      });
       c.stack(p).pump();
     }
   }
   bool all_applied(Cluster& c, std::uint64_t k) const {
     for (ProcessId p : c.correct_set()) {
-      if (replicas[p]->applied_count() < k) return false;
+      if (replicas[p]->applied_total() < k) return false;
     }
     return true;
   }
@@ -96,7 +115,7 @@ TEST(Smr, DuplicateSubmissionsApplyOnce) {
   c.run_all();
   for (ProcessId p : c.live()) {
     EXPECT_EQ(f.machines[p]->value(), 100u) << "applied more than once at p" << p;
-    EXPECT_EQ(f.replicas[p]->duplicates_skipped(), 2u);
+    EXPECT_EQ(f.replicas[p]->duplicates_skipped(0), 2u);
   }
 }
 
@@ -105,7 +124,7 @@ TEST(Smr, ResultsReportedToSubmittingReplica) {
   Fixture f(c);
   std::map<std::uint64_t, std::uint64_t> results;  // seq -> counter value
   f.replicas[0]->set_on_applied(
-      [&results](std::uint64_t, std::uint64_t seq, const Bytes& result) {
+      [&results](ShardId, std::uint64_t, std::uint64_t seq, const Bytes& result) {
         Reader r(result);
         results[seq] = r.u64();
       });
@@ -187,7 +206,7 @@ TEST(Smr, InterleavedClientsKeepPerClientExactlyOnce) {
   c.run_all();
   for (ProcessId p : c.live()) {
     EXPECT_EQ(f.machines[p]->value(), expected);
-    EXPECT_EQ(f.replicas[p]->applied_count(), 12u);
+    EXPECT_EQ(f.replicas[p]->applied_count(0), 12u);
   }
 }
 

@@ -249,8 +249,6 @@ def check_pipeline(out_dir: Path, base_dir: Path, tol: float) -> list:
             failures.append(
                 f"pipeline T={t}: completed={row.get('completed')} "
                 f"handoff_dropped={row.get('handoff_dropped')}")
-    if not any(row.get("kind") == "verify" for row in fresh_doc["rows"]):
-        failures.append("pipeline: verify-latency rows disappeared")
 
     enforced = meta.get("gate_enforced") is True
     speedup = meta.get("speedup_t2", 0.0)
