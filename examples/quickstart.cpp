@@ -2,7 +2,7 @@
 // messages with the atomic broadcast service, showing every receive mode
 // of the ritas::Context API:
 //
-//   node 0  ab_subscribe  callback on the reactor thread
+//   node 0  ab_subscribe  callback on the poll thread
 //   node 1  ab_try_recv   non-blocking poll
 //   node 2  ab_recv_for   bounded wait
 //   node 3  ab_recv       classic blocking receive (the paper's §3.1)
@@ -59,7 +59,7 @@ std::string render(const Context::AbDelivery& d) {
 
 /// Publishes this node's burst, then receives kTotal deliveries with the
 /// mode assigned to the node, appending to `order` under `mu`. Node 0's
-/// subscription (installed before start()) fills `order` from the reactor
+/// subscription (installed before start()) fills `order` from the poll
 /// thread instead.
 void node_main(Context& ctx, std::vector<std::string>& order, std::mutex& mu) {
   const ProcessId self = ctx.self();

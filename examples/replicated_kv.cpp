@@ -54,7 +54,7 @@ std::vector<net::PeerAddr> reserve_local_ports(std::uint32_t n) {
   return peers;
 }
 
-/// One node's service plus the lock that bridges the Context's reactor
+/// One node's service plus the lock that bridges the Context's poll
 /// thread (on_delivered runs in the ab_subscribe callback) and main-thread
 /// readers. The service itself is single-threaded by design — the harness
 /// owns the synchronization, exactly like the sim loop owns it in tests.
@@ -124,7 +124,7 @@ int main() {
           nodes[p]->ab_bcast(command);
         });
     // Inbound: subscribe before start(); the decided stream drives the
-    // service directly on the reactor thread, in total order.
+    // service directly on the poll thread, in total order.
     nodes[p]->ab_subscribe([&replicas, p](Context::AbDelivery d) {
       std::lock_guard<std::mutex> lock(replicas[p].mu);
       replicas[p].service.on_delivered(0, d.payload);

@@ -11,19 +11,14 @@
 // stack, and frames whose prefix is unreadable, are counted drops here,
 // never throws: the mux is the first code Byzantine bytes meet.
 //
-// Threading: on_packet runs on the transport poll thread only; the drop
-// counters are owned by that thread. attach/detach/bind_reactors only
-// while no traffic is in flight. With a ReactorPool bound (multi-core
-// pipeline), the mux is the GroupId → reactor routing seam: instead of
-// invoking the stack inline it hands the frame to the reactor that owns
-// the group; without one (or with an inline-mode pool) it dispatches on
-// the caller, byte-identical to the pre-pipeline path.
+// Threading: on_packet runs on the transport poll thread only, which also
+// owns every attached stack and the drop counters. attach/detach only
+// while no traffic is in flight.
 #pragma once
 
 #include <cstdint>
 #include <unordered_map>
 
-#include "core/reactor.h"
 #include "core/stack.h"
 
 namespace ritas {
@@ -39,10 +34,6 @@ class GroupMux {
   /// must outlive the mux or be detached first.
   void attach(GroupId g, ProtocolStack& stack) { routes_[g] = &stack; }
   void detach(GroupId g) { routes_.erase(g); }
-
-  /// Binds the reactor pool frames are handed to (borrowed; nullptr or an
-  /// inline-mode pool keeps the direct-dispatch path).
-  void bind_reactors(ReactorPool* pool) { pool_ = pool; }
 
   std::size_t group_count() const { return routes_.size(); }
   bool serves(GroupId g) const { return routes_.contains(g); }
@@ -61,10 +52,6 @@ class GroupMux {
       ++foreign_dropped_;
       return;
     }
-    if (pool_ != nullptr && !pool_->inline_mode()) {
-      pool_->route(*g, *it->second, from, std::move(frame));
-      return;
-    }
     it->second->on_packet(from, std::move(frame));
   }
 
@@ -74,7 +61,6 @@ class GroupMux {
   std::uint64_t foreign_dropped() const { return foreign_dropped_; }
 
  private:
-  ReactorPool* pool_ = nullptr;
   std::unordered_map<GroupId, ProtocolStack*> routes_;
   std::uint64_t malformed_dropped_ = 0;
   std::uint64_t foreign_dropped_ = 0;

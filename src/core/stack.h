@@ -10,7 +10,7 @@
 // Threading: a stack is single-threaded by design (the paper's stack runs
 // in one thread). All calls — on_packet, protocol API calls — must come
 // from the same thread; the TCP facade funnels everything through its
-// reactor thread, and the simulator is single-threaded anyway.
+// poll thread (ritas::Node), and the simulator is single-threaded anyway.
 #pragma once
 
 #include <cstdint>

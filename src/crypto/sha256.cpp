@@ -62,17 +62,21 @@ void Sha256::update(ByteView data) {
 
 Sha256::Digest Sha256::finish() {
   const std::uint64_t bit_len = total_ * 8;
-  const std::uint8_t pad = 0x80;
-  update(ByteView(&pad, 1));
-  const std::uint8_t zero = 0x00;
-  while (buffered_ != 56) {
-    update(ByteView(&zero, 1));
+  // Pad in place: 0x80, zeros up to byte 56 (spilling into a second block
+  // when fewer than 9 bytes are free), then the big-endian bit length.
+  buffer_[buffered_++] = 0x80;
+  if (buffered_ > kBlockSize - 8) {
+    std::memset(buffer_ + buffered_, 0, kBlockSize - buffered_);
+    process_block(buffer_);
+    buffered_ = 0;
   }
-  std::uint8_t len_be[8];
+  std::memset(buffer_ + buffered_, 0, kBlockSize - 8 - buffered_);
   for (int i = 0; i < 8; ++i) {
-    len_be[i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+    buffer_[kBlockSize - 8 + i] =
+        static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
   }
-  update(ByteView(len_be, 8));
+  process_block(buffer_);
+  buffered_ = 0;
   Digest out;
   for (int i = 0; i < 8; ++i) {
     out[4 * i + 0] = static_cast<std::uint8_t>(h_[i] >> 24);

@@ -101,6 +101,7 @@ struct TcpTransport::Counters {
   std::atomic<std::uint64_t> sendmsg_calls{0};
   std::atomic<std::uint64_t> bytes_to_kernel{0};
   std::atomic<std::uint64_t> batch_copy_bytes{0};
+  std::atomic<std::uint64_t> peer_closed{0};
 };
 
 Fd& Fd::operator=(Fd&& o) noexcept {
@@ -331,7 +332,15 @@ void TcpTransport::drain_locked(Conn& c, ProcessId to) {
       return;
     }
     if (r.status == BatchWriteResult::Status::kError) {
-      LOG_WARN("tcp batched send to p%u failed: %s", to, std::strerror(errno));
+      if (errno == ECONNRESET || errno == EPIPE) {
+        // The peer closed its end (stopped or restarted): teardown, not a
+        // fault.
+        counters_->peer_closed.fetch_add(1, std::memory_order_relaxed);
+        LOG_DEBUG("tcp batched send to p%u: peer closed (%s)", to,
+                  std::strerror(errno));
+      } else {
+        LOG_WARN("tcp batched send to p%u failed: %s", to, std::strerror(errno));
+      }
       c.broken = true;  // the poll thread reaps the stream and redials
       wakeup();
       return;
@@ -1104,6 +1113,7 @@ TcpTransport::Stats TcpTransport::stats() const {
   s.sendmsg_calls = counters_->sendmsg_calls.load(std::memory_order_relaxed);
   s.bytes_to_kernel = counters_->bytes_to_kernel.load(std::memory_order_relaxed);
   s.batch_copy_bytes = counters_->batch_copy_bytes.load(std::memory_order_relaxed);
+  s.peer_closed = counters_->peer_closed.load(std::memory_order_relaxed);
   return s;
 }
 

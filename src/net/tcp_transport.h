@@ -38,12 +38,12 @@
 // CI-gated at 0).
 //
 // Threading contract:
-//   * send() may be called from ANY number of threads concurrently (the
-//     multi-core pipeline has every reactor call it). Each link's counter
-//     assignment, retained-queue update, and (with batch_sends off) socket
-//     write happen under that link's Conn mutex, so concurrent senders
-//     serialize per link: frames from one sender thread keep their
-//     relative order, and the per-link counter sequence is gap-free.
+//   * send() may be called from ANY number of threads concurrently. Each
+//     link's counter assignment, retained-queue update, and (with
+//     batch_sends off) socket write happen under that link's Conn mutex,
+//     so concurrent senders serialize per link: frames from one sender
+//     thread keep their relative order, and the per-link counter sequence
+//     is gap-free.
 //     tests/test_tcp_transport.cpp (ConcurrentSenders*) enforces this
 //     under ASan/TSan.
 //   * Receiving and all link management happen in poll_once(), which the
@@ -155,6 +155,8 @@ class TcpTransport final : public Transport {
     std::uint64_t batch_copy_bytes = 0;  // payload bytes memcpy'd to assemble
                                          // a batch; the scatter-gather path
                                          // keeps this 0 (CI-gated)
+    std::uint64_t peer_closed = 0;  // data sendmsg() failures with
+                                    // ECONNRESET/EPIPE: the peer closed
     /// Frames per data sendmsg(): > 1 means batching is amortizing
     /// syscalls; 1.0 is the one-write-per-frame floor.
     double frames_per_syscall() const {

@@ -52,9 +52,26 @@ Context::Context(Options opts)
                                            node_.seed());
   stack_->set_root_resolver(
       [this](const InstanceId& root) { return admit_bcast_root(root); });
-  // The pump runs on the stack's thread at a safe point, so delivered
-  // rb/eb roots are freed there.
-  node_.serve(opts_.group, [this] {
+  // The session-wide atomic broadcast root exists before the first frame
+  // can arrive; rb/eb roots are created on first reference
+  // (admit_bcast_root).
+  auto ab = std::make_unique<AtomicBroadcast>(
+      *stack_, nullptr, InstanceId::root(ProtocolType::kAtomicBroadcast, 0),
+      [this](ProcessId origin, std::uint64_t rbid, Slice payload) {
+        // App-boundary copy: queued deliveries must not pin whole batch
+        // frames for as long as the application keeps the payload.
+        AbDelivery d{origin, rbid, payload.to_bytes()};
+        if (ab_sub_) {
+          ab_sub_(std::move(d));  // poll thread; subscriber must not block
+        } else {
+          ab_rx_.push(std::move(d));
+        }
+      });
+  ab_ = ab.get();
+  roots_.emplace(ab_->id(), std::move(ab));
+  // The pump runs on the poll thread at a safe point, so delivered rb/eb
+  // roots are freed there.
+  node_.serve([this] {
     stack_->pump();
     for (const InstanceId& id : dead_roots_) roots_.erase(id);
     dead_roots_.clear();
@@ -64,34 +81,14 @@ Context::Context(Options opts)
 Context::~Context() { stop(); }
 
 void Context::start() {
-  if (node_.running()) return;
   node_.start([this](ProcessId from, Slice frame) {
-    node_.pool().route(opts_.group, *stack_, from, std::move(frame));
-  });
-
-  // Create the session-wide atomic broadcast root on the stack's thread.
-  // rb/eb roots are created on first reference (admit_bcast_root).
-  run_on_reactor([this] {
-    auto ab = std::make_unique<AtomicBroadcast>(
-        *stack_, nullptr, InstanceId::root(ProtocolType::kAtomicBroadcast, 0),
-        [this](ProcessId origin, std::uint64_t rbid, Slice payload) {
-          // App-boundary copy: queued deliveries must not pin whole batch
-          // frames for as long as the application keeps the payload.
-          AbDelivery d{origin, rbid, payload.to_bytes()};
-          if (ab_sub_) {
-            ab_sub_(std::move(d));  // reactor thread; subscriber must not block
-          } else {
-            ab_rx_.push(std::move(d));
-          }
-        });
-    ab_ = ab.get();
-    roots_.emplace(ab_->id(), std::move(ab));
+    stack_->on_packet(from, std::move(frame));
   });
 }
 
 void Context::stop() {
-  // Joins the poll thread and the reactors, so nothing touches the
-  // stack-owned state (roots_) below.
+  // Joins the poll thread, so nothing touches the stack-owned state
+  // (roots_) below.
   if (!node_.stop()) return;
   // Wake any threads blocked in the recv calls.
   rb_rx_.close();
@@ -174,7 +171,7 @@ void Context::on_bcast_deliver(ProtocolType type, ProcessId origin,
 }
 
 void Context::rb_bcast(Bytes payload) {
-  run_on_reactor([this, &payload] {
+  node_.run([this, &payload] {
     auto& rb = static_cast<RbAlgorithm&>(
         local_bcast_root(ProtocolType::kReliableBroadcast, rb_sent_++));
     rb.bcast(std::move(payload));
@@ -182,7 +179,7 @@ void Context::rb_bcast(Bytes payload) {
 }
 
 void Context::eb_bcast(Bytes payload) {
-  run_on_reactor([this, &payload] {
+  node_.run([this, &payload] {
     auto& eb = static_cast<EchoBroadcast&>(
         local_bcast_root(ProtocolType::kEchoBroadcast, eb_sent_++));
     eb.bcast(std::move(payload));
@@ -204,7 +201,7 @@ std::optional<Context::Delivery> Context::eb_recv_for(
 
 std::uint64_t Context::ab_bcast(Bytes payload) {
   std::uint64_t rbid = 0;
-  run_on_reactor([this, &payload, &rbid] { rbid = ab_->bcast(std::move(payload)); });
+  node_.run([this, &payload, &rbid] { rbid = ab_->bcast(std::move(payload)); });
   return rbid;
 }
 
@@ -218,21 +215,21 @@ std::optional<Context::AbDelivery> Context::ab_recv_for(
 }
 
 void Context::ab_flush() {
-  run_on_reactor([this] { ab_->flush(); });
+  node_.run([this] { ab_->flush(); });
 }
 
 void Context::ab_subscribe(AbSubscriber fn) {
   if (!node_.running()) {
-    ab_sub_ = std::move(fn);  // reactor not running yet; plain write is safe
+    ab_sub_ = std::move(fn);  // no poll thread yet; plain write is safe
     return;
   }
-  run_on_reactor([this, f = std::move(fn)]() mutable { ab_sub_ = std::move(f); });
+  node_.run([this, f = std::move(fn)]() mutable { ab_sub_ = std::move(f); });
 }
 
 bool Context::bc(bool proposal) {
   std::promise<bool> decided;
   auto fut = decided.get_future();
-  run_on_reactor([this, proposal, &decided] {
+  node_.run([this, proposal, &decided] {
     const std::uint64_t k = bc_calls_++;
     auto inst = make_bc(
         *stack_, nullptr, InstanceId::root(ProtocolType::kBinaryConsensus, k),
@@ -247,7 +244,7 @@ bool Context::bc(bool proposal) {
 std::optional<Bytes> Context::mvc(Bytes proposal) {
   std::promise<std::optional<Bytes>> decided;
   auto fut = decided.get_future();
-  run_on_reactor([this, &proposal, &decided] {
+  node_.run([this, &proposal, &decided] {
     const std::uint64_t k = mvc_calls_++;
     auto inst = std::make_unique<MultiValuedConsensus>(
         *stack_, nullptr,
@@ -263,7 +260,7 @@ std::optional<Bytes> Context::mvc(Bytes proposal) {
 std::vector<std::optional<Bytes>> Context::vc(Bytes proposal) {
   std::promise<std::vector<std::optional<Bytes>>> decided;
   auto fut = decided.get_future();
-  run_on_reactor([this, &proposal, &decided] {
+  node_.run([this, &proposal, &decided] {
     const std::uint64_t k = vc_calls_++;
     auto inst = std::make_unique<VectorConsensus>(
         *stack_, nullptr, InstanceId::root(ProtocolType::kVectorConsensus, k),
@@ -277,7 +274,7 @@ std::vector<std::optional<Bytes>> Context::vc(Bytes proposal) {
 
 Metrics Context::metrics() {
   Metrics m;
-  run_on_reactor([this, &m] { m = stack_->metrics(); });
+  node_.run([this, &m] { m = stack_->metrics(); });
   return m;
 }
 

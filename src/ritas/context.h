@@ -13,8 +13,8 @@
 // The protocol stack runs in a single thread, independent of the
 // application thread (§3: "the protocol stack runs in a single thread,
 // independent of the application thread"): the poll thread of the shared
-// ritas::Node runtime, or one reactor thread when reactor_threads > 0.
-// Application calls post work to that thread and block on futures/queues.
+// ritas::Node runtime, which also owns the sockets. Application calls post
+// work to that thread and block on futures/queues.
 //
 // Instance naming convention (implicit agreement across processes): the
 // k-th rb/eb broadcast by origin o is root (kRB/kEB, o<<32|k); consensus
@@ -51,9 +51,8 @@ class ShutdownError : public std::runtime_error {
 
 class Context {
  public:
-  /// Membership, secret, transport and reactor knobs come from
-  /// Node::Options (ritas/node.h); reactor_threads > 0 runs this session's
-  /// single group on one reactor thread off the transport poll thread.
+  /// Membership, secret and transport knobs come from Node::Options
+  /// (ritas/node.h).
   struct Options : Node::Options {
     /// Consensus group this session runs when several groups share one
     /// mesh (sharded SMR). Authoritative: overwrites stack.group. Group 0
@@ -102,10 +101,12 @@ class Context {
   Context(const Context&) = delete;
   Context& operator=(const Context&) = delete;
 
-  /// Establishes the TCP mesh and starts the reactor. Blocks until at
+  /// Establishes the TCP mesh and starts the poll thread. Blocks until at
   /// least Options::min_start_links links are up (default: n - f - 1, the
   /// quorum the stack needs to make progress); stragglers keep connecting
-  /// in the background. Call once before any service function.
+  /// in the background. Frames that arrive meanwhile are already handled
+  /// (the atomic broadcast root exists from construction). Call once
+  /// before any service function.
   void start();
   void stop();
 
@@ -133,7 +134,7 @@ class Context {
   void ab_flush();
 
   /// Callback mode for atomic broadcast: once subscribed, deliveries are
-  /// handed to `fn` on the reactor thread (so it must not block or call
+  /// handed to `fn` on the poll thread (so it must not block or call
   /// back into the Context) instead of being queued for ab_recv().
   /// Deliveries queued before the subscription stay in the queue —
   /// drain them with ab_try_recv(). Subscribe before start() or after;
@@ -146,14 +147,11 @@ class Context {
   std::optional<Bytes> mvc(Bytes proposal);
   std::vector<std::optional<Bytes>> vc(Bytes proposal);
 
-  /// Snapshot of the stack's counters (taken on the stack's thread).
+  /// Snapshot of the stack's counters (taken on the poll thread).
   Metrics metrics();
   net::TcpTransport::Stats transport_stats() const {
     return node_.transport().stats();
   }
-  /// Execution-pipeline counters: frame handoffs into the reactor rings
-  /// and per-reactor queue depths. All-zero (empty depths) in inline mode.
-  ReactorPool::Stats pipeline_stats() const { return node_.pool().stats(); }
   /// Per-peer channel health (self entry reads kUp).
   std::vector<LinkState> link_states() const {
     return node_.transport().link_states();
@@ -225,17 +223,13 @@ class Context {
     bool closed_ = false;
   };
 
-  /// Runs fn on the stack's thread and waits for it (fn must not block).
-  void run_on_reactor(std::function<void()> fn) {
-    node_.run(opts_.group, std::move(fn));
-  }
   static std::uint64_t bcast_seq(ProcessId origin, std::uint64_t k) {
     return (static_cast<std::uint64_t>(origin) << 32) | k;
   }
   /// The stack's root resolver: creates rb/eb roots on first reference.
   /// For root (type, origin o, k): drop below created[o] (delivered and
   /// destroyed), park out of context at or beyond delivered[o] +
-  /// recv_window, else create roots created[o]..k. Reactor only.
+  /// recv_window, else create roots created[o]..k. Poll thread only.
   RootVerdict admit_bcast_root(const InstanceId& root);
   /// The local origin's k-th rb/eb root, created under the same rule;
   /// throws std::logic_error when the sender outran the receive window.
@@ -247,7 +241,7 @@ class Context {
   Node node_;
   std::unique_ptr<ProtocolStack> stack_;
 
-  // Reactor-owned protocol state. rb/eb roots are created on first
+  // Poll-thread-owned protocol state. rb/eb roots are created on first
   // reference and destroyed once delivered (deferred to a safe point —
   // never inside their own delivery callback); consensus roots stay for
   // the session (peers may still need our courtesy-round participation).
@@ -263,7 +257,7 @@ class Context {
 
   BlockingQueue<Delivery> rb_rx_, eb_rx_;
   BlockingQueue<AbDelivery> ab_rx_;
-  /// Reactor-owned after start() (ab_subscribe posts the swap there);
+  /// Poll-thread-owned after start() (ab_subscribe posts the swap there);
   /// when set, AB deliveries bypass ab_rx_.
   AbSubscriber ab_sub_;
 };

@@ -23,7 +23,6 @@ void Node::validate(const std::string& who, const Options& o) {
   if (o.n < 4) fail("n must be >= 4 (n >= 3f+1, f >= 1)");
   if (o.self >= o.n) fail("self must be < n");
   if (o.peers.size() != o.n) fail("peers.size() must equal n");
-  if (o.reactor_threads > 64) fail("reactor_threads must be <= 64");
 }
 
 Node::Node(std::string who, const Options& opts)
@@ -43,59 +42,35 @@ Node::Node(std::string who, const Options& opts)
                        ? 0
                        : opts.rng_seed ^ (0x9e3779b97f4a7c15ULL * (opts.self + 1));
   transport_ = std::make_unique<net::TcpTransport>(topts, keys_);
-  ReactorPool::Options popts;
-  popts.threads = opts.reactor_threads;
-  pool_ = std::make_unique<ReactorPool>(popts);
 }
 
 Node::~Node() { stop(); }
 
-void Node::serve(GroupId g, std::function<void()> pump) {
-  pumps_.emplace_back(g, std::move(pump));
+void Node::serve(std::function<void()> pump) {
+  pumps_.push_back(std::move(pump));
 }
 
 void Node::start(Sink sink) {
   if (running_.load()) return;
-  // One idle hook per reactor: pump exactly the groups it owns, after
-  // every drain batch. Ownership never changes after start.
-  for (std::uint32_t r = 0; r < pool_->threads(); ++r) {
-    std::vector<std::function<void()>*> owned;
-    for (auto& [g, pump] : pumps_) {
-      if (pool_->reactor_of(g) == r) owned.push_back(&pump);
-    }
-    pool_->set_idle_hook(r, [owned = std::move(owned)] {
-      for (auto* pump : owned) (*pump)();
-    });
-  }
-  pool_->start();
   transport_->set_sink(std::move(sink));
-  try {
-    transport_->start();
-  } catch (...) {
-    pool_->stop();  // the reactors must not outlive a failed start
-    throw;
-  }
+  transport_->start();
   running_.store(true);
   poll_thread_ = std::thread([this] { poll_loop(); });
+  // Return once the poll thread has run a cycle: links still handshaking
+  // when the threshold was met usually complete in it, so start() tends to
+  // return with every live link up.
+  run([] {});
 }
 
 bool Node::stop() {
   if (!running_.exchange(false)) return false;
   transport_->wakeup();
   if (poll_thread_.joinable()) poll_thread_.join();
-  // Poll thread gone ⇒ no new frames enter the rings; drain the reactors
-  // before the owner tears down anything they touch.
-  pool_->stop();
   transport_->stop();
   return true;
 }
 
 void Node::poll_loop() {
-  if (!pool_->inline_mode()) {
-    // Pipeline mode: this thread owns only the sockets and the handoff.
-    while (running_.load()) transport_->poll_once(20);
-    return;
-  }
   while (running_.load()) {
     transport_->poll_once(20);
     drain_tasks();
@@ -113,14 +88,10 @@ void Node::drain_tasks() {
   }
   for (auto& t : tasks) t();
   // Safe point: nothing is on a protocol call stack here.
-  for (auto& [g, pump] : pumps_) pump();
+  for (auto& pump : pumps_) pump();
 }
 
-void Node::post(GroupId g, std::function<void()> fn) {
-  if (!pool_->inline_mode()) {
-    pool_->post(g, std::move(fn));
-    return;
-  }
+void Node::post(std::function<void()> fn) {
   {
     std::lock_guard<std::mutex> lock(tasks_mutex_);
     tasks_.push_back(std::move(fn));
@@ -128,13 +99,13 @@ void Node::post(GroupId g, std::function<void()> fn) {
   transport_->wakeup();
 }
 
-void Node::run(GroupId g, std::function<void()> fn) {
+void Node::run(std::function<void()> fn) {
   if (!running_.load()) throw std::logic_error(who_ + " not started");
   std::promise<void> done;
   auto fut = done.get_future();
-  // Exceptions must not unwind the owning thread: capture and rethrow in
+  // Exceptions must not unwind the poll thread: capture and rethrow in
   // the calling thread instead.
-  post(g, [&done, &fn] {
+  post([&done, &fn] {
     try {
       fn();
       done.set_value();

@@ -4,22 +4,21 @@
 //
 // A Node owns everything that does not depend on the front: the pairwise
 // keychain dealt from the master secret, the TcpTransport (listening from
-// construction), the ReactorPool, the poll thread and the task lane that
-// carries application calls onto the thread that owns a group's stack.
-// The front owns its stacks and protocol roots, registers one pump per
-// group with serve(), and hands start() the sink for inbound frames.
+// construction), the poll thread and the task lane that carries
+// application calls onto it. The front owns its stacks and protocol roots,
+// registers one pump per group with serve(), and hands start() the sink
+// for inbound frames.
 //
 // Thread ownership map:
-//   poll thread  — sockets, link state machines and the inbound sink; with
-//                  reactor_threads = 0 (the inline path) also every posted
-//                  task and every group's pump
-//   reactor r    — (reactor_threads > 0) the stacks of the groups pinned to
-//                  r: their frames (handed over by ReactorPool::route),
-//                  their posted tasks and their pumps
+//   poll thread  — sockets, link state machines, the inbound sink (and so
+//                  every stack's on_packet), every posted task and every
+//                  pump; one thread per node, as in the paper (§3).
+//                  Until start() returns, the thread calling it polls
+//                  the mesh and plays this role.
 //   app threads  — post()/run(), stats, waits
 //
-// Protocol work on a group therefore always runs on exactly one thread,
-// the invariant every stack is built on.
+// Protocol work therefore always runs on exactly one thread, the
+// invariant every stack is built on.
 #pragma once
 
 #include <atomic>
@@ -33,7 +32,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/reactor.h"
 #include "crypto/keychain.h"
 #include "net/tcp_transport.h"
 
@@ -55,10 +53,6 @@ class Node {
     /// the remaining links keep dialing in the background and heal through
     /// the transport's backoff/reconnect machinery.
     std::uint32_t min_start_links = 0;
-    /// Reactor threads that run the protocol stacks (<= 64). 0 = the
-    /// inline path: the poll thread runs everything, bit-identical on
-    /// wire, trace and bench output. Local-only, so processes may differ.
-    std::uint32_t reactor_threads = 0;
     /// Transport send batching (TcpTransport::Options::batch_sends): when
     /// on, send() stages frames and the poll thread flushes a whole queue
     /// per sendmsg; when off, every send drains inline (one syscall per
@@ -71,7 +65,7 @@ class Node {
 
   /// Throws std::invalid_argument, prefixed with `who`, on an inconsistent
   /// membership (n < 4, i.e. n < 3f+1 for f >= 1; self >= n;
-  /// peers.size() != n) or reactor_threads > 64.
+  /// peers.size() != n).
   static void validate(const std::string& who, const Options& opts);
 
   /// Validates `opts`, deals the keychain and binds the listen socket, so
@@ -81,51 +75,46 @@ class Node {
   Node(const Node&) = delete;
   Node& operator=(const Node&) = delete;
 
-  /// Registers group g's pump, run on the thread that owns g after every
-  /// batch of frames and tasks (stack->pump() plus any safe-point
-  /// housekeeping). Call before start().
-  void serve(GroupId g, std::function<void()> pump);
+  /// Registers a group's pump, run on the poll thread after every batch
+  /// of frames and tasks (stack->pump() plus any safe-point housekeeping).
+  /// Call before start().
+  void serve(std::function<void()> pump);
 
-  /// Installs `sink` for inbound frames (called on the poll thread; route
-  /// them through pool()), starts the reactors, dials the mesh (blocks
-  /// until min_start_links links are up) and starts the poll thread.
+  /// Installs `sink` for inbound frames (called on the poll thread), dials
+  /// the mesh (blocks until min_start_links links are up), starts the poll
+  /// thread and returns after its first cycle.
   void start(Sink sink);
-  /// Stops the poll thread and the reactors — tasks already posted still
-  /// run — then closes every socket. Returns false (and does nothing)
-  /// when the node was not running.
+  /// Stops the poll thread — tasks already posted still run — then closes
+  /// every socket. Returns false (and does nothing) when the node was not
+  /// running.
   bool stop();
   bool running() const { return running_.load(); }
 
-  /// Runs `fn` on the thread that owns group g; callable from any thread.
-  void post(GroupId g, std::function<void()> fn);
+  /// Runs `fn` on the poll thread; callable from any thread.
+  void post(std::function<void()> fn);
   /// post() and wait; an exception thrown by `fn` is rethrown here.
   /// Throws std::logic_error when the node is not running.
-  void run(GroupId g, std::function<void()> fn);
+  void run(std::function<void()> fn);
 
   const KeyChain& keys() const { return keys_; }
   net::TcpTransport& transport() { return *transport_; }
   const net::TcpTransport& transport() const { return *transport_; }
-  /// Always present; inline mode (reactor_threads = 0) dispatches frames
-  /// on the poll thread.
-  ReactorPool& pool() { return *pool_; }
-  const ReactorPool& pool() const { return *pool_; }
   /// The session seed: Options::rng_seed, or a random one when that is 0.
   std::uint64_t seed() const { return seed_; }
 
  private:
   void poll_loop();
-  /// Inline path: runs every queued task, then every pump.
+  /// Runs every queued task, then every pump.
   void drain_tasks();
 
   std::string who_;
   KeyChain keys_;
   std::uint64_t seed_;
   std::unique_ptr<net::TcpTransport> transport_;
-  std::unique_ptr<ReactorPool> pool_;
-  std::vector<std::pair<GroupId, std::function<void()>>> pumps_;
+  std::vector<std::function<void()>> pumps_;
 
   std::atomic<bool> running_{false};
-  std::mutex tasks_mutex_;  // inline path only
+  std::mutex tasks_mutex_;
   std::deque<std::function<void()>> tasks_;
   std::thread poll_thread_;
 };

@@ -99,10 +99,6 @@ int ritas_set_opt(ritas_t* r, int opt, long value) {
         r->opts.stack.coin_mode = ritas::CoinMode::kDealt;
       }
       return RITAS_OK;
-    case RITAS_OPT_REACTOR_THREADS:
-      if (value < 0 || value > 64) return RITAS_EINVAL;
-      r->opts.reactor_threads = static_cast<uint32_t>(value);
-      return RITAS_OK;
     case RITAS_OPT_TRANSPORT_BATCH:
       if (value != 0 && value != 1) return RITAS_EINVAL;
       r->opts.transport_batch = value == 1;
@@ -157,20 +153,6 @@ long long ritas_stat(ritas_t* r, int stat) {
         return static_cast<long long>(s.sendmsg_calls);
       case RITAS_STAT_BYTES_TO_KERNEL:
         return static_cast<long long>(s.bytes_to_kernel);
-      case RITAS_STAT_HANDOFF_ENQUEUED:
-      case RITAS_STAT_HANDOFF_DROPPED:
-      case RITAS_STAT_REACTOR_QUEUE_DEPTH: {
-        const auto p = r->ctx->pipeline_stats();
-        if (stat == RITAS_STAT_HANDOFF_ENQUEUED) {
-          return static_cast<long long>(p.handoff_enqueued);
-        }
-        if (stat == RITAS_STAT_HANDOFF_DROPPED) {
-          return static_cast<long long>(p.handoff_dropped);
-        }
-        size_t depth = 0;
-        for (size_t d : p.queue_depth) depth = d > depth ? d : depth;
-        return static_cast<long long>(depth);
-      }
     }
     return RITAS_EINVAL;
   } catch (...) {

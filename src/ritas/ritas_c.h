@@ -69,14 +69,9 @@ enum {
                                   * common coin (derived from the group
                                   * key), which its agreement argument
                                   * requires. */
-  RITAS_OPT_REACTOR_THREADS = 9, /* execution-pipeline reactor threads,
-                                  * 0..64; 0 (default) = inline
-                                  * single-thread path, bit-identical on
-                                  * wire/trace/bench. Local knob: it never
-                                  * touches the wire, so processes may
-                                  * differ. */
-  /* 10 is retired (formerly HMAC worker threads); ritas_set_opt rejects
-   * it with RITAS_EINVAL and the value is never reused. */
+  /* 9 and 10 are retired (formerly execution-pipeline reactor threads
+   * and HMAC worker threads); ritas_set_opt rejects them with
+   * RITAS_EINVAL and the values are never reused. */
   RITAS_OPT_TRANSPORT_BATCH = 11 /* transport send batching: 1 (default)
                                   * = sends stage frames and the poll
                                   * thread flushes many per sendmsg; 0 =
@@ -107,12 +102,10 @@ enum {
   RITAS_STAT_QUEUE_DROPS = 10,     /* never-sent frames evicted by the cap */
   RITAS_STAT_LINK_RECONNECTS = 11, /* handshakes that revived a dead link */
   RITAS_STAT_HANDSHAKE_FAILURES = 12,
-  /* 13 and 14 are retired (formerly HMAC worker counters); ritas_stat
-   * rejects them with RITAS_EINVAL and the values are never reused. */
-  /* Execution-pipeline counters (all 0 with the default inline knobs). */
-  RITAS_STAT_HANDOFF_ENQUEUED = 15,     /* frames handed to reactor rings */
-  RITAS_STAT_HANDOFF_DROPPED = 16,      /* frames dropped on a full ring */
-  RITAS_STAT_REACTOR_QUEUE_DEPTH = 17,  /* max current ring occupancy */
+  /* 13 and 14 (formerly HMAC worker counters) and 15-17 (formerly
+   * execution-pipeline handoff counters and reactor queue depth) are
+   * retired; ritas_stat rejects them with RITAS_EINVAL and the values are
+   * never reused. */
   /* Transport fast-path counters (multi-frame sendmsg batching). */
   RITAS_STAT_SENDMSG_CALLS = 18,        /* data-frame sendmsg syscalls */
   RITAS_STAT_BYTES_TO_KERNEL = 19       /* bytes the kernel accepted */

@@ -12,19 +12,6 @@ namespace {
 ShardedNode::Options validate(ShardedNode::Options o) {
   Node::validate("ShardedNode", o);
   if (o.groups == 0) throw std::invalid_argument("ShardedNode: groups == 0");
-  if (!o.pinning.empty()) {
-    if (o.reactor_threads == 0) {
-      throw std::invalid_argument("ShardedNode: pinning needs reactor_threads > 0");
-    }
-    if (o.pinning.size() != o.groups) {
-      throw std::invalid_argument("ShardedNode: pinning.size() must equal groups");
-    }
-    for (std::uint32_t r : o.pinning) {
-      if (r >= o.reactor_threads) {
-        throw std::invalid_argument("ShardedNode: pin target out of range");
-      }
-    }
-  }
   return o;
 }
 
@@ -32,10 +19,6 @@ ShardedNode::Options validate(ShardedNode::Options o) {
 
 ShardedNode::ShardedNode(Options opts)
     : opts_(validate(std::move(opts))), node_("ShardedNode", opts_) {
-  for (GroupId g = 0; g < opts_.pinning.size(); ++g) {
-    node_.pool().pin(g, opts_.pinning[g]);
-  }
-
   // Same per-(process, group) derivation as sim::ShardedCluster, so a
   // fixed-seed TCP run draws the same per-stack randomness streams.
   std::uint64_t s = node_.seed();
@@ -53,9 +36,8 @@ ShardedNode::ShardedNode(Options opts)
     stacks_.push_back(std::make_unique<ProtocolStack>(cfg, node_.transport(),
                                                       node_.keys(), proc_seed));
     mux_.attach(g, *stacks_[g]);
-    node_.serve(g, [stack = stacks_[g].get()] { stack->pump(); });
+    node_.serve([stack = stacks_[g].get()] { stack->pump(); });
   }
-  mux_.bind_reactors(&node_.pool());
 
   smr::ShardedService::Config sc;
   sc.shards = opts_.groups;
@@ -89,9 +71,9 @@ ShardedNode::ShardedNode(Options opts)
     applied_cv_.notify_all();
   });
   service_->bind_submitter([this](smr::ShardId shard, const Bytes& command) {
-    // Any thread → the thread that owns the shard's stack; the broadcast
-    // and the follow-up pump both run there.
-    node_.post(shard, [this, shard, command] {
+    // Any thread → the poll thread, which owns every shard's stack; the
+    // broadcast and the follow-up pump both run there.
+    node_.post([this, shard, command] {
       abs_[shard]->bcast(Bytes(command));
       stacks_[shard]->pump();
     });

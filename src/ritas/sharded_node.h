@@ -3,11 +3,8 @@
 // The TCP twin of sim::ShardedCluster's per-process wiring, on the shared
 // ritas::Node runtime: one TcpTransport (shared mesh), G ProtocolStacks
 // (one per group = shard) demultiplexed by a GroupMux, one AtomicBroadcast
-// root per group feeding one smr::ShardedService. With reactor_threads > 0
-// the mux hands each frame to the Node's ReactorPool and the G groups are
-// pinned across the T reactors (Options::pinning, default g % T); with 0
-// (the default) the poll thread does everything, byte-identical to the
-// single-thread wiring. The thread ownership map is Node's (ritas/node.h).
+// root per group feeding one smr::ShardedService. The Node's poll thread
+// runs all G stacks; the thread ownership map is Node's (ritas/node.h).
 #pragma once
 
 #include <chrono>
@@ -30,9 +27,6 @@ class ShardedNode {
   struct Options : Node::Options {
     /// Shard count: one consensus group (and one ProtocolStack) each.
     std::uint32_t groups = 1;
-    /// Explicit group → reactor pinning (size = groups, entries <
-    /// reactor_threads). Empty = g % reactor_threads.
-    std::vector<std::uint32_t> pinning;
     StackConfig stack;  // template; n/self/group overwritten
     smr::ShardedService::MachineFactory machine_factory;  // null => KvMachine
     smr::ShardedService::KeyOfFn key_of;                  // null => kv_key_of
@@ -44,7 +38,7 @@ class ShardedNode {
   ShardedNode& operator=(const ShardedNode&) = delete;
 
   /// Establishes the mesh (blocks like TcpTransport::start) and starts
-  /// the poll thread + reactors.
+  /// the poll thread.
   void start();
   void stop();
 
@@ -61,7 +55,6 @@ class ShardedNode {
   net::TcpTransport::Stats transport_stats() const {
     return node_.transport().stats();
   }
-  ReactorPool::Stats pipeline_stats() const { return node_.pool().stats(); }
 
  private:
   Options opts_;

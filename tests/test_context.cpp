@@ -1,5 +1,5 @@
 // End-to-end tests of the public ritas::Context API over real TCP sockets:
-// four in-process "nodes", each with its own reactor thread, running the
+// four in-process "nodes", each with its own poll thread, running the
 // paper's service calls (rb/eb/ab broadcast + bc/mvc/vc consensus).
 #include "ritas/context.h"
 
@@ -332,6 +332,52 @@ TEST(Context, FramesBeyondANarrowWindowDrainAsItAdvances) {
   EXPECT_GT(m.ooc_stored, 0u);
   EXPECT_EQ(m.ooc_drained, m.ooc_stored);
   EXPECT_EQ(m.ooc_evicted, 0u);
+}
+
+TEST(Context, LateStarterDeliversTheSameAtomicBroadcastOrder) {
+  // Nodes 0-2 order 20 messages before node 3 starts. The atomic
+  // broadcast root exists from construction, so the backlog node 3 reads
+  // during start() is handled at once, and it must deliver the same 20 in
+  // the same order.
+  constexpr int kMsgs = 20;
+  const auto peers = local_peers(free_ports(4));
+  std::vector<std::unique_ptr<Context>> nodes;
+  for (std::uint32_t p = 0; p < 4; ++p) {
+    Context::Options o;
+    o.n = 4;
+    o.self = p;
+    o.peers = peers;
+    o.master_secret = to_bytes("context-test-master");
+    o.rng_seed = 1800 + p;
+    nodes.push_back(std::make_unique<Context>(o));
+  }
+  {
+    std::vector<std::thread> starters;
+    for (std::uint32_t p = 0; p < 3; ++p) {
+      starters.emplace_back([&nodes, p] { nodes[p]->start(); });
+    }
+    for (auto& t : starters) t.join();
+  }
+  for (int i = 0; i < kMsgs; ++i) {
+    nodes[i % 3]->ab_bcast(to_bytes("late" + std::to_string(i)));
+  }
+  std::array<std::vector<std::string>, 4> order;
+  for (std::uint32_t p = 0; p < 3; ++p) {
+    for (int i = 0; i < kMsgs; ++i) {
+      const auto d = nodes[p]->ab_recv_for(std::chrono::seconds(30));
+      ASSERT_TRUE(d.has_value()) << "node " << p << " got " << i;
+      order[p].push_back(std::to_string(d->origin) + "/" + to_string(d->payload));
+    }
+  }
+  nodes[3]->start();
+  for (int i = 0; i < kMsgs; ++i) {
+    const auto d = nodes[3]->ab_recv_for(std::chrono::seconds(30));
+    ASSERT_TRUE(d.has_value()) << "late starter got only " << i << " of " << kMsgs;
+    order[3].push_back(std::to_string(d->origin) + "/" + to_string(d->payload));
+  }
+  for (std::uint32_t p = 1; p < 4; ++p) {
+    EXPECT_EQ(order[p], order[0]) << "total order violated at node " << p;
+  }
 }
 
 TEST(Context, MetricsVisible) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 
 #include "common/bytes.h"
 #include "crypto/ct.h"
@@ -105,6 +106,28 @@ TEST(Sha256, IncrementalMatchesOneShot) {
     ctx.update(ByteView(msg.data(), split));
     ctx.update(ByteView(msg.data() + split, msg.size() - split));
     EXPECT_EQ(ctx.finish(), Sha256::hash(msg)) << "split=" << split;
+  }
+}
+
+TEST(Sha256, ExactBlockBoundaries) {
+  // 55/56/63/64 bytes straddle the padding edge cases; digests of
+  // len x 0x5a from Python's hashlib.
+  const std::pair<std::size_t, const char*> cases[] = {
+      {0u, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+      {55u, "5f25f149aa92e3e13093aed8216072fae623f35e26ca605b6cce17e04b7ccf44"},
+      {56u, "301c69927f1603720c9f847b7e5e3bef77a7b9f75344490fe9039f13c36b842a"},
+      {63u, "939765b120205cbedae2ed31256b1967c38b6bdd9b0220535224cbc0b906d333"},
+      {64u, "cc7321cce5e4409bd8077d58422e1214969059bbd40b4eeb0de0a642f40f7282"},
+      {119u, "a96851d641310ce032ff832b6f08125878deed2a825fe515dd1ba414afe95f7e"},
+      {120u, "60ec7f280e45d0c7bf77b70ff16958b1c1701a9fb7faa12b798207cf120ec6ee"},
+      {128u, "349d65e9ba1de7b0a13f9a3eadcc5b0202f15d6008fe9477f2a7b80f6194b20f"},
+  };
+  for (const auto& [len, want] : cases) {
+    const Bytes msg(len, 0x5a);
+    EXPECT_EQ(hex(Sha256::hash(msg)), want) << "len=" << len;
+    Sha256 bytewise;
+    for (std::size_t i = 0; i < len; ++i) bytewise.update(ByteView(&msg[i], 1));
+    EXPECT_EQ(hex(bytewise.finish()), want) << "len=" << len;
   }
 }
 

@@ -224,6 +224,9 @@ TEST(TcpTransport, StatsCountTraffic) {
   Mesh mesh(4);
   mesh.node(0).transport->send(1, to_bytes("counted"));
   ASSERT_TRUE(mesh.wait_for(1, 1));
+  // The sender counts a frame after its sendmsg returns, which can trail
+  // the peer's delivery of that frame (docs/OBSERVABILITY.md).
+  wait_until([&] { return mesh.node(0).transport->stats().frames_sent > 0; });
   EXPECT_EQ(mesh.node(0).transport->stats().frames_sent, 1u);
   EXPECT_GT(mesh.node(0).transport->stats().bytes_sent, 7u);
   EXPECT_EQ(mesh.node(1).transport->stats().frames_received, 1u);
@@ -530,6 +533,64 @@ TEST(TcpTransport, DialBeforePeerStartsNeverBacksOff) {
       if (e.kind == TraceEventKind::kLinkUp) ++ups;
     }
     EXPECT_EQ(ups, 3u) << "p" << p;
+  }
+}
+
+TEST(TcpTransport, StoppedPeerCountsAsPeerClosedNotAFault) {
+  // Node 3 stops while nodes 1 and 2 keep sending to everyone. Node 0's
+  // next data sendmsg to it fails with a reset: that is teardown, counted
+  // in peer_closed, and no survivor sees a MAC failure.
+  Mesh mesh(4);
+  ASSERT_TRUE(wait_until(
+      [&] {
+        for (ProcessId p = 0; p < 4; ++p) {
+          if (mesh.node(p).transport->links_up() != 3) return false;
+        }
+        return true;
+      },
+      20'000));
+  std::atomic<bool> sending{true};
+  std::vector<std::thread> senders;
+  for (ProcessId p : {1u, 2u}) {
+    senders.emplace_back([&mesh, &sending, p] {
+      while (sending.load()) {
+        for (ProcessId q = 0; q < 4; ++q) {
+          mesh.node(p).transport->send(q, to_bytes("background"));
+        }
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+      }
+    });
+  }
+  const auto halt = [](Node& node) {
+    node.stop.store(true);
+    node.transport->wakeup();
+    node.thread.join();
+  };
+  Node& victim = mesh.node(3);
+  Node& survivor = mesh.node(0);
+  // Node 3 stops reading, so this frame stays unread in its socket and its
+  // close() resets the stream instead of ending it with a FIN.
+  halt(victim);
+  const std::uint64_t sent = survivor.transport->stats().frames_sent;
+  survivor.transport->send(3, to_bytes("unread"));
+  ASSERT_TRUE(wait_until(
+      [&] { return survivor.transport->stats().frames_sent > sent; }));
+  // Hold node 0's poll thread across the close so its next cycle meets the
+  // reset on the send path (top-of-cycle drain) before any read.
+  halt(survivor);
+  victim.transport->stop();
+  survivor.transport->send(3, to_bytes("after close"));
+  survivor.stop.store(false);
+  survivor.thread = std::thread([&survivor] {
+    while (!survivor.stop.load()) survivor.transport->poll_once(20);
+  });
+  EXPECT_TRUE(wait_until(
+      [&] { return survivor.transport->stats().peer_closed >= 1; }));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  sending.store(false);
+  for (auto& t : senders) t.join();
+  for (ProcessId p = 0; p < 3; ++p) {
+    EXPECT_EQ(mesh.node(p).transport->stats().mac_failures, 0u) << "p" << p;
   }
 }
 

@@ -5,7 +5,7 @@ The paper-replication benches run on the deterministic simulator and report
 VIRTUAL-time numbers, so the JSON artifacts are machine-independent: a
 baseline committed in bench/baselines/ is comparable across laptops and CI
 runners alike (generate baselines with the same RITAS_BENCH_RUNS as
-bench-smoke, currently 3). Two headline figures are gated:
+bench-smoke, currently 3). The gated figures:
 
   * fig4 batched throughput  — BENCH_fig4_failure_free.json, the batched
     rows' throughput_msgs_s per (burst, msg_bytes) must not drop more than
@@ -30,19 +30,10 @@ bench-smoke, currently 3). Two headline figures are gated:
     ordered must be true, every offered op must have been delivered, and
     the p50/p99/p999 delivery tails must not grow more than the tolerance
     above baseline.
-  * execution pipeline       — BENCH_pipeline.json is the one REAL-TIME
-    artifact: absolute ops/s depend on the host, so the fresh run is
-    checked against its own in-binary gates instead of baseline numbers.
-    Every sweep cell must have completed with zero handoff drops, and —
-    only when the fresh run reports gate_enforced (hardware guard:
-    hw_threads >= 2n, overridable via RITAS_PIPELINE_GATE) — the T=2
-    aggregate throughput must reach min_speedup_t2 x the T=1 figure. When
-    both fresh and baseline runs were enforced, the speedup ratio itself
-    must also stay within tolerance of the baseline ratio.
 
 Usage:  check_bench_regression.py <bench-out-dir> [--baselines DIR]
                                   [--tolerance 0.20]
-                                  [--checks fig4,buffer,variants,pipeline]
+                                  [--checks fig4,buffer,variants]
 
 Exit codes: 0 ok, 1 regression or malformed/missing artifact.
 Refreshing a baseline intentionally (protocol change, retuned batching) is
@@ -217,65 +208,6 @@ def check_variants(out_dir: Path, base_dir: Path, tol: float) -> list:
     return failures
 
 
-def check_pipeline(out_dir: Path, base_dir: Path, tol: float) -> list:
-    """Re-derive the pipeline bench's in-binary gates from its artifact.
-
-    Real-time numbers: no absolute throughput comparison against baseline.
-    """
-    name = "BENCH_pipeline.json"
-    fresh_doc = load(out_dir, name)
-    base_doc = load(base_dir, name)
-    failures = []
-
-    meta = fresh_doc.get("meta", {})
-    for gate in ("all_done", "no_drops", "gate_speedup_ok"):
-        ok = meta.get(gate)
-        print(f"pipeline meta {gate}: {ok}")
-        if ok is not True:
-            failures.append(f"pipeline: meta gate {gate} is {ok!r}")
-
-    smr = {row["reactor_threads"]: row
-           for row in fresh_doc["rows"] if row.get("kind") == "smr"}
-    for t in (0, 1, 2, 4):
-        row = smr.get(t)
-        if row is None:
-            failures.append(f"pipeline: smr row for T={t} disappeared")
-            continue
-        ok = row.get("completed") is True and row.get("handoff_dropped") == 0
-        print(f"pipeline T={t}: completed={row.get('completed')} "
-              f"dropped={row.get('handoff_dropped')} "
-              f"{'ok' if ok else 'FAILED'}")
-        if not ok:
-            failures.append(
-                f"pipeline T={t}: completed={row.get('completed')} "
-                f"handoff_dropped={row.get('handoff_dropped')}")
-
-    enforced = meta.get("gate_enforced") is True
-    speedup = meta.get("speedup_t2", 0.0)
-    floor = meta.get("min_speedup_t2", 1.3)
-    print(f"pipeline speedup_t2: {speedup:.2f}x "
-          f"(floor {floor:.2f}x, {'enforced' if enforced else 'report-only'}"
-          f", hw_threads={meta.get('hw_threads')})")
-    if enforced and speedup < floor:
-        failures.append(
-            f"pipeline: speedup_t2 {speedup:.2f} < floor {floor:.2f} "
-            f"(gate enforced, hw_threads={meta.get('hw_threads')})")
-
-    base_meta = base_doc.get("meta", {})
-    if enforced and base_meta.get("gate_enforced") is True:
-        want = base_meta.get("speedup_t2", 0.0)
-        ratio_floor = want * (1.0 - tol)
-        verdict = "ok" if speedup >= ratio_floor else "REGRESSED"
-        print(f"pipeline speedup_t2 vs baseline: {speedup:.2f} vs "
-              f"{want:.2f} (floor {ratio_floor:.2f}) {verdict}")
-        if speedup < ratio_floor:
-            failures.append(
-                f"pipeline: speedup_t2 {speedup:.2f} < baseline floor "
-                f"{ratio_floor:.2f} (baseline {want:.2f}, tolerance "
-                f"{tol:.0%})")
-    return failures
-
-
 def check_scaling_wan(out_dir: Path, base_dir: Path, tol: float) -> list:
     """Open-loop campaign cells: liveness/order exact, tails within tol.
 
@@ -321,7 +253,6 @@ CHECKS = {
     "fig4": check_fig4,
     "buffer": check_buffer,
     "variants": check_variants,
-    "pipeline": check_pipeline,
     "scaling_wan": check_scaling_wan,
 }
 
@@ -334,7 +265,7 @@ def main() -> int:
                     help="directory holding the committed baseline JSONs")
     ap.add_argument("--tolerance", type=float, default=0.20,
                     help="allowed relative regression (default 0.20)")
-    ap.add_argument("--checks", default="fig4,buffer,variants,pipeline",
+    ap.add_argument("--checks", default="fig4,buffer,variants",
                     help="comma-separated subset of checks to run "
                          f"(known: {','.join(sorted(CHECKS))})")
     args = ap.parse_args()
