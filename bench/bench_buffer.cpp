@@ -8,15 +8,15 @@
 // measured "after" numbers come straight from the stack's metrics; the
 // binary exits non-zero unless encode-once fan-out holds exactly
 // (frames_encoded == broadcast count) and the receive path copied zero
-// payload bytes — the machine-checkable form of the zero-copy claim, also
-// asserted by the CI bench-smoke job against BENCH_buffer.json.
+// payload bytes — the machine-checkable form of the zero-copy claim,
+// recorded as gates in BENCH_buffer.json.
 //
 // A second, REAL-TIME section measures the transport fast path over actual
 // loopback TCP: a 2-node pair pushes a burst of small frames through the
 // batched sendmsg drain and reports syscalls per frame ("syscall_rows" in
-// the artifact). Gated here and in CI bench-smoke: a bursty 10 B workload
-// must pack >= 4 frames per sendmsg, and assembling batches must copy zero
-// payload bytes (scatter-gather straight from the retained queue).
+// the artifact). Gated: a bursty 10 B workload must pack >= 4 frames per
+// sendmsg, and assembling batches must copy zero payload bytes
+// (scatter-gather straight from the retained queue).
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -207,9 +207,12 @@ int run() {
       "Buffer layer: copies / frame encodes per AB delivery (n=4, burst=100)");
 
   BenchReport report("buffer");
-  report.meta("n", 4);
-  report.meta("burst", kBurst);
-  report.meta("seed", kSeed);
+  report.config("n", 4);
+  report.config("burst", kBurst);
+  report.config("seed", kSeed);
+  report.compare(
+      R"({"key":["msg_bytes","batched"],)"
+      R"("fields":{"frames_encoded":{"better":"lower","tolerance":0.2}}})");
 
   bool encode_once = true;
   bool zero_copy_rx = true;
@@ -242,8 +245,15 @@ int run() {
       // (VECT/MAT), so the exact-ratio check lives in rb_encode_once();
       // here every mode/size must at least beat the one-encode-per-send
       // legacy baseline and keep the receive path copy-free.
-      if (r.frames_encoded >= r.transport_sends) encode_once = false;
-      if (r.bytes_copied != 0) zero_copy_rx = false;
+      const std::string cell = "m" + std::to_string(sz) +
+                               (batched ? "_batched" : "_unbatched");
+      encode_once &= report.gate(cell + "_frames_encoded_lt_legacy",
+                                 r.frames_encoded, "<", legacy_frames);
+      zero_copy_rx &= report.gate(cell + "_rx_payload_bytes_copied",
+                                  r.bytes_copied, "==", 0);
+      if (batched) {
+        report.gate(cell + "_rx_bytes_aliased", r.bytes_aliased, ">", 0);
+      }
       report.add_row([&](JsonWriter& w) {
         w.field("msg_bytes", static_cast<std::uint64_t>(sz));
         w.field("batched", batched);
@@ -259,7 +269,8 @@ int run() {
     }
   }
 
-  const bool rb_exact = rb_encode_once(20, kSeed);
+  const bool rb_exact =
+      report.gate("rb_frames_times_fanout_eq_sends", rb_encode_once(20, kSeed));
 
   // Real-TCP transport fast path: syscalls per frame under a small-frame
   // burst, batched drain vs the legacy per-send drain. Real-time numbers
@@ -282,11 +293,16 @@ int run() {
                   static_cast<unsigned long long>(r.bytes_to_kernel),
                   static_cast<unsigned long long>(r.batch_copy_bytes),
                   r.frames_per_syscall);
-      if (batched && sz == 10 &&
-          r.frames_per_syscall < kMinFramesPerSyscall10B) {
-        syscall_gate = false;
+      const std::string cell = "syscall_m" + std::to_string(sz) +
+                               (batched ? "_batched" : "_per_send");
+      if (batched) {
+        // Batching must pack frames everywhere, and >= 4 on the 10 B burst.
+        syscall_gate &= report.gate(cell + "_frames_per_syscall",
+                                    r.frames_per_syscall, sz == 10 ? ">=" : ">",
+                                    sz == 10 ? kMinFramesPerSyscall10B : 1.0);
       }
-      if (r.batch_copy_bytes != 0) batch_zero_copy = false;
+      batch_zero_copy &=
+          report.gate(cell + "_batch_copy_bytes", r.batch_copy_bytes, "==", 0);
       report.add_section_row("syscall_rows", [&](JsonWriter& w) {
         w.field("msg_bytes", static_cast<std::uint64_t>(sz));
         w.field("batched", batched);
@@ -310,17 +326,9 @@ int run() {
               kMinFramesPerSyscall10B, syscall_gate ? "PASS" : "FAIL");
   std::printf("  zero payload copies assembling batches      : %s\n",
               batch_zero_copy ? "PASS" : "FAIL");
-  report.meta("encode_once", encode_once && rb_exact);
-  report.meta("zero_copy_rx", zero_copy_rx);
-  report.meta("syscall_gate_min_fps", kMinFramesPerSyscall10B);
-  report.meta("gate_frames_per_syscall_ok", syscall_gate);
-  report.meta("gate_batch_zero_copy_ok", batch_zero_copy);
   const bool wrote = report.write();
   std::printf("  wrote %s : %s\n", report.path().c_str(), wrote ? "PASS" : "FAIL");
-  return (encode_once && rb_exact && zero_copy_rx && syscall_gate &&
-          batch_zero_copy && wrote)
-             ? 0
-             : 1;
+  return wrote ? report.exit_code() : 1;
 }
 
 }  // namespace

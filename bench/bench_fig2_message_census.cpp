@@ -169,8 +169,8 @@ int main() {
   };
 
   BenchReport report("fig2");
-  report.meta("seed", std::uint64_t{3});
-  report.meta("n", 4);
+  report.config("seed", std::uint64_t{3});
+  report.config("n", 4);
 
   std::printf("%-24s %10s %10s %12s %12s %12s\n", "protocol", "analytic",
               "frames", "wire bytes", "broadcasts", "trace evts");
@@ -179,9 +179,12 @@ int main() {
   std::string ab_chrome;
   for (const Row& r : rows) {
     Census cs = census_of(r.proto);
-    const bool match = cs.frames == r.analytic_frames;
+    const std::string key = r.key;
+    const bool match = report.gate(key + "_frames_eq_analytic", cs.frames,
+                                   "==", r.analytic_frames);
     all_match = all_match && match;
-    trace_sends_match = trace_sends_match && cs.trace_sends == cs.frames;
+    trace_sends_match &= report.gate(key + "_trace_sends_eq_frames",
+                                     cs.trace_sends, "==", cs.frames);
     if (r.proto == Proto::kAB) ab_chrome = std::move(cs.chrome_json);
     std::printf("%-24s %10llu %10llu %12llu %12llu %12llu  %s\n",
                 proto_name(r.proto),
@@ -207,13 +210,14 @@ int main() {
   std::printf("  trace-derived send counts match stack metrics     : %s\n",
               trace_sends_match ? "PASS" : "FAIL");
 
-  report.meta("all_match", all_match);
-  report.meta("trace_sends_match", trace_sends_match);
+  const bool wrote_trace = write_file("trace_fig2.json", ab_chrome);
+  const auto trace = ritas::json_parse(ab_chrome);
+  const ritas::JsonValue* events = trace ? trace->get("traceEvents") : nullptr;
+  report.gate("trace_fig2_events", events ? events->array.size() : 0, ">", 0);
   const bool wrote = report.write();
   std::printf("  wrote %s : %s\n", report.path().c_str(),
               wrote ? "PASS" : "FAIL");
-  const bool wrote_trace = write_file("trace_fig2.json", ab_chrome);
   std::printf("  wrote trace_fig2.json (atomic broadcast, Chrome trace) : %s\n",
               wrote_trace ? "PASS" : "FAIL");
-  return all_match && trace_sends_match && wrote && wrote_trace ? 0 : 1;
+  return wrote && wrote_trace ? report.exit_code() : 1;
 }

@@ -11,5 +11,12 @@ int main() {
   // largest burst (see docs/PROTOCOLS.md, "Batched AB_MSG framing").
   return run_burst_figure(
       "Figure 4: atomic broadcast, failure-free faultload (n=4)",
-      "fig4_failure_free", Faultload::kFailureFree, ref, 2.0);
+      "fig4_failure_free", Faultload::kFailureFree, ref, 2.0,
+      [](BenchReport& report) {
+        // Batched throughput is the headline tracked against baseline.
+        report.compare(R"({"key":["burst","msg_bytes","batched"],)"
+                       R"("where":{"batched":true},"fields":{)"
+                       R"("throughput_msgs_s":)"
+                       R"({"better":"higher","tolerance":0.2}}})");
+      });
 }

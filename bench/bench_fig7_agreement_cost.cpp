@@ -19,8 +19,10 @@ int main() {
               "AB rounds");
 
   BenchReport report("fig7");
-  report.meta("runs", kRuns);
-  report.meta("n", 4);
+  report.config("runs", kRuns);
+  report.config("first_seed", 1000);
+  report.config("n", 4);
+  report.config("payload_bytes", 10);
 
   double first_ratio = 0, last_ratio = 0;
   std::uint64_t last_rounds = 0;
@@ -43,9 +45,12 @@ int main() {
   }
 
   std::printf("\nshape checks:\n");
-  const bool high_small = first_ratio > 0.8;
-  const bool low_large = last_ratio < 0.15;
-  const bool few_agreements = last_rounds <= 8;
+  const bool high_small =
+      report.gate("agreement_ratio_burst4", first_ratio, ">", 0.8);
+  const bool low_large =
+      report.gate("agreement_ratio_burst1000", last_ratio, "<", 0.15);
+  const bool few_agreements =
+      report.gate("ab_rounds_burst1000", last_rounds, "<=", 8);
   std::printf("  small bursts dominated by agreement (>80%%)  : %s (%.1f%%)\n",
               high_small ? "PASS" : "FAIL", first_ratio * 100);
   std::printf("  large bursts amortize agreement (<15%%)      : %s (%.1f%%)\n",
@@ -54,10 +59,8 @@ int main() {
               few_agreements ? "PASS" : "FAIL",
               static_cast<unsigned long long>(last_rounds));
 
-  report.meta("agreement_dominates_small", high_small);
-  report.meta("agreement_amortized_large", low_large);
   const bool wrote = report.write();
   std::printf("  wrote %s : %s\n", report.path().c_str(),
               wrote ? "PASS" : "FAIL");
-  return (high_small && low_large && few_agreements && wrote) ? 0 : 1;
+  return wrote ? report.exit_code() : 1;
 }

@@ -16,6 +16,7 @@
 //   RITAS_SCALING_N31=1    add the n = 31 column (slow)
 #include <cstdio>
 #include <cstdlib>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -66,25 +67,32 @@ int main() {
       "(virtual time, machine-independent, bit-identical per seed)");
 
   std::vector<std::uint32_t> sizes = {4, 7, 10, 16};
-  if (const char* env = std::getenv("RITAS_SCALING_SMOKE");
-      env != nullptr && env[0] == '1') {
-    sizes = {4, 7};
-  }
+  const char* smoke_env = std::getenv("RITAS_SCALING_SMOKE");
+  const bool smoke = smoke_env != nullptr && smoke_env[0] == '1';
+  if (smoke) sizes = {4, 7};
   if (const char* env = std::getenv("RITAS_SCALING_N31");
       env != nullptr && env[0] == '1') {
     sizes.push_back(31);
   }
 
   BenchReport report("scaling_wan");
-  report.meta("ops_per_sec", 200.0);
-  report.meta("clients", std::uint64_t{1000});
-  report.meta("payload_bytes", std::uint64_t{100});
+  report.config("ops_per_sec", 200.0);
+  report.config("clients", std::uint64_t{1000});
+  report.config("payload_bytes", std::uint64_t{100});
+  // Per-cell seeds derive from the (n, net, fault) key, so a trimmed smoke
+  // sweep's rows are the same virtual runs as the full sweep's.
+  report.compare(std::string(R"({"key":["n","net","fault"],"subset":)") +
+                 (smoke ? "true" : "false") +
+                 R"(,"fields":{"p50_ns":{"better":"lower","tolerance":0.2},)"
+                 R"("p99_ns":{"better":"lower","tolerance":0.2},)"
+                 R"("p999_ns":{"better":"lower","tolerance":0.2}}})");
 
   std::printf("%4s %5s %10s %6s %5s %9s %9s %9s %8s %5s %4s\n", "n", "net",
               "fault", "ops", "done", "p50(ms)", "p99(ms)", "p999(ms)",
               "elapsed", "bklg", "ord");
 
   bool all_ok = true;
+  int cells = 0;
   // p99 per (n, fault) under LAN, to gate WAN >= LAN on the same cell.
   std::vector<std::pair<std::uint64_t, std::uint64_t>> lan_p99;  // key, ns
 
@@ -128,17 +136,29 @@ int main() {
           w.field("fingerprint", r.fingerprint);
         });
 
-        all_ok = all_ok && r.completed && r.ordered;
+        ++cells;
+        const std::string cell = "n" + std::to_string(n) + "_" +
+                                 sim::net_profile_name(net) + "_" +
+                                 sim::campaign_fault_name(fault);
+        const Histogram& lat = r.latency;
+        all_ok &= report.gate(cell + "_completed", r.completed);
+        all_ok &= report.gate(cell + "_ordered", r.ordered);
+        all_ok &= report.gate(cell + "_ops_completed", r.ops_completed, "==",
+                              r.ops_offered);
+        all_ok &= report.gate(cell + "_p50_le_p99", lat.p50(), "<=", lat.p99());
+        all_ok &= report.gate(cell + "_p99_le_p999", lat.p99(), "<=",
+                              lat.p999());
+        all_ok &= report.gate(cell + "_p999_le_max", lat.p999(), "<=",
+                              lat.max());
         const std::uint64_t key =
             (std::uint64_t{n} << 8) | static_cast<std::uint8_t>(fault);
         if (net == NetProfile::kLan) {
           lan_p99.emplace_back(key, r.latency.p99());
         } else {
           for (const auto& [k, lan_ns] : lan_p99) {
-            if (k == key && r.latency.p99() < lan_ns) {
-              std::printf("  GATE: WAN p99 below LAN p99 at n=%u fault=%s\n",
-                          n, sim::campaign_fault_name(fault));
-              all_ok = false;
+            if (k == key) {
+              all_ok &=
+                  report.gate(cell + "_p99_ge_lan", lat.p99(), ">=", lan_ns);
             }
           }
         }
@@ -146,6 +166,8 @@ int main() {
     }
   }
 
+  // The smoke sweep is n in {4, 7} x {lan, wan} x the three faultloads.
+  if (smoke) all_ok &= report.gate("smoke_cells", cells, "==", 12);
   if (!report.write()) {
     std::fprintf(stderr, "failed to write %s\n", report.path().c_str());
     return 1;
@@ -153,5 +175,5 @@ int main() {
   std::printf("\nshape checks:\n");
   std::printf("  every cell completed with total order intact : %s\n",
               all_ok ? "PASS" : "FAIL");
-  return all_ok ? 0 : 1;
+  return report.exit_code();
 }

@@ -10,9 +10,9 @@
 // per-host CPU/NIC timelines saturate — exactly the contention the shared
 // SimNetwork models.
 //
-// Gate (enforced in-binary, exit 1 on failure, and re-checked by CI from
-// BENCH_shard_scaling.json): G=4 must commit at least 2x the aggregate
-// ops/s of G=1.
+// Gate (exit 1 on failure, recorded in BENCH_shard_scaling.json and
+// re-evaluated by tools/check_bench_regression.py): G=4 must commit at
+// least 2x the aggregate ops/s of G=1.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -148,10 +148,10 @@ int main() {
       "(n=4, weak scaling)");
 
   BenchReport report("shard_scaling");
-  report.meta("n", 4);
-  report.meta("runs", kRuns);
-  report.meta("per_shard_ops", static_cast<std::uint64_t>(kPerShardOps));
-  report.meta("min_speedup_g4", kMinSpeedupG4);
+  report.config("n", 4);
+  report.config("runs", kRuns);
+  report.config("first_seed", 1000);
+  report.config("per_shard_ops", static_cast<std::uint64_t>(kPerShardOps));
 
   std::printf("%-8s %10s %12s %14s %10s\n", "groups", "total ops",
               "elapsed(ms)", "agg ops/s", "speedup");
@@ -163,7 +163,10 @@ int main() {
     if (g == 1) base = r.agg_ops_s;
     const double speedup = base > 0 ? r.agg_ops_s / base : 0;
     if (g == 4) g4_speedup = speedup;
-    clean_mesh = clean_mesh && r.foreign_drops == 0 && r.forwarded == 0;
+    const std::string cell = "g" + std::to_string(g);
+    clean_mesh &=
+        report.gate(cell + "_foreign_drops", r.foreign_drops, "==", 0);
+    clean_mesh &= report.gate(cell + "_forwarded", r.forwarded, "==", 0);
     std::printf("%-8u %10llu %12.1f %14.0f %9.2fx\n", g,
                 static_cast<unsigned long long>(g * kPerShardOps),
                 r.elapsed_ms, r.agg_ops_s, speedup);
@@ -179,18 +182,15 @@ int main() {
     });
   }
 
-  const bool gate = g4_speedup >= kMinSpeedupG4;
+  const bool gate = report.gate("speedup_g4", g4_speedup, ">=", kMinSpeedupG4);
   std::printf("\nshape checks:\n");
   std::printf("  G=4 aggregate >= %.1fx G=1                  : %s (%.2fx)\n",
               kMinSpeedupG4, gate ? "PASS" : "FAIL", g4_speedup);
   std::printf("  shared mesh clean (no foreign drops/fwds)  : %s\n",
               clean_mesh ? "PASS" : "FAIL");
 
-  report.meta("speedup_g4", g4_speedup);
-  report.meta("gate_speedup_ok", gate);
-  report.meta("clean_mesh", clean_mesh);
   const bool wrote = report.write();
   std::printf("  wrote %s : %s\n", report.path().c_str(),
               wrote ? "PASS" : "FAIL");
-  return (gate && clean_mesh && wrote) ? 0 : 1;
+  return wrote ? report.exit_code() : 1;
 }

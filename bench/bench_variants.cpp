@@ -187,8 +187,16 @@ int main() {
       "BC latency/rounds/messages per decision");
 
   BenchReport report("variants");
-  report.meta("runs", kRuns);
-  report.meta("payload_bytes", 10);
+  report.config("runs", kRuns);
+  report.config("first_seed", 1000);
+  report.config("payload_bytes", 10);
+  // Message counts per instance are exact on the deterministic simulator.
+  report.compare(
+      R"({"key":["rb_variant","bc_variant","faultload","n"],"fields":{)"
+      R"("rb_msgs_per_bcast":{"exact":true},)"
+      R"("bc_msgs_per_decide":{"exact":true},)"
+      R"("rb_latency_us":{"better":"lower","tolerance":0.2},)"
+      R"("bc_latency_us":{"better":"lower","tolerance":0.2}}})");
 
   // Gate accumulators, keyed per failure-free n where both variants ran.
   struct Baseline {
@@ -197,6 +205,7 @@ int main() {
   std::vector<std::pair<std::uint32_t, Baseline>> bracha_ff;
   bool gate_rb_latency = true, gate_rb_msgs = true, gate_bc_msgs = true;
   bool all_completed = true;
+  int head_to_head = 0;  // comparisons made: 2 per imbs-raynal n, 1 per crain n
 
   for (const Combo& cb : kCombos) {
     std::printf("\n-- %s --\n", cb.label);
@@ -205,9 +214,14 @@ int main() {
                 "split lat us", "split rnds");
     for (const Faultload fl : faultloads) {
       for (const std::uint32_t n : kSweep) {
+        const std::string cell = std::string(cb.label) + "_" +
+                                 faultload_name(fl) + "_n" + std::to_string(n);
         if (cb.variants.rb == RbVariant::kImbsRaynal && n < 6) {
           std::printf("%-13s %3u   skipped (imbs-raynal needs n >= 6)\n",
                       faultload_name(fl), n);
+          // Skipped only where the variant tolerates no fault at all.
+          report.gate(cell + "_skipped_max_faults",
+                      ritas::ImbsRaynalBroadcast::max_faults_ir(n), "<", 1);
           report.add_row([&](ritas::JsonWriter& w) {
             w.field("rb_variant", rb_variant_name(cb.variants.rb));
             w.field("bc_variant", bc_variant_name(cb.variants.bc));
@@ -218,7 +232,7 @@ int main() {
           continue;
         }
         const CellResult r = run_cell(cb, fl, n, kRuns);
-        all_completed = all_completed && r.completed;
+        all_completed &= report.gate(cell + "_completed", r.completed);
         std::printf("%-13s %3u %10.1f %8.1f %10.1f %8.2f %8.1f %12.1f %10.2f\n",
                     faultload_name(fl), n, r.rb_latency_us, r.rb_msgs,
                     r.bc_latency_us, r.bc_rounds, r.bc_msgs,
@@ -246,13 +260,19 @@ int main() {
           } else {
             for (const auto& [bn, base] : bracha_ff) {
               if (bn != n) continue;
+              const std::string at = "_n" + std::to_string(n);
               if (cb.variants.rb == RbVariant::kImbsRaynal) {
-                gate_rb_latency =
-                    gate_rb_latency && r.rb_latency_us < base.rb_lat;
-                gate_rb_msgs = gate_rb_msgs && r.rb_msgs < base.rb_msgs;
+                gate_rb_latency &=
+                    report.gate("imbs_raynal_rb_latency_us" + at,
+                                r.rb_latency_us, "<", base.rb_lat);
+                gate_rb_msgs &= report.gate("imbs_raynal_rb_msgs" + at,
+                                            r.rb_msgs, "<", base.rb_msgs);
+                head_to_head += 2;
               }
               if (cb.variants.bc == ritas::BcVariant::kCrain) {
-                gate_bc_msgs = gate_bc_msgs && r.bc_msgs < base.bc_msgs;
+                gate_bc_msgs &= report.gate("crain_bc_msgs_per_decide" + at,
+                                            r.bc_msgs, "<", base.bc_msgs);
+                head_to_head += 1;
               }
             }
           }
@@ -271,14 +291,10 @@ int main() {
   std::printf("  every cell completed before deadline       : %s\n",
               all_completed ? "PASS" : "FAIL");
 
-  report.meta("gate_rb_latency_ok", gate_rb_latency);
-  report.meta("gate_rb_msgs_ok", gate_rb_msgs);
-  report.meta("gate_bc_msgs_ok", gate_bc_msgs);
-  report.meta("all_completed", all_completed);
+  // The combo set: imbs-raynal met bracha at n = 6 and 10, crain at every n.
+  report.gate("head_to_head_comparisons", head_to_head, "==", 7);
   const bool wrote = report.write();
   std::printf("  wrote %s : %s\n", report.path().c_str(),
               wrote ? "PASS" : "FAIL");
-  const bool ok =
-      gate_rb_latency && gate_rb_msgs && gate_bc_msgs && all_completed && wrote;
-  return ok ? 0 : 1;
+  return wrote ? report.exit_code() : 1;
 }

@@ -3,6 +3,8 @@
 #pragma once
 
 #include <cstdio>
+#include <functional>
+#include <string>
 #include <vector>
 
 #include "paper_harness.h"
@@ -19,14 +21,17 @@ struct PaperReference {
 /// off (the paper's configuration) and on — and records both modes in one
 /// BENCH_<name>.json (rows carry a "batched" flag). `min_speedup_10b` is
 /// the required batched/unbatched throughput ratio at the largest burst
-/// with 10-byte messages (1.0 = "no slower").
-inline int run_burst_figure(const char* title, const char* report_name,
-                            Faultload fl, const PaperReference& ref,
-                            double min_speedup_10b = 1.0) {
+/// with 10-byte messages (1.0 = "no slower"). `extend` adds the figure's
+/// own gates or baseline spec before the artifact is written. Returns the
+/// exit status: 1 if any gate failed.
+inline int run_burst_figure(
+    const char* title, const char* report_name, Faultload fl,
+    const PaperReference& ref, double min_speedup_10b = 1.0,
+    const std::function<void(BenchReport&)>& extend = {}) {
   const std::size_t sizes[4] = {10, 100, 1000, 10000};
   const std::vector<std::uint32_t> bursts = {4, 10, 20, 50, 100, 200, 500, 1000};
   // The paper used 10 runs; the deterministic sim needs fewer, and the CI
-  // smoke job caps it to 1 via RITAS_BENCH_RUNS.
+  // smoke job caps it to 3 via RITAS_BENCH_RUNS.
   const int kRuns = bench_runs(3);
 
   StackConfig cfgs[2];  // [0] = unbatched (paper), [1] = batched
@@ -36,9 +41,10 @@ inline int run_burst_figure(const char* title, const char* report_name,
   print_header(title);
 
   BenchReport report(report_name);
-  report.meta("faultload", faultload_name(fl));
-  report.meta("runs", kRuns);
-  report.meta("n", 4);
+  report.config("faultload", faultload_name(fl));
+  report.config("runs", kRuns);
+  report.config("first_seed", 1000);
+  report.config("n", 4);
 
   BurstResult last[2][4];
   bool one_round[2] = {true, true}, no_default[2] = {true, true};
@@ -79,8 +85,10 @@ inline int run_burst_figure(const char* title, const char* report_name,
     std::printf("%-8zu %14.0f %14.1f %16.0f %16.0f\n", sizes[i],
                 ref.latency_ms[i], last[0][i].latency_ms, ref.tmax_msgs_s[i],
                 last[0][i].throughput_msgs_s);
-    if (i > 0 && last[0][i].latency_ms < last[0][i - 1].latency_ms) {
-      monotone_tmax = false;
+    if (i > 0) {
+      monotone_tmax &= report.gate("latency_grows_m" + std::to_string(sizes[i]),
+                                   last[0][i].latency_ms, ">=",
+                                   last[0][i - 1].latency_ms);
     }
   }
 
@@ -92,8 +100,18 @@ inline int run_burst_figure(const char* title, const char* report_name,
                      : 0;
     std::printf("%-8zu %6.2fx (%.0f -> %.0f msgs/s)\n", sizes[i], speedup[i],
                 last[0][i].throughput_msgs_s, last[1][i].throughput_msgs_s);
+    report.gate("batched_ge_unbatched_m" + std::to_string(sizes[i]),
+                last[1][i].throughput_msgs_s, ">=",
+                last[0][i].throughput_msgs_s);
   }
-  const bool batched_fast_enough = speedup[0] >= min_speedup_10b;
+  const bool batched_fast_enough =
+      report.gate("batched_speedup_m10", speedup[0], ">=", min_speedup_10b);
+  for (int mode = 0; mode < 2; ++mode) {
+    report.gate(std::string("bc_always_one_round_") + mode_name[mode],
+                one_round[mode]);
+    report.gate(std::string("mvc_never_default_") + mode_name[mode],
+                no_default[mode]);
+  }
 
   std::printf("\nshape checks (%s faultload):\n", faultload_name(fl));
   std::printf("  latency grows with message size            : %s\n",
@@ -105,17 +123,11 @@ inline int run_burst_figure(const char* title, const char* report_name,
   std::printf("  batched Tmax >= %.1fx unbatched (m=10)      : %s\n",
               min_speedup_10b, batched_fast_enough ? "PASS" : "FAIL");
 
-  report.meta("monotone_latency", monotone_tmax);
-  report.meta("bc_always_one_round", one_round[0] && one_round[1]);
-  report.meta("mvc_never_default", no_default[0] && no_default[1]);
-  report.meta("batched_speedup_10b", speedup[0]);
+  if (extend) extend(report);
   const bool wrote = report.write();
   std::printf("  wrote %s : %s\n", report.path().c_str(),
               wrote ? "PASS" : "FAIL");
-  return (monotone_tmax && one_round[0] && one_round[1] && no_default[0] &&
-          no_default[1] && batched_fast_enough && wrote)
-             ? 0
-             : 1;
+  return wrote ? report.exit_code() : 1;
 }
 
 }  // namespace ritas::bench

@@ -5,10 +5,14 @@
 // the paper's testbed shape.
 #pragma once
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
+#include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/json.h"
@@ -273,26 +277,56 @@ inline int bench_runs(int default_runs) {
   return default_runs;
 }
 
-/// Machine-readable artifact emitted next to each bench's printed table:
-/// BENCH_<name>.json with top-level metadata plus one JSON object per
-/// table row. The CI bench-smoke job uploads and validates these files.
+/// Machine-readable artifact emitted next to each bench's printed table,
+/// BENCH_<name>.json: {"bench", "config", "rows", <sections>, "gates",
+/// "compare"}, the one description of the bench's gates. `config` holds
+/// what changes a row's values, `gates` every check with both operands,
+/// and the optional `compare` how rows match the committed baseline in
+/// bench/baselines/; tools/check_bench_regression.py reads all three
+/// (format: docs/OBSERVABILITY.md "Bench JSON artifacts").
 class BenchReport {
  public:
   explicit BenchReport(std::string name) : name_(std::move(name)) {}
 
-  /// Adds one top-level metadata field (seed, runs, ...).
+  /// Adds one config field: a parameter that changes a row's values (runs
+  /// actually used, seeds, n, payload bytes, rates), never which rows a
+  /// smoke sweep selects. The checker refuses a baseline whose config
+  /// differs.
   template <typename T>
-  void meta(std::string_view key, T v) {
-    meta_.field(key, v);
+  void config(std::string_view key, T v) {
+    config_.field(key, v);
   }
+
+  /// Checks `lhs op rhs` (op: < <= > >= == !=), prints the verdict on
+  /// stderr, records both operands in the artifact and returns the verdict.
+  /// Any failed gate makes exit_code() 1.
+  bool gate(std::string_view name, double lhs, std::string_view op,
+            double rhs) {
+    const bool ok = op == "<"    ? lhs < rhs
+                    : op == "<=" ? lhs <= rhs
+                    : op == ">"  ? lhs > rhs
+                    : op == ">=" ? lhs >= rhs
+                    : op == "==" ? lhs == rhs
+                    : op == "!=" ? lhs != rhs
+                                 : false;
+    record_gate(name, number(lhs), op, number(rhs), ok);
+    return ok;
+  }
+
+  /// A yes/no check, recorded as `ok == true`.
+  bool gate(std::string_view name, bool ok) {
+    record_gate(name, ok ? "true" : "false", "==", "true", ok);
+    return ok;
+  }
+
+  /// Declares the baseline comparison, the "compare" object: {"key": [...],
+  /// "where": {...}, "subset": bool, "fields": {f: {"exact": true} |
+  /// {"better": "higher"|"lower", "tolerance": 0.2}}}.
+  void compare(std::string spec) { compare_ = std::move(spec); }
 
   /// Adds one row; `fill` writes the row object's fields.
   void add_row(const std::function<void(JsonWriter&)>& fill) {
-    JsonWriter w;
-    w.begin_object();
-    fill(w);
-    w.end_object();
-    rows_.push_back(w.take());
+    rows_.push_back(object(fill));
   }
 
   /// Adds one row to a named auxiliary array emitted next to "rows"
@@ -300,41 +334,25 @@ class BenchReport {
   /// artifact without disturbing consumers that index the main rows.
   void add_section_row(std::string_view section,
                        const std::function<void(JsonWriter&)>& fill) {
-    JsonWriter w;
-    w.begin_object();
-    fill(w);
-    w.end_object();
-    for (auto& [name, rows] : sections_) {
-      if (name == section) {
-        rows.push_back(w.take());
-        return;
-      }
-    }
-    sections_.emplace_back(std::string(section),
-                           std::vector<std::string>{w.take()});
+    sections_[std::string(section)].push_back(object(fill));
   }
 
   std::string path() const { return "BENCH_" + name_ + ".json"; }
 
+  /// 0 when every gate so far passed, else 1.
+  int exit_code() const { return gates_failed_ == 0 ? 0 : 1; }
+
   /// Writes the artifact into the current directory; true on success.
-  /// Assembled by hand so the pre-rendered meta/row fragments splice
-  /// verbatim (bench names are identifier-safe, no escaping needed).
+  /// Assembled by hand so the pre-rendered fragments splice verbatim
+  /// (bench names are identifier-safe, no escaping needed).
   bool write() const {
-    std::string out = "{\"bench\":\"" + name_ + "\",\"meta\":{" + meta_.str() +
-                      "},\"rows\":[";
-    for (std::size_t i = 0; i < rows_.size(); ++i) {
-      if (i) out += ",";
-      out += rows_[i];
-    }
-    out += "]";
+    std::string out = "{\"bench\":\"" + name_ + "\",\"config\":{" +
+                      config_.str() + "},\"rows\":" + array(rows_);
     for (const auto& [name, rows] : sections_) {
-      out += ",\"" + name + "\":[";
-      for (std::size_t i = 0; i < rows.size(); ++i) {
-        if (i) out += ",";
-        out += rows[i];
-      }
-      out += "]";
+      out += ",\"" + name + "\":" + array(rows);
     }
+    out += ",\"gates\":" + array(gates_);
+    if (!compare_.empty()) out += ",\"compare\":" + compare_;
     out += "}\n";
     std::FILE* f = std::fopen(path().c_str(), "w");
     if (f == nullptr) return false;
@@ -343,10 +361,51 @@ class BenchReport {
   }
 
  private:
+  /// Shortest round-trip form, so the checker re-derives the same verdict;
+  /// a non-finite operand is written as null, which the checker rejects.
+  static std::string number(double v) {
+    if (!std::isfinite(v)) return "null";
+    char buf[32];
+    return std::string(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+  }
+
+  static std::string object(const std::function<void(JsonWriter&)>& fill) {
+    JsonWriter w;
+    w.begin_object();
+    fill(w);
+    w.end_object();
+    return w.take();
+  }
+
+  static std::string array(const std::vector<std::string>& items) {
+    std::string out = "[";
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      if (i) out += ",";
+      out += items[i];
+    }
+    return out + "]";
+  }
+
+  void record_gate(std::string_view name, const std::string& lhs,
+                   std::string_view op, const std::string& rhs, bool ok) {
+    const std::string claim = lhs + " " + std::string(op) + " " + rhs;
+    std::fprintf(stderr, "gate %s: %s : %s\n", std::string(name).c_str(),
+                 claim.c_str(), ok ? "PASS" : "FAIL");
+    if (!ok) ++gates_failed_;
+    JsonWriter w;
+    w.begin_object().field("name", name);
+    gates_.push_back(w.str() + ",\"lhs\":" + lhs + ",\"op\":\"" +
+                     std::string(op) + "\",\"rhs\":" + rhs +
+                     ",\"ok\":" + (ok ? "true" : "false") + "}");
+  }
+
   std::string name_;
-  JsonWriter meta_;
+  JsonWriter config_;
   std::vector<std::string> rows_;
-  std::vector<std::pair<std::string, std::vector<std::string>>> sections_;
+  std::map<std::string, std::vector<std::string>> sections_;
+  std::vector<std::string> gates_;
+  int gates_failed_ = 0;
+  std::string compare_;
 };
 
 }  // namespace ritas::bench

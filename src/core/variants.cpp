@@ -96,7 +96,7 @@ bool toss_round_coin(ProtocolStack& stack, const InstanceId& id,
     Writer w;
     id.encode(w);
     w.u32(round);
-    const auto d = hmac_sha256(stack.keys().group_key(), w.data());
+    const auto d = stack.keys().group_mac_key().mac(w.data());
     return (d[0] & 1) != 0;
   }
   return stack.rng().coin();  // Ben-Or-style private coin (the paper's)

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstring>
+#include <type_traits>
 
 #include "common/bytes.h"
 #include "crypto/sha1.h"
@@ -15,36 +16,63 @@
 
 namespace ritas {
 
-/// Computes HMAC_Hash(key, msg1 ‖ msg2 ‖ ...). Hash must expose kBlockSize,
-/// kDigestSize, Digest, update(), finish() like Sha1 / Sha256. Accepting
-/// multiple views lets callers MAC a small header plus a shared frame body
-/// without materializing the concatenation (see TcpTransport::send).
+/// An HMAC key with the key blocks already absorbed: the inner and outer
+/// hash states after ipad and opad. Keying costs two compressions, so a
+/// long-lived key (a pairwise link key, the group coin key) is keyed once
+/// and every MAC under it then copies the two states instead of rehashing
+/// the key blocks. Hash must expose kBlockSize, kDigestSize, Digest,
+/// update(), finish() like Sha1 / Sha256, and be trivially copyable.
+template <typename Hash>
+class HmacKey {
+  static_assert(std::is_trivially_copyable_v<Hash>);
+
+ public:
+  /// The empty key (all-zero key block).
+  HmacKey() : HmacKey(ByteView{}) {}
+
+  explicit HmacKey(ByteView key) {
+    std::uint8_t key_block[Hash::kBlockSize] = {0};
+    if (key.size() > Hash::kBlockSize) {
+      const auto digest = Hash::hash(key);
+      std::memcpy(key_block, digest.data(), digest.size());
+    } else if (!key.empty()) {
+      std::memcpy(key_block, key.data(), key.size());
+    }
+    std::uint8_t pad[Hash::kBlockSize];
+    for (std::size_t i = 0; i < Hash::kBlockSize; ++i) {
+      pad[i] = static_cast<std::uint8_t>(key_block[i] ^ 0x36);
+    }
+    inner_.update(ByteView(pad, Hash::kBlockSize));
+    for (std::size_t i = 0; i < Hash::kBlockSize; ++i) {
+      pad[i] = static_cast<std::uint8_t>(key_block[i] ^ 0x5c);
+    }
+    outer_.update(ByteView(pad, Hash::kBlockSize));
+  }
+
+  /// HMAC_Hash(key, msg1 ‖ msg2 ‖ ...). Accepting multiple views lets
+  /// callers MAC a small header plus a shared frame body without
+  /// materializing the concatenation (see TcpTransport::send).
+  template <typename... Views>
+  typename Hash::Digest mac(Views... msg) const {
+    Hash inner = inner_;
+    (inner.update(msg), ...);
+    const auto inner_digest = inner.finish();
+    Hash outer = outer_;
+    outer.update(ByteView(inner_digest.data(), inner_digest.size()));
+    return outer.finish();
+  }
+
+ private:
+  Hash inner_;
+  Hash outer_;
+};
+
+using HmacSha256Key = HmacKey<Sha256>;
+
+/// One-shot HMAC_Hash(key, msg1 ‖ msg2 ‖ ...): keys, then MACs once.
 template <typename Hash, typename... Views>
 typename Hash::Digest hmac(ByteView key, Views... msg) {
-  std::uint8_t key_block[Hash::kBlockSize] = {0};
-  if (key.size() > Hash::kBlockSize) {
-    const auto digest = Hash::hash(key);
-    std::memcpy(key_block, digest.data(), digest.size());
-  } else if (!key.empty()) {
-    std::memcpy(key_block, key.data(), key.size());
-  }
-
-  std::uint8_t ipad[Hash::kBlockSize];
-  std::uint8_t opad[Hash::kBlockSize];
-  for (std::size_t i = 0; i < Hash::kBlockSize; ++i) {
-    ipad[i] = static_cast<std::uint8_t>(key_block[i] ^ 0x36);
-    opad[i] = static_cast<std::uint8_t>(key_block[i] ^ 0x5c);
-  }
-
-  Hash inner;
-  inner.update(ByteView(ipad, Hash::kBlockSize));
-  (inner.update(msg), ...);
-  const auto inner_digest = inner.finish();
-
-  Hash outer;
-  outer.update(ByteView(opad, Hash::kBlockSize));
-  outer.update(ByteView(inner_digest.data(), inner_digest.size()));
-  return outer.finish();
+  return HmacKey<Hash>(key).mac(msg...);
 }
 
 using HmacSha1 = Sha1::Digest;

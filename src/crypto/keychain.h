@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/bytes.h"
+#include "crypto/hmac.h"
 
 namespace ritas {
 
@@ -35,18 +36,29 @@ class KeyChain {
   /// is allowed but the self key is also defined (useful for loopback MACs).
   ByteView key(std::uint32_t j) const;
 
+  /// key(j) keyed for HMAC-SHA-256 once, at construction: the frame and
+  /// handshake MACs on link j start from these states.
+  const HmacSha256Key& mac_key(std::uint32_t j) const;
+
   /// Group-wide secret shared by ALL processes, dealt alongside the
   /// pairwise keys. Used by the Rabin-style dealt common coin (every
   /// process derives the same unpredictable-to-outsiders coin per round —
   /// the engineering stand-in for predistributed coin shares). Empty when
   /// the chain was built from externally supplied pairwise keys only.
   ByteView group_key() const { return group_key_; }
-  void set_group_key(Bytes k) { group_key_ = std::move(k); }
+  /// group_key() keyed for HMAC-SHA-256 (the dealt coin's MAC).
+  const HmacSha256Key& group_mac_key() const { return group_mac_key_; }
+  void set_group_key(Bytes k) {
+    group_key_ = std::move(k);
+    group_mac_key_ = HmacSha256Key(group_key_);
+  }
 
  private:
   std::uint32_t self_;
   std::vector<Bytes> keys_;
+  std::vector<HmacSha256Key> mac_keys_;
   Bytes group_key_;
+  HmacSha256Key group_mac_key_;
 };
 
 }  // namespace ritas

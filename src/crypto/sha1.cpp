@@ -21,6 +21,7 @@ void Sha1::reset() {
 }
 
 void Sha1::update(ByteView data) {
+  if (data.empty()) return;  // an empty view may carry a null data()
   total_ += data.size();
   std::size_t off = 0;
   if (buffered_ > 0) {

@@ -37,6 +37,7 @@ void Sha256::reset() {
 }
 
 void Sha256::update(ByteView data) {
+  if (data.empty()) return;  // an empty view may carry a null data()
   total_ += data.size();
   std::size_t off = 0;
   if (buffered_ > 0) {

@@ -55,11 +55,20 @@ void set_nodelay(int fd) {
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
+/// The one expiry rule for handshake and pending-accept deadlines, shared
+/// by service_timers() and fold_timer_deadlines(): a deadline the epoll
+/// timeout folds to 0 ms must also be one service_timers() expires, or the
+/// poll thread spins epoll_wait(0) until the clock passes it.
+bool deadline_passed(std::uint64_t now_ms, std::uint64_t deadline_ms) {
+  return now_ms >= deadline_ms;
+}
+
 /// Handshake transcript MACs. `label` domain-separates REPLY ("a"),
 /// CONFIRM ("d") and the session-id derivation ("s").
-Sha256::Digest hs_mac(ByteView key, char label, std::uint32_t dialer,
-                      std::uint32_t acceptor, std::uint64_t nonce_d,
-                      std::uint64_t nonce_a, std::uint64_t counter_field) {
+Sha256::Digest hs_mac(const HmacSha256Key& key, char label,
+                      std::uint32_t dialer, std::uint32_t acceptor,
+                      std::uint64_t nonce_d, std::uint64_t nonce_a,
+                      std::uint64_t counter_field) {
   Writer w(40);
   w.raw(to_bytes("RITAS-hs-"));
   w.u8(static_cast<std::uint8_t>(label));
@@ -68,13 +77,13 @@ Sha256::Digest hs_mac(ByteView key, char label, std::uint32_t dialer,
   w.u64(nonce_d);
   w.u64(nonce_a);
   w.u64(counter_field);
-  return hmac_sha256(key, w.data());
+  return key.mac(w.data());
 }
 
 /// Session id bound to both nonces (and, when authenticating, the pairwise
 /// key): frames from any previous session carry a different sid and are
 /// rejected before their counters can confuse the anti-replay floor.
-std::uint64_t derive_sid(ByteView key, std::uint32_t dialer,
+std::uint64_t derive_sid(const HmacSha256Key& key, std::uint32_t dialer,
                          std::uint32_t acceptor, std::uint64_t nonce_d,
                          std::uint64_t nonce_a) {
   const auto mac = hs_mac(key, 's', dialer, acceptor, nonce_d, nonce_a, 0);
@@ -276,7 +285,7 @@ void TcpTransport::prep_entry(Conn& c, Retained& e, ProcessId to) {
     macin.u32(to);
     macin.u64(c.sid);
     macin.u64(e.counter);
-    e.mac_trailer = hmac_sha256_2(keys_.key(to), macin.data(), e.frame);
+    e.mac_trailer = keys_.mac_key(to).mac(macin.data(), e.frame);
   }
   Writer hdr(kFrameHeader);
   hdr.u32(static_cast<std::uint32_t>(e.frame.size()));
@@ -519,7 +528,7 @@ void TcpTransport::handshake_readable(ProcessId peer) {
   bool ok = magic == kHandshakeMagic && version == kWireVersion &&
             flags == want_flags && id == peer;
   if (ok && opts_.authenticate) {
-    const auto mac = hs_mac(keys_.key(peer), 'a', opts_.self, peer,
+    const auto mac = hs_mac(keys_.mac_key(peer), 'a', opts_.self, peer,
                             c.nonce_local, nonce_a, peer_rx_expected);
     ok = ct_equal(ByteView(mac.data(), mac.size()),
                   ByteView(c.hs_rx.data() + kReplyBase, kMacSize));
@@ -532,7 +541,7 @@ void TcpTransport::handshake_readable(ProcessId peer) {
   Writer confirm(kConfirmBase + kMacSize);
   confirm.u64(c.rx_expected);
   if (opts_.authenticate) {
-    const auto mac = hs_mac(keys_.key(peer), 'd', opts_.self, peer,
+    const auto mac = hs_mac(keys_.mac_key(peer), 'd', opts_.self, peer,
                             c.nonce_local, nonce_a, c.rx_expected);
     confirm.raw(ByteView(mac.data(), mac.size()));
   }
@@ -606,8 +615,8 @@ void TcpTransport::pending_accept_readable(PendingAccept& pa) {
     reply.u64(pa.nonce_a);
     reply.u64(rx_expected);
     if (opts_.authenticate) {
-      const auto mac = hs_mac(keys_.key(pa.claimed), 'a', pa.claimed, opts_.self,
-                              pa.nonce_d, pa.nonce_a, rx_expected);
+      const auto mac = hs_mac(keys_.mac_key(pa.claimed), 'a', pa.claimed,
+                              opts_.self, pa.nonce_d, pa.nonce_a, rx_expected);
       reply.raw(ByteView(mac.data(), mac.size()));
     }
     if (!write_all(pa.fd.get(), reply.data())) {
@@ -620,8 +629,8 @@ void TcpTransport::pending_accept_readable(PendingAccept& pa) {
   Reader r(ByteView(pa.rx.data(), kConfirmBase));
   const std::uint64_t peer_rx_expected = r.u64();
   if (opts_.authenticate) {
-    const auto mac = hs_mac(keys_.key(pa.claimed), 'd', pa.claimed, opts_.self,
-                            pa.nonce_d, pa.nonce_a, peer_rx_expected);
+    const auto mac = hs_mac(keys_.mac_key(pa.claimed), 'd', pa.claimed,
+                            opts_.self, pa.nonce_d, pa.nonce_a, peer_rx_expected);
     if (!ct_equal(ByteView(mac.data(), mac.size()),
                   ByteView(pa.rx.data() + kConfirmBase, kMacSize))) {
       counters_->handshake_failures.fetch_add(1, std::memory_order_relaxed);
@@ -657,7 +666,9 @@ void TcpTransport::complete_handshake(ProcessId peer, std::uint64_t nonce_d,
   Conn& c = *conns_[peer];
   const std::uint32_t dialer = peer < opts_.self ? opts_.self : peer;
   const std::uint32_t acceptor = peer < opts_.self ? peer : opts_.self;
-  const ByteView sid_key = opts_.authenticate ? keys_.key(peer) : ByteView{};
+  const HmacSha256Key unkeyed;
+  const HmacSha256Key& sid_key =
+      opts_.authenticate ? keys_.mac_key(peer) : unkeyed;
   const std::uint64_t sid = derive_sid(sid_key, dialer, acceptor, nonce_d, nonce_a);
 
   std::uint64_t flushed = 0;
@@ -769,7 +780,7 @@ void TcpTransport::service_timers() {
     if (killed) execute_kill(p);
     if (broken) link_down(p);
     if (c.phase != HsPhase::kIdle && c.phase != HsPhase::kEstablished &&
-        now > c.hs_deadline_ms) {
+        deadline_passed(now, c.hs_deadline_ms)) {
       link_down(p);  // handshake stalled; dialer retries after backoff
     }
     if (c.retry && c.phase == HsPhase::kIdle && c.retry->should_dial(now)) {
@@ -777,7 +788,7 @@ void TcpTransport::service_timers() {
     }
   }
   for (auto& pa : pending_accepts_) {
-    if (pa.fd.valid() && now > pa.deadline_ms) {
+    if (pa.fd.valid() && deadline_passed(now, pa.deadline_ms)) {
       counters_->handshake_failures.fetch_add(1, std::memory_order_relaxed);
       reset_fd(pa.fd);
     }
@@ -809,7 +820,7 @@ int TcpTransport::fold_timer_deadlines(int timeout_ms) {
   int tmo = timeout_ms;
   if (nearest != ~0ULL) {
     const std::uint64_t now = now_ms();
-    const std::uint64_t until = nearest > now ? nearest - now : 0;
+    const std::uint64_t until = deadline_passed(now, nearest) ? 0 : nearest - now;
     if (tmo < 0 || static_cast<std::uint64_t>(tmo) > until) {
       tmo = static_cast<int>(until);
     }
@@ -1038,7 +1049,7 @@ void TcpTransport::process_rx(ProcessId peer) {
       macin.u32(opts_.self);
       macin.u64(f.sid);
       macin.u64(f.counter);
-      const auto mac = hmac_sha256_2(keys_.key(peer), macin.data(), f.body);
+      const auto mac = keys_.mac_key(peer).mac(macin.data(), f.body);
       if (!ct_equal(ByteView(mac.data(), mac.size()), f.mac)) {
         counters_->mac_failures.fetch_add(1, std::memory_order_relaxed);
         ok = false;

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/bytes.h"
+#include "common/rng.h"
 #include "crypto/ct.h"
 #include "crypto/hmac.h"
 #include "crypto/sha1.h"
@@ -180,6 +181,81 @@ TEST(Hmac, EmptyKeyAndMessage) {
   // Must not crash; spot-check against a stable value computed once.
   const auto d = hmac_sha256(Bytes{}, Bytes{});
   EXPECT_EQ(hex(d), "b613679a0814d9ec772f95d778c35fc5ff1697c493715653c6c712144292c5ad");
+}
+
+// --- keyed HMAC state (HmacSha256Key) ----------------------------------------
+
+TEST(HmacSha256Key, Rfc4231VectorsMatchTheOneShotPath) {
+  struct Vector {
+    Bytes key;
+    Bytes msg;
+    const char* want;
+  };
+  const Vector vectors[] = {
+      {Bytes(20, 0x0b), to_bytes("Hi There"),
+       "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"},
+      {to_bytes("Jefe"), to_bytes("what do ya want for nothing?"),
+       "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"},
+      {Bytes(131, 0xaa),
+       to_bytes("This is a test using a larger than block-size key and a "
+                "larger than block-size data. The key needs to be hashed "
+                "before being used by the HMAC algorithm."),
+       "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2"},
+  };
+  for (const Vector& v : vectors) {
+    const HmacSha256Key keyed(v.key);
+    EXPECT_EQ(hex(hmac_sha256(v.key, v.msg)), v.want);
+    // Twice: mac() must leave the cached states untouched.
+    EXPECT_EQ(hex(keyed.mac(ByteView(v.msg))), v.want);
+    EXPECT_EQ(hex(keyed.mac(ByteView(v.msg))), v.want);
+    const ByteView m(v.msg);
+    EXPECT_EQ(hex(keyed.mac(m.subspan(0, 5), m.subspan(5))), v.want);
+  }
+  EXPECT_EQ(hex(HmacSha256Key().mac(ByteView{})),
+            hex(hmac_sha256(Bytes{}, Bytes{})));
+}
+
+/// RFC 2104 by concatenation, sharing nothing with HmacKey but Sha256.
+Sha256::Digest reference_hmac(Bytes key, const Bytes& msg) {
+  if (key.size() > Sha256::kBlockSize) {
+    const auto d = Sha256::hash(key);
+    key.assign(d.begin(), d.end());
+  }
+  key.resize(Sha256::kBlockSize, 0);
+  Bytes inner, outer;
+  for (std::uint8_t b : key) inner.push_back(b ^ 0x36);
+  inner.insert(inner.end(), msg.begin(), msg.end());
+  const auto id = Sha256::hash(inner);
+  for (std::uint8_t b : key) outer.push_back(b ^ 0x5c);
+  outer.insert(outer.end(), id.begin(), id.end());
+  return Sha256::hash(outer);
+}
+
+TEST(HmacSha256Key, SeededDifferentialAgainstReference) {
+  std::uint64_t s = 0x4d4143;
+  const auto next = [&s](std::size_t bound) {
+    return static_cast<std::size_t>(splitmix64(s) % bound);
+  };
+  const auto random_bytes = [&s](std::size_t len) {
+    Bytes b(len);
+    for (auto& x : b) x = static_cast<std::uint8_t>(splitmix64(s));
+    return b;
+  };
+  for (std::size_t key_len = 0; key_len <= 100; ++key_len) {
+    const Bytes key = random_bytes(key_len);
+    const HmacSha256Key keyed(key);
+    for (int trial = 0; trial < 4; ++trial) {
+      const Bytes header = random_bytes(next(40));
+      const Bytes body = random_bytes(next(300));
+      Bytes whole = header;
+      whole.insert(whole.end(), body.begin(), body.end());
+      const std::string want = hex(reference_hmac(key, whole));
+      EXPECT_EQ(hex(keyed.mac(ByteView(header), ByteView(body))), want)
+          << "key_len=" << key_len;
+      EXPECT_EQ(hex(hmac_sha256_2(key, header, body)), want)
+          << "key_len=" << key_len;
+    }
+  }
 }
 
 // --- constant-time compare ---------------------------------------------------

@@ -72,5 +72,15 @@ TEST(KeyChain, ExternallySuppliedKeys) {
   EXPECT_THROW(KeyChain(4, keys), std::invalid_argument);
 }
 
+TEST(KeyChain, CachedMacKeysMatchTheRawKeys) {
+  const auto c = KeyChain::deal(to_bytes("m"), 4, 2);
+  const Bytes msg = to_bytes("frame header and body");
+  for (std::uint32_t j = 0; j < 4; ++j) {
+    EXPECT_EQ(c.mac_key(j).mac(ByteView(msg)), hmac_sha256(c.key(j), msg)) << j;
+  }
+  EXPECT_EQ(c.group_mac_key().mac(ByteView(msg)), hmac_sha256(c.group_key(), msg));
+  EXPECT_THROW(c.mac_key(4), std::out_of_range);
+}
+
 }  // namespace
 }  // namespace ritas

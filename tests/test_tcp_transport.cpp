@@ -489,6 +489,55 @@ TEST(TcpTransportAdversarial, MalformedHandshakesAreCountedAndContained) {
   EXPECT_EQ(to_string(v.node->received[0].second), "unharmed");
 }
 
+TEST(TcpTransportAdversarial, SilentDialersExpireWithoutSpinningThePollLoop) {
+  // N dialers connect and never send a HELLO. Each pending accept expires
+  // at its handshake deadline; the poll loop must sleep until then, not
+  // spin epoll_wait(0) through the deadline's millisecond.
+  constexpr int kSilent = 40;
+  const auto ports = free_ports(2);
+  const KeyChain keys = KeyChain::deal(to_bytes("silent-master"), 2, 0);
+  const KeyChain peer_chain = KeyChain::deal(to_bytes("silent-master"), 2, 1);
+  TcpTransport::Options o;
+  o.n = 2;
+  o.self = 0;
+  o.peers = local_peers(ports);
+  o.handshake_timeout_ms = 100;
+  TcpTransport transport(o, keys);
+
+  // One honest peer so start() returns; this thread drives every poll.
+  const ByteView peer_key = peer_chain.key(0);
+  RawPeer good(ports[0], 1, 0, Bytes(peer_key.begin(), peer_key.end()));
+  std::thread dialer([&] {
+    good.connect();
+    EXPECT_TRUE(good.handshake(0x7777));
+  });
+  transport.start();
+  dialer.join();
+  const std::uint64_t failures0 = transport.stats().handshake_failures;
+
+  // One dialer per millisecond, each accepted at once, so the deadlines
+  // fall in distinct milliseconds: a spin at each would add up.
+  std::vector<std::unique_ptr<RawPeer>> silent;
+  int returns = 0;
+  for (int i = 0; i < kSilent; ++i) {
+    silent.push_back(std::make_unique<RawPeer>(ports[0], 1, 0, Bytes(32, 0)));
+    silent.back()->connect();
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    transport.poll_once(0);
+    ++returns;
+  }
+  const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (transport.stats().handshake_failures - failures0 < kSilent &&
+         std::chrono::steady_clock::now() < give_up) {
+    transport.poll_once(20);
+    ++returns;
+  }
+  transport.stop();
+  EXPECT_EQ(transport.stats().handshake_failures - failures0,
+            static_cast<std::uint64_t>(kSilent));
+  EXPECT_LT(returns, 20 * kSilent);
+}
+
 TEST(TcpTransport, DialBeforePeerStartsNeverBacksOff) {
   // Every transport listens from construction, so node 3 dialing peers
   // whose start() runs 50 ms later lands in their accept backlog: no
