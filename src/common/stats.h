@@ -14,6 +14,16 @@
 
 namespace ritas {
 
+/// One row of a counter list (`Metrics`, `net::TcpTransport::Stats`), as
+/// handed to their `for_each` visitors. `c_id` is the counter's
+/// `RITAS_STAT_*` id in the C API, or 0 when it has none.
+struct CounterInfo {
+  const char* name;
+  const char* unit;
+  const char* help;
+  int c_id = 0;
+};
+
 /// Welford running mean / variance. O(1) memory.
 class OnlineStats {
  public:

@@ -16,74 +16,74 @@
 
 namespace ritas {
 
+// The counter list: one X(field, unit, help) row per counter. The fields,
+// operator+= and for_each() are generated from it, and the "Metrics
+// counters" table in docs/OBSERVABILITY.md lists the same names and units
+// (test_counter_docs checks). Add a counter here and nowhere else.
+//
+// Groups, in order: transport traffic (self-deliveries excluded);
+// defensive drops (a frame for a group this stack does not run means a
+// Byzantine or misconfigured peer: on a shared mesh the GroupMux routes
+// those away first); the out-of-context table (§3.4); broadcast instances
+// this process initiated as sender, by attribution (Figure 7); consensus
+// behaviour (§4.3: "binary consensus always terminated within one round",
+// "multi-valued consensus always decided a non-default value"); atomic
+// broadcast rounds and batching (StackConfig::ab_batch); the zero-copy
+// buffer layer (common/buffer.h: a broadcast encodes once and shares the
+// frame across all n-1 sends, and payload_bytes_copied stays 0 so copy
+// elimination is machine-checkable); and the schedule explorer
+// (src/sim/explore.h), kept by the Explorer rather than by stacks.
+#define RITAS_METRICS_COUNTERS(X)                                             \
+  X(msgs_sent, "frames",                                                      \
+    "frames handed to the transport, one per destination")                    \
+  X(bytes_sent, "bytes", "bytes of those frames")                             \
+  X(msgs_received, "frames", "frames decoded for this stack's group")         \
+  X(malformed_dropped, "frames", "undecodable frames")                        \
+  X(unroutable_dropped, "messages",                                           \
+    "messages for a refused or tombstoned instance")                          \
+  X(invalid_dropped, "messages", "protocol-level validation failures")        \
+  X(foreign_group_dropped, "frames", "well-formed frames for another group")  \
+  X(ooc_stored, "messages", "messages parked out of context")                 \
+  X(ooc_drained, "messages",                                                  \
+    "parked messages replayed once their instance existed")                   \
+  X(ooc_evicted, "messages",                                                  \
+    "parked messages evicted by the per-sender quota")                        \
+  X(rb_started_payload, "instances",                                          \
+    "reliable broadcasts started to disseminate payload")                     \
+  X(rb_started_agreement, "instances",                                        \
+    "reliable broadcasts started by agreement protocols")                     \
+  X(eb_started_payload, "instances",                                          \
+    "echo broadcasts started to disseminate payload")                         \
+  X(eb_started_agreement, "instances",                                        \
+    "echo broadcasts started by agreement protocols")                         \
+  X(bc_decided, "instances", "binary consensus decisions")                    \
+  X(bc_rounds_total, "rounds", "rounds summed over decided binary consensus") \
+  X(bc_coin_flips, "flips", "coin flips taken by binary consensus")           \
+  X(mvc_decided_value, "instances",                                           \
+    "multi-valued consensus decisions on a proposed value")                   \
+  X(mvc_decided_default, "instances",                                         \
+    "multi-valued consensus decisions on the default value")                  \
+  X(ab_rounds, "rounds", "atomic broadcast agreement rounds started")         \
+  X(ab_delivered, "messages", "atomic broadcast messages delivered")          \
+  X(ab_batches_sealed, "batches",                                             \
+    "atomic broadcast batches sealed by this sender")                         \
+  X(ab_batch_msgs, "messages", "messages carried by those batches")           \
+  X(ab_batch_malformed, "frames",                                             \
+    "delivered batch frames that failed to decode (also invalid_dropped)")    \
+  X(frames_encoded, "frames", "Message::encode calls on the send path")       \
+  X(payload_bytes_copied, "bytes",                                            \
+    "payload bytes copied on the dissemination receive path")                 \
+  X(payload_bytes_aliased, "bytes",                                           \
+    "payload bytes handed to protocols as slices of the arrival frame")       \
+  X(explore_trials, "trials", "schedules the explorer executed")              \
+  X(explore_violations, "trials",                                             \
+    "trials whose oracles flagged a safety violation")                        \
+  X(explore_stalls, "trials", "trials that exhausted the liveness budget")
+
 struct Metrics {
-  // Transport-level traffic (excludes local self-deliveries).
-  std::uint64_t msgs_sent = 0;
-  std::uint64_t bytes_sent = 0;
-  std::uint64_t msgs_received = 0;
-
-  // Defensive drops.
-  std::uint64_t malformed_dropped = 0;   // undecodable frames
-  std::uint64_t unroutable_dropped = 0;  // spawn refused with tombstone
-  std::uint64_t invalid_dropped = 0;     // protocol-level validation failures
-  // Frames addressed to a group this stack does not run (Byzantine or
-  // misconfigured peer; with a shared mesh the GroupMux normally routes
-  // these away before they reach a stack).
-  std::uint64_t foreign_group_dropped = 0;
-
-  // Out-of-context table (§3.4).
-  std::uint64_t ooc_stored = 0;
-  std::uint64_t ooc_drained = 0;
-  std::uint64_t ooc_evicted = 0;
-
-  // Broadcast instances *initiated by this process as sender*, by
-  // attribution (payload dissemination vs agreement machinery).
-  std::uint64_t rb_started_payload = 0;
-  std::uint64_t rb_started_agreement = 0;
-  std::uint64_t eb_started_payload = 0;
-  std::uint64_t eb_started_agreement = 0;
-
-  // Consensus behaviour (§4.3: "binary consensus always terminated within
-  // one round", "multi-valued consensus always decided a non-default
-  // value").
-  std::uint64_t bc_decided = 0;
-  std::uint64_t bc_rounds_total = 0;  // sum over decided instances
-  std::uint64_t bc_coin_flips = 0;
-  std::uint64_t mvc_decided_value = 0;
-  std::uint64_t mvc_decided_default = 0;
-
-  // Atomic broadcast agreement activity.
-  std::uint64_t ab_rounds = 0;
-  std::uint64_t ab_delivered = 0;
-
-  // Atomic broadcast batching (StackConfig::ab_batch). Sealed batches and
-  // the messages they carried (sender side), plus undecodable batch frames
-  // from Byzantine origins (also counted in invalid_dropped).
-  std::uint64_t ab_batches_sealed = 0;
-  std::uint64_t ab_batch_msgs = 0;
-  std::uint64_t ab_batch_malformed = 0;
-
-  // Zero-copy buffer layer (common/buffer.h). frames_encoded counts
-  // Message::encode calls on the send path — a broadcast encodes ONCE and
-  // shares the frame across all n-1 transport sends, so for broadcast-only
-  // traffic frames_encoded == broadcasts regardless of n. On the receive
-  // path, payload bytes handed to protocols as Slices aliasing the arrival
-  // frame count as aliased (decode, plus each sub-message sliced out of a
-  // sealed AB batch); payload bytes materialized by copying on the
-  // dissemination path count as copied. After the mbuf refactor the copied
-  // counter stays 0 — it exists so copy elimination is machine-checkable
-  // (bench_buffer and CI assert it).
-  std::uint64_t frames_encoded = 0;
-  std::uint64_t payload_bytes_copied = 0;
-  std::uint64_t payload_bytes_aliased = 0;
-
-  // Schedule-exploration harness (src/sim/explore.h). Kept by the
-  // Explorer, not by stacks: trials executed, trials whose property
-  // oracles flagged a safety violation, and trials that exhausted the
-  // liveness budget (no completion within the trial's max_events).
-  std::uint64_t explore_trials = 0;
-  std::uint64_t explore_violations = 0;
-  std::uint64_t explore_stalls = 0;
+#define RITAS_METRICS_FIELD(field, unit, help) std::uint64_t field = 0;
+  RITAS_METRICS_COUNTERS(RITAS_METRICS_FIELD)
+#undef RITAS_METRICS_FIELD
 
   // Per-protocol spawn->terminal latency, indexed by ProtocolType code
   // (1..6; slot 0 unused). Timestamps come from Transport::now_ns(), so in
@@ -111,41 +111,24 @@ struct Metrics {
   }
 
   Metrics& operator+=(const Metrics& o) {
-    msgs_sent += o.msgs_sent;
-    bytes_sent += o.bytes_sent;
-    msgs_received += o.msgs_received;
-    malformed_dropped += o.malformed_dropped;
-    unroutable_dropped += o.unroutable_dropped;
-    invalid_dropped += o.invalid_dropped;
-    foreign_group_dropped += o.foreign_group_dropped;
-    ooc_stored += o.ooc_stored;
-    ooc_drained += o.ooc_drained;
-    ooc_evicted += o.ooc_evicted;
-    rb_started_payload += o.rb_started_payload;
-    rb_started_agreement += o.rb_started_agreement;
-    eb_started_payload += o.eb_started_payload;
-    eb_started_agreement += o.eb_started_agreement;
-    bc_decided += o.bc_decided;
-    bc_rounds_total += o.bc_rounds_total;
-    bc_coin_flips += o.bc_coin_flips;
-    mvc_decided_value += o.mvc_decided_value;
-    mvc_decided_default += o.mvc_decided_default;
-    ab_rounds += o.ab_rounds;
-    ab_delivered += o.ab_delivered;
-    ab_batches_sealed += o.ab_batches_sealed;
-    ab_batch_msgs += o.ab_batch_msgs;
-    ab_batch_malformed += o.ab_batch_malformed;
-    frames_encoded += o.frames_encoded;
-    payload_bytes_copied += o.payload_bytes_copied;
-    payload_bytes_aliased += o.payload_bytes_aliased;
-    explore_trials += o.explore_trials;
-    explore_violations += o.explore_violations;
-    explore_stalls += o.explore_stalls;
+#define RITAS_METRICS_ADD(field, unit, help) field += o.field;
+    RITAS_METRICS_COUNTERS(RITAS_METRICS_ADD)
+#undef RITAS_METRICS_ADD
     for (std::size_t i = 0; i < proto_latency_ns.size(); ++i) {
       proto_latency_ns[i] += o.proto_latency_ns[i];
     }
     bc_round_hist += o.bc_round_hist;
     return *this;
+  }
+
+  /// Calls f(CounterInfo, value) once per counter, in list order (the
+  /// histograms are not counters and are skipped).
+  template <typename F>
+  void for_each(F&& f) const {
+#define RITAS_METRICS_VISIT(field, unit, help) \
+  f(CounterInfo{#field, unit, help}, field);
+    RITAS_METRICS_COUNTERS(RITAS_METRICS_VISIT)
+#undef RITAS_METRICS_VISIT
   }
 };
 

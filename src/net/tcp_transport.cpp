@@ -95,22 +95,10 @@ std::uint64_t derive_sid(const HmacSha256Key& key, std::uint32_t dialer,
 }  // namespace
 
 struct TcpTransport::Counters {
-  std::atomic<std::uint64_t> frames_sent{0};
-  std::atomic<std::uint64_t> frames_received{0};
-  std::atomic<std::uint64_t> frames_retransmitted{0};
-  std::atomic<std::uint64_t> bytes_sent{0};
-  std::atomic<std::uint64_t> mac_failures{0};
-  std::atomic<std::uint64_t> replay_drops{0};
-  std::atomic<std::uint64_t> session_rejects{0};
-  std::atomic<std::uint64_t> counter_gaps{0};
-  std::atomic<std::uint64_t> oversize_drops{0};
-  std::atomic<std::uint64_t> queue_drops{0};
-  std::atomic<std::uint64_t> link_reconnects{0};
-  std::atomic<std::uint64_t> handshake_failures{0};
-  std::atomic<std::uint64_t> sendmsg_calls{0};
-  std::atomic<std::uint64_t> bytes_to_kernel{0};
-  std::atomic<std::uint64_t> batch_copy_bytes{0};
-  std::atomic<std::uint64_t> peer_closed{0};
+#define RITAS_TRANSPORT_ATOMIC(field, c_id, unit, help) \
+  std::atomic<std::uint64_t> field{0};
+  RITAS_TRANSPORT_COUNTERS(RITAS_TRANSPORT_ATOMIC)
+#undef RITAS_TRANSPORT_ATOMIC
 };
 
 Fd& Fd::operator=(Fd&& o) noexcept {
@@ -1107,24 +1095,10 @@ std::uint32_t TcpTransport::links_up() const {
 
 TcpTransport::Stats TcpTransport::stats() const {
   Stats s;
-  s.frames_sent = counters_->frames_sent.load(std::memory_order_relaxed);
-  s.frames_received = counters_->frames_received.load(std::memory_order_relaxed);
-  s.frames_retransmitted =
-      counters_->frames_retransmitted.load(std::memory_order_relaxed);
-  s.bytes_sent = counters_->bytes_sent.load(std::memory_order_relaxed);
-  s.mac_failures = counters_->mac_failures.load(std::memory_order_relaxed);
-  s.replay_drops = counters_->replay_drops.load(std::memory_order_relaxed);
-  s.session_rejects = counters_->session_rejects.load(std::memory_order_relaxed);
-  s.counter_gaps = counters_->counter_gaps.load(std::memory_order_relaxed);
-  s.oversize_drops = counters_->oversize_drops.load(std::memory_order_relaxed);
-  s.queue_drops = counters_->queue_drops.load(std::memory_order_relaxed);
-  s.link_reconnects = counters_->link_reconnects.load(std::memory_order_relaxed);
-  s.handshake_failures =
-      counters_->handshake_failures.load(std::memory_order_relaxed);
-  s.sendmsg_calls = counters_->sendmsg_calls.load(std::memory_order_relaxed);
-  s.bytes_to_kernel = counters_->bytes_to_kernel.load(std::memory_order_relaxed);
-  s.batch_copy_bytes = counters_->batch_copy_bytes.load(std::memory_order_relaxed);
-  s.peer_closed = counters_->peer_closed.load(std::memory_order_relaxed);
+#define RITAS_TRANSPORT_LOAD(field, c_id, unit, help) \
+  s.field = counters_->field.load(std::memory_order_relaxed);
+  RITAS_TRANSPORT_COUNTERS(RITAS_TRANSPORT_LOAD)
+#undef RITAS_TRANSPORT_LOAD
   return s;
 }
 

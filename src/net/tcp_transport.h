@@ -65,6 +65,7 @@
 #include <vector>
 
 #include "common/bytes.h"
+#include "common/stats.h"
 #include "common/trace.h"
 #include "core/transport.h"
 #include "crypto/keychain.h"
@@ -97,6 +98,39 @@ class Fd {
  private:
   int fd_ = -1;
 };
+
+// The transport counter list: one X(field, c_id, unit, help) row per
+// counter, c_id being its RITAS_STAT_* id in the C API (ritas/ritas_c.h).
+// Stats, its atomic twin inside TcpTransport, the stats() snapshot,
+// for_each() and ritas_stat's lookup are generated from it, and the
+// "Transport counters" table in docs/OBSERVABILITY.md lists the same names
+// and units (test_counter_docs checks). Add a counter here and nowhere
+// else. C API ids 13-17 are retired and never reused.
+#define RITAS_TRANSPORT_COUNTERS(X)                                           \
+  X(frames_sent, 1, "frames", "frames written to a socket")                   \
+  X(frames_received, 2, "frames",                                             \
+    "frames accepted and delivered to the sink")                              \
+  X(frames_retransmitted, 3, "frames",                                        \
+    "re-writes after a counter resync (subset of frames_sent)")               \
+  X(bytes_sent, 4, "bytes", "bytes of the frames written")                    \
+  X(mac_failures, 5, "frames", "frame MAC mismatches in the current session") \
+  X(replay_drops, 6, "frames",                                                \
+    "frames with a counter below the receive floor")                          \
+  X(session_rejects, 7, "frames", "frames tagged with a stale session id")    \
+  X(counter_gaps, 8, "frames", "frames skipped by a forward counter jump")    \
+  X(oversize_drops, 9, "frames", "frames over Options::max_frame")            \
+  X(queue_drops, 10, "frames",                                                \
+    "never-sent frames evicted by the send-queue cap")                        \
+  X(link_reconnects, 11, "handshakes", "handshakes that revived a dead link") \
+  X(handshake_failures, 12, "handshakes",                                     \
+    "malformed, unauthentic, timed-out or aborted handshakes")                \
+  X(sendmsg_calls, 18, "syscalls", "batched data-frame sendmsg() calls")      \
+  X(bytes_to_kernel, 19, "bytes",                                             \
+    "bytes those calls moved, partial frames included")                       \
+  X(peer_closed, 20, "syscalls",                                              \
+    "data sendmsg() failures with ECONNRESET/EPIPE: the peer closed")         \
+  X(batch_copy_bytes, 21, "bytes",                                            \
+    "payload bytes copied to assemble a batch; stays 0")
 
 class TcpTransport final : public Transport {
  public:
@@ -137,26 +171,10 @@ class TcpTransport final : public Transport {
   };
 
   struct Stats {
-    std::uint64_t frames_sent = 0;         // frames written to a socket
-    std::uint64_t frames_received = 0;     // frames accepted and delivered
-    std::uint64_t frames_retransmitted = 0;  // re-writes after counter resync
-    std::uint64_t bytes_sent = 0;
-    std::uint64_t mac_failures = 0;     // frame MAC mismatch (current session)
-    std::uint64_t replay_drops = 0;     // counter below the expected floor
-    std::uint64_t session_rejects = 0;  // frame tagged with a stale session id
-    std::uint64_t counter_gaps = 0;     // frames skipped by a forward jump
-    std::uint64_t oversize_drops = 0;
-    std::uint64_t queue_drops = 0;        // never-sent frames evicted by the cap
-    std::uint64_t link_reconnects = 0;    // handshakes that revived a dead link
-    std::uint64_t handshake_failures = 0; // malformed/unauthentic handshakes
-    std::uint64_t sendmsg_calls = 0;   // batched data-frame sendmsg() syscalls
-    std::uint64_t bytes_to_kernel = 0; // bytes those syscalls moved (partial
-                                       // frames included as they progress)
-    std::uint64_t batch_copy_bytes = 0;  // payload bytes memcpy'd to assemble
-                                         // a batch; the scatter-gather path
-                                         // keeps this 0 (CI-gated)
-    std::uint64_t peer_closed = 0;  // data sendmsg() failures with
-                                    // ECONNRESET/EPIPE: the peer closed
+#define RITAS_TRANSPORT_FIELD(field, c_id, unit, help) \
+  std::uint64_t field = 0;
+    RITAS_TRANSPORT_COUNTERS(RITAS_TRANSPORT_FIELD)
+#undef RITAS_TRANSPORT_FIELD
     /// Frames per data sendmsg(): > 1 means batching is amortizing
     /// syscalls; 1.0 is the one-write-per-frame floor.
     double frames_per_syscall() const {
@@ -164,6 +182,14 @@ class TcpTransport final : public Transport {
                  ? 0.0
                  : static_cast<double>(frames_sent) /
                        static_cast<double>(sendmsg_calls);
+    }
+    /// Calls f(CounterInfo, value) once per counter, in list order.
+    template <typename F>
+    void for_each(F&& f) const {
+#define RITAS_TRANSPORT_VISIT(field, c_id, unit, help) \
+  f(CounterInfo{#field, unit, help, c_id}, field);
+      RITAS_TRANSPORT_COUNTERS(RITAS_TRANSPORT_VISIT)
+#undef RITAS_TRANSPORT_VISIT
     }
   };
 

@@ -1,6 +1,7 @@
 #include "ritas/context.h"
 
 #include <future>
+#include <memory>
 #include <stdexcept>
 #include <string>
 
@@ -30,6 +31,20 @@ Context::Options validate(Context::Options o) {
   // this path owns the user-facing error).
   validate_variants(o.stack.variants, o.n, o.stack.coin_mode);
   return o;
+}
+
+/// Waits for a consensus decision. The decide callback is the promise's
+/// only owner (callers move theirs into it), so when stop() destroys the
+/// consensus roots the promise breaks and the wait ends in ShutdownError
+/// instead of blocking forever.
+template <typename T>
+T await_decision(std::future<T> fut) {
+  try {
+    return fut.get();
+  } catch (const std::future_error& e) {
+    if (e.code() == std::future_errc::broken_promise) throw ShutdownError();
+    throw;
+  }
 }
 
 }  // namespace
@@ -227,49 +242,50 @@ void Context::ab_subscribe(AbSubscriber fn) {
 }
 
 bool Context::bc(bool proposal) {
-  std::promise<bool> decided;
-  auto fut = decided.get_future();
-  node_.run([this, proposal, &decided] {
+  auto decided = std::make_shared<std::promise<bool>>();
+  auto fut = decided->get_future();
+  node_.run([this, proposal, decided = std::move(decided)] {
     const std::uint64_t k = bc_calls_++;
     auto inst = make_bc(
         *stack_, nullptr, InstanceId::root(ProtocolType::kBinaryConsensus, k),
         Attribution::kAgreement,
-        [&decided](bool b) { decided.set_value(b); });
+        [decided](bool b) { decided->set_value(b); });
     inst->propose(proposal);
     roots_.emplace(inst->id(), std::move(inst));
   });
-  return fut.get();
+  return await_decision(std::move(fut));
 }
 
 std::optional<Bytes> Context::mvc(Bytes proposal) {
-  std::promise<std::optional<Bytes>> decided;
-  auto fut = decided.get_future();
-  node_.run([this, &proposal, &decided] {
+  auto decided = std::make_shared<std::promise<std::optional<Bytes>>>();
+  auto fut = decided->get_future();
+  node_.run([this, &proposal, decided = std::move(decided)] {
     const std::uint64_t k = mvc_calls_++;
     auto inst = std::make_unique<MultiValuedConsensus>(
         *stack_, nullptr,
         InstanceId::root(ProtocolType::kMultiValuedConsensus, k),
         Attribution::kAgreement,
-        [&decided](std::optional<Bytes> v) { decided.set_value(std::move(v)); });
+        [decided](std::optional<Bytes> v) { decided->set_value(std::move(v)); });
     inst->propose(std::move(proposal));
     roots_.emplace(inst->id(), std::move(inst));
   });
-  return fut.get();
+  return await_decision(std::move(fut));
 }
 
 std::vector<std::optional<Bytes>> Context::vc(Bytes proposal) {
-  std::promise<std::vector<std::optional<Bytes>>> decided;
-  auto fut = decided.get_future();
-  node_.run([this, &proposal, &decided] {
+  auto decided =
+      std::make_shared<std::promise<std::vector<std::optional<Bytes>>>>();
+  auto fut = decided->get_future();
+  node_.run([this, &proposal, decided = std::move(decided)] {
     const std::uint64_t k = vc_calls_++;
     auto inst = std::make_unique<VectorConsensus>(
         *stack_, nullptr, InstanceId::root(ProtocolType::kVectorConsensus, k),
         Attribution::kAgreement,
-        [&decided](VectorConsensus::Vector v) { decided.set_value(std::move(v)); });
+        [decided](VectorConsensus::Vector v) { decided->set_value(std::move(v)); });
     inst->propose(std::move(proposal));
     roots_.emplace(inst->id(), std::move(inst));
   });
-  return fut.get();
+  return await_decision(std::move(fut));
 }
 
 Metrics Context::metrics() {

@@ -41,8 +41,8 @@
 
 namespace ritas {
 
-/// Thrown by the blocking receive calls when the session stops underneath
-/// them (stop() or destruction). Derives from std::runtime_error so code
+/// Thrown by the blocking receive and consensus calls when the session
+/// stops underneath them (stop() or destruction). Derives from std::runtime_error so code
 /// written against the v1 API keeps catching it.
 class ShutdownError : public std::runtime_error {
  public:
@@ -143,6 +143,9 @@ class Context {
   void ab_subscribe(AbSubscriber fn);
 
   // --- consensus services -------------------------------------------------
+  // Block until this process decides. A wait cut short by stop() throws
+  // ShutdownError; a call after stop() throws std::logic_error, like the
+  // broadcast services.
   bool bc(bool proposal);
   std::optional<Bytes> mvc(Bytes proposal);
   std::vector<std::optional<Bytes>> vc(Bytes proposal);

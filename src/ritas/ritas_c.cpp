@@ -1,23 +1,8 @@
 #include "ritas/ritas_c.h"
 
 #include <cstring>
-#include <mutex>
-#include <optional>
 
-#include "ritas/context.h"
-
-/* The opaque context: accumulates configuration until ritas_start, then
- * owns the C++ Context. recv stashes hold a popped-but-undersized delivery
- * so RITAS_ETOOBIG does not lose the message. */
-struct ritas_t {
-  ritas::Context::Options opts;
-  std::vector<bool> added;
-  std::unique_ptr<ritas::Context> ctx;
-  // One mutex per service: a blocked rb_recv must not stall eb/ab_recv.
-  std::mutex rb_mutex, eb_mutex, ab_mutex;
-  std::optional<ritas::Context::Delivery> rb_stash, eb_stash;
-  std::optional<ritas::Context::AbDelivery> ab_stash;
-};
+#include "ritas/ritas_c_context.h"
 
 namespace {
 
@@ -125,39 +110,12 @@ long ritas_link_states(ritas_t* r, uint8_t* states, size_t cap) {
 long long ritas_stat(ritas_t* r, int stat) {
   if (r == nullptr) return RITAS_EINVAL;
   if (!started(r)) return RITAS_ESTATE;
-  try {
-    const auto s = r->ctx->transport_stats();
-    switch (stat) {
-      case RITAS_STAT_FRAMES_SENT: return static_cast<long long>(s.frames_sent);
-      case RITAS_STAT_FRAMES_RECEIVED:
-        return static_cast<long long>(s.frames_received);
-      case RITAS_STAT_FRAMES_RETRANSMITTED:
-        return static_cast<long long>(s.frames_retransmitted);
-      case RITAS_STAT_BYTES_SENT: return static_cast<long long>(s.bytes_sent);
-      case RITAS_STAT_MAC_FAILURES:
-        return static_cast<long long>(s.mac_failures);
-      case RITAS_STAT_REPLAY_DROPS:
-        return static_cast<long long>(s.replay_drops);
-      case RITAS_STAT_SESSION_REJECTS:
-        return static_cast<long long>(s.session_rejects);
-      case RITAS_STAT_COUNTER_GAPS:
-        return static_cast<long long>(s.counter_gaps);
-      case RITAS_STAT_OVERSIZE_DROPS:
-        return static_cast<long long>(s.oversize_drops);
-      case RITAS_STAT_QUEUE_DROPS: return static_cast<long long>(s.queue_drops);
-      case RITAS_STAT_LINK_RECONNECTS:
-        return static_cast<long long>(s.link_reconnects);
-      case RITAS_STAT_HANDSHAKE_FAILURES:
-        return static_cast<long long>(s.handshake_failures);
-      case RITAS_STAT_SENDMSG_CALLS:
-        return static_cast<long long>(s.sendmsg_calls);
-      case RITAS_STAT_BYTES_TO_KERNEL:
-        return static_cast<long long>(s.bytes_to_kernel);
-    }
-    return RITAS_EINVAL;
-  } catch (...) {
-    return RITAS_EINTERNAL;
-  }
+  long long value = RITAS_EINVAL;
+  r->ctx->transport_stats().for_each(
+      [&](const ritas::CounterInfo& c, std::uint64_t v) {
+        if (c.c_id == stat) value = static_cast<long long>(v);
+      });
+  return value;
 }
 
 int ritas_start(ritas_t* r) {
@@ -318,6 +276,10 @@ int ritas_bc(ritas_t* r, int proposal) {
   if (!started(r)) return RITAS_EINVAL;
   try {
     return r->ctx->bc(proposal != 0) ? 1 : 0;
+  } catch (const ritas::ShutdownError&) {
+    return RITAS_ESHUTDOWN;  // ritas_stop cut the wait short
+  } catch (const std::logic_error&) {
+    return RITAS_ESTATE;  // session stopped
   } catch (...) {
     return RITAS_EINTERNAL;
   }
@@ -337,6 +299,10 @@ long ritas_mvc(ritas_t* r, const uint8_t* msg, size_t len, uint8_t* buf,
     }
     if (decided_default != nullptr) *decided_default = 0;
     return copy_out(*decision, buf, cap);
+  } catch (const ritas::ShutdownError&) {
+    return RITAS_ESHUTDOWN;
+  } catch (const std::logic_error&) {
+    return RITAS_ESTATE;
   } catch (...) {
     return RITAS_EINTERNAL;
   }
@@ -362,6 +328,10 @@ int ritas_vc(ritas_t* r, const uint8_t* msg, size_t len, uint8_t* buf,
       lens[i] = static_cast<long>(vec[i]->size());
     }
     return RITAS_OK;
+  } catch (const ritas::ShutdownError&) {
+    return RITAS_ESHUTDOWN;
+  } catch (const std::logic_error&) {
+    return RITAS_ESTATE;
   } catch (...) {
     return RITAS_EINTERNAL;
   }

@@ -88,7 +88,9 @@ enum {
   RITAS_LINK_BACKOFF = 3     /* waiting out a jittered backoff before redial */
 };
 
-/* Transport counters for ritas_stat. */
+/* Transport counters for ritas_stat. The ids are the c_id column of the
+ * transport counter list (RITAS_TRANSPORT_COUNTERS in net/tcp_transport.h),
+ * which ritas_stat reads them through. */
 enum {
   RITAS_STAT_FRAMES_SENT = 1,
   RITAS_STAT_FRAMES_RECEIVED = 2,
@@ -108,7 +110,11 @@ enum {
    * never reused. */
   /* Transport fast-path counters (multi-frame sendmsg batching). */
   RITAS_STAT_SENDMSG_CALLS = 18,        /* data-frame sendmsg syscalls */
-  RITAS_STAT_BYTES_TO_KERNEL = 19       /* bytes the kernel accepted */
+  RITAS_STAT_BYTES_TO_KERNEL = 19,      /* bytes the kernel accepted */
+  RITAS_STAT_PEER_CLOSED = 20,          /* data sends failed with
+                                         * ECONNRESET/EPIPE: peer closed */
+  RITAS_STAT_BATCH_COPY_BYTES = 21      /* payload bytes copied to
+                                         * assemble a batch; stays 0 */
 };
 
 /* Context management ----------------------------------------------------- */
@@ -135,9 +141,10 @@ int ritas_set_opt(ritas_t* r, int opt, long value);
 int ritas_start(ritas_t* r);
 
 /* Stops the session: shuts the protocol stack down and wakes every thread
- * blocked in a *_recv call with RITAS_ESHUTDOWN. The context stays valid
- * (so those threads can return safely) until ritas_destroy. Idempotent;
- * RITAS_ESTATE before ritas_start. */
+ * blocked in a *_recv call or in ritas_bc/ritas_mvc/ritas_vc with
+ * RITAS_ESHUTDOWN; service calls made afterwards fail with RITAS_ESTATE.
+ * The context stays valid (so those threads can return safely) until
+ * ritas_destroy. Idempotent; RITAS_ESTATE before ritas_start. */
 int ritas_stop(ritas_t* r);
 
 /* Tears everything down. Safe on NULL. */
@@ -185,7 +192,9 @@ int ritas_ab_flush(ritas_t* r);
 
 /* Binary consensus: proposes `proposal` (0/1), blocks, returns the decision
  * (0/1) or a negative error. All processes must call the consensus
- * services in the same order. */
+ * services in the same order. Like the other consensus calls, it returns
+ * RITAS_ESHUTDOWN when ritas_stop cuts the wait short and RITAS_ESTATE
+ * when called after ritas_stop. */
 int ritas_bc(ritas_t* r, int proposal);
 
 /* Multi-valued consensus: proposes msg, blocks, writes the decision into

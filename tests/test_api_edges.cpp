@@ -4,7 +4,9 @@
 // buffer-size corners.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <cstring>
+#include <future>
 #include <thread>
 
 #include "net_helpers.h"
@@ -66,6 +68,31 @@ TEST(ContextLifecycle, ServiceCallAfterStopThrows) {
   auto cluster = make_cluster(4);
   cluster[2]->stop();
   EXPECT_THROW(cluster[2]->rb_bcast(to_bytes("late")), std::logic_error);
+  for (auto& c : cluster) c->stop();
+}
+
+TEST(ContextLifecycle, StopWakesBlockedConsensusCaller) {
+  auto cluster = make_cluster(4);
+  std::promise<void> woke;
+  auto woken = woke.get_future();
+  std::thread blocked([&] {
+    try {
+      (void)cluster[0]->bc(true);  // a lone proposer never decides
+      ADD_FAILURE() << "bc decided with one proposer";
+    } catch (const ShutdownError&) {
+    }
+    woke.set_value();
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  cluster[0]->stop();
+  if (woken.wait_for(std::chrono::seconds(10)) != std::future_status::ready) {
+    // The caller is stuck for good and still references the cluster, so
+    // it can be neither joined nor detached safely: fail the run now.
+    ADD_FAILURE() << "bc still blocked 10 s after stop()";
+    std::_Exit(1);
+  }
+  blocked.join();
+  EXPECT_THROW((void)cluster[0]->bc(true), std::logic_error);
   for (auto& c : cluster) c->stop();
 }
 

@@ -9,9 +9,11 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <set>
 #include <thread>
 
 #include "net_helpers.h"
+#include "ritas/ritas_c_context.h"
 
 namespace {
 
@@ -271,6 +273,27 @@ TEST(CApi, RecvTimeoutAndStop) {
             RITAS_ESHUTDOWN);
 }
 
+TEST(CApi, StopEndsConsensusCalls) {
+  CCluster c;
+  // A lone proposer never decides, so only ritas_stop can end this wait.
+  std::atomic<int> rc{0};
+  std::thread blocked([&] { rc.store(ritas_bc(c.r[0], 1)); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_EQ(ritas_stop(c.r[0]), RITAS_OK);
+  blocked.join();
+  EXPECT_EQ(rc.load(), RITAS_ESHUTDOWN);
+  // Calls after the stop are state errors, as for ritas_*_bcast.
+  const std::uint8_t v[] = "late";
+  std::uint8_t buf[64];
+  int decided_default = -1;
+  long lens[4];
+  EXPECT_EQ(ritas_bc(c.r[0], 0), RITAS_ESTATE);
+  EXPECT_EQ(ritas_mvc(c.r[0], v, sizeof(v), buf, sizeof(buf), &decided_default),
+            RITAS_ESTATE);
+  EXPECT_EQ(ritas_vc(c.r[0], v, sizeof(v), buf, 16, lens), RITAS_ESTATE);
+  EXPECT_EQ(ritas_rb_bcast(c.r[0], v, sizeof(v)), RITAS_ESTATE);
+}
+
 TEST(CApi, StopBeforeStartIsAStateError) {
   ritas_t* r = ritas_init(4, 0, kSecret, sizeof(kSecret));
   ASSERT_NE(r, nullptr);
@@ -395,7 +418,26 @@ TEST(CApi, LinkProbesAndStats) {
     EXPECT_TRUE(eventually_positive(RITAS_STAT_BYTES_TO_KERNEL));
     EXPECT_EQ(ritas_stat(c.r[p], RITAS_STAT_MAC_FAILURES), 0);
     EXPECT_EQ(ritas_stat(c.r[p], RITAS_STAT_SESSION_REJECTS), 0);
+    EXPECT_EQ(ritas_stat(c.r[p], RITAS_STAT_BATCH_COPY_BYTES), 0);
   }
+
+  // Every row of the transport counter list is reachable by its id and
+  // reads the same value as the C++ snapshot. Stopped sessions keep their
+  // counters still, so the two reads must agree exactly.
+  for (auto* r : c.r) ASSERT_EQ(ritas_stop(r), RITAS_OK);
+  for (std::uint32_t p = 0; p < 4; ++p) {
+    std::set<int> ids;
+    c.r[p]->ctx->transport_stats().for_each(
+        [&](const ritas::CounterInfo& info, std::uint64_t value) {
+          EXPECT_TRUE(ids.insert(info.c_id).second) << "duplicate id " << info.c_id;
+          EXPECT_GT(info.c_id, 0) << info.name << " has no ritas_stat id";
+          EXPECT_EQ(ritas_stat(c.r[p], info.c_id),
+                    static_cast<long long>(value))
+              << info.name;
+        });
+  }
+  EXPECT_EQ(RITAS_STAT_PEER_CLOSED, 20);
+  EXPECT_EQ(RITAS_STAT_BATCH_COPY_BYTES, 21);
 }
 
 TEST(CApi, RetiredPipelineIdsAreEinval) {

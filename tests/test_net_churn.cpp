@@ -20,6 +20,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/json.h"
 #include "common/trace.h"
 #include "net_helpers.h"
 #include "ritas/context.h"
@@ -104,28 +105,18 @@ struct ChurnCluster {
 /// Dumps every node's transport counters as JSON — uploaded by CI when the
 /// churn gate fails, so a red run leaves the link-layer story behind.
 void dump_stats_json(ChurnCluster& cluster, const char* path) {
+  JsonWriter j;
+  j.begin_object().key("nodes").begin_array();
+  for (std::uint32_t p = 0; p < kN; ++p) {
+    j.begin_object().field("id", p);
+    cluster.ctxs[p]->transport_stats().for_each(
+        [&j](const CounterInfo& c, std::uint64_t v) { j.field(c.name, v); });
+    j.end_object();
+  }
+  j.end_array().end_object();
   std::FILE* f = std::fopen(path, "w");
   if (f == nullptr) return;
-  std::fprintf(f, "{\"nodes\":[");
-  for (std::uint32_t p = 0; p < kN; ++p) {
-    const auto s = cluster.ctxs[p]->transport_stats();
-    std::fprintf(
-        f,
-        "%s{\"id\":%u,\"frames_sent\":%llu,\"frames_received\":%llu,"
-        "\"frames_retransmitted\":%llu,\"mac_failures\":%llu,"
-        "\"replay_drops\":%llu,\"session_rejects\":%llu,"
-        "\"counter_gaps\":%llu,\"queue_drops\":%llu,"
-        "\"link_reconnects\":%llu,\"handshake_failures\":%llu}",
-        p == 0 ? "" : ",", p, (unsigned long long)s.frames_sent,
-        (unsigned long long)s.frames_received,
-        (unsigned long long)s.frames_retransmitted,
-        (unsigned long long)s.mac_failures, (unsigned long long)s.replay_drops,
-        (unsigned long long)s.session_rejects,
-        (unsigned long long)s.counter_gaps, (unsigned long long)s.queue_drops,
-        (unsigned long long)s.link_reconnects,
-        (unsigned long long)s.handshake_failures);
-  }
-  std::fprintf(f, "]}\n");
+  std::fprintf(f, "%s\n", j.str().c_str());
   std::fclose(f);
 }
 
