@@ -140,9 +140,8 @@ struct SyscallResult {
 /// One bursty sender → receiver run over real loopback TCP: kFrames small
 /// frames enqueued from the app thread while the transport's poll thread
 /// flushes; the sender's counters tell how many frames each sendmsg
-/// carried. batch_sends=false reproduces the one-drain-per-send legacy
-/// behavior for the side-by-side table row.
-SyscallResult run_syscall_burst(std::size_t msg_bytes, bool batch_sends) {
+/// carried.
+SyscallResult run_syscall_burst(std::size_t msg_bytes) {
   constexpr std::uint32_t kFrames = 2000;
   const auto peers = reserve_local_ports(2);
   std::vector<std::unique_ptr<KeyChain>> keys;
@@ -155,7 +154,6 @@ SyscallResult run_syscall_burst(std::size_t msg_bytes, bool batch_sends) {
     o.n = 2;
     o.self = p;
     o.peers = peers;
-    o.batch_sends = batch_sends;
     o.rng_seed = 77 + p;
     tp.push_back(std::make_unique<net::TcpTransport>(o, *keys[p]));
   }
@@ -273,46 +271,39 @@ int run() {
       report.gate("rb_frames_times_fanout_eq_sends", rb_encode_once(20, kSeed));
 
   // Real-TCP transport fast path: syscalls per frame under a small-frame
-  // burst, batched drain vs the legacy per-send drain. Real-time numbers
-  // (loopback kernel in the loop), so the gates are shape-only: batching
-  // must pack frames (>= 4 per sendmsg at 10 B; the legacy mode hovers
-  // near 1) and batch assembly must copy zero payload bytes.
+  // burst through the batched drain. Real-time numbers (loopback kernel in
+  // the loop), so the gates are shape-only: batching must pack frames
+  // (>= 4 per sendmsg at 10 B; one write per frame would read 1) and
+  // batch assembly must copy zero payload bytes.
   constexpr double kMinFramesPerSyscall10B = 4.0;
   bool syscall_gate = true;
   bool batch_zero_copy = true;
-  std::printf("\n%-6s %-9s %10s %12s %14s %14s %12s\n", "m", "drain",
-              "frames", "sendmsg", "B_to_kernel", "copied_B", "frames/call");
-  for (const bool batched : {false, true}) {
-    for (const std::size_t sz : {std::size_t{10}, std::size_t{100},
-                                 std::size_t{1000}}) {
-      const SyscallResult r = run_syscall_burst(sz, batched);
-      std::printf("%-6zu %-9s %10llu %12llu %14llu %14llu %12.1f\n", sz,
-                  batched ? "batched" : "per-send",
-                  static_cast<unsigned long long>(r.frames),
-                  static_cast<unsigned long long>(r.sendmsg_calls),
-                  static_cast<unsigned long long>(r.bytes_to_kernel),
-                  static_cast<unsigned long long>(r.batch_copy_bytes),
-                  r.frames_per_syscall);
-      const std::string cell = "syscall_m" + std::to_string(sz) +
-                               (batched ? "_batched" : "_per_send");
-      if (batched) {
-        // Batching must pack frames everywhere, and >= 4 on the 10 B burst.
-        syscall_gate &= report.gate(cell + "_frames_per_syscall",
-                                    r.frames_per_syscall, sz == 10 ? ">=" : ">",
-                                    sz == 10 ? kMinFramesPerSyscall10B : 1.0);
-      }
-      batch_zero_copy &=
-          report.gate(cell + "_batch_copy_bytes", r.batch_copy_bytes, "==", 0);
-      report.add_section_row("syscall_rows", [&](JsonWriter& w) {
-        w.field("msg_bytes", static_cast<std::uint64_t>(sz));
-        w.field("batched", batched);
-        w.field("frames_sent", r.frames);
-        w.field("sendmsg_calls", r.sendmsg_calls);
-        w.field("bytes_to_kernel", r.bytes_to_kernel);
-        w.field("batch_copy_bytes", r.batch_copy_bytes);
-        w.field("frames_per_syscall", r.frames_per_syscall);
-      });
-    }
+  std::printf("\n%-6s %10s %12s %14s %14s %12s\n", "m", "frames", "sendmsg",
+              "B_to_kernel", "copied_B", "frames/call");
+  for (const std::size_t sz : {std::size_t{10}, std::size_t{100},
+                               std::size_t{1000}}) {
+    const SyscallResult r = run_syscall_burst(sz);
+    std::printf("%-6zu %10llu %12llu %14llu %14llu %12.1f\n", sz,
+                static_cast<unsigned long long>(r.frames),
+                static_cast<unsigned long long>(r.sendmsg_calls),
+                static_cast<unsigned long long>(r.bytes_to_kernel),
+                static_cast<unsigned long long>(r.batch_copy_bytes),
+                r.frames_per_syscall);
+    const std::string cell = "syscall_m" + std::to_string(sz) + "_batched";
+    // Batching must pack frames everywhere, and >= 4 on the 10 B burst.
+    syscall_gate &= report.gate(cell + "_frames_per_syscall",
+                                r.frames_per_syscall, sz == 10 ? ">=" : ">",
+                                sz == 10 ? kMinFramesPerSyscall10B : 1.0);
+    batch_zero_copy &=
+        report.gate(cell + "_batch_copy_bytes", r.batch_copy_bytes, "==", 0);
+    report.add_section_row("syscall_rows", [&](JsonWriter& w) {
+      w.field("msg_bytes", static_cast<std::uint64_t>(sz));
+      w.field("frames_sent", r.frames);
+      w.field("sendmsg_calls", r.sendmsg_calls);
+      w.field("bytes_to_kernel", r.bytes_to_kernel);
+      w.field("batch_copy_bytes", r.batch_copy_bytes);
+      w.field("frames_per_syscall", r.frames_per_syscall);
+    });
   }
 
   std::printf("\nchecks:\n");

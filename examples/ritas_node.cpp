@@ -7,8 +7,8 @@
 // (identical) total order at every node.
 //
 //   # node 0 of a local 4-node group:
-//   $ ./ritas_node --id 0 --members 127.0.0.1:7100,127.0.0.1:7101,\
-//                  127.0.0.1:7102,127.0.0.1:7103 --secret demo
+//   $ M=127.0.0.1:7100,127.0.0.1:7101,127.0.0.1:7102,127.0.0.1:7103
+//   $ ./ritas_node --id 0 --members $M --secret demo
 //
 // Run the other three with --id 1/2/3 in separate terminals, then type.
 #include <cstdio>

@@ -44,6 +44,14 @@ constexpr std::size_t kMaxHandshakeRx = 4096;
 // Frames gathered per sendmsg(); matches the iovec stack array in
 // net/batch_writer.cpp (3 segments per frame).
 constexpr std::size_t kMaxBatchFrames = 128;
+// Soft byte cap per batched sendmsg(); at least one frame is always
+// offered. IOV_MAX caps the iovec count independently.
+constexpr std::size_t kMaxBatchBytes = 256u << 10;
+// epoll owner tags (epoll_event::data) that are not peer ids; a pending
+// accept with id k is tagged kPendingAcceptTag - k.
+constexpr std::int64_t kWakeTag = -1;
+constexpr std::int64_t kListenTag = -2;
+constexpr std::int64_t kPendingAcceptTag = -3;
 
 void set_nonblocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
@@ -158,7 +166,9 @@ TcpTransport::TcpTransport(Options opts, const KeyChain& keys)
   set_nonblocking(lfd.get());
   listen_fd_ = std::move(lfd);
   epoll_fd_ = Fd(::epoll_create1(EPOLL_CLOEXEC));
-  if (!epoll_fd_.valid()) throw std::runtime_error("epoll_create1() failed");
+  if (!epoll_fd_.valid() || !watch(EPOLL_CTL_ADD, listen_fd_.get(), EPOLLIN, kListenTag)) {
+    throw std::runtime_error("epoll setup failed");
+  }
 }
 
 TcpTransport::~TcpTransport() { stop(); }
@@ -188,6 +198,9 @@ void TcpTransport::start() {
   wake_rx_ = Fd(pipefd[0]);
   wake_tx_ = Fd(pipefd[1]);
   set_nonblocking(wake_rx_.get());
+  if (!watch(EPOLL_CTL_ADD, wake_rx_.get(), EPOLLIN, kWakeTag)) {
+    throw std::runtime_error("epoll_ctl() failed on the wakeup pipe");
+  }
 
   // Partial-mesh startup: pump the reactor until enough links are up; the
   // stragglers keep dialing from poll_once() for the session's lifetime.
@@ -217,9 +230,6 @@ void TcpTransport::stop() {
   }
   pending_accepts_.clear();
   listen_fd_.reset();
-  // The kernel dropped every registration when the sockets closed; the
-  // mirror map must follow so a restart-free reuse cannot see stale owners.
-  epoll_regs_.clear();
   epoll_fd_.reset();
 }
 
@@ -244,6 +254,13 @@ void TcpTransport::trace_link(TraceEventKind kind, ProcessId peer,
   e.peer = peer;
   e.arg = arg;
   tracer_->record(e);
+}
+
+bool TcpTransport::watch(int op, int fd, std::uint32_t events, std::int64_t owner) {
+  epoll_event ev{};
+  ev.events = events;
+  ev.data.u64 = static_cast<std::uint64_t>(owner);
+  return ::epoll_ctl(epoll_fd_.get(), op, fd, &ev) == 0;
 }
 
 bool TcpTransport::write_all(int fd, ByteView data) {
@@ -286,9 +303,9 @@ void TcpTransport::prep_entry(Conn& c, Retained& e, ProcessId to) {
 
 void TcpTransport::drain_locked(Conn& c, ProcessId to) {
   if (c.state != LinkState::kUp || c.broken || !c.fd.valid()) return;
-  c.tx_blocked = false;
+  bool blocked = false;
   for (;;) {
-    if (c.retained.empty()) return;
+    if (c.retained.empty()) break;
     const std::uint64_t base = c.retained.front().counter;
     if (c.tx_write_next < base) {
       // Eviction outran the cursor: those frames are gone (queue_drops);
@@ -298,7 +315,7 @@ void TcpTransport::drain_locked(Conn& c, ProcessId to) {
       c.tx_partial = 0;
     }
     const std::uint64_t idx0 = c.tx_write_next - base;
-    if (idx0 >= c.retained.size()) return;  // backlog fully written
+    if (idx0 >= c.retained.size()) break;  // backlog fully written
 
     // Gather consecutive ready frames into iovec triplets pointing straight
     // at the retained header/body/MAC storage — zero payload copies.
@@ -318,15 +335,15 @@ void TcpTransport::drain_locked(Conn& c, ProcessId to) {
       batch_bytes += img.size();
       ++nimg;
       // Soft cap: at least one frame is always offered.
-      if (batch_bytes >= opts_.max_batch_bytes) break;
+      if (batch_bytes >= kMaxBatchBytes) break;
     }
 
     const BatchWriteResult r = sendmsg_batch(c.fd.get(), imgs, nimg,
                                              c.tx_partial, batch_iov_budget());
     counters_->sendmsg_calls.fetch_add(1, std::memory_order_relaxed);
     if (r.status == BatchWriteResult::Status::kAgain) {
-      c.tx_blocked = true;  // EPOLLOUT resumes byte-exactly from tx_partial
-      return;
+      blocked = true;  // EPOLLOUT resumes byte-exactly from tx_partial
+      break;
     }
     if (r.status == BatchWriteResult::Status::kError) {
       if (errno == ECONNRESET || errno == EPIPE) {
@@ -364,11 +381,17 @@ void TcpTransport::drain_locked(Conn& c, ProcessId to) {
     }
     c.tx_partial = acc;
     if (r.bytes == 0) {
-      c.tx_blocked = true;  // defensive: zero-byte progress, wait for POLLOUT
-      return;
+      blocked = true;  // defensive: zero-byte progress, wait for POLLOUT
+      break;
     }
     // Loop: more backlog past the frame/byte caps, or a partial head that
     // keeps pushing until the socket blocks (kAgain) or the queue drains.
+  }
+  // Ask for write readiness exactly while output is stuck in the kernel.
+  // A failed MOD leaves tx_blocked as it was, so the next drain retries it.
+  if (blocked != c.tx_blocked &&
+      watch(EPOLL_CTL_MOD, c.fd.get(), blocked ? EPOLLIN | EPOLLOUT : EPOLLIN, to)) {
+    c.tx_blocked = blocked;
   }
 }
 
@@ -407,18 +430,10 @@ void TcpTransport::send(ProcessId to, Slice frame) {
     if (c.state != LinkState::kUp || c.broken || !c.fd.valid()) {
       return;  // queued; the next session's resync flushes it
     }
-    // MAC on the sender thread (keeps multi-sender parallelism); the write
-    // either happens here (batching off) or on the poll thread's next
-    // batched drain.
+    // MAC on the sender thread (keeps multi-sender parallelism); the poll
+    // thread's next batched drain writes it.
     prep_entry(c, c.retained.back(), to);
-    if (opts_.batch_sends) {
-      need_wake = !is_poll_thread();
-    } else {
-      const bool was_blocked = c.tx_blocked;
-      drain_locked(c, to);
-      // A newly-blocked link needs the poll thread to register EPOLLOUT.
-      need_wake = c.tx_blocked && !was_blocked && !is_poll_thread();
-    }
+    need_wake = !is_poll_thread();
   }
   if (need_wake) wakeup();
 }
@@ -439,7 +454,8 @@ void TcpTransport::begin_dial(ProcessId peer) {
     set_nonblocking(fd.get());
     const int rc = ::connect(fd.get(), reinterpret_cast<sockaddr*>(&peer_addr),
                              sizeof(peer_addr));
-    if (rc == 0 || errno == EINPROGRESS) {
+    if ((rc == 0 || errno == EINPROGRESS) &&
+        watch(EPOLL_CTL_ADD, fd.get(), EPOLLOUT, peer)) {
       {
         std::lock_guard<std::mutex> lock(c.mutex);
         c.fd = std::move(fd);
@@ -473,7 +489,8 @@ void TcpTransport::on_dial_writable(ProcessId peer) {
   hello.u8(opts_.authenticate ? kFlagAuthenticate : 0);
   hello.u32(opts_.self);
   hello.u64(c.nonce_local);
-  if (!write_all(c.fd.get(), hello.data())) {
+  if (!write_all(c.fd.get(), hello.data()) ||
+      !watch(EPOLL_CTL_MOD, c.fd.get(), EPOLLIN, peer)) {
     link_down(peer);
     return;
   }
@@ -557,7 +574,7 @@ void TcpTransport::pending_accept_readable(PendingAccept& pa) {
       continue;
     }
     if (k == 0 || (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR)) {
-      reset_fd(pa.fd);  // dialer went away mid-handshake
+      pa.fd.reset();  // dialer went away mid-handshake
       return;
     }
     if (errno == EINTR) continue;
@@ -565,7 +582,7 @@ void TcpTransport::pending_accept_readable(PendingAccept& pa) {
   }
   if (pa.rx.size() > kMaxHandshakeRx) {
     counters_->handshake_failures.fetch_add(1, std::memory_order_relaxed);
-    reset_fd(pa.fd);
+    pa.fd.reset();
     return;
   }
   if (!pa.got_hello) {
@@ -581,7 +598,7 @@ void TcpTransport::pending_accept_readable(PendingAccept& pa) {
     if (magic != kHandshakeMagic || version != kWireVersion ||
         flags != want_flags || id <= opts_.self || id >= opts_.n) {
       counters_->handshake_failures.fetch_add(1, std::memory_order_relaxed);
-      reset_fd(pa.fd);
+      pa.fd.reset();
       return;
     }
     pa.got_hello = true;
@@ -608,7 +625,7 @@ void TcpTransport::pending_accept_readable(PendingAccept& pa) {
       reply.raw(ByteView(mac.data(), mac.size()));
     }
     if (!write_all(pa.fd.get(), reply.data())) {
-      reset_fd(pa.fd);
+      pa.fd.reset();
       return;
     }
   }
@@ -622,7 +639,7 @@ void TcpTransport::pending_accept_readable(PendingAccept& pa) {
     if (!ct_equal(ByteView(mac.data(), mac.size()),
                   ByteView(pa.rx.data() + kConfirmBase, kMacSize))) {
       counters_->handshake_failures.fetch_add(1, std::memory_order_relaxed);
-      reset_fd(pa.fd);
+      pa.fd.reset();
       return;
     }
   }
@@ -631,13 +648,15 @@ void TcpTransport::pending_accept_readable(PendingAccept& pa) {
   const ProcessId peer = pa.claimed;
   Conn& c = *conns_[peer];
   if (c.phase == HsPhase::kEstablished) link_down(peer);
+  if (!watch(EPOLL_CTL_MOD, pa.fd.get(), EPOLLIN, peer)) {
+    pa.fd.reset();
+    return;
+  }
   {
     std::lock_guard<std::mutex> lock(c.mutex);
-    forget_fd(c.fd.get());  // a crossed dial may still be registered
     c.fd = std::move(pa.fd);
     c.state = LinkState::kConnecting;
   }
-  c.phase = HsPhase::kWaitConfirm;
   c.rx.clear();
   Bytes leftover(pa.rx.begin() + static_cast<std::ptrdiff_t>(confirm_size),
                  pa.rx.end());
@@ -704,7 +723,7 @@ void TcpTransport::link_down(ProcessId peer) {
   {
     std::lock_guard<std::mutex> lock(c.mutex);
     old_sid = c.sid;
-    reset_fd(c.fd);
+    c.fd.reset();
     c.sid = 0;
     c.broken = false;
     c.kill_request = 0;
@@ -778,7 +797,7 @@ void TcpTransport::service_timers() {
   for (auto& pa : pending_accepts_) {
     if (pa.fd.valid() && deadline_passed(now, pa.deadline_ms)) {
       counters_->handshake_failures.fetch_add(1, std::memory_order_relaxed);
-      reset_fd(pa.fd);
+      pa.fd.reset();
     }
   }
   pending_accepts_.erase(
@@ -818,7 +837,7 @@ int TcpTransport::fold_timer_deadlines(int timeout_ms) {
 
 void TcpTransport::dispatch_event(std::int64_t owner, bool rin, bool rout,
                                   bool rerr) {
-  if (owner == -1) {
+  if (owner == kWakeTag) {
     if (rin || rerr) {
       std::uint8_t buf[256];
       while (::read(wake_rx_.get(), buf, sizeof(buf)) > 0) {
@@ -826,22 +845,24 @@ void TcpTransport::dispatch_event(std::int64_t owner, bool rin, bool rout,
     }
     return;
   }
-  if (owner == -2) {
+  if (owner == kListenTag) {
     for (;;) {
       Fd fd(::accept(listen_fd_.get(), nullptr, nullptr));
       if (!fd.valid()) break;
       set_nonblocking(fd.get());
+      const std::uint64_t id = next_accept_id_++;
+      const std::int64_t tag = kPendingAcceptTag - static_cast<std::int64_t>(id);
+      if (!watch(EPOLL_CTL_ADD, fd.get(), EPOLLIN, tag)) continue;  // closes fd
       pending_accepts_.push_back(PendingAccept{
-          std::move(fd), {},
+          id, std::move(fd), {},
           now_ms() + static_cast<std::uint64_t>(opts_.handshake_timeout_ms)});
     }
     return;
   }
-  if (owner <= -3) {
-    const std::size_t k = static_cast<std::size_t>(-3 - owner);
-    if (k < pending_accepts_.size() && pending_accepts_[k].fd.valid() &&
-        (rin || rerr)) {
-      pending_accept_readable(pending_accepts_[k]);
+  if (owner <= kPendingAcceptTag) {
+    const auto id = static_cast<std::uint64_t>(kPendingAcceptTag - owner);
+    for (PendingAccept& pa : pending_accepts_) {
+      if (pa.id == id && pa.fd.valid() && (rin || rerr)) pending_accept_readable(pa);
     }
     return;
   }
@@ -869,96 +890,9 @@ void TcpTransport::dispatch_event(std::int64_t owner, bool rin, bool rout,
   }
 }
 
-void TcpTransport::forget_fd(int fd) {
-  if (fd >= 0) epoll_regs_.erase(fd);
-}
-
-void TcpTransport::reset_fd(Fd& fd) {
-  forget_fd(fd.get());
-  fd.reset();
-}
-
 void TcpTransport::wait_with_epoll(int timeout_ms) {
-  // Desired interest set for this cycle (owner encoding: see
-  // dispatch_event). Level-triggered; EPOLLOUT only while a link has
-  // blocked output.
-  std::vector<std::pair<int, EpollReg>> desired;
-  desired.reserve(2 + pending_accepts_.size() + opts_.n);
-  desired.emplace_back(wake_rx_.get(), EpollReg{EPOLLIN, -1});
-  if (listen_fd_.valid()) {
-    desired.emplace_back(listen_fd_.get(), EpollReg{EPOLLIN, -2});
-  }
-  for (std::size_t k = 0; k < pending_accepts_.size(); ++k) {
-    if (!pending_accepts_[k].fd.valid()) continue;
-    desired.emplace_back(pending_accepts_[k].fd.get(),
-                         EpollReg{EPOLLIN, -3 - static_cast<std::int64_t>(k)});
-  }
-  for (ProcessId p = 0; p < opts_.n; ++p) {
-    if (p == opts_.self) continue;
-    Conn& c = *conns_[p];
-    int fd;
-    bool blocked;
-    {
-      std::lock_guard<std::mutex> lock(c.mutex);
-      fd = c.fd.get();
-      blocked = c.tx_blocked;
-    }
-    if (fd < 0 || c.phase == HsPhase::kIdle) continue;
-    std::uint32_t events;
-    if (c.phase == HsPhase::kDialWait) {
-      events = EPOLLOUT;
-    } else if (c.phase == HsPhase::kEstablished) {
-      events = EPOLLIN | (blocked ? EPOLLOUT : 0);
-    } else {
-      events = EPOLLIN;
-    }
-    desired.emplace_back(fd, EpollReg{events, static_cast<std::int64_t>(p)});
-  }
-
-  // Mark-and-sweep reconcile against the registration mirror. The mirror is
-  // kept honest by reset_fd(): every close of a possibly-registered fd
-  // drops its record first, so a reused fd number is re-ADDed, never
-  // mistaken for the old registration.
-  for (auto it = epoll_regs_.begin(); it != epoll_regs_.end();) {
-    bool still_wanted = false;
-    for (const auto& d : desired) {
-      if (d.first == it->first) {
-        still_wanted = true;
-        break;
-      }
-    }
-    if (still_wanted) {
-      ++it;
-      continue;
-    }
-    ::epoll_ctl(epoll_fd_.get(), EPOLL_CTL_DEL, it->first, nullptr);
-    it = epoll_regs_.erase(it);
-  }
-  for (const auto& [fd, reg] : desired) {
-    const auto it = epoll_regs_.find(fd);
-    if (it != epoll_regs_.end() && it->second.events == reg.events &&
-        it->second.owner == reg.owner) {
-      continue;  // cached: no syscall
-    }
-    epoll_event ev{};
-    ev.events = reg.events;
-    ev.data.u64 = static_cast<std::uint64_t>(reg.owner);
-    int op = it == epoll_regs_.end() ? EPOLL_CTL_ADD : EPOLL_CTL_MOD;
-    if (::epoll_ctl(epoll_fd_.get(), op, fd, &ev) != 0) {
-      // EEXIST/ENOENT: the mirror drifted (e.g. dup'd fd corner); the
-      // opposite op recovers.
-      op = op == EPOLL_CTL_ADD ? EPOLL_CTL_MOD : EPOLL_CTL_ADD;
-      if (::epoll_ctl(epoll_fd_.get(), op, fd, &ev) != 0) {
-        epoll_regs_.erase(fd);
-        continue;
-      }
-    }
-    epoll_regs_[fd] = reg;
-  }
-
   epoll_event evs[64];
   const int rc = ::epoll_wait(epoll_fd_.get(), evs, 64, timeout_ms);
-  if (rc <= 0) return;
   for (int i = 0; i < rc; ++i) {
     const std::int64_t owner = static_cast<std::int64_t>(evs[i].data.u64);
     const std::uint32_t rev = evs[i].events;
@@ -978,7 +912,7 @@ void TcpTransport::poll_once(int timeout_ms) {
   const int tmo = fold_timer_deadlines(timeout_ms);
   wait_with_epoll(tmo);
   // Flush-before-return: deliveries above may have triggered sends from
-  // this thread (sink → protocol → send), which only enqueue when batching.
+  // this thread (sink → protocol → send), which only enqueue.
   drain_pending();
   // Bound handshakes may have completed or died; reap dead pending fds.
   pending_accepts_.erase(

@@ -22,35 +22,38 @@
 // Wire formats: docs/PROTOCOLS.md "Reliable channel".
 //
 // Event loop: one epoll_wait (level-triggered) drives readiness for every
-// link, the listen socket, pending accepts and the wakeup pipe; write
-// interest (EPOLLOUT) is registered only while a link actually has queued
-// output, and the reconnect/backoff + handshake deadlines fold into the
-// wait timeout via the deterministic `Link` timeline. Linux only.
+// link, the listen socket, pending accepts and the wakeup pipe. Interest
+// is set where a socket's state changes, never recomputed per cycle: the
+// wake pipe and listener once, a dialing socket for EPOLLOUT (connect
+// completion), an accepted or HELLO-sent socket for EPOLLIN, and EPOLLOUT
+// added while a drain is blocked on a full socket and dropped once it
+// clears. Closing a socket drops its registration. The reconnect/backoff
+// and handshake deadlines fold into the wait timeout via the
+// deterministic `Link` timeline. Linux only.
 //
-// Send fast path: frames enqueue onto the link's retained queue and a
-// drain gathers consecutive ready frames into ONE sendmsg() of
-// {header, shared body, MAC trailer} iovec triplets (net/batch_writer.h),
-// bounded by IOV_MAX and Options::max_batch_bytes, resuming byte-exactly
-// after short writes that land mid-header/mid-body/mid-MAC. Batching
-// changes syscall counts only — the wire bytes are identical to the
-// one-write-per-frame path (the framing is self-delimiting), and zero
-// payload bytes are copied to assemble a batch (Stats::batch_copy_bytes,
-// CI-gated at 0).
+// Send fast path: frames enqueue onto the link's retained queue and the
+// poll thread's drain gathers consecutive ready frames into ONE sendmsg()
+// of {header, shared body, MAC trailer} iovec triplets
+// (net/batch_writer.h), bounded by IOV_MAX and a 256 KiB soft byte cap,
+// resuming byte-exactly after short writes that land
+// mid-header/mid-body/mid-MAC. The framing is self-delimiting, so the
+// wire bytes do not depend on how frames are grouped into syscalls, and
+// zero payload bytes are copied to assemble a batch
+// (Stats::batch_copy_bytes, CI-gated at 0).
 //
 // Threading contract:
 //   * send() may be called from ANY number of threads concurrently. Each
-//     link's counter assignment, retained-queue update, and (with
-//     batch_sends off) socket write happen under that link's Conn mutex,
-//     so concurrent senders serialize per link: frames from one sender
-//     thread keep their relative order, and the per-link counter sequence
-//     is gap-free.
+//     link's counter assignment, retained-queue update and MAC happen
+//     under that link's Conn mutex, so concurrent senders serialize per
+//     link: frames from one sender thread keep their relative order, and
+//     the per-link counter sequence is gap-free. send() never touches a
+//     socket; it wakes the poll thread.
 //     tests/test_tcp_transport.cpp (ConcurrentSenders*) enforces this
 //     under ASan/TSan.
-//   * Receiving and all link management happen in poll_once(), which the
-//     owner (one thread — see ritas::Node) calls in its loop. Frames are
-//     MAC-verified and handed to the sink inline from poll_once. With
-//     batch_sends on, the poll thread also performs the batched drains
-//     (senders only MAC, enqueue and wake it).
+//   * All socket I/O — receiving, the batched drains, handshakes and link
+//     management — happens in poll_once(), which the owner (one thread —
+//     see ritas::Node) calls in its loop. Frames are MAC-verified and
+//     handed to the sink inline from poll_once.
 #pragma once
 
 #include <array>
@@ -61,7 +64,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/bytes.h"
@@ -158,16 +160,6 @@ class TcpTransport final : public Transport {
     /// Seeds handshake nonces and backoff jitter; 0 = std::random_device.
     /// Tests pin it to make reconnect timelines reproducible.
     std::uint64_t rng_seed = 0;
-    /// Batch sends per syscall: send() only MACs and enqueues, and the
-    /// poll thread drains each link's backlog into multi-frame sendmsg()
-    /// calls. Off = send() drains inline from the calling thread, one
-    /// frame per syscall when the link is idle. The wire bytes are
-    /// identical either way.
-    bool batch_sends = true;
-    /// Soft byte cap per batched sendmsg(); at least one frame is always
-    /// offered (so 0 degenerates to one frame per syscall). IOV_MAX caps
-    /// the iovec count independently.
-    std::size_t max_batch_bytes = 256u << 10;
   };
 
   struct Stats {
@@ -240,11 +232,11 @@ class TcpTransport final : public Transport {
   void wakeup();
 
   /// Enqueues one frame for `to`: assigns the link counter, retains the
-  /// refcounted body for counter resync, computes its MAC, and either
-  /// drains inline (batch_sends off) or leaves the write to the poll
-  /// thread's batched drain. The body is never copied per peer — the
-  /// batched sendmsg() points straight at the shared buffer. If the link
-  /// is not up the frame stays queued for the next session's resync.
+  /// refcounted body for counter resync, computes its MAC, and leaves the
+  /// write to the poll thread's batched drain. The body is never copied
+  /// per peer — the batched sendmsg() points straight at the shared
+  /// buffer. If the link is not up the frame stays queued for the next
+  /// session's resync.
   void send(ProcessId to, Slice frame) override;
 
   /// Monotonic wall clock for trace timestamps (real transports are
@@ -272,7 +264,6 @@ class TcpTransport final : public Transport {
     kIdle,         // no socket
     kDialWait,     // dialer: non-blocking connect() in flight
     kHelloSent,    // dialer: HELLO written, waiting for REPLY
-    kWaitConfirm,  // acceptor: REPLY written, waiting for CONFIRM
     kEstablished,  // session open, frames flow
   };
 
@@ -303,6 +294,7 @@ class TcpTransport final : public Transport {
     std::uint64_t rx_expected = 0;   // next counter expected (survives sessions)
     std::unique_ptr<LinkRetry> retry;  // dialed links only (peer < self)
     bool ever_up = false;
+    bool tx_blocked = false;         // drain hit a short write: EPOLLOUT registered
     // --- shared with sender threads; guarded by mutex ---
     std::mutex mutex;
     LinkState state = LinkState::kDown;
@@ -312,8 +304,7 @@ class TcpTransport final : public Transport {
     std::size_t retained_bytes = 0;
     std::uint64_t tx_write_next = 0; // next counter the drain hands to the kernel
     std::size_t tx_partial = 0;      // bytes of frame tx_write_next already written
-    bool tx_blocked = false;         // drain hit a short write: wants EPOLLOUT
-    bool broken = false;             // send() hit a write error; poll thread reaps
+    bool broken = false;             // a drain hit a write error; next cycle reaps
     std::uint8_t kill_request = 0;   // 1 + KillMode; poll thread executes
   };
 
@@ -321,6 +312,7 @@ class TcpTransport final : public Transport {
   /// touch the peer's Conn slot until the CONFIRM authenticates — an
   /// unauthenticated hello must not be able to displace a healthy link.
   struct PendingAccept {
+    std::uint64_t id = 0;     // stable epoll tag; see dispatch_event
     Fd fd;
     Bytes rx;
     std::uint64_t deadline_ms = 0;
@@ -334,13 +326,15 @@ class TcpTransport final : public Transport {
 
   std::uint64_t now_ms() const;
   std::uint32_t start_threshold() const;
+  /// epoll_ctl(op) for `fd` with `owner` as its tag (see dispatch_event).
+  bool watch(int op, int fd, std::uint32_t events, std::int64_t owner);
   bool write_all(int fd, ByteView data);
   /// Builds (or refreshes, after a re-handshake) the entry's header and
   /// MAC for the current session. Caller holds c.mutex.
   void prep_entry(Conn& c, Retained& e, ProcessId to);
   /// Drains consecutive frames from tx_write_next into batched sendmsg()
   /// calls until the backlog is empty or the socket stops taking bytes
-  /// (tx_blocked; EPOLLOUT resumes). Caller holds c.mutex.
+  /// (tx_blocked; EPOLLOUT resumes). Poll thread; caller holds c.mutex.
   void drain_locked(Conn& c, ProcessId to);
   /// Poll thread: drains every up link with pending output.
   void drain_pending();
@@ -361,14 +355,9 @@ class TcpTransport final : public Transport {
   /// caller's timeout so the wait cannot oversleep a timer.
   int fold_timer_deadlines(int timeout_ms);
   /// Readiness dispatch. Owner encoding: -1 wake pipe, -2 listen socket,
-  /// -(3+k) pending accept k, else peer id.
+  /// -(3+id) the pending accept with that id, else peer id.
   void dispatch_event(std::int64_t owner, bool rin, bool rout, bool rerr);
   bool is_poll_thread() const;
-  /// Drops a registration record before closing its fd (the kernel
-  /// auto-deregisters on close; forgetting our record keeps a reused fd
-  /// number from being mistaken for a still-registered socket).
-  void forget_fd(int fd);
-  void reset_fd(Fd& fd);
   void wait_with_epoll(int timeout_ms);
 
   Options opts_;
@@ -380,16 +369,12 @@ class TcpTransport final : public Transport {
   Fd wake_rx_, wake_tx_;
   std::vector<std::unique_ptr<Conn>> conns_;  // index = peer id; self unused
   std::vector<PendingAccept> pending_accepts_;
+  std::uint64_t next_accept_id_ = 0;  // poll-thread-only
   std::unique_ptr<Counters> counters_;
   std::atomic<bool> stopped_{false};
   std::atomic<std::uint64_t> poll_tid_{0};  // hashed id of the polling thread
   std::uint64_t epoch_ns_ = 0;  // steady_clock origin for now_ms()
-  struct EpollReg {
-    std::uint32_t events = 0;
-    std::int64_t owner = 0;
-  };
   Fd epoll_fd_;  // created with the listen socket; poll-thread-only after
-  std::unordered_map<int, EpollReg> epoll_regs_;  // poll-thread-only
 };
 
 }  // namespace ritas::net

@@ -35,7 +35,6 @@ Node::Node(std::string who, const Options& opts)
   topts.peers = opts.peers;
   topts.authenticate = opts.authenticate;
   topts.min_start_links = opts.min_start_links;
-  topts.batch_sends = opts.transport_batch;
   // Decorrelate per-process transport randomness (handshake nonces,
   // backoff jitter) even when every node is configured with the same seed.
   topts.rng_seed = opts.rng_seed == 0
@@ -55,6 +54,10 @@ void Node::start(Sink sink) {
   transport_->set_sink(std::move(sink));
   transport_->start();
   running_.store(true);
+  {
+    std::lock_guard<std::mutex> lock(tasks_mutex_);
+    tasks_open_ = true;
+  }
   poll_thread_ = std::thread([this] { poll_loop(); });
   // Return once the poll thread has run a cycle: links still handshaking
   // when the threshold was met usually complete in it, so start() tends to
@@ -75,8 +78,13 @@ void Node::poll_loop() {
     transport_->poll_once(20);
     drain_tasks();
   }
-  // Final drain so a task racing stop() still runs (and its caller in
-  // run() is released).
+  // Close the lane, then drain it: every task post() accepted still runs
+  // (and its caller in run() is released), and any later post() refuses
+  // instead of queueing a task no thread would run.
+  {
+    std::lock_guard<std::mutex> lock(tasks_mutex_);
+    tasks_open_ = false;
+  }
   drain_tasks();
 }
 
@@ -91,21 +99,22 @@ void Node::drain_tasks() {
   for (auto& pump : pumps_) pump();
 }
 
-void Node::post(std::function<void()> fn) {
+bool Node::post(std::function<void()> fn) {
   {
     std::lock_guard<std::mutex> lock(tasks_mutex_);
+    if (!tasks_open_) return false;
     tasks_.push_back(std::move(fn));
   }
   transport_->wakeup();
+  return true;
 }
 
 void Node::run(std::function<void()> fn) {
-  if (!running_.load()) throw std::logic_error(who_ + " not started");
   std::promise<void> done;
   auto fut = done.get_future();
   // Exceptions must not unwind the poll thread: capture and rethrow in
   // the calling thread instead.
-  post([&done, &fn] {
+  const bool posted = post([&done, &fn] {
     try {
       fn();
       done.set_value();
@@ -113,6 +122,7 @@ void Node::run(std::function<void()> fn) {
       done.set_exception(std::current_exception());
     }
   });
+  if (!posted) throw std::logic_error(who_ + " not running");
   fut.get();
 }
 

@@ -53,11 +53,6 @@ class Node {
     /// the remaining links keep dialing in the background and heal through
     /// the transport's backoff/reconnect machinery.
     std::uint32_t min_start_links = 0;
-    /// Transport send batching (TcpTransport::Options::batch_sends): when
-    /// on, send() stages frames and the poll thread flushes a whole queue
-    /// per sendmsg; when off, every send drains inline (one syscall per
-    /// frame). Local-only — changes no wire bytes.
-    bool transport_batch = true;
     std::uint64_t rng_seed = 0;  // 0 = seed from std::random_device
   };
 
@@ -90,10 +85,12 @@ class Node {
   bool stop();
   bool running() const { return running_.load(); }
 
-  /// Runs `fn` on the poll thread; callable from any thread.
-  void post(std::function<void()> fn);
+  /// Runs `fn` on the poll thread; callable from any thread. Returns false,
+  /// dropping `fn`, when the task lane is closed: before start(), and from
+  /// the poll thread's last drain on.
+  bool post(std::function<void()> fn);
   /// post() and wait; an exception thrown by `fn` is rethrown here.
-  /// Throws std::logic_error when the node is not running.
+  /// Throws std::logic_error when post() refuses `fn`.
   void run(std::function<void()> fn);
 
   const KeyChain& keys() const { return keys_; }
@@ -115,6 +112,7 @@ class Node {
 
   std::atomic<bool> running_{false};
   std::mutex tasks_mutex_;
+  bool tasks_open_ = false;  // guarded by tasks_mutex_
   std::deque<std::function<void()>> tasks_;
   std::thread poll_thread_;
 };

@@ -84,10 +84,6 @@ int ritas_set_opt(ritas_t* r, int opt, long value) {
         r->opts.stack.coin_mode = ritas::CoinMode::kDealt;
       }
       return RITAS_OK;
-    case RITAS_OPT_TRANSPORT_BATCH:
-      if (value != 0 && value != 1) return RITAS_EINVAL;
-      r->opts.transport_batch = value == 1;
-      return RITAS_OK;
   }
   return RITAS_EINVAL;
 }

@@ -63,20 +63,16 @@ enum {
                                   * that). Variants use disjoint message
                                   * tags; all correct processes of a group
                                   * must pick the same one. */
-  RITAS_OPT_BC_VARIANT = 8,      /* binary-consensus algorithm: 0 = Bracha
+  RITAS_OPT_BC_VARIANT = 8       /* binary-consensus algorithm: 0 = Bracha
                                   * (default), 1 = Crain. Selecting Crain
                                   * also switches the stack to the dealt
                                   * common coin (derived from the group
                                   * key), which its agreement argument
                                   * requires. */
-  /* 9 and 10 are retired (formerly execution-pipeline reactor threads
-   * and HMAC worker threads); ritas_set_opt rejects them with
+  /* 9, 10 and 11 are retired (formerly execution-pipeline reactor
+   * threads, HMAC worker threads and the transport send-batching switch;
+   * sends are always batched now); ritas_set_opt rejects them with
    * RITAS_EINVAL and the values are never reused. */
-  RITAS_OPT_TRANSPORT_BATCH = 11 /* transport send batching: 1 (default)
-                                  * = sends stage frames and the poll
-                                  * thread flushes many per sendmsg; 0 =
-                                  * drain inline per send. Local knob —
-                                  * wire bytes are identical either way. */
 };
 
 /* Per-link channel health, as reported by ritas_link_states. Values match

@@ -150,7 +150,9 @@ TEST(AtomicBroadcast, BurstFromOneSender) {
     std::uint64_t last = 0;
     bool first = true;
     for (const auto& e : log.by_process[p]) {
-      if (!first) EXPECT_GT(e.rbid, last);
+      if (!first) {
+        EXPECT_GT(e.rbid, last);
+      }
       last = e.rbid;
       first = false;
     }

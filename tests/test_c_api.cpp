@@ -168,10 +168,6 @@ TEST(CApi, SetOptValidation) {
   EXPECT_EQ(ritas_set_opt(r, RITAS_OPT_MIN_START_LINKS, 4), RITAS_EINVAL);  // >= n
   EXPECT_EQ(ritas_set_opt(r, RITAS_OPT_MIN_START_LINKS, 3), RITAS_OK);
   EXPECT_EQ(ritas_set_opt(r, RITAS_OPT_MIN_START_LINKS, 0), RITAS_OK);  // auto
-  EXPECT_EQ(ritas_set_opt(r, RITAS_OPT_TRANSPORT_BATCH, 2), RITAS_EINVAL);
-  EXPECT_EQ(ritas_set_opt(r, RITAS_OPT_TRANSPORT_BATCH, -1), RITAS_EINVAL);
-  EXPECT_EQ(ritas_set_opt(r, RITAS_OPT_TRANSPORT_BATCH, 0), RITAS_OK);
-  EXPECT_EQ(ritas_set_opt(r, RITAS_OPT_TRANSPORT_BATCH, 1), RITAS_OK);
   ritas_destroy(r);
   // Options are pre-start only: after the mesh is up they are refused.
   CCluster c;
@@ -441,14 +437,16 @@ TEST(CApi, LinkProbesAndStats) {
 }
 
 TEST(CApi, RetiredPipelineIdsAreEinval) {
-  // 9 (reactor threads) and 10 (HMAC workers) were retired knobs; 13-14
-  // (HMAC worker counters) and 15-17 (handoff counters, reactor queue
-  // depth) retired stats. All are rejected and never reused.
+  // 9 (reactor threads), 10 (HMAC workers) and 11 (transport send
+  // batching) were retired knobs; 13-14 (HMAC worker counters) and 15-17
+  // (handoff counters, reactor queue depth) retired stats. All are
+  // rejected, whatever the value, and never reused.
   ritas_t* r = ritas_init(4, 0, kSecret, sizeof(kSecret));
   ASSERT_NE(r, nullptr);
-  for (int opt : {9, 10}) {
-    EXPECT_EQ(ritas_set_opt(r, opt, 0), RITAS_EINVAL) << "opt " << opt;
-    EXPECT_EQ(ritas_set_opt(r, opt, 2), RITAS_EINVAL) << "opt " << opt;
+  for (int opt : {9, 10, 11}) {
+    for (long v : {-1L, 0L, 1L, 2L}) {
+      EXPECT_EQ(ritas_set_opt(r, opt, v), RITAS_EINVAL) << "opt " << opt << " = " << v;
+    }
   }
   ritas_destroy(r);
   CCluster c;

@@ -42,8 +42,7 @@ struct ChurnCluster {
   std::vector<std::thread> collectors;
   std::atomic<bool> stop{false};
 
-  explicit ChurnCluster(const std::vector<net::PeerAddr>& peers,
-                        bool transport_batch = true) {
+  explicit ChurnCluster(const std::vector<net::PeerAddr>& peers) {
     delivered.resize(kN);
     for (std::uint32_t p = 0; p < kN; ++p) {
       Context::Options o;
@@ -52,7 +51,6 @@ struct ChurnCluster {
       o.peers = peers;
       o.master_secret = to_bytes("churn-master");
       o.rng_seed = 7000 + p;
-      o.transport_batch = transport_batch;
       ctxs.push_back(std::make_unique<Context>(o));
     }
   }
@@ -123,16 +121,10 @@ void dump_stats_json(ChurnCluster& cluster, const char* path) {
 /// The churn gate: kill every pairwise link at least once — both kill
 /// modes — while an AB burst is in flight; the burst must still arrive
 /// complete, in one total order, everywhere, with the kills visible in
-/// the reconnect counters. Parametrized over the transport send-batching
-/// knob: multi-frame sendmsg flushing is a local optimization, so the
-/// paper-level guarantee (complete identical total order, zero accepted
-/// replays) must hold bit-for-bit with batching on AND off — including
-/// across the resync/retransmit path that batching rewrote.
-class NetChurnBatch : public ::testing::TestWithParam<bool> {};
-
-TEST_P(NetChurnBatch, EveryLinkKilledMidBurstStillTotallyOrders) {
-  const bool batching = GetParam();
-  ChurnCluster cluster(local_peers(free_ports(kN)), batching);
+/// the reconnect counters — including across the resync/retransmit path
+/// of the batched drain.
+TEST(NetChurn, EveryLinkKilledMidBurstStillTotallyOrders) {
+  ChurnCluster cluster(local_peers(free_ports(kN)));
   cluster.start_all();
   for (std::uint32_t p = 0; p < kN; ++p) cluster.collect(p);
 
@@ -164,8 +156,7 @@ TEST_P(NetChurnBatch, EveryLinkKilledMidBurstStillTotallyOrders) {
   ASSERT_EQ(next_kill, pairs.size()) << "burst too short to kill every link";
 
   const bool complete = cluster.wait_delivered(kN * kBurst, 120'000);
-  dump_stats_json(cluster, batching ? "churn_transport_stats.json"
-                                    : "churn_transport_stats_unbatched.json");
+  dump_stats_json(cluster, "churn_transport_stats.json");
   ASSERT_TRUE(complete) << "burst did not fully deliver after link churn";
 
   // Identical complete delivery at every node: same total order, each
@@ -204,22 +195,17 @@ TEST_P(NetChurnBatch, EveryLinkKilledMidBurstStillTotallyOrders) {
   // 6 killed links, two endpoints each; allow slack for raced teardowns.
   EXPECT_GE(total_reconnects, 6u);
 
-  // Fast-path accounting stays sane through the churn in both modes:
-  // every frame reached the kernel through sendmsg_batch (counted), and
-  // batch assembly never copied payload bytes (scatter-gather only).
+  // Fast-path accounting stays sane through the churn: every frame reached
+  // the kernel through sendmsg_batch (counted), and batch assembly never
+  // copied payload bytes (scatter-gather only).
   for (std::uint32_t p = 0; p < kN; ++p) {
     const auto s = cluster.ctxs[p]->transport_stats();
     EXPECT_GT(s.sendmsg_calls, 0u) << "node " << p;
     EXPECT_GE(s.bytes_to_kernel, s.frames_sent * 20u) << "node " << p;
     EXPECT_EQ(s.batch_copy_bytes, 0u) << "node " << p;
-    EXPECT_GE(s.frames_per_syscall(), batching ? 1.0 : 0.0) << "node " << p;
+    EXPECT_GE(s.frames_per_syscall(), 1.0) << "node " << p;
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(NetChurn, NetChurnBatch, ::testing::Bool(),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "Batched" : "Unbatched";
-                         });
 
 /// Partial-mesh start: n-1 nodes make AB progress on their own; the last
 /// node starts late, joins the running mesh, and catches up on everything

@@ -1,12 +1,15 @@
 // ritas::Node — the runtime Context and ShardedNode share: option checks,
-// the task lane onto the poll thread, the per-group pumps, and a stop()
-// that still runs every task posted before it; plus a ShardedNode cluster
-// on a real loopback mesh.
+// the task lane onto the poll thread, the per-group pumps, a stop() that
+// still runs every task posted before it, and a run() racing stop() that
+// never hangs; plus a ShardedNode cluster on a real loopback mesh.
 #include "ritas/node.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <set>
 #include <stdexcept>
@@ -121,6 +124,54 @@ TEST(Node, StopStillRunsTasksPostedBeforeIt) {
   m.nodes[0]->stop();
   EXPECT_EQ(ran.load(), 100);
   EXPECT_FALSE(m.nodes[0]->running());
+}
+
+TEST(Node, RunRacingStopRunsOrThrowsNeverHangs) {
+  // Threads call run() back to back while stop() runs. Each call either
+  // runs its task or throws logic_error; a task queued after the poll
+  // thread's last drain would block its caller forever, so a watchdog
+  // turns a hang into a failure rather than a stuck suite.
+  constexpr int kMeshes = 5;
+  constexpr int kRacers = 3;
+  std::atomic<bool> finished{false};
+  std::thread watchdog([&finished] {
+    const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (!finished.load()) {
+      if (std::chrono::steady_clock::now() > give_up) {
+        std::fprintf(stderr, "Node::run() still blocked 60 s after stop()\n");
+        std::_Exit(1);
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+  });
+  std::atomic<std::uint64_t> ran{0};
+  std::atomic<std::uint64_t> refused{0};
+  for (int i = 0; i < kMeshes; ++i) {
+    Mesh m;
+    for (auto& node : m.nodes) {
+      std::vector<std::thread> racers;
+      for (int r = 0; r < kRacers; ++r) {
+        racers.emplace_back([&node, &ran, &refused] {
+          for (;;) {
+            try {
+              node->run([] {});
+              ++ran;
+            } catch (const std::logic_error&) {
+              ++refused;
+              return;
+            }
+          }
+        });
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      node->stop();
+      for (auto& t : racers) t.join();
+    }
+  }
+  finished.store(true);
+  watchdog.join();
+  EXPECT_EQ(refused.load(), std::uint64_t{kMeshes} * 4 * kRacers);
+  EXPECT_GT(ran.load(), 0u);
 }
 
 TEST(ShardedNode, ClusterReachesAgreementOverTcp) {

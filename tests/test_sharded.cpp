@@ -67,8 +67,9 @@ TEST(Sharded, ShardsConvergePartitionHoldsAndPerShardOrderIsLinearizable) {
   for (int i = 0; i < 24; ++i) keys.push_back("user:" + std::to_string(i));
   std::uint64_t seq = 0;
   for (const auto& k : keys) {
-    c.submit(static_cast<ProcessId>(seq % 4), /*client=*/1, seq++,
+    c.submit(static_cast<ProcessId>(seq % 4), /*client=*/1, seq,
              set_cmd(k, "v-" + k));
+    ++seq;
   }
   ASSERT_TRUE(
       c.run_until([&] { return c.all_applied_at_least(keys.size()); },

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <map>
@@ -31,6 +32,9 @@ struct Node {
   std::atomic<bool> stop{false};
   std::atomic<bool> started{false};
   std::atomic<bool> start_failed{false};
+  std::atomic<bool> paused{false};  // set: the loop stops calling poll_once
+  std::atomic<bool> parked{false};  // the loop has seen `paused`
+  std::atomic<std::uint64_t> polls{0};  // poll_once returns
 
   /// start() needs only a partial mesh, so a node must begin polling the
   /// moment its own start() returns — peers below threshold depend on it
@@ -43,7 +47,16 @@ struct Node {
       start_failed.store(true);
       return;
     }
-    while (!stop.load()) transport->poll_once(20);
+    while (!stop.load()) {
+      if (paused.load()) {
+        parked.store(true);
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        continue;
+      }
+      parked.store(false);
+      transport->poll_once(20);
+      polls.fetch_add(1);
+    }
   }
   std::size_t count() {
     std::lock_guard<std::mutex> lock(mutex);
@@ -54,7 +67,9 @@ struct Node {
 std::unique_ptr<Node> make_node(std::uint32_t n, ProcessId p,
                                 const std::vector<PeerAddr>& peers,
                                 const Bytes& master, bool authenticate = true,
-                                int connect_timeout_ms = 15'000) {
+                                int connect_timeout_ms = 15'000,
+                                std::size_t send_queue_max_bytes =
+                                    TcpTransport::Options{}.send_queue_max_bytes) {
   auto node = std::make_unique<Node>();
   node->keys = std::make_unique<KeyChain>(KeyChain::deal(master, n, p));
   TcpTransport::Options o;
@@ -63,6 +78,7 @@ std::unique_ptr<Node> make_node(std::uint32_t n, ProcessId p,
   o.peers = peers;
   o.authenticate = authenticate;
   o.connect_timeout_ms = connect_timeout_ms;
+  o.send_queue_max_bytes = send_queue_max_bytes;
   node->transport = std::make_unique<TcpTransport>(o, *node->keys);
   Node* raw = node.get();
   raw->transport->set_sink([raw](ProcessId from, Slice frame) {
@@ -79,6 +95,25 @@ bool wait_until(const std::function<bool()>& cond, int timeout_ms = 5000) {
   }
   return cond();
 }
+
+/// Waits until every node in `nodes` has all n-1 links up.
+template <typename Nodes>
+bool wait_full_mesh(Nodes& nodes) {
+  return wait_until(
+      [&] {
+        for (auto& node : nodes) {
+          if (node->transport->links_up() + 1 != nodes.size()) return false;
+        }
+        return true;
+      },
+      20'000);
+}
+
+/// An idle poll loop sleeps out each poll_once(20): 300 ms hold 15 such
+/// waits, so more than this many returns means epoll_wait is not sleeping
+/// (a write interest left on an idle socket fires at once, every cycle).
+constexpr std::uint64_t kMaxIdlePolls = 20;
+constexpr auto kIdleWindow = std::chrono::milliseconds(300);
 
 /// Spins up an n-node mesh on localhost; each node starts and polls in its
 /// own thread.
@@ -115,6 +150,7 @@ class Mesh {
   }
 
   Node& node(std::uint32_t p) { return *nodes_[p]; }
+  std::vector<std::unique_ptr<Node>>& nodes() { return nodes_; }
 
   bool wait_for(std::uint32_t p, std::size_t count, int timeout_ms = 5000) {
     return wait_until([&] { return node(p).count() >= count; }, timeout_ms);
@@ -218,6 +254,96 @@ TEST(TcpTransport, MismatchedKeysCannotJoinTheMesh) {
     node->thread.join();
     node->transport->stop();
   }
+}
+
+TEST(TcpTransport, IdleMeshSleepsInEpollWait) {
+  Mesh mesh(4);
+  ASSERT_TRUE(wait_full_mesh(mesh.nodes()));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));  // handshake tails
+  std::vector<std::uint64_t> before;
+  for (auto& node : mesh.nodes()) before.push_back(node->polls.load());
+  std::this_thread::sleep_for(kIdleWindow);
+  for (std::uint32_t p = 0; p < 4; ++p) {
+    EXPECT_LE(mesh.node(p).polls.load() - before[p], kMaxIdlePolls) << "p" << p;
+  }
+}
+
+TEST(TcpTransport, BlockedLinkResumesInOrderAndThenIdles) {
+  // The receiver stops reading until the sender's socket buffers are full
+  // and its drain blocks; when the receiver resumes, the blocked backlog
+  // must flow out byte-exactly, and the sender must stop asking for write
+  // readiness once it is drained. The send queue holds the whole burst, so
+  // nothing is evicted.
+  constexpr std::size_t kFrameBytes = 16 * 1024;
+  constexpr std::uint32_t kFrames = 1024;  // 16 MiB, above loopback buffers
+  constexpr std::uint64_t kBurstBytes = std::uint64_t{kFrames} * kFrameBytes;
+  const auto peers = local_peers(free_ports(2));
+  std::vector<std::unique_ptr<Node>> nodes;
+  for (ProcessId p = 0; p < 2; ++p) {
+    nodes.push_back(make_node(2, p, peers, to_bytes("blocked-link"), true,
+                              15'000, 2 * kBurstBytes));
+    nodes[p]->thread = std::thread([raw = nodes[p].get()] { raw->start_and_run(); });
+  }
+  const auto teardown = [&] {
+    for (auto& node : nodes) {
+      node->paused.store(false);
+      node->stop.store(true);
+      node->transport->wakeup();
+    }
+    for (auto& node : nodes) {
+      node->thread.join();
+      node->transport->stop();
+    }
+  };
+  Node& rx = *nodes[0];
+  Node& tx = *nodes[1];
+  if (!wait_full_mesh(nodes)) {
+    teardown();
+    FAIL() << "mesh never came up";
+  }
+  rx.paused.store(true);
+  ASSERT_TRUE(wait_until([&] { return rx.parked.load(); }));
+
+  for (std::uint32_t i = 0; i < kFrames; ++i) {
+    Bytes frame(kFrameBytes, static_cast<std::uint8_t>(i));
+    Writer seq(4);
+    seq.u32(i);
+    std::copy(seq.data().begin(), seq.data().end(), frame.begin());
+    tx.transport->send(0, std::move(frame));
+  }
+  // The sender's drain blocks short of the burst: bytes_to_kernel stops
+  // growing while the receiver is away.
+  std::uint64_t moved = 0;
+  for (int waited = 0; waited < 10'000; waited += 100) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    const std::uint64_t now = tx.transport->stats().bytes_to_kernel;
+    if (now == moved && now > 0) break;
+    moved = now;
+  }
+  EXPECT_GT(moved, 0u);
+  EXPECT_LT(moved, kBurstBytes) << "the socket never blocked";
+
+  rx.paused.store(false);
+  const bool all = wait_until([&] { return rx.count() >= kFrames; }, 20'000);
+  const bool flushed = wait_until(
+      [&] { return tx.transport->stats().frames_sent >= kFrames; });
+  const std::uint64_t polls_before = tx.polls.load();
+  std::this_thread::sleep_for(kIdleWindow);
+  const std::uint64_t idle_polls = tx.polls.load() - polls_before;
+  teardown();
+
+  ASSERT_TRUE(all) << "received " << rx.count() << " of " << kFrames;
+  EXPECT_TRUE(flushed);
+  ASSERT_EQ(rx.received.size(), kFrames) << "a frame arrived twice";
+  for (std::uint32_t i = 0; i < kFrames; ++i) {
+    const auto& [from, frame] = rx.received[i];
+    ASSERT_EQ(frame.size(), kFrameBytes);
+    Reader r(frame);
+    ASSERT_EQ(r.u32(), i) << "out of order";
+    EXPECT_EQ(from, 1u);
+  }
+  EXPECT_EQ(tx.transport->stats().queue_drops, 0u);
+  EXPECT_LE(idle_polls, kMaxIdlePolls) << "sender kept polling for writes";
 }
 
 TEST(TcpTransport, StatsCountTraffic) {
