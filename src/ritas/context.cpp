@@ -1,7 +1,10 @@
 #include "ritas/context.h"
 
-#include <future>
+#include <condition_variable>
+#include <functional>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -33,19 +36,57 @@ Context::Options validate(Context::Options o) {
   return o;
 }
 
-/// Waits for a consensus decision. The decide callback is the promise's
-/// only owner (callers move theirs into it), so when stop() destroys the
-/// consensus roots the promise breaks and the wait ends in ShutdownError
-/// instead of blocking forever.
+/// Hands a consensus decision from the poll thread to the blocked caller.
+/// callback() is the consensus root's decide callback; once its last copy
+/// dies undecided (stop() destroys the roots) the slot is abandoned, and
+/// wait() throws ShutdownError on the caller's own thread — no exception
+/// object crosses threads.
 template <typename T>
-T await_decision(std::future<T> fut) {
-  try {
-    return fut.get();
-  } catch (const std::future_error& e) {
-    if (e.code() == std::future_errc::broken_promise) throw ShutdownError();
-    throw;
+class Decision {
+ public:
+  std::function<void(T)> callback() {
+    auto guard = std::make_shared<Guard>(state_);
+    return [guard](T v) { guard->state->decide(std::move(v)); };
   }
-}
+
+  T wait() {
+    std::unique_lock<std::mutex> lock(state_->m);
+    state_->cv.wait(lock,
+                    [this] { return state_->value || state_->abandoned; });
+    if (!state_->value) throw ShutdownError();
+    return std::move(*state_->value);
+  }
+
+ private:
+  struct State {
+    std::mutex m;
+    std::condition_variable cv;
+    std::optional<T> value;
+    bool abandoned = false;
+
+    void decide(T v) {
+      {
+        std::lock_guard<std::mutex> lock(m);
+        value.emplace(std::move(v));
+      }
+      cv.notify_all();
+    }
+    void abandon() {
+      {
+        std::lock_guard<std::mutex> lock(m);
+        abandoned = true;
+      }
+      cv.notify_all();
+    }
+  };
+  struct Guard {
+    explicit Guard(std::shared_ptr<State> s) : state(std::move(s)) {}
+    ~Guard() { state->abandon(); }
+    std::shared_ptr<State> state;
+  };
+
+  std::shared_ptr<State> state_ = std::make_shared<State>();
+};
 
 }  // namespace
 
@@ -59,7 +100,7 @@ Context::Context(Options opts)
   StackConfig cfg = opts_.stack;
   cfg.n = opts_.n;
   cfg.self = opts_.self;
-  cfg.group = opts_.group;
+  cfg.group = 0;
   cfg.ab_batch.enabled = opts_.batch.enabled;
   cfg.ab_batch.max_batch_msgs = opts_.batch.max_msgs;
   cfg.ab_batch.max_batch_bytes = opts_.batch.max_bytes;
@@ -242,50 +283,43 @@ void Context::ab_subscribe(AbSubscriber fn) {
 }
 
 bool Context::bc(bool proposal) {
-  auto decided = std::make_shared<std::promise<bool>>();
-  auto fut = decided->get_future();
-  node_.run([this, proposal, decided = std::move(decided)] {
+  Decision<bool> decision;
+  node_.run([this, proposal, decide = decision.callback()] {
     const std::uint64_t k = bc_calls_++;
-    auto inst = make_bc(
-        *stack_, nullptr, InstanceId::root(ProtocolType::kBinaryConsensus, k),
-        Attribution::kAgreement,
-        [decided](bool b) { decided->set_value(b); });
+    auto inst = make_bc(*stack_, nullptr,
+                        InstanceId::root(ProtocolType::kBinaryConsensus, k),
+                        Attribution::kAgreement, decide);
     inst->propose(proposal);
     roots_.emplace(inst->id(), std::move(inst));
   });
-  return await_decision(std::move(fut));
+  return decision.wait();
 }
 
 std::optional<Bytes> Context::mvc(Bytes proposal) {
-  auto decided = std::make_shared<std::promise<std::optional<Bytes>>>();
-  auto fut = decided->get_future();
-  node_.run([this, &proposal, decided = std::move(decided)] {
+  Decision<std::optional<Bytes>> decision;
+  node_.run([this, &proposal, decide = decision.callback()] {
     const std::uint64_t k = mvc_calls_++;
     auto inst = std::make_unique<MultiValuedConsensus>(
         *stack_, nullptr,
         InstanceId::root(ProtocolType::kMultiValuedConsensus, k),
-        Attribution::kAgreement,
-        [decided](std::optional<Bytes> v) { decided->set_value(std::move(v)); });
+        Attribution::kAgreement, decide);
     inst->propose(std::move(proposal));
     roots_.emplace(inst->id(), std::move(inst));
   });
-  return await_decision(std::move(fut));
+  return decision.wait();
 }
 
 std::vector<std::optional<Bytes>> Context::vc(Bytes proposal) {
-  auto decided =
-      std::make_shared<std::promise<std::vector<std::optional<Bytes>>>>();
-  auto fut = decided->get_future();
-  node_.run([this, &proposal, decided = std::move(decided)] {
+  Decision<VectorConsensus::Vector> decision;
+  node_.run([this, &proposal, decide = decision.callback()] {
     const std::uint64_t k = vc_calls_++;
     auto inst = std::make_unique<VectorConsensus>(
         *stack_, nullptr, InstanceId::root(ProtocolType::kVectorConsensus, k),
-        Attribution::kAgreement,
-        [decided](VectorConsensus::Vector v) { decided->set_value(std::move(v)); });
+        Attribution::kAgreement, decide);
     inst->propose(std::move(proposal));
     roots_.emplace(inst->id(), std::move(inst));
   });
-  return await_decision(std::move(fut));
+  return decision.wait();
 }
 
 Metrics Context::metrics() {

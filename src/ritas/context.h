@@ -14,7 +14,8 @@
 // application thread (§3: "the protocol stack runs in a single thread,
 // independent of the application thread"): the poll thread of the shared
 // ritas::Node runtime, which also owns the sockets. Application calls post
-// work to that thread and block on futures/queues.
+// work to that thread and block on queues (deliveries) or a decision slot
+// (consensus).
 //
 // Instance naming convention (implicit agreement across processes): the
 // k-th rb/eb broadcast by origin o is root (kRB/kEB, o<<32|k); consensus
@@ -54,12 +55,8 @@ class Context {
   /// Membership, secret and transport knobs come from Node::Options
   /// (ritas/node.h).
   struct Options : Node::Options {
-    /// Consensus group this session runs when several groups share one
-    /// mesh (sharded SMR). Authoritative: overwrites stack.group. Group 0
-    /// (default) keeps the original wire format; non-zero groups prefix
-    /// frames with the group id (docs/PROTOCOLS.md "Group multiplexing"),
-    /// so all correct processes of a group must configure it identically.
-    GroupId group = 0;
+    /// A session owns its mesh, so its stack always runs group 0 (the
+    /// original wire format); several groups on one mesh is ShardedNode.
     StackConfig stack;         // n/self/group overwritten
     /// How far an origin's rb (and, separately, eb) broadcasts may run
     /// ahead of the last one delivered here: broadcast k of origin o is

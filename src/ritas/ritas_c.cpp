@@ -67,10 +67,6 @@ int ritas_set_opt(ritas_t* r, int opt, long value) {
       if (value < 0 || value >= r->opts.n) return RITAS_EINVAL;
       r->opts.min_start_links = static_cast<uint32_t>(value);
       return RITAS_OK;
-    case RITAS_OPT_GROUP_ID:
-      if (value < 0 || value > 0xffffffffL) return RITAS_EINVAL;
-      r->opts.group = static_cast<uint32_t>(value);
-      return RITAS_OK;
     case RITAS_OPT_RB_VARIANT:
       if (value != 0 && value != 1) return RITAS_EINVAL;
       r->opts.stack.variants.rb = static_cast<ritas::RbVariant>(value);

@@ -52,10 +52,8 @@ enum {
   RITAS_OPT_RECV_WINDOW = 4,     /* rb/eb broadcasts an origin may run
                                   * ahead of its last delivered one, > 0 */
   RITAS_OPT_MIN_START_LINKS = 5, /* links ritas_start waits for; 0 = n-f-1 */
-  RITAS_OPT_GROUP_ID = 6,        /* consensus group on a shared mesh;
-                                  * 0 (default) keeps the original wire
-                                  * format — all correct processes of one
-                                  * group must agree on it */
+  /* 6 is retired (formerly the consensus group id; a session owns its
+   * mesh, so it always runs group 0); see below. */
   RITAS_OPT_RB_VARIANT = 7,      /* reliable-broadcast algorithm: 0 = Bracha
                                   * (default), 1 = Imbs-Raynal 2-step
                                   * (needs n >= 6; enforced at ritas_start,
@@ -69,10 +67,11 @@ enum {
                                   * common coin (derived from the group
                                   * key), which its agreement argument
                                   * requires. */
-  /* 9, 10 and 11 are retired (formerly execution-pipeline reactor
-   * threads, HMAC worker threads and the transport send-batching switch;
-   * sends are always batched now); ritas_set_opt rejects them with
-   * RITAS_EINVAL and the values are never reused. */
+  /* 6, 9, 10 and 11 are retired (formerly the consensus group id,
+   * execution-pipeline reactor threads, HMAC worker threads and the
+   * transport send-batching switch; sends are always batched now);
+   * ritas_set_opt rejects them with RITAS_EINVAL and the values are never
+   * reused. */
 };
 
 /* Per-link channel health, as reported by ritas_link_states. Values match

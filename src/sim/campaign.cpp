@@ -104,18 +104,19 @@ CampaignResult run_campaign(const CampaignOptions& opts) {
   }
   WanModel wan(std::move(wcfg), derive(opts.seed, kTagWan));
 
-  // Observation state — declared before the Cluster so protocol callbacks
-  // referencing it can never dangle.
-  Fingerprint fp;
-  std::vector<oracle::AbLog> ab_logs(n);
-  std::vector<std::uint64_t> got(n, 0);  // loadgen ops delivered at p
-  std::vector<bool> is_origin(n, false);
-  LoadGen* lg = nullptr;
-
   ClusterOptions o;
   o.n = n;
   o.seed = derive(opts.seed, kTagCluster);
   o.byzantine = byz;
+
+  // Observation state — declared before the Cluster so protocol callbacks
+  // referencing it can never dangle.
+  Fingerprint fp;
+  oracle::AbRecorder ab_rec(n, o.stack.ab_batch.enabled);
+  std::vector<std::uint64_t> got(n, 0);  // loadgen ops delivered at p
+  std::vector<bool> is_origin(n, false);
+  LoadGen* lg = nullptr;
+
   Cluster c(o);
   c.network().set_delay_policy(wan.policy());
 
@@ -129,11 +130,11 @@ CampaignResult run_campaign(const CampaignOptions& opts) {
     AtomicBroadcast::DeliverFn cb;
     if (c.correct(p)) {
       cb = [&, p](ProcessId origin, std::uint64_t rbid, Slice payload) {
-        ab_logs[p].push_back({origin, rbid, payload.to_bytes()});
+        ab_rec.delivered(p, origin, rbid, payload.to_bytes());
         if (is_origin[origin]) ++got[p];
-        fp.u64((std::uint64_t{p} << 40) | ab_logs[p].size());
+        fp.u64((std::uint64_t{p} << 40) | ab_rec.log(p).size());
         fp.u64(origin);
-        fp.bytes(ab_logs[p].back().payload);
+        fp.bytes(ab_rec.log(p).back().payload);
         fp.u64(c.now());
         if (p == observer && lg != nullptr) lg->on_completed(origin);
       };
@@ -149,8 +150,11 @@ CampaignResult run_campaign(const CampaignOptions& opts) {
   lo.seed = derive(opts.seed, kTagLoad);
   lo.origins = origins;
   LoadGen gen(c.scheduler(), lo,
-              [&c, &ab](ProcessId origin, Bytes payload) {
-                c.call(origin, [&] { ab[origin]->bcast(std::move(payload)); });
+              [&c, &ab, &ab_rec](ProcessId origin, Bytes payload) {
+                c.call(origin, [&] {
+                  const std::uint64_t rbid = ab[origin]->bcast(Bytes(payload));
+                  ab_rec.sent(origin, rbid, std::move(payload));
+                });
               });
   lg = &gen;
   const Time t0 = c.now();
@@ -169,7 +173,7 @@ CampaignResult run_campaign(const CampaignOptions& opts) {
   lg = nullptr;
 
   oracle::Report report;
-  oracle::ab_total_order(report, origins, ab_logs);
+  ab_rec.check(report, origins, out.completed);
   out.ordered = report.ok();
   out.ops_offered = gen.offered();
   out.ops_completed = gen.completed();

@@ -3,9 +3,9 @@
 // A campaign cell is (n, network profile, faultload): it builds a Cluster,
 // layers a WanModel over the calibrated LAN via the delay-policy seam,
 // drives atomic broadcast open-loop with a Poisson LoadGen, and judges the
-// run with the shared AB total-order oracle. Factored out of the bench so
-// tests can rerun a single cell and pin its fingerprint bit-identical —
-// BENCH_scaling_wan.json is just these results serialized.
+// run with the shared AB safety set (sim/oracles.h). Factored out of the
+// bench so tests can rerun a single cell and pin its fingerprint
+// bit-identical — BENCH_scaling_wan.json is just these results serialized.
 #pragma once
 
 #include <cstdint>
@@ -56,7 +56,9 @@ struct CampaignOptions {
 struct CampaignResult {
   /// Every offered op delivered at every correct process within deadline.
   bool completed = false;
-  /// AB total order held across all correct processes.
+  /// The full AB safety set (oracle::check_ab: total order, no-dup,
+  /// no-creation, and validity when `completed`) held across all correct
+  /// processes.
   bool ordered = true;
   std::uint64_t ops_offered = 0;
   /// Ops whose delivery was observed at the observer (lowest correct id).

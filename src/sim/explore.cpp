@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <functional>
-#include <map>
 #include <memory>
 #include <numeric>
 #include <set>
@@ -503,10 +502,7 @@ TrialResult Explorer::run_trial(const Schedule& s) {
   std::vector<std::vector<std::optional<oracle::MvcDecision>>> mvc_decisions;
   std::vector<std::vector<std::optional<oracle::VcVector>>> vc_decisions;
   std::vector<std::vector<std::optional<Bytes>>> delivered;  // [m][p]
-  std::vector<oracle::AbLog> ab_logs;
-  std::vector<std::map<ProcessId, std::uint64_t>> ab_got;  // per p: origin -> count
-  oracle::AbSent ab_sent;
-  std::map<ProcessId, std::uint64_t> ab_sent_per_origin;
+  oracle::AbRecorder ab(n, o.stack.ab_batch.enabled);
 
   Cluster c(o);
   c.network().set_delay_policy([&s, &wan_model](ProcessId from, ProcessId to,
@@ -753,19 +749,16 @@ TrialResult Explorer::run_trial(const Schedule& s) {
     }
 
     case Workload::kAtomicBroadcast: {
-      ab_logs.assign(n, {});
-      ab_got.assign(n, {});
       std::vector<AtomicBroadcast*> insts(n, nullptr);
       const InstanceId id = InstanceId::root(ProtocolType::kAtomicBroadcast, 1);
       for (ProcessId p : c.live()) {
         insts[p] = &c.create_root<AtomicBroadcast>(
             p, id,
             [&, p](ProcessId origin, std::uint64_t rbid, Slice payload) {
-              ab_logs[p].push_back({origin, rbid, payload.to_bytes()});
-              if (!faulty[origin]) ++ab_got[p][origin];
+              ab.delivered(p, origin, rbid, payload.to_bytes());
               fp.u64((std::uint64_t{5} << 56) | (std::uint64_t{origin} << 32) | p);
               fp.u64(rbid);
-              fp.bytes(ab_logs[p].back().payload);
+              fp.bytes(ab.log(p).back().payload);
               fp.u64(c.now());
             });
       }
@@ -774,10 +767,7 @@ TrialResult Explorer::run_trial(const Schedule& s) {
           Bytes payload = random_payload(payload_rng, kPayloadLen);
           c.call(p, [&] {
             const std::uint64_t rbid = insts[p]->bcast(Bytes(payload));
-            if (!faulty[p]) {
-              ab_sent[{p, rbid}] = payload;  // batching: rbid names the batch
-              ++ab_sent_per_origin[p];
-            }
+            if (!faulty[p]) ab.sent(p, rbid, std::move(payload));
           });
         }
       }
@@ -786,39 +776,9 @@ TrialResult Explorer::run_trial(const Schedule& s) {
           c.call(p, [&, p] { insts[p]->flush(); });
         }
       }
-      goal = [&] {
-        for (ProcessId p : c.correct_set()) {
-          for (const auto& [origin, sent] : ab_sent_per_origin) {
-            auto it = ab_got[p].find(origin);
-            if (it == ab_got[p].end() || it->second < sent) return false;
-          }
-        }
-        return true;
-      };
+      goal = [&] { return ab.all_delivered(c.correct_set()); };
       check = [&](oracle::Report& r, bool complete) {
-        const auto correct = c.correct_set();
-        oracle::ab_total_order(r, correct, ab_logs);
-        if (!s.ab_batching) {
-          // (origin, rbid) identifies one message — the full safety set.
-          oracle::ab_no_duplicates(r, correct, ab_logs);
-          oracle::ab_no_creation(r, correct, ab_logs, ab_sent);
-          if (complete) oracle::ab_validity(r, correct, ab_logs, ab_sent);
-        } else if (complete) {
-          // Batching shares one rbid across a batch, so per-message
-          // identity checks don't apply; total order (payload-exact) plus
-          // per-origin delivered-count completeness still do.
-          for (ProcessId p : correct) {
-            for (const auto& [origin, sent] : ab_sent_per_origin) {
-              auto it = ab_got[p].find(origin);
-              const std::uint64_t got = it == ab_got[p].end() ? 0 : it->second;
-              if (got != sent) {
-                r.fail("ab.validity: p" + std::to_string(p) + " delivered " +
-                       std::to_string(got) + "/" + std::to_string(sent) +
-                       " messages from correct origin p" + std::to_string(origin));
-              }
-            }
-          }
-        }
+        ab.check(r, c.correct_set(), complete);
       };
       break;
     }

@@ -43,7 +43,7 @@ void LoadGen::arrive() {
   backlog_peak_ = std::max(backlog_peak_, backlog());
 
   // Payload carries (client, op-sequence) so every op is distinct and the
-  // AB total-order oracle compares real identities, not blank bytes.
+  // AB oracles compare real identities, not blank bytes.
   Bytes payload(std::max<std::uint32_t>(opts_.payload_bytes, 8), 0);
   const std::uint64_t client = opts_.clients ? rng_.below(opts_.clients) : 0;
   const std::uint64_t tag = (client << 32) | (offered_ & 0xffffffffull);

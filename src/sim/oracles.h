@@ -2,27 +2,39 @@
 // executable checks over captured per-process observations.
 //
 // Every oracle appends human-readable violation strings to a Report
-// instead of asserting, so the same checks serve three masters:
+// instead of asserting, so the same checks serve every harness:
 //
 //   * the schedule-exploration engine (sim/explore.h) runs the full set
 //     after every trial and treats a non-empty report as "shrink this
 //     schedule and emit an artifact";
-//   * GoogleTest suites (test_adversarial, test_properties, ...) wrap a
-//     report in EXPECT_TRUE(r.ok()) << r.text() — one line checks the
-//     whole safety set, not just the property the test was written for;
+//   * the sim campaigns (sim/campaign.h) judge every cell with check_ab,
+//     and the sharded cluster (sim/sharded.h) records each group for it;
+//   * GoogleTest suites wrap a report in EXPECT_TRUE(r.ok()) << r.text(),
+//     over the simulator and over real TCP alike (tests/net_helpers.h's
+//     ContextMesh feeds a mesh of real Contexts into an AbRecorder) — one
+//     line checks the whole safety set, not just the property the test
+//     was written for;
 //   * the ritas_explore CLI prints the report verbatim.
 //
 // Inputs are plain per-process vectors (index = ProcessId); `correct`
 // selects which entries the properties quantify over. Oracles never look
 // at protocol internals — only at what the application-facing callbacks
 // observed — so they hold for any transport and any adversary.
+//
+// Atomic broadcast message identity lives here too: AbRecorder is the one
+// place that turns sends and deliveries into (origin, rbid, slot) names,
+// so batched runs get the full AB set, not just total order.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <iterator>
+#include <limits>
 #include <map>
 #include <optional>
 #include <set>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -48,6 +60,9 @@ struct Report {
 
 namespace detail {
 inline std::string pid(ProcessId p) { return "p" + std::to_string(p); }
+inline bool contains(const std::vector<ProcessId>& set, ProcessId p) {
+  return std::find(set.begin(), set.end(), p) != set.end();
+}
 inline std::string show(const Bytes& b) {
   std::string s = "\"";
   for (std::uint8_t c : b) {
@@ -226,10 +241,8 @@ inline void vc_entries(Report& r, const std::vector<ProcessId>& correct,
     }
     std::uint32_t correct_entries = 0;
     for (ProcessId i = 0; i < v.size(); ++i) {
-      const bool is_correct =
-          std::find(correct.begin(), correct.end(), i) != correct.end();
       if (!v[i].has_value()) continue;
-      if (is_correct) {
+      if (detail::contains(correct, i)) {
         if (*v[i] != proposals[i]) {
           r.fail("vc.entries: " + detail::pid(p) + " vector entry " +
                  std::to_string(i) + " is " + detail::show(*v[i]) +
@@ -327,18 +340,60 @@ inline void rb_totality(Report& r, const std::vector<ProcessId>& correct,
 }
 
 // --- atomic broadcast (§2.7) ----------------------------------------------
+// An AB message is named (origin, rbid, slot). `rbid` is what the origin's
+// bcast() returned; with batching every message of a batch shares the
+// batch's rbid, and `slot` tells them apart:
+//   * a send's slot counts the origin's earlier sends that returned the
+//     same rbid (its position in the open batch);
+//   * a delivery's slot is its position in the contiguous run of
+//     deliveries with that (origin, rbid) at that process —
+//     AtomicBroadcast::flush_deliveries hands each batch over in one run.
+// Unbatched, every slot is 0 (AbRecorder is told which). AbRecorder applies
+// the rule; harnesses feed it and never fill an AbLog or AbSent by hand.
 
 /// One delivery observed at one process, in local delivery order.
 struct AbEvent {
   ProcessId origin;
   std::uint64_t rbid;
+  std::uint32_t slot;
   Bytes payload;
   friend bool operator==(const AbEvent&, const AbEvent&) = default;
 };
 using AbLog = std::vector<AbEvent>;
 
-/// What the correct senders actually broadcast: (origin, rbid) -> payload.
-using AbSent = std::map<std::pair<ProcessId, std::uint64_t>, Bytes>;
+/// (origin, rbid, slot): one atomic broadcast message.
+using AbId = std::tuple<ProcessId, std::uint64_t, std::uint32_t>;
+/// What was broadcast: message -> payload.
+using AbSent = std::map<AbId, Bytes>;
+
+namespace detail {
+inline AbId id_of(const AbEvent& e) { return {e.origin, e.rbid, e.slot}; }
+inline std::string show(const AbId& id) {
+  return "(" + std::to_string(std::get<0>(id)) + "," +
+         std::to_string(std::get<1>(id)) + "#" +
+         std::to_string(std::get<2>(id)) + ")";
+}
+inline std::set<AbId> ids(const AbLog& log) {
+  std::set<AbId> out;
+  for (const AbEvent& e : log) out.insert(id_of(e));
+  return out;
+}
+/// The validity quantifier: the first (p, message) with p in `correct`, the
+/// message sent by an origin in `correct`, and p never delivering it.
+inline std::optional<std::pair<ProcessId, AbId>> first_undelivered(
+    const std::vector<ProcessId>& correct, const std::vector<AbLog>& logs,
+    const AbSent& sent) {
+  for (ProcessId p : correct) {
+    const std::set<AbId> got = ids(logs[p]);
+    for (const auto& [id, payload] : sent) {
+      if (contains(correct, std::get<0>(id)) && !got.contains(id)) {
+        return std::make_pair(p, id);
+      }
+    }
+  }
+  return std::nullopt;
+}
+}  // namespace detail
 
 /// Total order: delivery sequences of correct processes are
 /// prefix-identical (the always-checkable form of AB agreement).
@@ -351,50 +406,45 @@ inline void ab_total_order(Report& r, const std::vector<ProcessId>& correct,
     for (std::size_t i = 0; i < k; ++i) {
       if (!(logs[p][i] == logs[ref][i])) {
         r.fail("ab.total-order: " + detail::pid(p) + " and " + detail::pid(ref) +
-               " diverge at position " + std::to_string(i) + ": (" +
-               std::to_string(logs[p][i].origin) + "," +
-               std::to_string(logs[p][i].rbid) + ") vs (" +
-               std::to_string(logs[ref][i].origin) + "," +
-               std::to_string(logs[ref][i].rbid) + ")");
+               " diverge at position " + std::to_string(i) + ": " +
+               detail::show(detail::id_of(logs[p][i])) + " vs " +
+               detail::show(detail::id_of(logs[ref][i])));
         break;  // one divergence per pair is enough noise
       }
     }
   }
 }
 
-/// No duplication: no (origin, rbid) delivered twice at any correct process.
+/// No duplication: no message delivered twice at any correct process.
 inline void ab_no_duplicates(Report& r, const std::vector<ProcessId>& correct,
                              const std::vector<AbLog>& logs) {
   for (ProcessId p : correct) {
-    std::set<std::pair<ProcessId, std::uint64_t>> seen;
+    std::set<AbId> seen;
     for (const AbEvent& e : logs[p]) {
-      if (!seen.emplace(e.origin, e.rbid).second) {
-        r.fail("ab.no-dup: " + detail::pid(p) + " delivered (" +
-               std::to_string(e.origin) + "," + std::to_string(e.rbid) +
-               ") twice");
+      if (!seen.insert(detail::id_of(e)).second) {
+        r.fail("ab.no-dup: " + detail::pid(p) + " delivered " +
+               detail::show(detail::id_of(e)) + " twice");
       }
     }
   }
 }
 
 /// No creation: a delivery attributed to a correct origin carries exactly
-/// the payload that origin broadcast under that rbid.
+/// the payload that origin broadcast in that batch slot.
 inline void ab_no_creation(Report& r, const std::vector<ProcessId>& correct,
                            const std::vector<AbLog>& logs, const AbSent& sent) {
   for (ProcessId p : correct) {
     for (const AbEvent& e : logs[p]) {
-      const bool origin_correct =
-          std::find(correct.begin(), correct.end(), e.origin) != correct.end();
-      if (!origin_correct) continue;
-      auto it = sent.find({e.origin, e.rbid});
+      if (!detail::contains(correct, e.origin)) continue;
+      auto it = sent.find(detail::id_of(e));
       if (it == sent.end()) {
-        r.fail("ab.no-creation: " + detail::pid(p) + " delivered (" +
-               std::to_string(e.origin) + "," + std::to_string(e.rbid) +
-               ") which the correct origin never broadcast");
+        r.fail("ab.no-creation: " + detail::pid(p) + " delivered " +
+               detail::show(detail::id_of(e)) +
+               " which the correct origin never broadcast");
       } else if (it->second != e.payload) {
         r.fail("ab.no-creation: " + detail::pid(p) + " delivered forged payload " +
-               detail::show(e.payload) + " for (" + std::to_string(e.origin) +
-               "," + std::to_string(e.rbid) + "), origin sent " +
+               detail::show(e.payload) + " for " +
+               detail::show(detail::id_of(e)) + ", origin sent " +
                detail::show(it->second));
       }
     }
@@ -402,31 +452,107 @@ inline void ab_no_creation(Report& r, const std::vector<ProcessId>& correct,
 }
 
 /// Validity: every message a correct process broadcast is delivered at
-/// every correct process (call after quiesce).
+/// every correct process (call after quiesce). Both quantifiers range over
+/// `correct`: an origin that crashed mid-run is faulty, like any other.
 inline void ab_validity(Report& r, const std::vector<ProcessId>& correct,
                         const std::vector<AbLog>& logs, const AbSent& sent) {
-  for (ProcessId p : correct) {
-    std::set<std::pair<ProcessId, std::uint64_t>> got;
-    for (const AbEvent& e : logs[p]) got.emplace(e.origin, e.rbid);
-    for (const auto& [id, payload] : sent) {
-      if (!got.contains(id)) {
-        r.fail("ab.validity: (" + std::to_string(id.first) + "," +
-               std::to_string(id.second) + ") broadcast by a correct process "
-               "but never delivered at " + detail::pid(p));
-      }
-    }
+  if (const auto miss = detail::first_undelivered(correct, logs, sent)) {
+    r.fail("ab.validity: " + detail::show(miss->second) +
+           " broadcast by a correct process but never delivered at " +
+           detail::pid(miss->first));
   }
 }
 
-/// The full AB safety set. `complete` gates validity (it only holds once
-/// the run has quiesced); the other three are always required.
+/// Agreement: a message delivered at one correct process is delivered at
+/// every correct process (call after quiesce). Unlike validity this covers
+/// faulty origins too — a crashed origin's message reaches all or none.
+inline void ab_agreement(Report& r, const std::vector<ProcessId>& correct,
+                         const std::vector<AbLog>& logs) {
+  if (correct.empty()) return;
+  const ProcessId ref = correct.front();
+  const std::set<AbId> at_ref = detail::ids(logs[ref]);
+  for (ProcessId p : correct) {
+    const std::set<AbId> at_p = detail::ids(logs[p]);
+    std::vector<AbId> diff;
+    std::set_symmetric_difference(at_ref.begin(), at_ref.end(), at_p.begin(),
+                                  at_p.end(), std::back_inserter(diff));
+    if (diff.empty()) continue;
+    const bool ref_has = at_ref.contains(diff.front());
+    r.fail("ab.agreement: " + detail::pid(ref_has ? ref : p) + " delivered " +
+           detail::show(diff.front()) + " but " +
+           detail::pid(ref_has ? p : ref) + " did not");
+  }
+}
+
+/// The full AB safety set. `complete` gates validity and agreement (they
+/// only hold once the run has quiesced); the other three always hold.
 inline void check_ab(Report& r, const std::vector<ProcessId>& correct,
                      const std::vector<AbLog>& logs, const AbSent& sent,
                      bool complete = true) {
   ab_total_order(r, correct, logs);
   ab_no_duplicates(r, correct, logs);
   ab_no_creation(r, correct, logs, sent);
-  if (complete) ab_validity(r, correct, logs, sent);
+  if (complete) {
+    ab_validity(r, correct, logs, sent);
+    ab_agreement(r, correct, logs);
+  }
 }
+
+/// Records one atomic broadcast run — every bcast() with the rbid it
+/// returned, every delivery at every process — under the slot rule above.
+/// Not thread-safe: real-TCP harnesses guard it with their own mutex.
+class AbRecorder {
+ public:
+  /// `batched` is the stack's StackConfig::ab_batch.enabled. Only a batched
+  /// run gets slots; unbatched every slot is 0, so any repeated
+  /// (origin, rbid) delivery — back to back or not — is a duplicate.
+  AbRecorder(std::uint32_t n, bool batched) : logs_(n), batched_(batched) {}
+
+  /// `origin`'s bcast(payload) returned `rbid`.
+  void sent(ProcessId origin, std::uint64_t rbid, Bytes payload) {
+    std::uint32_t slot = 0;
+    auto it = sent_.upper_bound(
+        {origin, rbid, std::numeric_limits<std::uint32_t>::max()});
+    if (batched_ && it != sent_.begin()) {
+      const AbId& last = std::prev(it)->first;
+      if (std::get<0>(last) == origin && std::get<1>(last) == rbid) {
+        slot = std::get<2>(last) + 1;
+      }
+    }
+    sent_.emplace(AbId{origin, rbid, slot}, std::move(payload));
+  }
+
+  /// Process `p` delivered `payload` from (origin, rbid).
+  void delivered(ProcessId p, ProcessId origin, std::uint64_t rbid,
+                 Bytes payload) {
+    AbLog& log = logs_[p];
+    const bool same_run = batched_ && !log.empty() &&
+                          log.back().origin == origin && log.back().rbid == rbid;
+    const std::uint32_t slot = same_run ? log.back().slot + 1 : 0;
+    log.push_back({origin, rbid, slot, std::move(payload)});
+  }
+
+  /// True once validity holds: every message sent by an origin in
+  /// `correct` was delivered at every process in `correct` (the usual
+  /// run-until goal).
+  bool all_delivered(const std::vector<ProcessId>& correct) const {
+    return !detail::first_undelivered(correct, logs_, sent_).has_value();
+  }
+
+  /// check_ab over this recording.
+  void check(Report& r, const std::vector<ProcessId>& correct,
+             bool complete = true) const {
+    check_ab(r, correct, logs_, sent_, complete);
+  }
+
+  const std::vector<AbLog>& logs() const { return logs_; }
+  const AbLog& log(ProcessId p) const { return logs_[p]; }
+  const AbSent& sent() const { return sent_; }
+
+ private:
+  std::vector<AbLog> logs_;
+  AbSent sent_;
+  bool batched_;
+};
 
 }  // namespace ritas::sim::oracle

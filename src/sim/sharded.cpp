@@ -43,8 +43,6 @@ ShardedCluster::ShardedCluster(ShardedClusterOptions opts)
   abs_.resize(n);
   if (opts_.trace) tracers_.resize(n);
   services_.reserve(n);
-  ab_logs_.assign(groups, std::vector<oracle::AbLog>(n));
-  ab_sent_.assign(groups, {});
 
   const auto factory = opts_.machine_factory
                            ? opts_.machine_factory
@@ -87,6 +85,11 @@ ShardedCluster::ShardedCluster(ShardedClusterOptions opts)
     services_.push_back(std::make_unique<smr::ShardedService>(sc, factory));
   }
 
+  ab_.reserve(groups);
+  for (GroupId g = 0; g < groups; ++g) {
+    ab_.emplace_back(n, stacks_[0][g]->config().ab_batch.enabled);
+  }
+
   // Inbound demux: the shared mesh delivers host-to-host; the mux peeks
   // the GroupId prefix and routes to the owning stack.
   net_->set_deliver([this](ProcessId from, ProcessId to, Slice frame) {
@@ -112,23 +115,14 @@ ShardedCluster::ShardedCluster(ShardedClusterOptions opts)
           *stacks_[p][g], nullptr, ab_root,
           [this, p, g](ProcessId origin, std::uint64_t rbid, Slice payload) {
             const ByteView bytes = payload.view();
-            ab_logs_[g][p].push_back(
-                {origin, rbid, Bytes(bytes.begin(), bytes.end())});
+            ab_[g].delivered(p, origin, rbid, payload.to_bytes());
             services_[p]->on_delivered(g, bytes);
           }));
       stacks_[p][g]->pump();
     }
     services_[p]->bind_submitter([this, p](smr::ShardId shard,
                                            const Bytes& command) {
-      const std::uint64_t rbid = abs_[p][shard]->bcast(Bytes(command));
-      // Oracle bookkeeping: correct senders only, and only while the
-      // group's batching is off — with batching every message of a batch
-      // shares the batch's rbid, so (origin, rbid) no longer names one
-      // payload and check_ab's no-creation/validity do not apply.
-      if (adversaries_[p] == nullptr &&
-          !stacks_[p][shard]->config().ab_batch.enabled) {
-        ab_sent_[shard][{p, rbid}] = command;
-      }
+      ab_[shard].sent(p, abs_[p][shard]->bcast(Bytes(command)), command);
       stacks_[p][shard]->pump();
     });
   }

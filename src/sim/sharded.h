@@ -112,13 +112,9 @@ class ShardedCluster {
   bool all_applied_at_least(std::uint64_t count) const;
 
   // --- per-group observations (oracle inputs) ----------------------------
-  /// Process-indexed AB delivery logs of group g (index = ProcessId).
-  const std::vector<oracle::AbLog>& ab_log(GroupId g) const {
-    return ab_logs_[g];
-  }
-  /// What correct processes broadcast on group g ((origin, rbid) ->
-  /// framed command), maintained by submit(); feed to oracle::check_ab.
-  const oracle::AbSent& ab_sent(GroupId g) const { return ab_sent_[g]; }
+  /// Group g's AB sends (each framed command submit() broadcast, batched
+  /// or not) and deliveries at every process; judge with .check().
+  const oracle::AbRecorder& ab(GroupId g) const { return ab_[g]; }
 
   /// Sum of stack metrics over group g's live stacks.
   Metrics group_metrics(GroupId g) const;
@@ -143,9 +139,7 @@ class ShardedCluster {
   std::vector<std::vector<std::unique_ptr<ProtocolStack>>> stacks_;
   std::vector<std::vector<std::unique_ptr<AtomicBroadcast>>> abs_;
   std::vector<std::unique_ptr<smr::ShardedService>> services_;
-  // ab_logs_[g][p]; ab_sent_[g].
-  std::vector<std::vector<oracle::AbLog>> ab_logs_;
-  std::vector<oracle::AbSent> ab_sent_;
+  std::vector<oracle::AbRecorder> ab_;  // per group
 };
 
 }  // namespace ritas::sim

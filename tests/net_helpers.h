@@ -1,5 +1,6 @@
-// Helpers for real-socket tests: free-port discovery on localhost and a
-// hand-rolled wire peer for adversarial channel tests.
+// Helpers for real-socket tests: free-port discovery on localhost, a mesh
+// of in-process Contexts whose atomic broadcast runs feed the shared §2
+// oracles, and a hand-rolled wire peer for adversarial channel tests.
 #pragma once
 
 #include <netinet/in.h>
@@ -7,14 +8,24 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <cstring>
+#include <functional>
+#include <memory>
+#include <mutex>
+#include <optional>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "common/serialize.h"
 #include "crypto/hmac.h"
 #include "net/tcp_transport.h"
+#include "ritas/context.h"
+#include "sim/oracles.h"
 
 namespace ritas::test {
 
@@ -48,6 +59,137 @@ inline std::vector<net::PeerAddr> local_peers(const std::vector<std::uint16_t>& 
   std::vector<net::PeerAddr> peers;
   for (auto p : ports) peers.push_back(net::PeerAddr{"127.0.0.1", p});
   return peers;
+}
+
+/// n Contexts on fresh loopback ports, the real-TCP counterpart of
+/// sim::Cluster. Node p uses `secret` and rng_seed = seed_base + p
+/// (seed_base 0 keeps random seeds); `tweak` adjusts each node's options
+/// before construction. A mutex-guarded oracle::AbRecorder records every
+/// ab_bcast made through the mesh and every delivery handed to it, so a
+/// real run is judged by the same §2.7 oracles as a simulated one.
+class ContextMesh {
+ public:
+  using Tweak = std::function<void(Context::Options&)>;
+
+  ContextMesh(std::uint32_t n, const std::string& secret,
+              std::uint64_t seed_base, const Tweak& tweak = {})
+      : ContextMesh(options(n, secret, seed_base, tweak)) {}
+  ~ContextMesh() {
+    for (auto& c : ctxs_) c->stop();
+  }
+
+  ContextMesh(const ContextMesh&) = delete;
+  ContextMesh& operator=(const ContextMesh&) = delete;
+
+  /// Starts `who` concurrently (each start() waits for its own quorum of
+  /// links, so a partial mesh of n - f nodes starts on its own).
+  void start(const std::vector<ProcessId>& who) {
+    std::vector<std::thread> starters;
+    for (ProcessId p : who) {
+      starters.emplace_back([this, p] { ctxs_[p]->start(); });
+    }
+    for (auto& t : starters) t.join();
+  }
+  void start_all() { start(all()); }
+
+  std::vector<ProcessId> all() const {
+    std::vector<ProcessId> out(ctxs_.size());
+    for (ProcessId p = 0; p < out.size(); ++p) out[p] = p;
+    return out;
+  }
+  std::uint32_t n() const { return static_cast<std::uint32_t>(ctxs_.size()); }
+  Context& operator[](ProcessId p) { return *ctxs_[p]; }
+
+  /// p's ab_bcast, recorded with the rbid it returned. With batching on,
+  /// one origin's sends must come from one thread at a time, so that the
+  /// recording order is the batch order.
+  std::uint64_t ab_bcast(ProcessId p, Bytes payload) {
+    const std::uint64_t rbid = ctxs_[p]->ab_bcast(Bytes(payload));
+    std::lock_guard<std::mutex> lock(mu_);
+    rec_.sent(p, rbid, std::move(payload));
+    return rbid;
+  }
+  /// Records a delivery the test popped from p itself (ab_recv and kin).
+  void delivered(ProcessId p, const Context::AbDelivery& d) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      rec_.delivered(p, d.origin, d.rbid, d.payload);
+    }
+    cv_.notify_all();
+  }
+  /// Push mode: p's deliveries go straight into the recorder (through
+  /// ab_subscribe). Call before p starts to catch every delivery.
+  void record(ProcessId p) {
+    ctxs_[p]->ab_subscribe(
+        [this, p](Context::AbDelivery d) { delivered(p, d); });
+  }
+  void record_all() {
+    for (ProcessId p : all()) record(p);
+  }
+
+  /// Waits until every process in `who` recorded `count` deliveries.
+  bool wait_delivered(const std::vector<ProcessId>& who, std::size_t count,
+                      std::chrono::milliseconds timeout) {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, timeout, [&] {
+      for (ProcessId p : who) {
+        if (rec_.log(p).size() < count) return false;
+      }
+      return true;
+    });
+  }
+  /// The full AB safety set (oracle::check_ab) over `correct`.
+  sim::oracle::Report check_ab(const std::vector<ProcessId>& correct,
+                               bool complete = true) const {
+    sim::oracle::Report r;
+    std::lock_guard<std::mutex> lock(mu_);
+    rec_.check(r, correct, complete);
+    return r;
+  }
+
+ private:
+  explicit ContextMesh(std::vector<Context::Options> opts)
+      : rec_(static_cast<std::uint32_t>(opts.size()), opts[0].batch.enabled) {
+    for (auto& o : opts) ctxs_.push_back(std::make_unique<Context>(std::move(o)));
+  }
+  static std::vector<Context::Options> options(std::uint32_t n,
+                                               const std::string& secret,
+                                               std::uint64_t seed_base,
+                                               const Tweak& tweak) {
+    const auto peers = local_peers(free_ports(n));
+    std::vector<Context::Options> opts(n);
+    for (ProcessId p = 0; p < n; ++p) {
+      Context::Options& o = opts[p];
+      o.n = n;
+      o.self = p;
+      o.peers = peers;
+      o.master_secret = to_bytes(secret);
+      o.rng_seed = seed_base == 0 ? 0 : seed_base + p;
+      if (tweak) tweak(o);
+    }
+    return opts;
+  }
+
+  // Declared before the Contexts: a subscribed poll thread records into
+  // them until its Context stops.
+  mutable std::mutex mu_;
+  std::condition_variable cv_;
+  sim::oracle::AbRecorder rec_;
+  std::vector<std::unique_ptr<Context>> ctxs_;
+};
+
+/// Runs `call(p)` on one thread per node of `mesh` — consensus calls block
+/// until every node has proposed — and collects each node's decision in
+/// the shape the oracles take (nullopt = undecided).
+template <typename T, typename F>
+std::vector<std::optional<T>> decide_all(ContextMesh& mesh, F call) {
+  std::vector<std::optional<T>> decision(mesh.n());
+  std::vector<std::thread> threads;
+  for (ProcessId p = 0; p < mesh.n(); ++p) {
+    threads.emplace_back([&, p] { decision[p] = call(p); });
+  }
+  for (auto& t : threads) t.join();
+  return decision;
 }
 
 /// A hand-rolled wire peer that speaks the channel protocol of

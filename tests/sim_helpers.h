@@ -13,6 +13,7 @@
 #include "core/reliable_broadcast.h"
 #include "core/vector_consensus.h"
 #include "sim/cluster.h"
+#include "sim/oracles.h"
 
 namespace ritas::test {
 
@@ -112,6 +113,64 @@ struct DeliveryLog {
     }
     return true;
   }
+};
+
+/// Atomic broadcast roots (kAtomicBroadcast, 0) with every send and every
+/// delivery fed to one oracle::AbRecorder, the input of the §2.7 oracles.
+class AbGroup {
+ public:
+  /// Creates the root at every live process.
+  explicit AbGroup(Cluster& c) : AbGroup(c, c.live()) {}
+  /// Creates the root only at `at`; join() adds the others later.
+  AbGroup(Cluster& c, const std::vector<ProcessId>& at)
+      : c_(c), rec_(c.n(), c.stack(0).config().ab_batch.enabled),
+        ab_(c.n(), nullptr) {
+    for (ProcessId p : at) join(p);
+  }
+  AbGroup(const AbGroup&) = delete;
+  AbGroup& operator=(const AbGroup&) = delete;
+
+  void join(ProcessId p) {
+    ab_[p] = &c_.create_root<AtomicBroadcast>(
+        p, InstanceId::root(ProtocolType::kAtomicBroadcast, 0),
+        [this, p](ProcessId origin, std::uint64_t rbid, Slice payload) {
+          rec_.delivered(p, origin, rbid, payload.to_bytes());
+        });
+  }
+  /// p's AB instance, for calls other than bcast (flush, batch probes).
+  AtomicBroadcast& at(ProcessId p) { return *ab_[p]; }
+  /// p broadcasts `payload`, and the send is recorded. Call from inside
+  /// c.call(p, ...), like any protocol entry point.
+  std::uint64_t bcast(ProcessId p, Bytes payload) {
+    const std::uint64_t rbid = ab_[p]->bcast(Bytes(payload));
+    rec_.sent(p, rbid, std::move(payload));
+    return rbid;
+  }
+  /// c.call(p, ...) around one bcast.
+  void send(ProcessId p, Bytes payload) {
+    c_.call(p, [&] { bcast(p, std::move(payload)); });
+  }
+
+  const sim::oracle::AbLog& log(ProcessId p) const { return rec_.log(p); }
+  bool everyone_has(const std::vector<ProcessId>& who, std::size_t k) const {
+    for (ProcessId p : who) {
+      if (rec_.log(p).size() < k) return false;
+    }
+    return true;
+  }
+  /// The full §2.7 set (oracle::check_ab) over `correct`.
+  sim::oracle::Report check(const std::vector<ProcessId>& correct,
+                            bool complete = true) const {
+    sim::oracle::Report r;
+    rec_.check(r, correct, complete);
+    return r;
+  }
+  const sim::oracle::AbRecorder& recorder() const { return rec_; }
+
+ private:
+  Cluster& c_;
+  sim::oracle::AbRecorder rec_;
+  std::vector<AtomicBroadcast*> ab_;
 };
 
 inline ClusterOptions fast_lan(std::uint32_t n, std::uint64_t seed) {

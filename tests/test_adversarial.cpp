@@ -121,14 +121,9 @@ TEST(Adversarial, GarbageFramesAtEveryLayerAreDropped) {
   // Hand-craft malformed messages addressed to each protocol layer of a
   // running atomic broadcast; nothing may crash and the burst completes.
   Cluster c(fast_lan(4, 4));
-  std::vector<AtomicBroadcast*> ab(4, nullptr);
-  std::vector<std::uint64_t> delivered(4, 0);
+  test::AbGroup g(c);
+  g.send(0, to_bytes("legit"));
   const InstanceId id = InstanceId::root(ProtocolType::kAtomicBroadcast, 0);
-  for (ProcessId p : c.live()) {
-    ab[p] = &c.create_root<AtomicBroadcast>(
-        p, id, [&delivered, p](ProcessId, std::uint64_t, Slice) { ++delivered[p]; });
-  }
-  c.call(0, [&] { ab[0]->bcast(to_bytes("legit")); });
 
   // Byzantine bytes "from" process 3, injected straight into p0's stack.
   auto inject = [&](Message m) { c.stack(0).on_packet(3, m.encode()); };
@@ -153,14 +148,7 @@ TEST(Adversarial, GarbageFramesAtEveryLayerAreDropped) {
   // Garbage that does not even decode.
   c.stack(0).on_packet(3, to_bytes("\xff\xff\xff total garbage"));
 
-  ASSERT_TRUE(c.run_until(
-      [&] {
-        for (ProcessId p : c.live()) {
-          if (delivered[p] < 1) return false;
-        }
-        return true;
-      },
-      kDeadline));
+  ASSERT_TRUE(c.run_until([&] { return g.everyone_has(c.live(), 1); }, kDeadline));
   EXPECT_GT(c.stack(0).metrics().invalid_dropped +
                 c.stack(0).metrics().malformed_dropped +
                 c.stack(0).metrics().unroutable_dropped,
@@ -184,15 +172,9 @@ TEST(Adversarial, OocFloodCannotStopProgress) {
   EXPECT_LE(c.stack(0).ooc_size(), c.stack(0).config().ooc_per_sender);
   EXPECT_GT(c.stack(0).metrics().ooc_evicted, 0u);
 
-  std::vector<AtomicBroadcast*> ab(4, nullptr);
-  std::vector<std::uint64_t> delivered(4, 0);
-  const InstanceId id = InstanceId::root(ProtocolType::kAtomicBroadcast, 0);
-  for (ProcessId p : c.live()) {
-    ab[p] = &c.create_root<AtomicBroadcast>(
-        p, id, [&delivered, p](ProcessId, std::uint64_t, Slice) { ++delivered[p]; });
-  }
-  c.call(1, [&] { ab[1]->bcast(to_bytes("after the flood")); });
-  ASSERT_TRUE(c.run_until([&] { return delivered[0] >= 1; }, kDeadline));
+  test::AbGroup g(c);
+  g.send(1, to_bytes("after the flood"));
+  ASSERT_TRUE(c.run_until([&] { return g.everyone_has({0}, 1); }, kDeadline));
 }
 
 TEST(Adversarial, CrashPlusByzantineBeyondFBreaksNothingWithinF) {
@@ -224,35 +206,20 @@ TEST(Adversarial, BatchedTotalOrderSurvivesPaperByzantineAdversary) {
     o.stack.ab_batch.enabled = true;
     o.stack.ab_batch.max_batch_msgs = 4;
     Cluster c(o);
-    std::vector<AtomicBroadcast*> ab(4, nullptr);
-    std::vector<sim::oracle::AbLog> order(4);
-    const InstanceId id = InstanceId::root(ProtocolType::kAtomicBroadcast, 0);
-    for (ProcessId p : c.live()) {
-      ab[p] = &c.create_root<AtomicBroadcast>(
-          p, id, [&order, p](ProcessId origin, std::uint64_t rbid, Slice payload) {
-            order[p].push_back({origin, rbid, payload.to_bytes()});
-          });
-    }
+    test::AbGroup g(c);
     for (ProcessId p : c.correct_set()) {
       c.call(p, [&, p] {
-        for (int i = 0; i < 8; ++i) ab[p]->bcast(to_bytes("b"));
-        ab[p]->flush();
+        for (int i = 0; i < 8; ++i) g.bcast(p, to_bytes("b"));
+        g.at(p).flush();
       });
     }
     ASSERT_TRUE(c.run_until(
-        [&] {
-          for (ProcessId p : c.correct_set()) {
-            if (order[p].size() < 24) return false;
-          }
-          return true;
-        },
-        kDeadline))
+        [&] { return g.everyone_has(c.correct_set(), 24); }, kDeadline))
         << "seed " << seed;
     c.run_all();
-    // Batching shares one rbid per batch, so only the order oracle applies
-    // (payload-exact prefix agreement), matching the explorer's AB checks.
-    sim::oracle::Report rep;
-    sim::oracle::ab_total_order(rep, c.correct_set(), order);
+    // The batch slot names each message of a batch, so the full AB set
+    // applies to the batched wire format too.
+    const auto rep = g.check(c.correct_set());
     EXPECT_TRUE(rep.ok()) << "seed " << seed << ": " << rep.text();
     // Any corrupted batch frame that RB-delivered was a counted drop, and
     // batch-malformed drops are a subset of the invalid-drop count.
@@ -273,36 +240,15 @@ TEST(Adversarial, TotalOrderSurvivesSchedulerAttackDuringBursts) {
       (void)from;
       return target ? 2 * sim::kMillisecond : 0;
     });
-    std::vector<AtomicBroadcast*> ab(4, nullptr);
-    std::vector<sim::oracle::AbLog> order(4);
-    sim::oracle::AbSent sent;
-    const InstanceId id = InstanceId::root(ProtocolType::kAtomicBroadcast, 0);
-    for (ProcessId p : c.live()) {
-      ab[p] = &c.create_root<AtomicBroadcast>(
-          p, id, [&order, p](ProcessId origin, std::uint64_t rbid, Slice payload) {
-            order[p].push_back({origin, rbid, payload.to_bytes()});
-          });
-    }
+    test::AbGroup g(c);
     for (int i = 0; i < 5; ++i) {
-      for (ProcessId p : c.live()) {
-        c.call(p, [&, p] {
-          const std::uint64_t rbid = ab[p]->bcast(to_bytes("x"));
-          if (c.correct(p)) sent[{p, rbid}] = to_bytes("x");
-        });
-      }
+      for (ProcessId p : c.live()) g.send(p, to_bytes("x"));
     }
     ASSERT_TRUE(c.run_until(
-        [&] {
-          for (ProcessId p : c.correct_set()) {
-            if (order[p].size() < 20) return false;
-          }
-          return true;
-        },
-        kDeadline))
+        [&] { return g.everyone_has(c.correct_set(), 20); }, kDeadline))
         << "seed " << seed;
     c.run_all();
-    sim::oracle::Report rep;
-    sim::oracle::check_ab(rep, c.correct_set(), order, sent);
+    const auto rep = g.check(c.correct_set());
     EXPECT_TRUE(rep.ok()) << "seed " << seed << ": " << rep.text();
   }
 }

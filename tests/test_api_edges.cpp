@@ -19,30 +19,17 @@ namespace {
 using test::free_ports;
 using test::local_peers;
 
-std::vector<std::unique_ptr<Context>> make_cluster(std::uint32_t n) {
-  const auto peers = local_peers(free_ports(n));
-  std::vector<std::unique_ptr<Context>> ctxs;
-  for (std::uint32_t p = 0; p < n; ++p) {
-    Context::Options o;
-    o.n = n;
-    o.self = p;
-    o.peers = peers;
-    o.master_secret = to_bytes("edge-master");
-    o.rng_seed = 2000 + p;
-    ctxs.push_back(std::make_unique<Context>(o));
-  }
-  std::vector<std::thread> starters;
-  for (auto& c : ctxs) starters.emplace_back([&c] { c->start(); });
-  for (auto& t : starters) t.join();
-  return ctxs;
-}
+/// The suite's mesh: four started nodes.
+struct Mesh4 : test::ContextMesh {
+  Mesh4() : ContextMesh(4, "edge-master", 2000) { start_all(); }
+};
 
 TEST(ContextLifecycle, StopWakesBlockedReceiver) {
-  auto cluster = make_cluster(4);
+  Mesh4 cluster;
   std::atomic<bool> woke{false};
   std::thread blocked([&] {
     try {
-      (void)cluster[0]->ab_recv();  // nothing will ever arrive
+      (void)cluster[0].ab_recv();  // nothing will ever arrive
       ADD_FAILURE() << "recv returned without a delivery";
     } catch (const std::runtime_error&) {
       woke.store(true);  // the documented stop signal
@@ -50,41 +37,38 @@ TEST(ContextLifecycle, StopWakesBlockedReceiver) {
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
   EXPECT_FALSE(woke.load());
-  cluster[0]->stop();
+  cluster[0].stop();
   blocked.join();
   EXPECT_TRUE(woke.load());
-  for (auto& c : cluster) c->stop();
 }
 
 TEST(ContextLifecycle, StopIsIdempotent) {
-  auto cluster = make_cluster(4);
-  cluster[1]->stop();
-  cluster[1]->stop();  // second stop: no-op, no crash
-  for (auto& c : cluster) c->stop();
+  Mesh4 cluster;
+  cluster[1].stop();
+  cluster[1].stop();  // second stop: no-op, no crash
   SUCCEED();
 }
 
 TEST(ContextLifecycle, ServiceCallAfterStopThrows) {
-  auto cluster = make_cluster(4);
-  cluster[2]->stop();
-  EXPECT_THROW(cluster[2]->rb_bcast(to_bytes("late")), std::logic_error);
-  for (auto& c : cluster) c->stop();
+  Mesh4 cluster;
+  cluster[2].stop();
+  EXPECT_THROW(cluster[2].rb_bcast(to_bytes("late")), std::logic_error);
 }
 
 TEST(ContextLifecycle, StopWakesBlockedConsensusCaller) {
-  auto cluster = make_cluster(4);
+  Mesh4 cluster;
   std::promise<void> woke;
   auto woken = woke.get_future();
   std::thread blocked([&] {
     try {
-      (void)cluster[0]->bc(true);  // a lone proposer never decides
+      (void)cluster[0].bc(true);  // a lone proposer never decides
       ADD_FAILURE() << "bc decided with one proposer";
     } catch (const ShutdownError&) {
     }
     woke.set_value();
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  cluster[0]->stop();
+  cluster[0].stop();
   if (woken.wait_for(std::chrono::seconds(10)) != std::future_status::ready) {
     // The caller is stuck for good and still references the cluster, so
     // it can be neither joined nor detached safely: fail the run now.
@@ -92,22 +76,21 @@ TEST(ContextLifecycle, StopWakesBlockedConsensusCaller) {
     std::_Exit(1);
   }
   blocked.join();
-  EXPECT_THROW((void)cluster[0]->bc(true), std::logic_error);
-  for (auto& c : cluster) c->stop();
+  EXPECT_THROW((void)cluster[0].bc(true), std::logic_error);
 }
 
 TEST(ContextLifecycle, DeliveredBroadcastRootsAreFreed) {
   // The receive-window roots of delivered broadcasts must be destroyed
   // (deferred GC), keeping the instance count bounded during long streams.
-  auto cluster = make_cluster(4);
-  const Metrics before = cluster[3]->metrics();
+  Mesh4 cluster;
+  const Metrics before = cluster[3].metrics();
   for (int i = 0; i < 40; ++i) {
-    cluster[0]->rb_bcast(to_bytes("gc-probe"));
-    (void)cluster[3]->rb_recv();
+    cluster[0].rb_bcast(to_bytes("gc-probe"));
+    (void)cluster[3].rb_recv();
   }
   // Give the reactor a beat to run its deferred GC.
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  const Metrics after = cluster[3]->metrics();
+  const Metrics after = cluster[3].metrics();
   EXPECT_GE(after.msgs_received, before.msgs_received + 40);
   // An rb root lives from its first reference until its delivery, and an
   // origin may run at most recv_window (64) broadcasts ahead of the last
@@ -115,10 +98,9 @@ TEST(ContextLifecycle, DeliveredBroadcastRootsAreFreed) {
   // can't see instance_count through the facade, so probe indirectly: the
   // stream still works after more than one window of traffic.
   for (int i = 0; i < 80; ++i) {
-    cluster[1]->rb_bcast(to_bytes("beyond-one-window"));
-    (void)cluster[3]->rb_recv();
+    cluster[1].rb_bcast(to_bytes("beyond-one-window"));
+    (void)cluster[3].rb_recv();
   }
-  for (auto& c : cluster) c->stop();
   SUCCEED();
 }
 
@@ -127,22 +109,21 @@ TEST(ContextLifecycle, LateFramesForDeliveredRootsAreDroppedNotParked) {
   // its root destroyed are counted drops. Parking them out of context
   // would leak table entries that nothing ever drains, until the
   // per-sender quota starts evicting.
-  auto cluster = make_cluster(4);
+  Mesh4 cluster;
   for (int i = 0; i < 500; ++i) {
-    cluster[i % 4]->rb_bcast(to_bytes("straggler-probe"));
-    for (auto& c : cluster) {
-      ASSERT_TRUE(c->rb_recv_for(std::chrono::seconds(30)).has_value()) << i;
+    cluster[i % 4].rb_bcast(to_bytes("straggler-probe"));
+    for (ProcessId p = 0; p < 4; ++p) {
+      ASSERT_TRUE(cluster[p].rb_recv_for(std::chrono::seconds(30)).has_value()) << i;
     }
   }
   std::uint64_t dropped = 0;
   for (std::uint32_t p = 0; p < 4; ++p) {
-    const Metrics m = cluster[p]->metrics();
+    const Metrics m = cluster[p].metrics();
     EXPECT_EQ(m.ooc_stored, 0u) << "p" << p;
     EXPECT_EQ(m.ooc_evicted, 0u) << "p" << p;
     dropped += m.unroutable_dropped;
   }
   EXPECT_GT(dropped, 0u);  // stragglers did arrive, and were counted
-  for (auto& c : cluster) c->stop();
 }
 
 TEST(ContextOptions, InvalidMembershipFailsFast) {
@@ -223,51 +204,52 @@ TEST(ContextOptions, NonsensicalKnobsFailFast) {
 }
 
 TEST(ContextLifecycle, TryRecvAndRecvForTimeout) {
-  auto cluster = make_cluster(4);
+  Mesh4 cluster;
   // Nothing queued: try_recv polls empty, recv_for times out (and both
   // return, rather than blocking like recv()).
-  EXPECT_FALSE(cluster[0]->ab_try_recv().has_value());
-  EXPECT_FALSE(cluster[0]->rb_try_recv().has_value());
+  EXPECT_FALSE(cluster[0].ab_try_recv().has_value());
+  EXPECT_FALSE(cluster[0].rb_try_recv().has_value());
   const auto t0 = std::chrono::steady_clock::now();
-  EXPECT_FALSE(cluster[0]->ab_recv_for(std::chrono::milliseconds(30)).has_value());
+  EXPECT_FALSE(cluster[0].ab_recv_for(std::chrono::milliseconds(30)).has_value());
   EXPECT_GE(std::chrono::steady_clock::now() - t0, std::chrono::milliseconds(25));
 
   // With a delivery queued, both modes return it.
-  cluster[1]->ab_bcast(to_bytes("poll-me"));
-  const auto got = cluster[2]->ab_recv_for(std::chrono::seconds(30));
+  cluster.ab_bcast(1, to_bytes("poll-me"));
+  const auto got = cluster[2].ab_recv_for(std::chrono::seconds(30));
   ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(to_string(got->payload), "poll-me");
-  EXPECT_EQ(got->origin, 1u);
+  cluster.delivered(2, *got);
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
   std::optional<Context::AbDelivery> polled;
   while (!polled && std::chrono::steady_clock::now() < deadline) {
-    polled = cluster[3]->ab_try_recv();
+    polled = cluster[3].ab_try_recv();
     if (!polled) std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
   ASSERT_TRUE(polled.has_value());
-  EXPECT_EQ(to_string(polled->payload), "poll-me");
-  for (auto& c : cluster) c->stop();
+  cluster.delivered(3, *polled);
+  // Both popped p1's message intact (no-creation). Nodes 0 and 1 never
+  // pop, so validity is not judged.
+  const auto r = cluster.check_ab(cluster.all(), /*complete=*/false);
+  EXPECT_TRUE(r.ok()) << r.text();
 }
 
 TEST(ContextLifecycle, StopThrowsShutdownErrorSpecifically) {
-  auto cluster = make_cluster(4);
+  Mesh4 cluster;
   std::atomic<bool> typed{false};
   std::thread blocked([&] {
     try {
-      (void)cluster[0]->ab_recv();
+      (void)cluster[0].ab_recv();
     } catch (const ShutdownError&) {
       typed.store(true);  // the precise v2 type, not just runtime_error
     }
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  cluster[0]->stop();
+  cluster[0].stop();
   blocked.join();
   EXPECT_TRUE(typed.load());
   // After stop + drain, the non-blocking modes also report shutdown.
-  EXPECT_THROW((void)cluster[0]->ab_try_recv(), ShutdownError);
-  EXPECT_THROW((void)cluster[0]->ab_recv_for(std::chrono::milliseconds(1)),
+  EXPECT_THROW((void)cluster[0].ab_try_recv(), ShutdownError);
+  EXPECT_THROW((void)cluster[0].ab_recv_for(std::chrono::milliseconds(1)),
                ShutdownError);
-  for (auto& c : cluster) c->stop();
 }
 
 TEST(CApiEdges, MvcBufferTooSmall) {

@@ -4,111 +4,52 @@
 
 #include <gtest/gtest.h>
 
-#include <map>
-
 #include "sim_helpers.h"
 
 namespace ritas {
 namespace {
 
+using test::AbGroup;
 using test::Cluster;
 using test::fast_lan;
 using test::kDeadline;
 
-struct AbLog {
-  struct Entry {
-    ProcessId origin;
-    std::uint64_t rbid;
-    Bytes payload;
-    friend bool operator==(const Entry&, const Entry&) = default;
-  };
-  std::vector<std::vector<Entry>> by_process;
-  explicit AbLog(std::uint32_t n) : by_process(n) {}
-  auto sink(ProcessId p) {
-    return [this, p](ProcessId origin, std::uint64_t rbid, Slice payload) {
-      by_process[p].push_back(Entry{origin, rbid, payload.to_bytes()});
-    };
-  }
-  bool everyone_has(const std::vector<ProcessId>& who, std::size_t k) const {
-    for (ProcessId p : who) {
-      if (by_process[p].size() < k) return false;
-    }
-    return true;
-  }
-};
-
-std::vector<AtomicBroadcast*> make_ab(Cluster& c, AbLog& log) {
-  std::vector<AtomicBroadcast*> ab(c.n(), nullptr);
-  const InstanceId id = InstanceId::root(ProtocolType::kAtomicBroadcast, 0);
-  for (ProcessId p : c.live()) {
-    ab[p] = &c.create_root<AtomicBroadcast>(p, id, log.sink(p));
-  }
-  return ab;
-}
-
-void expect_total_order(const Cluster& c, const AbLog& log,
-                        const std::vector<ProcessId>& who) {
-  (void)c;
-  ASSERT_FALSE(who.empty());
-  const auto& ref = log.by_process[who.front()];
-  for (ProcessId p : who) {
-    const auto& mine = log.by_process[p];
-    const std::size_t k = std::min(ref.size(), mine.size());
-    for (std::size_t i = 0; i < k; ++i) {
-      EXPECT_EQ(mine[i], ref[i]) << "p" << p << " diverges at position " << i;
-    }
-  }
-}
-
 TEST(AtomicBroadcast, SingleMessageDeliveredEverywhere) {
   Cluster c(fast_lan(4, 1));
-  AbLog log(4);
-  auto ab = make_ab(c, log);
-  c.call(0, [&] { ab[0]->bcast(to_bytes("solo")); });
-  ASSERT_TRUE(c.run_until([&] { return log.everyone_has(c.live(), 1); }, kDeadline));
-  for (ProcessId p : c.live()) {
-    EXPECT_EQ(to_string(log.by_process[p][0].payload), "solo");
-    EXPECT_EQ(log.by_process[p][0].origin, 0u);
-  }
+  AbGroup g(c);
+  g.send(0, to_bytes("solo"));
+  ASSERT_TRUE(c.run_until([&] { return g.everyone_has(c.live(), 1); }, kDeadline));
+  const auto r = g.check(c.live());
+  EXPECT_TRUE(r.ok()) << r.text();
 }
 
 TEST(AtomicBroadcast, TotalOrderWithConcurrentSenders) {
   Cluster c(fast_lan(4, 2));
-  AbLog log(4);
-  auto ab = make_ab(c, log);
+  AbGroup g(c);
   const std::size_t kPer = 5;
   for (std::size_t i = 0; i < kPer; ++i) {
     for (ProcessId p : c.live()) {
-      c.call(p, [&, p, i] {
-        ab[p]->bcast(to_bytes("m" + std::to_string(p) + "-" + std::to_string(i)));
-      });
+      g.send(p, to_bytes("m" + std::to_string(p) + "-" + std::to_string(i)));
     }
   }
   const std::size_t total = kPer * 4;
-  ASSERT_TRUE(c.run_until([&] { return log.everyone_has(c.live(), total); },
+  ASSERT_TRUE(c.run_until([&] { return g.everyone_has(c.live(), total); },
                           kDeadline));
-  expect_total_order(c, log, c.live());
-  // No duplicates.
-  for (ProcessId p : c.live()) {
-    std::map<std::pair<ProcessId, std::uint64_t>, int> seen;
-    for (const auto& e : log.by_process[p]) ++seen[{e.origin, e.rbid}];
-    for (const auto& [id, count] : seen) EXPECT_EQ(count, 1) << id.first;
-  }
+  const auto r = g.check(c.live());
+  EXPECT_TRUE(r.ok()) << r.text();
 }
 
 TEST(AtomicBroadcast, FailStopFaultload) {
   test::ClusterOptions o = fast_lan(4, 3);
   o.crashed = {1};
   Cluster c(o);
-  AbLog log(4);
-  auto ab = make_ab(c, log);
+  AbGroup g(c);
   for (int i = 0; i < 4; ++i) {
-    for (ProcessId p : c.live()) {
-      c.call(p, [&, p] { ab[p]->bcast(to_bytes("x")); });
-    }
+    for (ProcessId p : c.live()) g.send(p, to_bytes("x"));
   }
-  ASSERT_TRUE(c.run_until([&] { return log.everyone_has(c.live(), 12); }, kDeadline));
-  expect_total_order(c, log, c.live());
+  ASSERT_TRUE(c.run_until([&] { return g.everyone_has(c.live(), 12); }, kDeadline));
+  const auto r = g.check(c.live());
+  EXPECT_TRUE(r.ok()) << r.text();
 }
 
 TEST(AtomicBroadcast, PaperByzantineFaultload) {
@@ -117,39 +58,37 @@ TEST(AtomicBroadcast, PaperByzantineFaultload) {
   test::ClusterOptions o = fast_lan(4, 4);
   o.byzantine = {2};
   Cluster c(o);
-  AbLog log(4);
-  auto ab = make_ab(c, log);
+  AbGroup g(c);
   for (int i = 0; i < 4; ++i) {
     for (ProcessId p : c.live()) {
-      c.call(p, [&, p, i] {
-        ab[p]->bcast(to_bytes("b" + std::to_string(p) + std::to_string(i)));
-      });
+      g.send(p, to_bytes("b" + std::to_string(p) + std::to_string(i)));
     }
   }
-  ASSERT_TRUE(c.run_until([&] { return log.everyone_has(c.correct_set(), 16); },
+  ASSERT_TRUE(c.run_until([&] { return g.everyone_has(c.correct_set(), 16); },
                           kDeadline));
-  expect_total_order(c, log, c.correct_set());
+  const auto r = g.check(c.correct_set());
+  EXPECT_TRUE(r.ok()) << r.text();
 }
 
 TEST(AtomicBroadcast, BurstFromOneSender) {
   Cluster c(fast_lan(4, 5));
-  AbLog log(4);
-  auto ab = make_ab(c, log);
+  AbGroup g(c);
   const std::size_t kBurst = 50;
   c.call(0, [&] {
     for (std::size_t i = 0; i < kBurst; ++i) {
-      ab[0]->bcast(to_bytes("burst-" + std::to_string(i)));
+      g.bcast(0, to_bytes("burst-" + std::to_string(i)));
     }
   });
-  ASSERT_TRUE(c.run_until([&] { return log.everyone_has(c.live(), kBurst); },
+  ASSERT_TRUE(c.run_until([&] { return g.everyone_has(c.live(), kBurst); },
                           kDeadline));
-  expect_total_order(c, log, c.live());
+  const auto r = g.check(c.live());
+  EXPECT_TRUE(r.ok()) << r.text();
   // Per-origin FIFO: rbids from one origin are delivered in order (the
   // deterministic (origin, rbid) per-round order guarantees it here).
   for (ProcessId p : c.live()) {
     std::uint64_t last = 0;
     bool first = true;
-    for (const auto& e : log.by_process[p]) {
+    for (const auto& e : g.log(p)) {
       if (!first) {
         EXPECT_GT(e.rbid, last);
       }
@@ -163,12 +102,11 @@ TEST(AtomicBroadcast, AgreementCostDropsWithBurstSize) {
   // Figure 7's mechanism: bigger bursts amortize the agreement broadcasts.
   auto ratio_for = [](std::size_t burst) {
     Cluster c(fast_lan(4, 77));
-    AbLog log(4);
-    auto ab = make_ab(c, log);
+    AbGroup g(c);
     c.call(0, [&] {
-      for (std::size_t i = 0; i < burst; ++i) ab[0]->bcast(to_bytes("z"));
+      for (std::size_t i = 0; i < burst; ++i) g.bcast(0, to_bytes("z"));
     });
-    c.run_until([&] { return log.everyone_has(c.live(), burst); }, kDeadline);
+    c.run_until([&] { return g.everyone_has(c.live(), burst); }, kDeadline);
     const Metrics m = c.total_metrics();
     return static_cast<double>(m.broadcasts_agreement()) /
            static_cast<double>(m.broadcasts_total());
@@ -185,35 +123,32 @@ TEST(AtomicBroadcast, JitterManySeeds) {
     test::ClusterOptions o = fast_lan(4, 200 + seed);
     o.lan.jitter_ns = 300'000;
     Cluster c(o);
-    AbLog log(4);
-    auto ab = make_ab(c, log);
+    AbGroup g(c);
     for (int i = 0; i < 3; ++i) {
-      for (ProcessId p : c.live()) {
-        c.call(p, [&, p] { ab[p]->bcast(to_bytes("j")); });
-      }
+      for (ProcessId p : c.live()) g.send(p, to_bytes("j"));
     }
-    ASSERT_TRUE(c.run_until([&] { return log.everyone_has(c.live(), 12); }, kDeadline))
+    ASSERT_TRUE(c.run_until([&] { return g.everyone_has(c.live(), 12); }, kDeadline))
         << "seed " << seed;
-    expect_total_order(c, log, c.live());
+    const auto r = g.check(c.live());
+    EXPECT_TRUE(r.ok()) << "seed " << seed << ": " << r.text();
   }
 }
 
 TEST(AtomicBroadcast, GarbageCollectionBoundsInstanceCount) {
   Cluster c(fast_lan(4, 6));
-  AbLog log(4);
-  auto ab = make_ab(c, log);
+  AbGroup g(c);
   const std::size_t kBurst = 40;
   c.call(0, [&] {
-    for (std::size_t i = 0; i < kBurst; ++i) ab[0]->bcast(to_bytes("gc"));
+    for (std::size_t i = 0; i < kBurst; ++i) g.bcast(0, to_bytes("gc"));
   });
-  ASSERT_TRUE(c.run_until([&] { return log.everyone_has(c.live(), kBurst); },
+  ASSERT_TRUE(c.run_until([&] { return g.everyone_has(c.live(), kBurst); },
                           kDeadline));
   c.run_all();
   // Delivered AB_MSG reliable broadcasts must have been freed (agreement
   // rounds within the GC grace window legitimately stay alive).
   const InstanceId ab_id = InstanceId::root(ProtocolType::kAtomicBroadcast, 0);
   std::size_t leftover_msg_rbs = 0;
-  for (const auto& e : log.by_process[0]) {
+  for (const auto& e : g.log(0)) {
     const InstanceId path = ab_id.child(
         {ProtocolType::kReliableBroadcast, AtomicBroadcast::msg_seq(e.origin, e.rbid)});
     if (c.stack(0).has_instance(path)) ++leftover_msg_rbs;
@@ -223,16 +158,12 @@ TEST(AtomicBroadcast, GarbageCollectionBoundsInstanceCount) {
 
 TEST(AtomicBroadcast, LargePayloads) {
   Cluster c(fast_lan(4, 7));
-  AbLog log(4);
-  auto ab = make_ab(c, log);
+  AbGroup g(c);
   const Bytes big(10000, 0x42);  // the paper's 10K experiments
-  for (ProcessId p : c.live()) {
-    c.call(p, [&, p] { ab[p]->bcast(Bytes(big)); });
-  }
-  ASSERT_TRUE(c.run_until([&] { return log.everyone_has(c.live(), 4); }, kDeadline));
-  for (ProcessId p : c.live()) {
-    for (const auto& e : log.by_process[p]) EXPECT_EQ(e.payload, big);
-  }
+  for (ProcessId p : c.live()) g.send(p, Bytes(big));
+  ASSERT_TRUE(c.run_until([&] { return g.everyone_has(c.live(), 4); }, kDeadline));
+  const auto r = g.check(c.live());
+  EXPECT_TRUE(r.ok()) << r.text();
 }
 
 class AbGroupSize : public ::testing::TestWithParam<std::uint32_t> {};
@@ -240,13 +171,11 @@ class AbGroupSize : public ::testing::TestWithParam<std::uint32_t> {};
 TEST_P(AbGroupSize, TotalOrderAcrossGroupSizes) {
   const std::uint32_t n = GetParam();
   Cluster c(fast_lan(n, 300 + n));
-  AbLog log(n);
-  auto ab = make_ab(c, log);
-  for (ProcessId p : c.live()) {
-    c.call(p, [&, p] { ab[p]->bcast(to_bytes("n" + std::to_string(p))); });
-  }
-  ASSERT_TRUE(c.run_until([&] { return log.everyone_has(c.live(), n); }, kDeadline));
-  expect_total_order(c, log, c.live());
+  AbGroup g(c);
+  for (ProcessId p : c.live()) g.send(p, to_bytes("n" + std::to_string(p)));
+  ASSERT_TRUE(c.run_until([&] { return g.everyone_has(c.live(), n); }, kDeadline));
+  const auto r = g.check(c.live());
+  EXPECT_TRUE(r.ok()) << r.text();
 }
 
 INSTANTIATE_TEST_SUITE_P(GroupSizes, AbGroupSize, ::testing::Values(4u, 7u, 10u));
@@ -324,25 +253,25 @@ TEST(AtomicBroadcast, BatchingPreservesTotalOrderAndCounts) {
   o.stack.ab_batch.enabled = true;
   o.stack.ab_batch.max_batch_msgs = 8;
   Cluster c(o);
-  AbLog log(4);
-  auto ab = make_ab(c, log);
+  AbGroup g(c);
   const std::size_t kPer = 25;
   for (ProcessId p : c.live()) {
     c.call(p, [&, p] {
       for (std::size_t i = 0; i < kPer; ++i) {
-        ab[p]->bcast(to_bytes("b" + std::to_string(p) + "-" + std::to_string(i)));
+        g.bcast(p, to_bytes("b" + std::to_string(p) + "-" + std::to_string(i)));
       }
     });
   }
   const std::size_t total = kPer * 4;
-  ASSERT_TRUE(c.run_until([&] { return log.everyone_has(c.live(), total); },
+  ASSERT_TRUE(c.run_until([&] { return g.everyone_has(c.live(), total); },
                           kDeadline));
-  expect_total_order(c, log, c.live());
+  const auto r = g.check(c.live());
+  EXPECT_TRUE(r.ok()) << r.text();
   // Per-origin FIFO survives batching: within one origin, payload index
   // order matches submission order.
   for (ProcessId p : c.live()) {
     std::vector<std::size_t> next(4, 0);
-    for (const auto& e : log.by_process[p]) {
+    for (const auto& e : g.log(p)) {
       const std::string want =
           "b" + std::to_string(e.origin) + "-" + std::to_string(next[e.origin]++);
       EXPECT_EQ(to_string(e.payload), want);
@@ -365,19 +294,19 @@ TEST(AtomicBroadcast, BatchSealIsEventDriven) {
   o.stack.ab_batch.enabled = true;
   o.stack.ab_batch.max_batch_msgs = 64;
   Cluster c(o);
-  AbLog log(4);
-  auto ab = make_ab(c, log);
+  AbGroup g(c);
   c.call(0, [&] {
-    for (int i = 0; i < 5; ++i) ab[0]->bcast(to_bytes("e" + std::to_string(i)));
+    for (int i = 0; i < 5; ++i) g.bcast(0, to_bytes("e" + std::to_string(i)));
   });
   // Message 0 sealed immediately; 1..4 wait in the open batch.
   EXPECT_EQ(c.stack(0).metrics().ab_batches_sealed, 1u);
-  EXPECT_EQ(ab[0]->open_batch_msgs(), 4u);
-  c.call(0, [&] { ab[0]->flush(); });
+  EXPECT_EQ(g.at(0).open_batch_msgs(), 4u);
+  c.call(0, [&] { g.at(0).flush(); });
   EXPECT_EQ(c.stack(0).metrics().ab_batches_sealed, 2u);
-  EXPECT_EQ(ab[0]->open_batch_msgs(), 0u);
-  ASSERT_TRUE(c.run_until([&] { return log.everyone_has(c.live(), 5); }, kDeadline));
-  expect_total_order(c, log, c.live());
+  EXPECT_EQ(g.at(0).open_batch_msgs(), 0u);
+  ASSERT_TRUE(c.run_until([&] { return g.everyone_has(c.live(), 5); }, kDeadline));
+  const auto r = g.check(c.live());
+  EXPECT_TRUE(r.ok()) << r.text();
 }
 
 TEST(AtomicBroadcast, BatchByteLimitSeals) {
@@ -386,18 +315,18 @@ TEST(AtomicBroadcast, BatchByteLimitSeals) {
   o.stack.ab_batch.max_batch_msgs = 1000;
   o.stack.ab_batch.max_batch_bytes = 256;
   Cluster c(o);
-  AbLog log(4);
-  auto ab = make_ab(c, log);
+  AbGroup g(c);
   const Bytes chunk(100, 0x7e);
   c.call(0, [&] {
-    for (int i = 0; i < 7; ++i) ab[0]->bcast(Bytes(chunk));
+    for (int i = 0; i < 7; ++i) g.bcast(0, Bytes(chunk));
   });
   // Seal 1: first message (idle pipeline). Then 100+4 byte entries hit the
   // 256-byte cap every third append while the pipeline is busy.
   EXPECT_GE(c.stack(0).metrics().ab_batches_sealed, 3u);
-  c.call(0, [&] { ab[0]->flush(); });
-  ASSERT_TRUE(c.run_until([&] { return log.everyone_has(c.live(), 7); }, kDeadline));
-  expect_total_order(c, log, c.live());
+  c.call(0, [&] { g.at(0).flush(); });
+  ASSERT_TRUE(c.run_until([&] { return g.everyone_has(c.live(), 7); }, kDeadline));
+  const auto r = g.check(c.live());
+  EXPECT_TRUE(r.ok()) << r.text();
 }
 
 TEST(AtomicBroadcast, BatchingByzantineFaultload) {
@@ -406,21 +335,19 @@ TEST(AtomicBroadcast, BatchingByzantineFaultload) {
   o.stack.ab_batch.enabled = true;
   o.stack.ab_batch.max_batch_msgs = 4;
   Cluster c(o);
-  AbLog log(4);
-  auto ab = make_ab(c, log);
+  AbGroup g(c);
   for (int i = 0; i < 4; ++i) {
     for (ProcessId p : c.live()) {
-      c.call(p, [&, p, i] {
-        ab[p]->bcast(to_bytes("y" + std::to_string(p) + std::to_string(i)));
-      });
+      g.send(p, to_bytes("y" + std::to_string(p) + std::to_string(i)));
     }
   }
   for (ProcessId p : c.live()) {
-    c.call(p, [&, p] { ab[p]->flush(); });
+    c.call(p, [&, p] { g.at(p).flush(); });
   }
-  ASSERT_TRUE(c.run_until([&] { return log.everyone_has(c.correct_set(), 16); },
+  ASSERT_TRUE(c.run_until([&] { return g.everyone_has(c.correct_set(), 16); },
                           kDeadline));
-  expect_total_order(c, log, c.correct_set());
+  const auto r = g.check(c.correct_set());
+  EXPECT_TRUE(r.ok()) << r.text();
 }
 
 TEST(AtomicBroadcast, IdVectorEncodingRoundTrips) {

@@ -437,13 +437,13 @@ TEST(CApi, LinkProbesAndStats) {
 }
 
 TEST(CApi, RetiredPipelineIdsAreEinval) {
-  // 9 (reactor threads), 10 (HMAC workers) and 11 (transport send
-  // batching) were retired knobs; 13-14 (HMAC worker counters) and 15-17
-  // (handoff counters, reactor queue depth) retired stats. All are
-  // rejected, whatever the value, and never reused.
+  // 6 (consensus group id), 9 (reactor threads), 10 (HMAC workers) and
+  // 11 (transport send batching) were retired knobs; 13-14 (HMAC worker
+  // counters) and 15-17 (handoff counters, reactor queue depth) retired
+  // stats. All are rejected, whatever the value, and never reused.
   ritas_t* r = ritas_init(4, 0, kSecret, sizeof(kSecret));
   ASSERT_NE(r, nullptr);
-  for (int opt : {9, 10, 11}) {
+  for (int opt : {6, 9, 10, 11}) {
     for (long v : {-1L, 0L, 1L, 2L}) {
       EXPECT_EQ(ritas_set_opt(r, opt, v), RITAS_EINVAL) << "opt " << opt << " = " << v;
     }

@@ -127,6 +127,29 @@ TEST(Explore, VariantSweepsFindNothing) {
   }
 }
 
+TEST(Explore, BatchedAbSweepsFindNothing) {
+  // Batched atomic broadcast under the full §2.7 set: the recorder's batch
+  // slot names every message of a batch, so no-dup, no-creation and
+  // validity judge batched trials exactly as they judge unbatched ones.
+  for (BcVariant bc : {BcVariant::kBracha, BcVariant::kCrain}) {
+    Explorer::Config cfg;
+    cfg.workload = Workload::kAtomicBroadcast;
+    cfg.ab_batching = true;
+    cfg.variants.bc = bc;
+    cfg.messages = 6;
+    Explorer ex(cfg);
+    const auto finding = ex.explore(1, 100);
+    EXPECT_FALSE(finding.has_value())
+        << bc_variant_name(bc) << " seed "
+        << (finding ? finding->trial_seed : 0) << ": "
+        << (finding && !finding->result.violations.empty()
+                ? finding->result.violations.front()
+                : std::string("stall"));
+    EXPECT_EQ(ex.metrics().explore_trials, 100u);
+    EXPECT_EQ(ex.metrics().explore_violations, 0u);
+  }
+}
+
 TEST(Explore, VariantScheduleJsonRoundTripAndValidation) {
   Explorer::Config cfg;
   cfg.workload = Workload::kReliableBroadcast;

@@ -3,8 +3,6 @@
 // of the consensus services.
 #include <gtest/gtest.h>
 
-#include <thread>
-
 #include "net_helpers.h"
 #include "ritas/context.h"
 #include "sim_helpers.h"
@@ -47,49 +45,31 @@ TEST(LargeGroupTcp, SevenNodeSessionToleratesTwoFaults) {
   // n = 7 over real sockets: all services function; we stop two nodes
   // mid-session and the remaining five still reach atomic agreement.
   constexpr std::uint32_t kN = 7;
-  const auto peers = test::local_peers(test::free_ports(kN));
-  std::vector<std::unique_ptr<Context>> nodes;
-  for (std::uint32_t p = 0; p < kN; ++p) {
-    Context::Options o;
-    o.n = kN;
-    o.self = p;
-    o.peers = peers;
-    o.master_secret = to_bytes("seven-master");
-    o.rng_seed = 4000 + p;
-    nodes.push_back(std::make_unique<Context>(o));
-  }
-  {
-    std::vector<std::thread> starters;
-    for (auto& n : nodes) starters.emplace_back([&n] { n->start(); });
-    for (auto& t : starters) t.join();
-  }
+  test::ContextMesh nodes(kN, "seven-master", 4000);
+  nodes.start_all();
 
   // Round 1: everyone participates in one binary consensus.
   {
-    std::array<int, kN> d{};
-    std::vector<std::thread> ts;
-    for (std::uint32_t p = 0; p < kN; ++p) {
-      ts.emplace_back([&, p] { d[p] = nodes[p]->bc(true) ? 1 : 0; });
-    }
-    for (auto& t : ts) t.join();
-    for (int v : d) EXPECT_EQ(v, 1);
+    const auto d =
+        test::decide_all<bool>(nodes, [&](ProcessId p) { return nodes[p].bc(true); });
+    sim::oracle::Report r;
+    sim::oracle::check_bc(r, nodes.all(), std::vector<bool>(kN, true), d);
+    EXPECT_TRUE(r.ok()) << r.text();
   }
 
   // Kill two nodes (f = 2 for n = 7), then atomic-broadcast through the
   // survivors.
-  nodes[5]->stop();
-  nodes[6]->stop();
-  for (std::uint32_t p = 0; p < 5; ++p) {
-    nodes[p]->ab_bcast(to_bytes("survivor-" + std::to_string(p)));
+  nodes[5].stop();
+  nodes[6].stop();
+  const std::vector<ProcessId> survivors = {0, 1, 2, 3, 4};
+  for (ProcessId p : survivors) {
+    nodes.ab_bcast(p, to_bytes("survivor-" + std::to_string(p)));
   }
-  std::array<std::vector<std::string>, 5> order;
-  for (std::uint32_t p = 0; p < 5; ++p) {
-    for (int i = 0; i < 5; ++i) {
-      order[p].push_back(to_string(nodes[p]->ab_recv().payload));
-    }
+  for (ProcessId p : survivors) {
+    for (int i = 0; i < 5; ++i) nodes.delivered(p, nodes[p].ab_recv());
   }
-  for (std::uint32_t p = 1; p < 5; ++p) EXPECT_EQ(order[p], order[0]);
-  for (auto& n : nodes) n->stop();
+  const auto r = nodes.check_ab(survivors);
+  EXPECT_TRUE(r.ok()) << r.text();
 }
 
 TEST(TransportParity, SimAndTcpAgreeOnServiceSemantics) {
@@ -104,32 +84,16 @@ TEST(TransportParity, SimAndTcpAgreeOnServiceSemantics) {
   ASSERT_TRUE(sim_cap.got[0]->has_value());
 
   // TCP side:
-  const auto peers = test::local_peers(test::free_ports(4));
-  std::vector<std::unique_ptr<Context>> nodes;
-  for (std::uint32_t p = 0; p < 4; ++p) {
-    Context::Options o;
-    o.n = 4;
-    o.self = p;
-    o.peers = peers;
-    o.master_secret = to_bytes("parity-master");
-    nodes.push_back(std::make_unique<Context>(o));
-  }
-  {
-    std::vector<std::thread> starters;
-    for (auto& n : nodes) starters.emplace_back([&n] { n->start(); });
-    for (auto& t : starters) t.join();
-  }
-  std::array<std::optional<Bytes>, 4> tcp_decision;
-  std::vector<std::thread> ts;
-  for (std::uint32_t p = 0; p < 4; ++p) {
-    ts.emplace_back([&, p] { tcp_decision[p] = nodes[p]->mvc(to_bytes("parity")); });
-  }
-  for (auto& t : ts) t.join();
-  for (std::uint32_t p = 0; p < 4; ++p) {
-    ASSERT_TRUE(tcp_decision[p].has_value());
-    EXPECT_EQ(*tcp_decision[p], **sim_cap.got[0]);
-  }
-  for (auto& n : nodes) n->stop();
+  test::ContextMesh nodes(4, "parity-master", 0);
+  nodes.start_all();
+  const auto tcp_decision = test::decide_all<sim::oracle::MvcDecision>(
+      nodes, [&](ProcessId p) { return nodes[p].mvc(to_bytes("parity")); });
+  sim::oracle::Report r;
+  sim::oracle::check_mvc(r, nodes.all(), std::vector<Bytes>(4, to_bytes("parity")),
+                         tcp_decision);
+  EXPECT_TRUE(r.ok()) << r.text();
+  ASSERT_TRUE(tcp_decision[0].has_value());
+  EXPECT_EQ(*tcp_decision[0], *sim_cap.got[0]);
 }
 
 }  // namespace

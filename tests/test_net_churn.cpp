@@ -15,8 +15,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <mutex>
-#include <set>
 #include <thread>
 #include <vector>
 
@@ -34,80 +32,20 @@ using test::local_peers;
 constexpr std::uint32_t kN = 4;
 constexpr int kBurst = 25;  // messages per node; 100 total per run
 
-struct ChurnCluster {
-  std::vector<std::unique_ptr<Context>> ctxs;
-  // Per-node delivery log, appended by a collector thread per node.
-  std::vector<std::vector<std::pair<ProcessId, std::string>>> delivered;
-  std::vector<std::mutex> mutexes{kN};
-  std::vector<std::thread> collectors;
-  std::atomic<bool> stop{false};
-
-  explicit ChurnCluster(const std::vector<net::PeerAddr>& peers) {
-    delivered.resize(kN);
-    for (std::uint32_t p = 0; p < kN; ++p) {
-      Context::Options o;
-      o.n = kN;
-      o.self = p;
-      o.peers = peers;
-      o.master_secret = to_bytes("churn-master");
-      o.rng_seed = 7000 + p;
-      ctxs.push_back(std::make_unique<Context>(o));
-    }
-  }
-
-  void start_all() {
-    std::vector<std::thread> starters;
-    for (auto& c : ctxs) starters.emplace_back([&c] { c->start(); });
-    for (auto& t : starters) t.join();
-  }
-
-  void collect(std::uint32_t p) {
-    collectors.emplace_back([this, p] {
-      while (!stop.load()) {
-        auto d = ctxs[p]->ab_recv_for(std::chrono::milliseconds(100));
-        if (!d) continue;
-        std::lock_guard<std::mutex> lock(mutexes[p]);
-        delivered[p].emplace_back(d->origin, to_string(d->payload));
-      }
-    });
-  }
-
-  std::size_t count(std::uint32_t p) {
-    std::lock_guard<std::mutex> lock(mutexes[p]);
-    return delivered[p].size();
-  }
-
-  bool wait_delivered(std::size_t want, int timeout_ms) {
-    for (int waited = 0; waited < timeout_ms; waited += 20) {
-      bool all = true;
-      for (std::uint32_t p = 0; p < kN; ++p) {
-        if (ctxs[p] && count(p) < want) all = false;
-      }
-      if (all) return true;
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    }
-    return false;
-  }
-
-  ~ChurnCluster() {
-    stop.store(true);
-    for (auto& t : collectors) {
-      if (t.joinable()) t.join();
-    }
-    for (auto& c : ctxs) {
-      if (c) c->stop();
-    }
-  }
+/// Four nodes whose every AB delivery goes straight into the mesh's
+/// recorder (push mode, set before any node starts).
+struct ChurnMesh : test::ContextMesh {
+  ChurnMesh() : ContextMesh(kN, "churn-master", 7000) { record_all(); }
 };
 
 /// Dumps every node's transport counters as JSON — uploaded by CI when the
 /// churn gate fails, so a red run leaves the link-layer story behind.
-void dump_stats_json(ChurnCluster& cluster, const char* path) {
+void dump_stats_json(test::ContextMesh& cluster, const char* path) {
   JsonWriter j;
   j.begin_object().key("nodes").begin_array();
   for (std::uint32_t p = 0; p < kN; ++p) {
     j.begin_object().field("id", p);
-    cluster.ctxs[p]->transport_stats().for_each(
+    cluster[p].transport_stats().for_each(
         [&j](const CounterInfo& c, std::uint64_t v) { j.field(c.name, v); });
     j.end_object();
   }
@@ -124,9 +62,8 @@ void dump_stats_json(ChurnCluster& cluster, const char* path) {
 /// the reconnect counters — including across the resync/retransmit path
 /// of the batched drain.
 TEST(NetChurn, EveryLinkKilledMidBurstStillTotallyOrders) {
-  ChurnCluster cluster(local_peers(free_ports(kN)));
+  ChurnMesh cluster;
   cluster.start_all();
-  for (std::uint32_t p = 0; p < kN; ++p) cluster.collect(p);
 
   // Interleave the burst with kills of all 6 pairwise links, alternating
   // abortive RST teardowns and graceful half-closes. The dialer side (the
@@ -139,8 +76,7 @@ TEST(NetChurn, EveryLinkKilledMidBurstStillTotallyOrders) {
   std::size_t next_kill = 0;
   for (int i = 0; i < kBurst; ++i) {
     for (std::uint32_t p = 0; p < kN; ++p) {
-      cluster.ctxs[p]->ab_bcast(
-          to_bytes("m" + std::to_string(p) + "-" + std::to_string(i)));
+      cluster.ab_bcast(p, to_bytes("m" + std::to_string(p) + "-" + std::to_string(i)));
     }
     // Spread the 6 kills across the first half of the burst so every
     // teardown happens with traffic genuinely in flight.
@@ -148,35 +84,22 @@ TEST(NetChurn, EveryLinkKilledMidBurstStillTotallyOrders) {
       const auto [hi, lo] = pairs[next_kill];
       const auto mode = next_kill % 2 == 0 ? net::TcpTransport::KillMode::kRst
                                            : net::TcpTransport::KillMode::kHalfClose;
-      cluster.ctxs[hi]->transport().kill_link(lo, mode);
+      cluster[hi].transport().kill_link(lo, mode);
       ++next_kill;
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   ASSERT_EQ(next_kill, pairs.size()) << "burst too short to kill every link";
 
-  const bool complete = cluster.wait_delivered(kN * kBurst, 120'000);
+  const bool complete = cluster.wait_delivered(cluster.all(), kN * kBurst,
+                                               std::chrono::seconds(120));
   dump_stats_json(cluster, "churn_transport_stats.json");
   ASSERT_TRUE(complete) << "burst did not fully deliver after link churn";
 
   // Identical complete delivery at every node: same total order, each
   // message exactly once (an accepted replay would show up as a dup).
-  {
-    std::scoped_lock lock(cluster.mutexes[0], cluster.mutexes[1],
-                          cluster.mutexes[2], cluster.mutexes[3]);
-    std::set<std::string> uniq(
-        [&] {
-          std::set<std::string> s;
-          for (auto& [o, m] : cluster.delivered[0]) s.insert(m);
-          return s;
-        }());
-    EXPECT_EQ(uniq.size(), static_cast<std::size_t>(kN * kBurst))
-        << "duplicate or missing deliveries at node 0";
-    for (std::uint32_t p = 1; p < kN; ++p) {
-      EXPECT_EQ(cluster.delivered[p], cluster.delivered[0])
-          << "total order diverged at node " << p;
-    }
-  }
+  const auto r = cluster.check_ab(cluster.all());
+  EXPECT_TRUE(r.ok()) << r.text();
 
   // The churn must be real: every node re-established at least one link,
   // and no node ever accepted a stale-session or stale-counter frame as
@@ -184,7 +107,7 @@ TEST(NetChurn, EveryLinkKilledMidBurstStillTotallyOrders) {
   // none slipped through).
   std::uint64_t total_reconnects = 0;
   for (std::uint32_t p = 0; p < kN; ++p) {
-    const auto s = cluster.ctxs[p]->transport_stats();
+    const auto s = cluster[p].transport_stats();
     EXPECT_GE(s.link_reconnects, 1u) << "node " << p << " never reconnected";
     total_reconnects += s.link_reconnects;
     // All peers hold the right keys, so nothing may ever look forged.
@@ -199,7 +122,7 @@ TEST(NetChurn, EveryLinkKilledMidBurstStillTotallyOrders) {
   // the kernel through sendmsg_batch (counted), and batch assembly never
   // copied payload bytes (scatter-gather only).
   for (std::uint32_t p = 0; p < kN; ++p) {
-    const auto s = cluster.ctxs[p]->transport_stats();
+    const auto s = cluster[p].transport_stats();
     EXPECT_GT(s.sendmsg_calls, 0u) << "node " << p;
     EXPECT_GE(s.bytes_to_kernel, s.frames_sent * 20u) << "node " << p;
     EXPECT_EQ(s.batch_copy_bytes, 0u) << "node " << p;
@@ -211,47 +134,28 @@ TEST(NetChurn, EveryLinkKilledMidBurstStillTotallyOrders) {
 /// node starts late, joins the running mesh, and catches up on everything
 /// it missed from the peers' retained-frame queues.
 TEST(NetChurn, LateJoinerCatchesUp) {
-  ChurnCluster cluster(local_peers(free_ports(kN)));
+  ChurnMesh cluster;
   // Start only nodes 0..2 (threshold n-f-1 = 2 is reachable among them).
-  {
-    std::vector<std::thread> starters;
-    for (std::uint32_t p = 0; p + 1 < kN; ++p) {
-      starters.emplace_back([&cluster, p] { cluster.ctxs[p]->start(); });
-    }
-    for (auto& t : starters) t.join();
-  }
-  for (std::uint32_t p = 0; p + 1 < kN; ++p) cluster.collect(p);
+  const std::vector<ProcessId> early = {0, 1, 2};
+  cluster.start(early);
 
   // AB progress with the last node absent: n=4 tolerates f=1 silent node.
   for (int i = 0; i < 8; ++i) {
-    cluster.ctxs[0]->ab_bcast(to_bytes("early" + std::to_string(i)));
+    cluster.ab_bcast(0, to_bytes("early" + std::to_string(i)));
   }
-  ASSERT_TRUE([&] {
-    for (int waited = 0; waited < 60'000; waited += 20) {
-      bool all = true;
-      for (std::uint32_t p = 0; p + 1 < kN; ++p) {
-        if (cluster.count(p) < 8) all = false;
-      }
-      if (all) return true;
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    }
-    return false;
-  }()) << "n-1 nodes failed to make progress without the late joiner";
+  ASSERT_TRUE(cluster.wait_delivered(early, 8, std::chrono::seconds(60)))
+      << "n-1 nodes failed to make progress without the late joiner";
 
   // Late joiner arrives: dials everyone, catches up, follows new traffic.
-  cluster.ctxs[kN - 1]->start();
-  cluster.collect(kN - 1);
+  cluster.start({kN - 1});
   for (int i = 0; i < 4; ++i) {
-    cluster.ctxs[1]->ab_bcast(to_bytes("late" + std::to_string(i)));
+    cluster.ab_bcast(1, to_bytes("late" + std::to_string(i)));
   }
-  ASSERT_TRUE(cluster.wait_delivered(12, 120'000))
+  ASSERT_TRUE(cluster.wait_delivered(cluster.all(), 12, std::chrono::seconds(120)))
       << "late joiner did not catch up";
-  {
-    std::scoped_lock lock(cluster.mutexes[0], cluster.mutexes[kN - 1]);
-    EXPECT_EQ(cluster.delivered[kN - 1], cluster.delivered[0])
-        << "late joiner's total order diverged";
-  }
-  const auto s = cluster.ctxs[kN - 1]->transport_stats();
+  const auto r = cluster.check_ab(cluster.all());
+  EXPECT_TRUE(r.ok()) << r.text();
+  const auto s = cluster[kN - 1].transport_stats();
   EXPECT_EQ(s.mac_failures, 0u);
   EXPECT_EQ(s.session_rejects, 0u);
 }

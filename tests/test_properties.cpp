@@ -110,46 +110,21 @@ TEST_P(StackProperties, VectorConsensus) {
 
 TEST_P(StackProperties, AtomicBroadcast) {
   Cluster c(options_for(GetParam()));
-  std::vector<AtomicBroadcast*> ab(c.n(), nullptr);
-  std::vector<sim::oracle::AbLog> log(c.n());
-  sim::oracle::AbSent sent;
-  const InstanceId id = InstanceId::root(ProtocolType::kAtomicBroadcast, 0);
-  for (ProcessId p : c.live()) {
-    ab[p] = &c.create_root<AtomicBroadcast>(
-        p, id, [&log, p](ProcessId origin, std::uint64_t rbid, Slice payload) {
-          log[p].push_back({origin, rbid, payload.to_bytes()});
-        });
-  }
+  test::AbGroup g(c);
   const std::uint32_t kPer = 3;
   for (std::uint32_t i = 0; i < kPer; ++i) {
     for (ProcessId p : c.live()) {
-      c.call(p, [&, p, i] {
-        Bytes b = to_bytes("m" + std::to_string(p) + "." + std::to_string(i));
-        const std::uint64_t rbid = ab[p]->bcast(Bytes(b));
-        if (c.correct(p)) sent[{p, rbid}] = std::move(b);
-      });
+      g.send(p, to_bytes("m" + std::to_string(p) + "." + std::to_string(i)));
     }
   }
   // Validity: everything the CORRECT processes broadcast must arrive at
   // every correct process (Byzantine senders' messages may or may not).
-  const std::size_t must = kPer * c.correct_set().size();
   ASSERT_TRUE(c.run_until(
-      [&] {
-        for (ProcessId p : c.correct_set()) {
-          std::size_t from_correct = 0;
-          for (const auto& e : log[p]) {
-            if (c.correct(e.origin)) ++from_correct;
-          }
-          if (from_correct < must) return false;
-        }
-        return true;
-      },
-      kDeadline))
+      [&] { return g.recorder().all_delivered(c.correct_set()); }, kDeadline))
       << "validity/termination";
   c.run_all();
 
-  sim::oracle::Report rep;
-  sim::oracle::check_ab(rep, c.correct_set(), log, sent);
+  const auto rep = g.check(c.correct_set());
   EXPECT_TRUE(rep.ok()) << rep.text();
 }
 

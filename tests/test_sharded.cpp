@@ -98,7 +98,7 @@ TEST(Sharded, ShardsConvergePartitionHoldsAndPerShardOrderIsLinearizable) {
   const auto correct = c.correct_set();
   for (GroupId g = 0; g < c.groups(); ++g) {
     oracle::Report r;
-    oracle::check_ab(r, correct, c.ab_log(g), c.ab_sent(g));
+    c.ab(g).check(r, correct);
     EXPECT_TRUE(r.ok()) << "shard " << g << ":\n" << r.text();
   }
 }
@@ -291,6 +291,13 @@ TEST(Sharded, PerGroupBatchingIsIndependentlyTunable) {
     for (GroupId g = 0; g < c.groups(); ++g) {
       EXPECT_EQ(c.service(p).snapshot(g), c.service(0).snapshot(g));
     }
+  }
+  // The batched and the unbatched group both pass the full AB safety set.
+  for (GroupId g = 0; g < c.groups(); ++g) {
+    EXPECT_FALSE(c.ab(g).sent().empty()) << "shard " << g;
+    oracle::Report r;
+    c.ab(g).check(r, c.correct_set());
+    EXPECT_TRUE(r.ok()) << "shard " << g << ":\n" << r.text();
   }
 }
 

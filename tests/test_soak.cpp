@@ -20,15 +20,7 @@ TEST(Soak, LongMixedSessionStaysBoundedAndOrdered) {
   o.lan.jitter_ns = 150'000;
   Cluster c(o);
 
-  std::vector<AtomicBroadcast*> ab(4, nullptr);
-  std::vector<std::vector<std::pair<ProcessId, std::uint64_t>>> order(4);
-  const InstanceId id = InstanceId::root(ProtocolType::kAtomicBroadcast, 0);
-  for (ProcessId p : c.live()) {
-    ab[p] = &c.create_root<AtomicBroadcast>(
-        p, id, [&order, p](ProcessId origin, std::uint64_t rbid, Slice) {
-          order[p].emplace_back(origin, rbid);
-        });
-  }
+  test::AbGroup g(c);
 
   // 25 waves x 4 senders x 20 messages = 2000 messages, sizes cycling
   // 10 B / 100 B / 1 KB, each wave starting only after the previous one
@@ -43,32 +35,21 @@ TEST(Soak, LongMixedSessionStaysBoundedAndOrdered) {
           const std::size_t size = (wave + i) % 3 == 0   ? 10
                                    : (wave + i) % 3 == 1 ? 100
                                                          : 1000;
-          ab[p]->bcast(Bytes(size, static_cast<std::uint8_t>(wave)));
+          g.bcast(p, Bytes(size, static_cast<std::uint8_t>(wave)));
         }
       });
     }
     expected += 4 * kPerSender;
     ASSERT_TRUE(c.run_until(
-        [&] {
-          for (ProcessId p : c.correct_set()) {
-            if (order[p].size() < expected) return false;
-          }
-          return true;
-        },
-        kDeadline))
+        [&] { return g.everyone_has(c.correct_set(), expected); }, kDeadline))
         << "wave " << wave;
     peak_instances = std::max(peak_instances, c.stack(0).instance_count());
   }
   c.run_all();
 
-  // Total order over the whole session.
-  for (ProcessId p : c.correct_set()) {
-    const std::size_t k = std::min(order[p].size(), order[0].size());
-    ASSERT_GE(k, expected);
-    for (std::size_t i = 0; i < k; ++i) {
-      ASSERT_EQ(order[p][i], order[0][i]) << "diverged at " << i;
-    }
-  }
+  // The full AB safety set over the whole session.
+  const auto r = g.check(c.correct_set());
+  ASSERT_TRUE(r.ok()) << r.text();
 
   // Boundedness: after 2000 delivered messages the per-process instance
   // tree must be a small multiple of one wave's working set, not O(total).
