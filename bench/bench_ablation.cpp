@@ -9,6 +9,13 @@
 //      flips) it saves.
 //   C. IPSec — Table 1's w/ vs w/o column, at the atomic broadcast level
 //      and under load (the cost of channel integrity under throughput).
+//   D. Coin — the paper's local coin vs a dealt common coin on split
+//      proposals.
+//
+// Every arm is one row of BENCH_ablation.json (virtual time, tracked
+// exactly against bench/baselines/), and each claim is a gate: echo beats
+// reliable broadcast, validation keeps one-round agreement and disabling
+// it costs safety, the dealt coin is no slower, and AH costs latency.
 #include <cstdio>
 
 #include "paper_harness.h"
@@ -35,6 +42,29 @@ class StubbornZero : public Adversary {
     return 0;
   }
 };
+
+// Seeds and run counts of each ablation (recorded as the artifact config).
+constexpr int kMvcIters = 50;
+constexpr std::uint64_t kMvcSeed = 7;
+constexpr std::uint32_t kBurst = 200;
+constexpr std::size_t kBurstBytes = 100;
+constexpr std::uint64_t kBurstSeed = 3;
+constexpr int kAttackRuns = 10;
+constexpr std::uint64_t kAttackFirstSeed = 500;
+constexpr int kCoinRuns = 20;
+constexpr std::uint64_t kCoinFirstSeed = 3000;
+constexpr int kIpsecIters = 50;
+constexpr std::uint64_t kIpsecSeed = 9;
+
+/// One artifact row: the ablation, the arm, then the arm's figures.
+void add_arm(BenchReport& report, const char* ablation, const char* arm,
+             const std::function<void(JsonWriter&)>& fill) {
+  report.add_row([&](JsonWriter& w) {
+    w.field("ablation", ablation);
+    w.field("arm", arm);
+    fill(w);
+  });
+}
 
 BcAttackResult run_bc_attack(bool validation_enabled, std::uint64_t seed) {
   ClusterOptions o;
@@ -83,58 +113,118 @@ BcAttackResult run_bc_attack(bool validation_enabled, std::uint64_t seed) {
 }  // namespace
 
 int main() {
+  BenchReport report("ablation");
+  report.config("mvc_iters", kMvcIters);
+  report.config("mvc_seed", kMvcSeed);
+  report.config("burst", kBurst);
+  report.config("burst_msg_bytes", static_cast<std::uint64_t>(kBurstBytes));
+  report.config("burst_seed", kBurstSeed);
+  report.config("attack_runs", kAttackRuns);
+  report.config("attack_first_seed", kAttackFirstSeed);
+  report.config("coin_runs", kCoinRuns);
+  report.config("coin_first_seed", kCoinFirstSeed);
+  report.config("ipsec_iters", kIpsecIters);
+  report.config("ipsec_seed", kIpsecSeed);
+  // Every figure is virtual time or a count: exact against the baseline.
+  report.compare(
+      R"({"key":["ablation","arm"],"fields":{)"
+      R"("mvc_latency_us":{"exact":true},"ab_latency_us":{"exact":true},)"
+      R"("burst_latency_ms":{"exact":true},"avg_rounds":{"exact":true},)"
+      R"("coin_flips":{"exact":true},"undecided_runs":{"exact":true},)"
+      R"("disagreed_runs":{"exact":true}}})");
+
   print_header("Ablation A: echo vs reliable broadcast in the MVC VECT phase");
   {
     StackConfig eb_cfg, rb_cfg;
     rb_cfg.mvc_vect_via_rb = true;
-    const double mvc_eb = isolated_latency_us(Proto::kMVC, true, 50, 7, eb_cfg);
-    const double mvc_rb = isolated_latency_us(Proto::kMVC, true, 50, 7, rb_cfg);
-    const double ab_eb = isolated_latency_us(Proto::kAB, true, 50, 7, eb_cfg);
-    const double ab_rb = isolated_latency_us(Proto::kAB, true, 50, 7, rb_cfg);
+    const double mvc_eb =
+        isolated_latency_us(Proto::kMVC, true, kMvcIters, kMvcSeed, eb_cfg);
+    const double mvc_rb =
+        isolated_latency_us(Proto::kMVC, true, kMvcIters, kMvcSeed, rb_cfg);
+    const double ab_eb =
+        isolated_latency_us(Proto::kAB, true, kMvcIters, kMvcSeed, eb_cfg);
+    const double ab_rb =
+        isolated_latency_us(Proto::kAB, true, kMvcIters, kMvcSeed, rb_cfg);
     std::printf("%-32s %12s %12s %9s\n", "metric", "echo (paper)", "reliable",
                 "saving");
     std::printf("%-32s %12.0f %12.0f %8.1f%%\n", "MVC isolated latency (us)",
                 mvc_eb, mvc_rb, (mvc_rb / mvc_eb - 1) * 100);
     std::printf("%-32s %12.0f %12.0f %8.1f%%\n", "AB isolated latency (us)",
                 ab_eb, ab_rb, (ab_rb / ab_eb - 1) * 100);
-    const BurstResult b_eb = run_burst(200, 100, Faultload::kFailureFree, 3, eb_cfg);
-    const BurstResult b_rb = run_burst(200, 100, Faultload::kFailureFree, 3, rb_cfg);
+    const BurstResult b_eb = run_burst(kBurst, kBurstBytes,
+                                       Faultload::kFailureFree, kBurstSeed, eb_cfg);
+    const BurstResult b_rb = run_burst(kBurst, kBurstBytes,
+                                       Faultload::kFailureFree, kBurstSeed, rb_cfg);
     std::printf("%-32s %12.1f %12.1f %8.1f%%\n", "AB burst k=200 latency (ms)",
                 b_eb.latency_ms, b_rb.latency_ms,
                 (b_rb.latency_ms / b_eb.latency_ms - 1) * 100);
     std::printf("=> the paper's echo-broadcast optimization is %s\n",
                 mvc_rb > mvc_eb ? "confirmed (echo is faster)" : "NOT confirmed");
+    const auto arm = [&](const char* name, double mvc, double ab,
+                         const BurstResult& b) {
+      add_arm(report, "mvc_vect", name, [&](JsonWriter& w) {
+        w.field("mvc_latency_us", mvc);
+        w.field("ab_latency_us", ab);
+        w.field("burst_latency_ms", b.latency_ms);
+      });
+    };
+    arm("echo", mvc_eb, ab_eb, b_eb);
+    arm("reliable", mvc_rb, ab_rb, b_rb);
+    report.gate("mvc_vect_echo_lt_reliable_mvc_latency_us", mvc_eb, "<",
+                mvc_rb);
+    report.gate("mvc_vect_echo_lt_reliable_burst_latency_ms", b_eb.latency_ms,
+                "<", b_rb.latency_ms);
   }
 
   print_header(
       "Ablation B: binary consensus validation under a stubborn-zero attack\n"
       "(all correct processes propose 1; attacker floods 0 at every step)");
   {
-    double rounds_on = 0, rounds_off = 0;
-    std::uint64_t flips_on = 0, flips_off = 0;
-    int undecided_off = 0, disagreed_off = 0;
-    const int kRuns = 10;
-    for (int i = 0; i < kRuns; ++i) {
-      const auto on = run_bc_attack(true, 500 + static_cast<std::uint64_t>(i));
-      const auto off = run_bc_attack(false, 500 + static_cast<std::uint64_t>(i));
-      rounds_on += on.avg_rounds / kRuns;
-      rounds_off += off.avg_rounds / kRuns;
-      flips_on += on.coin_flips;
-      flips_off += off.coin_flips;
-      if (!off.decided) ++undecided_off;
-      if (!off.agreed) ++disagreed_off;
+    struct Arm {
+      double rounds = 0;
+      std::uint64_t flips = 0;
+      int undecided = 0, disagreed = 0;
+      void add(const BcAttackResult& r) {
+        rounds += r.avg_rounds / kAttackRuns;
+        flips += r.coin_flips;
+        if (!r.decided) ++undecided;
+        if (!r.agreed) ++disagreed;
+      }
+    } on, off;
+    for (int i = 0; i < kAttackRuns; ++i) {
+      const std::uint64_t seed = kAttackFirstSeed + static_cast<std::uint64_t>(i);
+      on.add(run_bc_attack(true, seed));
+      off.add(run_bc_attack(false, seed));
     }
     std::printf("%-36s %12s %12s\n", "metric", "validation", "disabled");
-    std::printf("%-36s %12.2f %12.2f\n", "avg rounds to decide", rounds_on,
-                rounds_off);
+    std::printf("%-36s %12.2f %12.2f\n", "avg rounds to decide", on.rounds,
+                off.rounds);
     std::printf("%-36s %12llu %12llu\n", "coin flips (10 runs)",
-                static_cast<unsigned long long>(flips_on),
-                static_cast<unsigned long long>(flips_off));
-    std::printf("%-36s %12d %12d\n", "runs without full decision", 0,
-                undecided_off);
-    std::printf("%-36s %12d %12d\n", "runs with disagreement", 0, disagreed_off);
+                static_cast<unsigned long long>(on.flips),
+                static_cast<unsigned long long>(off.flips));
+    std::printf("%-36s %12d %12d\n", "runs without full decision",
+                on.undecided, off.undecided);
+    std::printf("%-36s %12d %12d\n", "runs with disagreement", on.disagreed,
+                off.disagreed);
     std::printf("=> validation keeps one-round decisions under attack: %s\n",
-                rounds_on <= 1.01 ? "PASS" : "FAIL");
+                on.rounds <= 1.01 ? "PASS" : "FAIL");
+    const auto arm = [&](const char* name, const Arm& a) {
+      add_arm(report, "bc_validation", name, [&](JsonWriter& w) {
+        w.field("avg_rounds", a.rounds);
+        w.field("coin_flips", a.flips);
+        w.field("undecided_runs", a.undecided);
+        w.field("disagreed_runs", a.disagreed);
+      });
+    };
+    arm("on", on);
+    arm("off", off);
+    report.gate("bc_validation_on_avg_rounds", on.rounds, "<=", 1.01);
+    report.gate("bc_validation_on_undecided_runs", on.undecided, "==", 0);
+    report.gate("bc_validation_on_disagreed_runs", on.disagreed, "==", 0);
+    // Safety-critical, not an optimization: without it some run either
+    // never decides or decides differently.
+    report.gate("bc_validation_off_unsafe_runs", off.undecided + off.disagreed,
+                ">=", 1);
   }
 
   print_header(
@@ -145,11 +235,10 @@ int main() {
     auto rounds_with = [](CoinMode mode) {
       double avg = 0;
       std::uint64_t flips = 0;
-      const int kRuns = 20;
-      for (int i = 0; i < kRuns; ++i) {
+      for (int i = 0; i < kCoinRuns; ++i) {
         ClusterOptions o;
         o.n = 5;
-        o.seed = 3000 + static_cast<std::uint64_t>(i);
+        o.seed = kCoinFirstSeed + static_cast<std::uint64_t>(i);
         o.lan = paper_lan(true);
         o.lan.jitter_ns = 900'000;
         o.stack.coin_mode = mode;
@@ -181,7 +270,7 @@ int main() {
         const Metrics m = c.total_metrics();
         if (m.bc_decided > 0) {
           avg += static_cast<double>(m.bc_rounds_total) /
-                 static_cast<double>(m.bc_decided) / kRuns;
+                 static_cast<double>(m.bc_decided) / kCoinRuns;
         }
         flips += m.bc_coin_flips;
       }
@@ -197,19 +286,38 @@ int main() {
                 static_cast<unsigned long long>(dealt_flips));
     std::printf("=> a common coin converges at least as fast: %s\n",
                 dealt_rounds <= local_rounds + 0.05 ? "PASS" : "FAIL");
+    add_arm(report, "coin", "local", [&](JsonWriter& w) {
+      w.field("avg_rounds", local_rounds);
+      w.field("coin_flips", local_flips);
+    });
+    add_arm(report, "coin", "dealt", [&](JsonWriter& w) {
+      w.field("avg_rounds", dealt_rounds);
+      w.field("coin_flips", dealt_flips);
+    });
+    report.gate("coin_dealt_rounds_le_local", dealt_rounds, "<=",
+                local_rounds + 0.05);
   }
 
   print_header("Ablation C: IPSec AH under load (atomic broadcast burst)");
   {
-    ClusterOptions base;
     // run_burst always uses ipsec=true; emulate the w/o case via the
     // latency harness at the AB level plus Table 1's isolated columns.
-    const double ab_with = isolated_latency_us(Proto::kAB, true, 50, 9);
-    const double ab_without = isolated_latency_us(Proto::kAB, false, 50, 9);
+    const double ab_with =
+        isolated_latency_us(Proto::kAB, true, kIpsecIters, kIpsecSeed);
+    const double ab_without =
+        isolated_latency_us(Proto::kAB, false, kIpsecIters, kIpsecSeed);
     std::printf("AB isolated latency: %0.0f us with AH, %0.0f us without "
                 "(+%.1f%%; paper: +27%%)\n",
                 ab_with, ab_without, (ab_with / ab_without - 1) * 100);
-    (void)base;
+    add_arm(report, "ipsec", "with_ah",
+            [&](JsonWriter& w) { w.field("ab_latency_us", ab_with); });
+    add_arm(report, "ipsec", "without_ah",
+            [&](JsonWriter& w) { w.field("ab_latency_us", ab_without); });
+    report.gate("ipsec_ab_latency_us_gt_without", ab_with, ">", ab_without);
   }
-  return 0;
+  if (!report.write()) {
+    std::fprintf(stderr, "failed to write %s\n", report.path().c_str());
+    return 1;
+  }
+  return report.exit_code();
 }

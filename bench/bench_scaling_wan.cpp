@@ -8,6 +8,11 @@
 // under the two headline faultloads — kill_link churn and the §4.2
 // Byzantine attack?
 //
+// It also measures the paper's §4.2 WAN caveat: one-round agreement was
+// explained by LAN symmetry, and the paper warned a WAN might not
+// reproduce it. Every cell gates that MVC never decided the default value
+// and that binary consensus decided in one round, WAN cells included.
+//
 // All numbers are virtual-time (machine-independent): same seed =>
 // bit-identical rows, which is what lets CI diff the committed baseline.
 //
@@ -134,6 +139,9 @@ int main() {
           w.field("elapsed_ns", r.elapsed);
           w.field("retransmissions", r.retransmissions);
           w.field("fingerprint", r.fingerprint);
+          w.field("mvc_decided_default", r.mvc_decided_default);
+          w.field("bc_rounds_total", r.bc_rounds_total);
+          w.field("bc_decided", r.bc_decided);
         });
 
         ++cells;
@@ -150,6 +158,10 @@ int main() {
                               lat.p999());
         all_ok &= report.gate(cell + "_p999_le_max", lat.p999(), "<=",
                               lat.max());
+        all_ok &= report.gate(cell + "_mvc_never_default",
+                              r.mvc_decided_default, "==", 0);
+        all_ok &= report.gate(cell + "_bc_one_round", r.bc_rounds_total, "==",
+                              r.bc_decided);
         const std::uint64_t key =
             (std::uint64_t{n} << 8) | static_cast<std::uint8_t>(fault);
         if (net == NetProfile::kLan) {

@@ -11,6 +11,10 @@
 //       coin). Claim under test: direct per-round messages => far fewer
 //       messages per decision; the common coin keeps the expected round
 //       count constant even on split proposals.
+//   AB: on every failure-free cell, one burst of 400 x 10-byte unbatched
+//       atomic broadcasts from every correct process (the paper's
+//       Tmax workload across group sizes). The BC claim must survive the
+//       whole stack: Crain must use fewer messages per AB delivery.
 //
 // Latency is measured to the LAST correct process (totality time), not
 // just p0 — a 2-step broadcast that left stragglers behind would not get
@@ -20,7 +24,7 @@
 // Gates (enforced in-binary, exit 1 on failure, re-checked by CI from
 // BENCH_variants.json): on every failure-free point where both run,
 // Imbs–Raynal must beat Bracha RB on latency and messages, and Crain must
-// use fewer messages per decision than Bracha BC.
+// use fewer messages per decision and per AB delivery than Bracha BC.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -43,6 +47,8 @@ const Combo kCombos[] = {
 };
 
 constexpr std::uint32_t kSweep[] = {4, 6, 10};
+constexpr std::uint32_t kAbBurst = 400;
+constexpr std::uint64_t kAbBurstSeed = 10;
 
 std::uint32_t fault_budget(const VariantConfig& v, std::uint32_t n) {
   std::uint32_t f = max_faults(n);
@@ -60,6 +66,8 @@ struct CellResult {
   double bc_msgs = 0;           // transport msgs per decision (all n)
   double bc_split_latency_us = 0;  // split proposals (adversarial input)
   double bc_split_rounds = 0;
+  double ab_tmax_msgs_s = 0;       // failure-free only: burst / time to p0
+  double ab_msgs_per_delivery = 0;  // transport msgs (all n) per AB message
   bool completed = true;
 };
 
@@ -159,6 +167,45 @@ bool bc_once(const Combo& cb, Faultload fl, std::uint32_t n,
   return done;
 }
 
+/// One AB burst in a fresh cluster: every correct process sends its share
+/// of kAbBurst 10-byte messages at once. Tmax is the messages over the time
+/// until p0 delivered them all; messages per delivery count every transport
+/// message until the cluster is quiet, like the RB/BC counts.
+bool ab_burst(const Combo& cb, std::uint32_t n, CellResult& acc) {
+  Cluster c(cell_options(cb, Faultload::kFailureFree, n, kAbBurstSeed));
+  std::vector<AtomicBroadcast*> ab(n, nullptr);
+  std::uint64_t delivered = 0;
+  const InstanceId id = InstanceId::root(ProtocolType::kAtomicBroadcast, 0);
+  for (ProcessId p : c.live()) {
+    AtomicBroadcast::DeliverFn on_deliver;
+    if (p == 0) {
+      on_deliver = [&delivered](ProcessId, std::uint64_t, Slice) {
+        ++delivered;
+      };
+    }
+    ab[p] = &c.create_root<AtomicBroadcast>(p, id, std::move(on_deliver));
+  }
+  const auto senders = c.correct_set();
+  const std::uint32_t per = kAbBurst / static_cast<std::uint32_t>(senders.size());
+  const std::uint64_t total = std::uint64_t{per} * senders.size();
+  const std::uint64_t msgs0 = c.total_metrics().msgs_sent;
+  const sim::Time t0 = c.now();
+  for (ProcessId p : senders) {
+    c.call(p, [&, p] {
+      for (std::uint32_t i = 0; i < per; ++i) ab[p]->bcast(Bytes(10, 0x62));
+    });
+  }
+  const bool done =
+      c.run_until([&] { return delivered >= total; }, t0 + kDeadline);
+  const double secs = static_cast<double>(c.now() - t0) / 1e9;
+  acc.ab_tmax_msgs_s = secs > 0 ? static_cast<double>(total) / secs : 0;
+  c.run_all();
+  acc.ab_msgs_per_delivery =
+      static_cast<double>(c.total_metrics().msgs_sent - msgs0) /
+      static_cast<double>(total);
+  return done;
+}
+
 CellResult run_cell(const Combo& cb, Faultload fl, std::uint32_t n, int runs) {
   CellResult acc;
   for (int i = 0; i < runs; ++i) {
@@ -168,6 +215,9 @@ CellResult run_cell(const Combo& cb, Faultload fl, std::uint32_t n, int runs) {
         bc_once(cb, fl, n, seed, /*split=*/false, acc, runs) && acc.completed;
     acc.completed =
         bc_once(cb, fl, n, seed, /*split=*/true, acc, runs) && acc.completed;
+  }
+  if (fl == Faultload::kFailureFree) {
+    acc.completed = ab_burst(cb, n, acc) && acc.completed;
   }
   return acc;
 }
@@ -190,28 +240,33 @@ int main() {
   report.config("runs", kRuns);
   report.config("first_seed", 1000);
   report.config("payload_bytes", 10);
+  report.config("ab_burst", kAbBurst);
+  report.config("ab_burst_seed", kAbBurstSeed);
   // Message counts per instance are exact on the deterministic simulator.
   report.compare(
       R"({"key":["rb_variant","bc_variant","faultload","n"],"fields":{)"
       R"("rb_msgs_per_bcast":{"exact":true},)"
       R"("bc_msgs_per_decide":{"exact":true},)"
+      R"("ab_msgs_per_delivery":{"exact":true},)"
       R"("rb_latency_us":{"better":"lower","tolerance":0.2},)"
-      R"("bc_latency_us":{"better":"lower","tolerance":0.2}}})");
+      R"("bc_latency_us":{"better":"lower","tolerance":0.2},)"
+      R"("ab_tmax_msgs_s":{"better":"higher","tolerance":0.2}}})");
 
   // Gate accumulators, keyed per failure-free n where both variants ran.
   struct Baseline {
-    double rb_lat = 0, rb_msgs = 0, bc_msgs = 0;
+    double rb_lat = 0, rb_msgs = 0, bc_msgs = 0, ab_msgs = 0;
   };
   std::vector<std::pair<std::uint32_t, Baseline>> bracha_ff;
   bool gate_rb_latency = true, gate_rb_msgs = true, gate_bc_msgs = true;
-  bool all_completed = true;
-  int head_to_head = 0;  // comparisons made: 2 per imbs-raynal n, 1 per crain n
+  bool gate_ab_msgs = true, all_completed = true;
+  int head_to_head = 0;  // comparisons made: 2 per imbs-raynal n, 2 per crain n
 
   for (const Combo& cb : kCombos) {
     std::printf("\n-- %s --\n", cb.label);
-    std::printf("%-13s %3s %10s %8s %10s %8s %8s %12s %10s\n", "faultload",
-                "n", "rb lat us", "rb msgs", "bc lat us", "bc rnds", "bc msgs",
-                "split lat us", "split rnds");
+    std::printf("%-13s %3s %10s %8s %10s %8s %8s %12s %10s %10s %8s\n",
+                "faultload", "n", "rb lat us", "rb msgs", "bc lat us",
+                "bc rnds", "bc msgs", "split lat us", "split rnds",
+                "ab tmax/s", "ab msgs");
     for (const Faultload fl : faultloads) {
       for (const std::uint32_t n : kSweep) {
         const std::string cell = std::string(cb.label) + "_" +
@@ -233,10 +288,17 @@ int main() {
         }
         const CellResult r = run_cell(cb, fl, n, kRuns);
         all_completed &= report.gate(cell + "_completed", r.completed);
-        std::printf("%-13s %3u %10.1f %8.1f %10.1f %8.2f %8.1f %12.1f %10.2f\n",
+        const bool ff = fl == Faultload::kFailureFree;
+        std::printf("%-13s %3u %10.1f %8.1f %10.1f %8.2f %8.1f %12.1f %10.2f",
                     faultload_name(fl), n, r.rb_latency_us, r.rb_msgs,
                     r.bc_latency_us, r.bc_rounds, r.bc_msgs,
                     r.bc_split_latency_us, r.bc_split_rounds);
+        if (ff) {
+          std::printf(" %10.0f %8.1f\n", r.ab_tmax_msgs_s,
+                      r.ab_msgs_per_delivery);
+        } else {
+          std::printf(" %10s %8s\n", "-", "-");
+        }
         std::fflush(stdout);
         report.add_row([&](ritas::JsonWriter& w) {
           w.field("rb_variant", rb_variant_name(cb.variants.rb));
@@ -252,11 +314,17 @@ int main() {
           w.field("bc_msgs_per_decide", r.bc_msgs);
           w.field("bc_split_latency_us", r.bc_split_latency_us);
           w.field("bc_split_rounds", r.bc_split_rounds);
+          if (ff) {
+            w.field("ab_tmax_msgs_s", r.ab_tmax_msgs_s);
+            w.field("ab_msgs_per_delivery", r.ab_msgs_per_delivery);
+          }
         });
 
-        if (fl == Faultload::kFailureFree) {
+        if (ff) {
           if (cb.variants == ritas::VariantConfig{}) {
-            bracha_ff.push_back({n, {r.rb_latency_us, r.rb_msgs, r.bc_msgs}});
+            bracha_ff.push_back({n,
+                                 {r.rb_latency_us, r.rb_msgs, r.bc_msgs,
+                                  r.ab_msgs_per_delivery}});
           } else {
             for (const auto& [bn, base] : bracha_ff) {
               if (bn != n) continue;
@@ -272,7 +340,10 @@ int main() {
               if (cb.variants.bc == ritas::BcVariant::kCrain) {
                 gate_bc_msgs &= report.gate("crain_bc_msgs_per_decide" + at,
                                             r.bc_msgs, "<", base.bc_msgs);
-                head_to_head += 1;
+                gate_ab_msgs &=
+                    report.gate("crain_ab_msgs_per_delivery" + at,
+                                r.ab_msgs_per_delivery, "<", base.ab_msgs);
+                head_to_head += 2;
               }
             }
           }
@@ -288,11 +359,13 @@ int main() {
               gate_rb_msgs ? "PASS" : "FAIL");
   std::printf("  crain BC msgs/decide   < bracha BC msgs    : %s\n",
               gate_bc_msgs ? "PASS" : "FAIL");
+  std::printf("  crain AB msgs/delivery < bracha AB msgs    : %s\n",
+              gate_ab_msgs ? "PASS" : "FAIL");
   std::printf("  every cell completed before deadline       : %s\n",
               all_completed ? "PASS" : "FAIL");
 
   // The combo set: imbs-raynal met bracha at n = 6 and 10, crain at every n.
-  report.gate("head_to_head_comparisons", head_to_head, "==", 7);
+  report.gate("head_to_head_comparisons", head_to_head, "==", 10);
   const bool wrote = report.write();
   std::printf("  wrote %s : %s\n", report.path().c_str(),
               wrote ? "PASS" : "FAIL");

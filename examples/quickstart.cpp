@@ -7,7 +7,7 @@
 //   node 2  ab_recv_for   bounded wait
 //   node 3  ab_recv       classic blocking receive (the paper's §3.1)
 //
-// Payload batching is enabled (Options::batch), so bursts of small
+// Payload batching is enabled (Options::stack.ab_batch), so bursts of small
 // messages ride in shared AB_MSG dissemination broadcasts. All four nodes
 // run as threads of one process for a self-contained demo; the same code
 // deploys one node per host by passing each host's id and the shared peer
@@ -117,7 +117,7 @@ int main() {
     o.self = p;
     o.peers = peers;
     o.master_secret = to_bytes("demo-shared-secret");  // dealer, out of band
-    o.batch.enabled = true;  // wire-format switch: identical at every node
+    o.stack.ab_batch.enabled = true;  // wire-format switch: identical at every node
     nodes.push_back(std::make_unique<Context>(o));
   }
 

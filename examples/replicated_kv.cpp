@@ -8,7 +8,7 @@
 // service, staying identical to its peers. Command framing, (client, seq)
 // exactly-once dedup and the SET/DEL/CAS semantics all come from src/smr
 // — the example only wires transport to service. Payload batching
-// (Options::batch) packs bursts of small commands into shared
+// (Options::stack.ab_batch) packs bursts of small commands into shared
 // dissemination broadcasts. For the same state machine surviving an
 // actively Byzantine replica, see examples/faultload_explorer.cpp; for a
 // multi-group deployment of the same service, see sim::ShardedCluster and
@@ -116,7 +116,7 @@ int main() {
     o.self = p;
     o.peers = peers;
     o.master_secret = to_bytes("kv-shared-secret");
-    o.batch.enabled = true;  // wire-format switch: identical at every node
+    o.stack.ab_batch.enabled = true;  // wire-format switch: identical at every node
     nodes.push_back(std::make_unique<Context>(o));
     // Outbound: the service frames the command, the context orders it.
     replicas[p].service.bind_submitter(

@@ -4,8 +4,8 @@
 // refcounted body, 32 B MAC trailer} — and a batch is many such frames
 // drained from one link's pending queue into ONE sendmsg(). The iovec
 // array points straight at the retained headers/bodies/MACs: assembling a
-// batch copies zero payload bytes (TcpTransport::Stats::batch_copy_bytes
-// counts any future coalescing fallback and is CI-gated at 0).
+// batch copies zero payload bytes (tests/test_transport_batch.cpp checks
+// that every iovec lies inside a retained segment).
 //
 // Short writes are the whole game: the kernel may accept any prefix of the
 // offered bytes, landing mid-header, mid-body or mid-MAC. The caller

@@ -38,8 +38,8 @@
 // resuming byte-exactly after short writes that land
 // mid-header/mid-body/mid-MAC. The framing is self-delimiting, so the
 // wire bytes do not depend on how frames are grouped into syscalls, and
-// zero payload bytes are copied to assemble a batch
-// (Stats::batch_copy_bytes, CI-gated at 0).
+// zero payload bytes are copied to assemble a batch (the iovecs point at
+// the retained segments; test_transport_batch checks).
 //
 // Threading contract:
 //   * send() may be called from ANY number of threads concurrently. Each
@@ -107,7 +107,7 @@ class Fd {
 // for_each() and ritas_stat's lookup are generated from it, and the
 // "Transport counters" table in docs/OBSERVABILITY.md lists the same names
 // and units (test_counter_docs checks). Add a counter here and nowhere
-// else. C API ids 13-17 are retired and never reused.
+// else. C API ids 13-17 and 21 are retired and never reused.
 #define RITAS_TRANSPORT_COUNTERS(X)                                           \
   X(frames_sent, 1, "frames", "frames written to a socket")                   \
   X(frames_received, 2, "frames",                                             \
@@ -130,9 +130,7 @@ class Fd {
   X(bytes_to_kernel, 19, "bytes",                                             \
     "bytes those calls moved, partial frames included")                       \
   X(peer_closed, 20, "syscalls",                                              \
-    "data sendmsg() failures with ECONNRESET/EPIPE: the peer closed")         \
-  X(batch_copy_bytes, 21, "bytes",                                            \
-    "payload bytes copied to assemble a batch; stays 0")
+    "data sendmsg() failures with ECONNRESET/EPIPE: the peer closed")
 
 class TcpTransport final : public Transport {
  public:

@@ -26,7 +26,9 @@ Context::Options validate(Context::Options o) {
   if (o.recv_window == 0) {
     throw std::invalid_argument("ritas::Context: recv_window must be > 0");
   }
-  if (o.batch.enabled && (o.batch.max_msgs == 0 || o.batch.max_bytes == 0)) {
+  const AbBatchConfig& batch = o.stack.ab_batch;
+  if (batch.enabled &&
+      (batch.max_batch_msgs == 0 || batch.max_batch_bytes == 0)) {
     throw std::invalid_argument("ritas::Context: batch limits must be > 0");
   }
   // Unknown or incompatible protocol-variant selections fail here, before
@@ -101,9 +103,6 @@ Context::Context(Options opts)
   cfg.n = opts_.n;
   cfg.self = opts_.self;
   cfg.group = 0;
-  cfg.ab_batch.enabled = opts_.batch.enabled;
-  cfg.ab_batch.max_batch_msgs = opts_.batch.max_msgs;
-  cfg.ab_batch.max_batch_bytes = opts_.batch.max_bytes;
   stack_ = std::make_unique<ProtocolStack>(cfg, node_.transport(), node_.keys(),
                                            node_.seed());
   stack_->set_root_resolver(

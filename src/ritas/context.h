@@ -57,6 +57,9 @@ class Context {
   struct Options : Node::Options {
     /// A session owns its mesh, so its stack always runs group 0 (the
     /// original wire format); several groups on one mesh is ShardedNode.
+    /// stack.ab_batch switches atomic-broadcast payload batching; being a
+    /// wire-format switch, it must be set identically at every correct
+    /// process.
     StackConfig stack;         // n/self/group overwritten
     /// How far an origin's rb (and, separately, eb) broadcasts may run
     /// ahead of the last one delivered here: broadcast k of origin o is
@@ -66,16 +69,6 @@ class Context {
     /// (rb_bcast/eb_bcast throw std::logic_error beyond it). Instances are
     /// created on first reference, not up front.
     std::uint32_t recv_window = 64;
-    /// Atomic-broadcast payload batching (StackConfig::ab_batch). This is
-    /// the authoritative knob: it overwrites stack.ab_batch, and — being a
-    /// wire-format switch — must be configured identically at every
-    /// correct process.
-    struct Batch {
-      bool enabled = false;
-      std::uint32_t max_msgs = 64;
-      std::uint32_t max_bytes = 16 * 1024;
-    };
-    Batch batch;
   };
 
   struct Delivery {

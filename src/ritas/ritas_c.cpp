@@ -49,15 +49,15 @@ int ritas_set_opt(ritas_t* r, int opt, long value) {
   switch (opt) {
     case RITAS_OPT_BATCH_ENABLED:
       if (value != 0 && value != 1) return RITAS_EINVAL;
-      r->opts.batch.enabled = value != 0;
+      r->opts.stack.ab_batch.enabled = value != 0;
       return RITAS_OK;
     case RITAS_OPT_BATCH_MAX_MSGS:
       if (value <= 0 || value > 0xffffffffL) return RITAS_EINVAL;
-      r->opts.batch.max_msgs = static_cast<uint32_t>(value);
+      r->opts.stack.ab_batch.max_batch_msgs = static_cast<uint32_t>(value);
       return RITAS_OK;
     case RITAS_OPT_BATCH_MAX_BYTES:
       if (value <= 0 || value > 0xffffffffL) return RITAS_EINVAL;
-      r->opts.batch.max_bytes = static_cast<uint32_t>(value);
+      r->opts.stack.ab_batch.max_batch_bytes = static_cast<uint32_t>(value);
       return RITAS_OK;
     case RITAS_OPT_RECV_WINDOW:
       if (value <= 0 || value > 0xffffffffL) return RITAS_EINVAL;

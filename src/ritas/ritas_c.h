@@ -106,10 +106,11 @@ enum {
   /* Transport fast-path counters (multi-frame sendmsg batching). */
   RITAS_STAT_SENDMSG_CALLS = 18,        /* data-frame sendmsg syscalls */
   RITAS_STAT_BYTES_TO_KERNEL = 19,      /* bytes the kernel accepted */
-  RITAS_STAT_PEER_CLOSED = 20,          /* data sends failed with
+  RITAS_STAT_PEER_CLOSED = 20           /* data sends failed with
                                          * ECONNRESET/EPIPE: peer closed */
-  RITAS_STAT_BATCH_COPY_BYTES = 21      /* payload bytes copied to
-                                         * assemble a batch; stays 0 */
+  /* 21 (formerly batch-assembly copy bytes, a counter nothing wrote) is
+   * retired like 13-17: ritas_stat rejects it with RITAS_EINVAL and the
+   * value is never reused. */
 };
 
 /* Context management ----------------------------------------------------- */

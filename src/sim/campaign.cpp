@@ -181,6 +181,12 @@ CampaignResult run_campaign(const CampaignOptions& opts) {
   out.backlog_peak = gen.backlog_peak();
   out.elapsed = c.now() - t0;
   out.retransmissions = wan.retransmissions();
+  for (ProcessId p : origins) {
+    const Metrics& m = c.stack(p).metrics();
+    out.mvc_decided_default += m.mvc_decided_default;
+    out.bc_rounds_total += m.bc_rounds_total;
+    out.bc_decided += m.bc_decided;
+  }
   fp.u64(out.ops_offered);
   fp.u64(out.ops_completed);
   fp.u64(out.backlog_peak);

@@ -70,6 +70,13 @@ struct CampaignResult {
   Time elapsed = 0;
   /// Frames that paid a modeled WAN retransmission penalty.
   std::uint64_t retransmissions = 0;
+  /// Agreement shape, summed over the correct processes' Metrics: MVC
+  /// instances that decided the default value, and binary-consensus rounds
+  /// over decisions (one-round agreement iff bc_rounds_total == bc_decided;
+  /// the §4.2 WAN caveat).
+  std::uint64_t mvc_decided_default = 0;
+  std::uint64_t bc_rounds_total = 0;
+  std::uint64_t bc_decided = 0;
   /// Streaming hash over every delivery at every correct process (payload,
   /// position, virtual time) — two runs of the same options must match.
   std::uint64_t fingerprint = 0;

@@ -7,9 +7,9 @@ namespace ritas::sim {
 namespace {
 
 // One-way inter-site delays in milliseconds, asymmetric. The top-left 4x4
-// block is the table bench_wan shipped with (kept bit-for-bit so the ported
-// bench reproduces its original numbers); the remaining sites extend the
-// same intra-continent / inter-continent mix out to 8 sites.
+// block is the original four-site table, pinned bit-for-bit by
+// test_wan_model; the remaining sites extend the same intra-continent /
+// inter-continent mix out to 8 sites.
 constexpr Time kSiteDelayMs[kCanonicalSites][kCanonicalSites] = {
     //  s0   s1   s2   s3   s4   s5   s6   s7
     {0, 5, 40, 90, 35, 62, 105, 78},        // s0

@@ -62,7 +62,7 @@ struct WanModelConfig {
 
 /// The canonical site topology: up to kCanonicalSites sites with measured
 /// asymmetric one-way delays (ms scale, intra-continent to inter-continent
-/// mix). The top-left 4x4 block is the original bench_wan table.
+/// mix). The top-left 4x4 block is the original four-site WAN bench table.
 inline constexpr std::uint32_t kCanonicalSites = 8;
 Time canonical_site_delay(std::uint32_t from_site, std::uint32_t to_site);
 

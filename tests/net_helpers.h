@@ -149,7 +149,7 @@ class ContextMesh {
 
  private:
   explicit ContextMesh(std::vector<Context::Options> opts)
-      : rec_(static_cast<std::uint32_t>(opts.size()), opts[0].batch.enabled) {
+      : rec_(static_cast<std::uint32_t>(opts.size()), opts[0].stack.ab_batch.enabled) {
     for (auto& o : opts) ctxs_.push_back(std::make_unique<Context>(std::move(o)));
   }
   static std::vector<Context::Options> options(std::uint32_t n,

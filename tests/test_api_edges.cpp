@@ -184,21 +184,21 @@ TEST(ContextOptions, NonsensicalKnobsFailFast) {
   }
   {
     auto o = base();
-    o.batch.enabled = true;
-    o.batch.max_msgs = 0;
+    o.stack.ab_batch.enabled = true;
+    o.stack.ab_batch.max_batch_msgs = 0;
     EXPECT_THROW(Context c(std::move(o)), std::invalid_argument);
   }
   {
     auto o = base();
-    o.batch.enabled = true;
-    o.batch.max_bytes = 0;
+    o.stack.ab_batch.enabled = true;
+    o.stack.ab_batch.max_batch_bytes = 0;
     EXPECT_THROW(Context c(std::move(o)), std::invalid_argument);
   }
   {
     // Zero limits are harmless while batching is off.
     auto o = base();
-    o.batch.max_msgs = 0;
-    o.batch.max_bytes = 0;
+    o.stack.ab_batch.max_batch_msgs = 0;
+    o.stack.ab_batch.max_batch_bytes = 0;
     Context c(std::move(o));
   }
 }

@@ -414,7 +414,6 @@ TEST(CApi, LinkProbesAndStats) {
     EXPECT_TRUE(eventually_positive(RITAS_STAT_BYTES_TO_KERNEL));
     EXPECT_EQ(ritas_stat(c.r[p], RITAS_STAT_MAC_FAILURES), 0);
     EXPECT_EQ(ritas_stat(c.r[p], RITAS_STAT_SESSION_REJECTS), 0);
-    EXPECT_EQ(ritas_stat(c.r[p], RITAS_STAT_BATCH_COPY_BYTES), 0);
   }
 
   // Every row of the transport counter list is reachable by its id and
@@ -433,14 +432,14 @@ TEST(CApi, LinkProbesAndStats) {
         });
   }
   EXPECT_EQ(RITAS_STAT_PEER_CLOSED, 20);
-  EXPECT_EQ(RITAS_STAT_BATCH_COPY_BYTES, 21);
 }
 
 TEST(CApi, RetiredPipelineIdsAreEinval) {
   // 6 (consensus group id), 9 (reactor threads), 10 (HMAC workers) and
   // 11 (transport send batching) were retired knobs; 13-14 (HMAC worker
-  // counters) and 15-17 (handoff counters, reactor queue depth) retired
-  // stats. All are rejected, whatever the value, and never reused.
+  // counters), 15-17 (handoff counters, reactor queue depth) and 21
+  // (batch-assembly copy bytes) retired stats. All are rejected, whatever
+  // the value, and never reused.
   ritas_t* r = ritas_init(4, 0, kSecret, sizeof(kSecret));
   ASSERT_NE(r, nullptr);
   for (int opt : {6, 9, 10, 11}) {
@@ -450,7 +449,7 @@ TEST(CApi, RetiredPipelineIdsAreEinval) {
   }
   ritas_destroy(r);
   CCluster c;
-  for (int stat = 13; stat <= 17; ++stat) {
+  for (int stat : {13, 14, 15, 16, 17, 21}) {
     EXPECT_EQ(ritas_stat(c.r[0], stat), RITAS_EINVAL) << "stat " << stat;
   }
   EXPECT_GE(ritas_stat(c.r[0], RITAS_STAT_FRAMES_RECEIVED), 0);

@@ -167,8 +167,8 @@ TEST(Context, BatchedAtomicBroadcastTotalOrder) {
   // enabled at every node: messages are packed into shared dissemination
   // broadcasts on the wire yet still deliver one-by-one in total order.
   ContextMesh nodes(4, "context-test-master", 1500, [](Context::Options& o) {
-    o.batch.enabled = true;
-    o.batch.max_msgs = 4;
+    o.stack.ab_batch.enabled = true;
+    o.stack.ab_batch.max_batch_msgs = 4;
   });
   nodes.start_all();
   constexpr int kPer = 6;

@@ -119,13 +119,11 @@ TEST(NetChurn, EveryLinkKilledMidBurstStillTotallyOrders) {
   EXPECT_GE(total_reconnects, 6u);
 
   // Fast-path accounting stays sane through the churn: every frame reached
-  // the kernel through sendmsg_batch (counted), and batch assembly never
-  // copied payload bytes (scatter-gather only).
+  // the kernel through sendmsg_batch (counted).
   for (std::uint32_t p = 0; p < kN; ++p) {
     const auto s = cluster[p].transport_stats();
     EXPECT_GT(s.sendmsg_calls, 0u) << "node " << p;
     EXPECT_GE(s.bytes_to_kernel, s.frames_sent * 20u) << "node " << p;
-    EXPECT_EQ(s.batch_copy_bytes, 0u) << "node " << p;
     EXPECT_GE(s.frames_per_syscall(), 1.0) << "node " << p;
   }
 }

@@ -123,6 +123,9 @@ TEST(ScalingWan, CampaignRerunsAreBitIdentical) {
   EXPECT_EQ(a.latency.p999(), b.latency.p999());
   EXPECT_EQ(a.elapsed, b.elapsed);
   EXPECT_EQ(a.backlog_peak, b.backlog_peak);
+  EXPECT_EQ(a.mvc_decided_default, b.mvc_decided_default);
+  EXPECT_EQ(a.bc_rounds_total, b.bc_rounds_total);
+  EXPECT_EQ(a.bc_decided, b.bc_decided);
 
   // And a different seed is a genuinely different run.
   CampaignOptions o2 = o;
@@ -164,6 +167,10 @@ TEST(ScalingWan, WanTailDominatesLan) {
   ASSERT_TRUE(rw.completed);
   EXPECT_GT(rw.latency.p99(), rl.latency.p99());
   EXPECT_GT(rw.latency.p50(), rl.latency.p50());
+  // The §4.2 caveat: WAN asymmetry costs latency, not one-round agreement.
+  EXPECT_EQ(rw.mvc_decided_default, 0u);
+  EXPECT_GT(rw.bc_decided, 0u);
+  EXPECT_EQ(rw.bc_rounds_total, rw.bc_decided);
 }
 
 TEST(ScalingWan, ScheduleJsonRoundTripsWanSpec) {

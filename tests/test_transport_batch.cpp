@@ -93,6 +93,21 @@ Bytes concat_wire(const std::vector<TestFrame>& frames) {
   return all;
 }
 
+/// True when [p, p + len) lies inside one segment of one frame: the iovec
+/// aliases the retained bytes instead of a coalesced copy.
+bool inside_a_segment(const std::vector<FrameImage>& imgs,
+                      const std::uint8_t* p, std::size_t len) {
+  for (const FrameImage& img : imgs) {
+    for (const ByteView& seg : img.parts) {
+      if (!seg.empty() && p >= seg.data() &&
+          p + len <= seg.data() + seg.size()) {
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
 /// Flattens what build_batch_iov would hand to the kernel.
 Bytes gather_iov(const std::vector<FrameImage>& imgs, std::size_t first_off,
                  std::size_t max_iov) {
@@ -104,6 +119,8 @@ Bytes gather_iov(const std::vector<FrameImage>& imgs, std::size_t first_off,
     const auto* p = static_cast<const std::uint8_t*>(iov[i].iov_base);
     out.insert(out.end(), p, p + iov[i].iov_len);
     EXPECT_GT(iov[i].iov_len, 0u) << "empty iovec slot leaked into the batch";
+    EXPECT_TRUE(inside_a_segment(imgs, p, iov[i].iov_len))
+        << "iovec " << i << " does not point into a frame segment (copied?)";
   }
   return out;
 }

@@ -5,8 +5,9 @@
 namespace ritas::sim {
 namespace {
 
-// The table bench_wan shipped with before the model was factored out; the
-// canonical profile must keep reproducing it bit-for-bit.
+// The table the original four-site WAN bench shipped with before the model
+// was factored out; the canonical profile must keep reproducing it
+// bit-for-bit.
 constexpr Time kLegacyBenchWanMs[4][4] = {
     {0, 5, 40, 90}, {5, 0, 35, 85}, {45, 38, 0, 60}, {95, 88, 65, 0}};
 
