@@ -24,8 +24,8 @@
 namespace ritas::bench {
 namespace {
 
+using sim::ClusterOptions;
 using sim::ShardedCluster;
-using sim::ShardedClusterOptions;
 using smr::KvCommand;
 using smr::shard_of_key;
 
@@ -64,7 +64,7 @@ struct ScalingResult {
 };
 
 ScalingResult run_once(std::uint32_t groups, std::uint64_t seed) {
-  ShardedClusterOptions o;
+  ClusterOptions o;
   o.n = 4;
   o.groups = groups;
   o.seed = seed;
@@ -81,14 +81,11 @@ ScalingResult run_once(std::uint32_t groups, std::uint64_t seed) {
   o.lan.cpu_recv_ns = 2'000;
   o.lan.cpu_per_byte_ns = 1.0;
   o.lan.jitter_ns = 40'000;
-  // Every group runs the tuned production batching config (identical per
-  // group so the G sweep compares like with like; the per-group override
-  // vector is the same plumbing a deployment uses to tune shards apart).
-  AbBatchConfig batch;
-  batch.enabled = true;
-  batch.max_batch_msgs = 16;
-  batch.max_batch_bytes = 8 * 1024;
-  o.ab_batch_per_group.assign(groups, batch);
+  // Every group runs the same tuned batching config, so the G sweep
+  // compares like with like.
+  o.stack.ab_batch.enabled = true;
+  o.stack.ab_batch.max_batch_msgs = 16;
+  o.stack.ab_batch.max_batch_bytes = 8 * 1024;
   ShardedCluster c(o);
 
   const auto keys = keys_per_shard(groups);
@@ -114,6 +111,8 @@ ScalingResult run_once(std::uint32_t groups, std::uint64_t seed) {
   r.agg_ops_s = (done && r.elapsed_ms > 0)
                     ? static_cast<double>(total) / (r.elapsed_ms / 1e3)
                     : 0;
+  // Includes the frames a GroupMux could not route: those reach the lowest
+  // group's stack, which counts them.
   const Metrics m = c.total_metrics();
   r.foreign_drops = m.foreign_group_dropped;
   for (ProcessId p = 0; p < c.n(); ++p) {
@@ -152,6 +151,12 @@ int main() {
   report.config("runs", kRuns);
   report.config("first_seed", 1000);
   report.config("per_shard_ops", static_cast<std::uint64_t>(kPerShardOps));
+  // Every figure is virtual time or a count: exact against the baseline.
+  report.compare(
+      R"({"key":["groups"],"fields":{)"
+      R"("elapsed_ms":{"exact":true},"agg_ops_s":{"exact":true},)"
+      R"("speedup_vs_g1":{"exact":true},"foreign_drops":{"exact":true},)"
+      R"("forwarded":{"exact":true}}})");
 
   std::printf("%-8s %10s %12s %14s %10s\n", "groups", "total ops",
               "elapsed(ms)", "agg ops/s", "speedup");

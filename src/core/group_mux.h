@@ -7,17 +7,20 @@
 // GroupId into the frame header and all stacks send through the same
 // Transport. Inbound, the mux reads the (version, group) frame prefix —
 // Message::peek_group, a few bytes, no full header parse — and hands the
-// frame to the owning stack's on_packet. Frames for a group with no local
-// stack, and frames whose prefix is unreadable, are counted drops here,
-// never throws: the mux is the first code Byzantine bytes meet.
+// frame to the owning stack's on_packet. A frame it cannot route (an
+// unreadable prefix, or a group with no local stack) goes to the stack of
+// the lowest attached group, whose on_packet counts and traces it as
+// `malformed_dropped` or `foreign_group_dropped`. The mux keeps no
+// counters of its own and never throws: it is the first code Byzantine
+// bytes meet.
 //
 // Threading: on_packet runs on the transport poll thread only, which also
-// owns every attached stack and the drop counters. attach/detach only
-// while no traffic is in flight.
+// owns every attached stack. attach only while no traffic is in flight,
+// and attach at least one group before the first frame.
 #pragma once
 
-#include <cstdint>
-#include <unordered_map>
+#include <cassert>
+#include <map>
 
 #include "core/stack.h"
 
@@ -31,39 +34,22 @@ class GroupMux {
 
   /// Registers `stack` as the owner of group `g` (one stack per group;
   /// re-attaching a group replaces the route). The stack is borrowed and
-  /// must outlive the mux or be detached first.
+  /// must outlive the mux.
   void attach(GroupId g, ProtocolStack& stack) { routes_[g] = &stack; }
-  void detach(GroupId g) { routes_.erase(g); }
-
-  std::size_t group_count() const { return routes_.size(); }
-  bool serves(GroupId g) const { return routes_.contains(g); }
 
   /// Entry point for the shared transport: peeks the frame's group and
-  /// routes it. Unreadable prefix => malformed drop; no stack attached for
-  /// the group => foreign drop. Byzantine input never throws.
+  /// routes it; an unroutable frame goes to the lowest group's stack,
+  /// which counts the drop.
   void on_packet(ProcessId from, Slice frame) {
+    assert(!routes_.empty());
     const auto g = Message::peek_group(frame);
-    if (!g) {
-      ++malformed_dropped_;
-      return;
-    }
-    auto it = routes_.find(*g);
-    if (it == routes_.end()) {
-      ++foreign_dropped_;
-      return;
-    }
+    auto it = g ? routes_.find(*g) : routes_.end();
+    if (it == routes_.end()) it = routes_.begin();
     it->second->on_packet(from, std::move(frame));
   }
 
-  /// Frames whose (version, group) prefix did not parse.
-  std::uint64_t malformed_dropped() const { return malformed_dropped_; }
-  /// Frames addressed to a group with no stack attached here.
-  std::uint64_t foreign_dropped() const { return foreign_dropped_; }
-
  private:
-  std::unordered_map<GroupId, ProtocolStack*> routes_;
-  std::uint64_t malformed_dropped_ = 0;
-  std::uint64_t foreign_dropped_ = 0;
+  std::map<GroupId, ProtocolStack*> routes_;
 };
 
 }  // namespace ritas

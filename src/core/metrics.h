@@ -23,8 +23,8 @@ namespace ritas {
 //
 // Groups, in order: transport traffic (self-deliveries excluded);
 // defensive drops (a frame for a group this stack does not run means a
-// Byzantine or misconfigured peer: on a shared mesh the GroupMux routes
-// those away first); the out-of-context table (§3.4); broadcast instances
+// Byzantine or misconfigured peer; a GroupMux forwards such frames here);
+// the out-of-context table (§3.4); broadcast instances
 // this process initiated as sender, by attribution (Figure 7); consensus
 // behaviour (§4.3: "binary consensus always terminated within one round",
 // "multi-valued consensus always decided a non-default value"); atomic

@@ -40,8 +40,9 @@ void ProtocolStack::on_packet(ProcessId from, Slice frame) {
   }
   if (msg->group != cfg_.group) {
     // A frame for another consensus group. On a shared mesh the GroupMux
-    // routes by group before stacks see frames, so reaching here means a
-    // Byzantine or misconfigured peer — a counted drop, never a throw.
+    // routes by group and hands only unroutable frames to the lowest
+    // group's stack, so reaching here means a Byzantine or misconfigured
+    // peer — a counted drop, never a throw.
     ++metrics_.foreign_group_dropped;
     trace_drop(TraceDrop::kForeignGroup, from, msg->path.trace_path());
     return;

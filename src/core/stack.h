@@ -113,6 +113,14 @@ struct StackConfig {
   Quorums quorums() const { return Quorums(n); }
 };
 
+/// Rng seed of process p's stack for group g under session seed `seed`:
+/// the one per-(process, group) rule of every multi-stack harness. The g
+/// term vanishes at g = 0, so group 0 draws what a one-group run draws.
+inline std::uint64_t stack_seed(std::uint64_t seed, ProcessId p, GroupId g) {
+  return splitmix64(seed) ^ (0x1000 + p) ^
+         (static_cast<std::uint64_t>(g) * 0x9e3779b97f4a7c15ULL);
+}
+
 /// A root resolver's answer for a frame whose root instance is not
 /// registered (ProtocolStack::set_root_resolver).
 enum class RootVerdict : std::uint8_t {

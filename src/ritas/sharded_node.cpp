@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "common/rng.h"
 #include "smr/kv_machine.h"
 
 namespace ritas {
@@ -19,40 +18,26 @@ ShardedNode::Options validate(ShardedNode::Options o) {
 
 ShardedNode::ShardedNode(Options opts)
     : opts_(validate(std::move(opts))), node_("ShardedNode", opts_) {
-  // Same per-(process, group) derivation as sim::ShardedCluster, so a
-  // fixed-seed TCP run draws the same per-stack randomness streams.
-  std::uint64_t s = node_.seed();
-  const std::uint64_t base = splitmix64(s);
-
   stacks_.reserve(opts_.groups);
   for (GroupId g = 0; g < opts_.groups; ++g) {
     StackConfig cfg = opts_.stack;
     cfg.n = opts_.n;
     cfg.self = opts_.self;
     cfg.group = g;
-    const std::uint64_t proc_seed =
-        base ^ (0x1000 + opts_.self) ^
-        (static_cast<std::uint64_t>(g) * 0x9e3779b97f4a7c15ULL);
-    stacks_.push_back(std::make_unique<ProtocolStack>(cfg, node_.transport(),
-                                                      node_.keys(), proc_seed));
+    stacks_.push_back(std::make_unique<ProtocolStack>(
+        cfg, node_.transport(), node_.keys(),
+        stack_seed(node_.seed(), opts_.self, g)));
     mux_.attach(g, *stacks_[g]);
     node_.serve([stack = stacks_[g].get()] { stack->pump(); });
   }
 
-  smr::ShardedService::Config sc;
-  sc.shards = opts_.groups;
-  sc.key_of = opts_.key_of ? opts_.key_of
-                           : [](ByteView op) { return smr::kv_key_of(op); };
-  const auto factory =
-      opts_.machine_factory
-          ? opts_.machine_factory
-          : [](smr::ShardId) -> std::unique_ptr<smr::StateMachine> {
-              return std::make_unique<smr::KvMachine>();
-            };
-  service_ = std::make_unique<smr::ShardedService>(sc, factory);
+  service_ = std::make_unique<smr::ShardedService>(
+      smr::ShardedService::Config{.shards = opts_.groups,
+                                  .key_of = smr::kv_key_of},
+      [](smr::ShardId) { return std::make_unique<smr::KvMachine>(); });
 
   // AB roots: the SAME root id at every process and every group — the
-  // GroupId prefix is the wire-level separator (see sim::ShardedCluster).
+  // GroupId prefix is the wire-level separator.
   const InstanceId ab_root = InstanceId::root(ProtocolType::kAtomicBroadcast, 0);
   abs_.reserve(opts_.groups);
   for (GroupId g = 0; g < opts_.groups; ++g) {

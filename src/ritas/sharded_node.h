@@ -3,8 +3,9 @@
 // The TCP twin of sim::ShardedCluster's per-process wiring, on the shared
 // ritas::Node runtime: one TcpTransport (shared mesh), G ProtocolStacks
 // (one per group = shard) demultiplexed by a GroupMux, one AtomicBroadcast
-// root per group feeding one smr::ShardedService. The Node's poll thread
-// runs all G stacks; the thread ownership map is Node's (ritas/node.h).
+// root per group feeding one KV smr::ShardedService. The Node's poll
+// thread runs all G stacks; the thread ownership map is Node's
+// (ritas/node.h).
 #pragma once
 
 #include <chrono>
@@ -28,8 +29,6 @@ class ShardedNode {
     /// Shard count: one consensus group (and one ProtocolStack) each.
     std::uint32_t groups = 1;
     StackConfig stack;  // template; n/self/group overwritten
-    smr::ShardedService::MachineFactory machine_factory;  // null => KvMachine
-    smr::ShardedService::KeyOfFn key_of;                  // null => kv_key_of
   };
 
   explicit ShardedNode(Options opts);

@@ -8,10 +8,15 @@ namespace ritas::sim {
 
 Cluster::Cluster(ClusterOptions opts) : opts_(std::move(opts)) {
   const std::uint32_t n = opts_.n;
+  const std::uint32_t groups = opts_.groups;
+  if (groups == 0) throw std::invalid_argument("Cluster: groups == 0");
   net_ = std::make_unique<SimNetwork>(sched_, opts_.lan, n,
                                       opts_.seed ^ 0xabcdef12345678ULL);
 
-  // Trusted-dealer key distribution (out of band, as in the paper).
+  // Trusted-dealer key distribution (out of band, as in the paper), one
+  // keychain per process: its G stacks share the pairwise channel secrets
+  // as they share its channels (the GroupId in the authenticated frame
+  // keeps cross-group replay inert).
   Writer master;
   master.str("ritas-sim-master");
   master.u64(opts_.seed);
@@ -26,29 +31,35 @@ Cluster::Cluster(ClusterOptions opts) : opts_(std::move(opts)) {
     adversaries_[p] = opts_.adversary_factory();
   }
 
-  stacks_.reserve(n);
+  stacks_.reserve(n * groups);
+  muxes_ = std::vector<GroupMux>(n);
   roots_.resize(n);
   for (ProcessId p = 0; p < n; ++p) {
-    StackConfig cfg = opts_.stack;
-    cfg.n = n;
-    cfg.self = p;
-    std::uint64_t s = opts_.seed;
-    const std::uint64_t proc_seed = splitmix64(s) ^ (0x1000 + p);
-    stacks_.push_back(std::make_unique<ProtocolStack>(
-        cfg, net_->transport(p), keys_[p], proc_seed, adversaries_[p].get()));
+    for (GroupId g = 0; g < groups; ++g) {
+      StackConfig cfg = opts_.stack;
+      cfg.n = n;
+      cfg.self = p;
+      cfg.group = g;
+      stacks_.push_back(std::make_unique<ProtocolStack>(
+          cfg, net_->transport(p), keys_[p], stack_seed(opts_.seed, p, g),
+          adversaries_[p].get()));
+      muxes_[p].attach(g, *stacks_.back());
+    }
   }
 
   if (opts_.trace) {
-    tracers_.reserve(n);
+    tracers_.reserve(n * groups);
     for (ProcessId p = 0; p < n; ++p) {
-      tracers_.push_back(std::make_unique<Tracer>(p));
-      stacks_[p]->set_tracer(tracers_[p].get());
-      net_->set_tracer(p, tracers_[p].get());
+      for (GroupId g = 0; g < groups; ++g) {
+        tracers_.push_back(std::make_unique<Tracer>(p));
+        stack(p, g).set_tracer(tracers_.back().get());
+      }
+      net_->set_tracer(p, tracer(p));
     }
   }
 
   net_->set_deliver([this](ProcessId from, ProcessId to, Slice frame) {
-    stacks_[to]->on_packet(from, std::move(frame));
+    muxes_[to].on_packet(from, std::move(frame));
   });
 
   for (ProcessId p : opts_.crashed) {
@@ -102,8 +113,14 @@ std::string Cluster::chrome_trace_json() const {
 
 Metrics Cluster::total_metrics() const {
   Metrics total;
+  for (GroupId g = 0; g < opts_.groups; ++g) total += group_metrics(g);
+  return total;
+}
+
+Metrics Cluster::group_metrics(GroupId g) const {
+  Metrics total;
   for (ProcessId p = 0; p < opts_.n; ++p) {
-    if (!crashed(p)) total += stacks_[p]->metrics();
+    if (!crashed(p)) total += stacks_[p * opts_.groups + g]->metrics();
   }
   return total;
 }

@@ -28,11 +28,13 @@
 //
 // Threading follows the stacks it serves: every harness runs all shards
 // on one loop (ShardedNode: the Node's poll thread), so per-shard state
-// (machine, applier) is touched by exactly one thread. The service-wide
-// tallies (forwarded, misrouted_dropped, applied_total) are atomics so
-// application threads may read them; submit/submit_via are safe from any
-// thread once bind_submitter's target is (ShardedNode posts to the poll
-// thread). No clocks, no unseeded randomness.
+// (machine, applier) is touched by exactly one thread. Only the tallies
+// `forwarded` and `misrouted_dropped` are atomics that application
+// threads may read; `applied_total` sums the appliers' plain counters, so
+// read it on the loop thread or under the caller's own lock.
+// submit/submit_via are safe from any thread once bind_submitter's target
+// is (ShardedNode posts to the poll thread). No clocks, no unseeded
+// randomness.
 #pragma once
 
 #include <atomic>
@@ -122,6 +124,7 @@ class ShardedService {
   }
 
   // --- service-wide stats --------------------------------------------------
+  /// Commands applied across all shards (not an atomic; see the header).
   std::uint64_t applied_total() const;
   /// Requests submitted at a non-owner front and rerouted to the owner.
   std::uint64_t forwarded() const {

@@ -28,16 +28,10 @@ Bytes set_cmd(const std::string& key, const std::string& value) {
   return c.encode();
 }
 
-ShardedClusterOptions fast_sharded(std::uint32_t n, std::uint32_t groups,
-                                   std::uint64_t seed) {
-  ShardedClusterOptions o;
-  o.n = n;
+ClusterOptions fast_sharded(std::uint32_t n, std::uint32_t groups,
+                            std::uint64_t seed) {
+  ClusterOptions o = test::fast_lan(n, seed);
   o.groups = groups;
-  o.seed = seed;
-  o.lan.cpu_send_ns = 5'000;
-  o.lan.cpu_recv_ns = 5'000;
-  o.lan.switch_latency_ns = 10'000;
-  o.lan.jitter_ns = 40'000;
   return o;
 }
 
@@ -128,20 +122,20 @@ TEST(Sharded, WrongShardRequestIsForwardedNotDropped) {
 TEST(Sharded, ForeignGroupFrameIsCountedDropNeverThrow) {
   ShardedCluster c(fast_sharded(4, 2, 13));
 
-  // A Byzantine peer stamps a group this process does not run. Through
-  // the mux: routed nowhere, counted, no throw.
+  // A Byzantine peer stamps a group this process does not run. The mux
+  // cannot route it, so it hands it to the lowest group's stack, which
+  // counts the foreign frame and survives.
   Message alien;
   alien.group = 99;
   alien.path = InstanceId::root(ProtocolType::kAtomicBroadcast, 0);
   alien.tag = 0;
   const Buffer alien_frame = alien.encode();
   EXPECT_NO_THROW(c.mux(0).on_packet(/*from=*/1, Slice(alien_frame)));
-  EXPECT_EQ(c.mux(0).foreign_dropped(), 1u);
-
-  // Bypassing the mux (a misconfigured direct feed): the stack itself
-  // counts the foreign frame and survives.
-  EXPECT_NO_THROW(c.stack(0, 0).on_packet(/*from=*/1, Slice(alien_frame)));
   EXPECT_EQ(c.stack(0, 0).metrics().foreign_group_dropped, 1u);
+
+  // Bypassing the mux (a misconfigured direct feed): the same count.
+  EXPECT_NO_THROW(c.stack(0, 0).on_packet(/*from=*/1, Slice(alien_frame)));
+  EXPECT_EQ(c.stack(0, 0).metrics().foreign_group_dropped, 2u);
 
   // Cross-group replay: a frame group 1 really sent, replayed into group
   // 0's stack, is foreign there — the GroupId keeps groups inert to each
@@ -151,11 +145,12 @@ TEST(Sharded, ForeignGroupFrameIsCountedDropNeverThrow) {
   other.path = InstanceId::root(ProtocolType::kAtomicBroadcast, 0);
   other.tag = 0;
   EXPECT_NO_THROW(c.stack(0, 0).on_packet(/*from=*/2, Slice(other.encode())));
-  EXPECT_EQ(c.stack(0, 0).metrics().foreign_group_dropped, 2u);
+  EXPECT_EQ(c.stack(0, 0).metrics().foreign_group_dropped, 3u);
 
   // Unreadable prefix at the mux: malformed, not foreign.
   EXPECT_NO_THROW(c.mux(0).on_packet(/*from=*/1, Slice(Bytes{2, 7})));
-  EXPECT_EQ(c.mux(0).malformed_dropped(), 1u);
+  EXPECT_EQ(c.stack(0, 0).metrics().malformed_dropped, 1u);
+  EXPECT_EQ(c.stack(0, 0).metrics().foreign_group_dropped, 3u);
 
   // Liveness after the garbage: the legitimate workload still commits.
   c.submit(0, 1, 1, set_cmd("after", "ok"));
@@ -199,10 +194,10 @@ TEST(Sharded, ExactlyOnceAcrossFrontsAndShards) {
 }
 
 TEST(Sharded, PerShardRunsAreBitIdenticalAcrossSameSeedRuns) {
-  // Same seed => bit-identical per-group traces AND identical per-shard
-  // state, so the oracle/explorer machinery applies to each shard alone.
+  // Same seed => bit-identical traces of every (process, group) stack AND
+  // identical per-shard state.
   auto run = [](std::uint64_t seed) {
-    ShardedClusterOptions o = fast_sharded(4, 2, seed);
+    ClusterOptions o = fast_sharded(4, 2, seed);
     o.trace = true;
     ShardedCluster c(o);
     std::uint64_t seq = 0;
@@ -212,27 +207,23 @@ TEST(Sharded, PerShardRunsAreBitIdenticalAcrossSameSeedRuns) {
     }
     c.run_until([&] { return c.all_applied_at_least(8); }, kDeadline);
     c.scheduler().run();
-    std::vector<Bytes> traces;
     std::vector<Bytes> snaps;
     for (GroupId g = 0; g < c.groups(); ++g) {
-      traces.push_back(c.group_trace_bytes(g));
       snaps.push_back(c.service(0).snapshot(g));
     }
-    return std::make_pair(traces, snaps);
+    return std::make_pair(c.trace_bytes(), snaps);
   };
   const auto [t1, s1] = run(77);
   const auto [t2, s2] = run(77);
   const auto [t3, s3] = run(78);
-  for (GroupId g = 0; g < 2; ++g) {
-    EXPECT_FALSE(t1[g].empty());
-    EXPECT_EQ(t1[g], t2[g]) << "group " << g << " trace not reproducible";
-  }
+  EXPECT_FALSE(t1.empty());
+  EXPECT_EQ(t1, t2) << "trace not reproducible";
   EXPECT_EQ(s1, s2);
   EXPECT_NE(t1, t3) << "different seed should schedule differently";
 }
 
 TEST(Sharded, ConsistentUnderCrashFault) {
-  ShardedClusterOptions o = fast_sharded(4, 2, 16);
+  ClusterOptions o = fast_sharded(4, 2, 16);
   o.crashed = {3};
   ShardedCluster c(o);
   std::uint64_t seq = 0;
@@ -249,7 +240,7 @@ TEST(Sharded, ConsistentUnderCrashFault) {
 }
 
 TEST(Sharded, ConsistentUnderByzantineReplica) {
-  ShardedClusterOptions o = fast_sharded(4, 2, 17);
+  ClusterOptions o = fast_sharded(4, 2, 17);
   o.byzantine = {2};
   ShardedCluster c(o);
   std::uint64_t seq = 0;
@@ -267,15 +258,11 @@ TEST(Sharded, ConsistentUnderByzantineReplica) {
   }
 }
 
-TEST(Sharded, PerGroupBatchingIsIndependentlyTunable) {
-  ShardedClusterOptions o = fast_sharded(4, 2, 18);
-  // Group 0 batches aggressively, group 1 runs the paper's unbatched wire
-  // format — a hot shard and a cold one on the same mesh.
-  AbBatchConfig batched;
-  batched.enabled = true;
-  batched.max_batch_msgs = 8;
-  batched.max_batch_bytes = 4096;
-  o.ab_batch_per_group = {batched, AbBatchConfig{}};
+TEST(Sharded, BatchedGroupsPassTheAbOracles) {
+  ClusterOptions o = fast_sharded(4, 2, 18);
+  o.stack.ab_batch.enabled = true;
+  o.stack.ab_batch.max_batch_msgs = 8;
+  o.stack.ab_batch.max_batch_bytes = 4096;
   ShardedCluster c(o);
   std::uint64_t seq = 0;
   for (int i = 0; i < 16; ++i) {
@@ -285,14 +272,15 @@ TEST(Sharded, PerGroupBatchingIsIndependentlyTunable) {
   c.flush_all();
   ASSERT_TRUE(c.run_until([&] { return c.all_applied_at_least(16); }, kDeadline));
   c.scheduler().run();
-  EXPECT_GT(c.group_metrics(0).ab_batches_sealed, 0u);
-  EXPECT_EQ(c.group_metrics(1).ab_batches_sealed, 0u);
+  for (GroupId g = 0; g < c.groups(); ++g) {
+    EXPECT_GT(c.group_metrics(g).ab_batches_sealed, 0u) << "shard " << g;
+  }
   for (ProcessId p = 0; p < c.n(); ++p) {
     for (GroupId g = 0; g < c.groups(); ++g) {
       EXPECT_EQ(c.service(p).snapshot(g), c.service(0).snapshot(g));
     }
   }
-  // The batched and the unbatched group both pass the full AB safety set.
+  // Every batched group passes the full AB safety set.
   for (GroupId g = 0; g < c.groups(); ++g) {
     EXPECT_FALSE(c.ab(g).sent().empty()) << "shard " << g;
     oracle::Report r;
@@ -303,12 +291,14 @@ TEST(Sharded, PerGroupBatchingIsIndependentlyTunable) {
 
 TEST(Sharded, SingleGroupMatchesPlainClusterSeedDerivation) {
   // G=1 is the degenerate deployment: group 0, legacy wire format, and
-  // the same per-process seed derivation as the plain Cluster — so every
-  // existing calibration stays valid for unsharded runs.
+  // the same per-process randomness as a plain Cluster of the same seed —
+  // so every existing calibration stays valid for unsharded runs.
   ShardedCluster sc(fast_sharded(4, 1, 19));
   test::Cluster pc(test::fast_lan(4, 19));
   for (ProcessId p = 0; p < 4; ++p) {
     EXPECT_EQ(sc.stack(p, 0).group(), 0u);
+    EXPECT_EQ(sc.stack(p, 0).rng().next(), pc.stack(p).rng().next())
+        << "p" << p;
   }
   sc.submit(0, 1, 1, set_cmd("solo", "x"));
   ASSERT_TRUE(sc.run_until([&] { return sc.all_applied_at_least(1); },

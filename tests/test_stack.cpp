@@ -580,5 +580,16 @@ TEST(StackRootResolver, DecliningResolverLeavesTheTraceByteIdentical) {
   EXPECT_EQ(trace(true), plain);
 }
 
+TEST(StackSeed, PinnedPerProcessAndGroup) {
+  // Every stack's randomness, and so every seeded run, hangs on this
+  // rule; the values were computed with the formula before it was shared.
+  EXPECT_EQ(stack_seed(1, 0, 0), 0x910a2dec89024cc1ULL);
+  EXPECT_EQ(stack_seed(1, 3, 0), 0x910a2dec89024cc2ULL);
+  EXPECT_EQ(stack_seed(19, 2, 0), 0xbc4075f2ef430a46ULL);
+  EXPECT_EQ(stack_seed(1000, 1, 1), 0xa229c3323286ad5cULL);
+  EXPECT_EQ(stack_seed(42, 3, 7), 0xee53663454e21a05ULL);
+  EXPECT_EQ(stack_seed(0xdeadbeef, 0, 3), 0x9079d42315168fa4ULL);
+}
+
 }  // namespace
 }  // namespace ritas
