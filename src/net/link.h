@@ -1,27 +1,19 @@
-// Per-link reconnection policy: the pure, clock-free half of the
+// Per-link reconnection schedule: the pure, clock-free half of the
 // self-healing channel layer.
 //
 // `LinkBackoff` produces the jittered exponential retry schedule and
-// `LinkRetry` is the per-link lifecycle state machine
-// (down / connecting / up / backoff). Neither reads a clock or any global
-// randomness: time arrives as explicit millisecond values from the caller
-// (TcpTransport feeds its monotonic clock; unit tests feed a counter) and
-// jitter comes from a seeded Rng, so the same seed yields the same
-// reconnect timeline bit-for-bit (tests/test_link.cpp relies on it).
-//
-// State machine (dialer side; the acceptor side only ever uses
-// kDown <-> kConnecting <-> kUp since it never schedules retries):
-//
-//   kDown ──should_dial──▶ kConnecting ──on_up──▶ kUp
-//     ▲                        │ on_down             │ on_down
-//     │                        ▼                     ▼
-//     └───(never; terminal states retry)──── kBackoff ──deadline──▶ dial again
+// `LinkRetry` holds one dialed link's next-dial deadline on it. Neither
+// reads a clock or any global randomness: time arrives as explicit
+// millisecond values from the caller (TcpTransport feeds its monotonic
+// clock; unit tests feed a counter) and jitter comes from a seeded Rng, so
+// the same seed yields the same reconnect timeline bit-for-bit
+// (tests/test_link.cpp relies on it). The link's state (down / connecting
+// / up / backoff) lives in TcpTransport's Conn, not here.
 #pragma once
 
 #include <cstdint>
 
 #include "common/rng.h"
-#include "core/transport.h"
 
 namespace ritas::net {
 
@@ -66,54 +58,30 @@ class LinkBackoff {
   std::uint32_t attempts_ = 0;
 };
 
-/// Lifecycle of one dialed link. All transitions are explicit and
-/// time-injected; the class never blocks, sleeps, or reads a clock.
+/// Retry deadline of one dialed link. The transport calls on_down when a
+/// dial fails or a session drops and on_up when a session opens; it dials
+/// once should_dial is true and the link is neither up nor dialing.
 class LinkRetry {
  public:
   LinkRetry(const BackoffOptions& opts, std::uint64_t rng_seed)
       : backoff_(opts, rng_seed) {}
 
-  LinkState state() const { return state_; }
+  /// True once the retry deadline has passed (at once before any failure).
+  bool should_dial(std::uint64_t now_ms) const { return now_ms >= retry_at_ms_; }
 
-  /// True when a (re)connect attempt should start at `now_ms`: immediately
-  /// while down, or once the backoff deadline has passed.
-  bool should_dial(std::uint64_t now_ms) const {
-    return state_ == LinkState::kDown ||
-           (state_ == LinkState::kBackoff && now_ms >= retry_at_ms_);
-  }
+  /// A session opened: the next failure waits only the base delay again.
+  void on_up() { backoff_.reset(); }
 
-  /// A connect/handshake attempt started.
-  void on_dialing() { state_ = LinkState::kConnecting; }
+  /// A dial failed or a session dropped: the next dial waits one more step
+  /// of the schedule.
+  void on_down(std::uint64_t now_ms) { retry_at_ms_ = now_ms + backoff_.next_delay_ms(); }
 
-  /// Handshake completed; the schedule restarts from the base delay on the
-  /// next failure.
-  void on_up() {
-    if (ever_up_) ++reconnects_;
-    ever_up_ = true;
-    state_ = LinkState::kUp;
-    backoff_.reset();
-  }
-
-  /// Connect failed or an established link dropped: schedule the next dial.
-  void on_down(std::uint64_t now_ms) {
-    state_ = LinkState::kBackoff;
-    retry_at_ms_ = now_ms + backoff_.next_delay_ms();
-  }
-
-  /// Next dial deadline; meaningful only in kBackoff.
   std::uint64_t retry_at_ms() const { return retry_at_ms_; }
-
-  /// Times on_up() re-established a link that had been up before.
-  std::uint64_t reconnects() const { return reconnects_; }
-
   std::uint32_t attempts() const { return backoff_.attempts(); }
 
  private:
   LinkBackoff backoff_;
-  LinkState state_ = LinkState::kDown;
   std::uint64_t retry_at_ms_ = 0;
-  std::uint64_t reconnects_ = 0;
-  bool ever_up_ = false;
 };
 
 }  // namespace ritas::net

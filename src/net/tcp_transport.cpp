@@ -4,7 +4,6 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
 #include <sys/epoll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -34,12 +33,14 @@ constexpr std::uint32_t kHandshakeMagic = 0x52495441;  // "RITA"
 constexpr std::uint8_t kWireVersion = 2;               // v1 had no sessions
 constexpr std::uint8_t kFlagAuthenticate = 0x01;
 constexpr std::size_t kMacSize = Sha256::kDigestSize;
-constexpr std::size_t kHelloSize = 4 + 1 + 1 + 4 + 8;
-constexpr std::size_t kReplyBase = 4 + 1 + 1 + 4 + 8 + 8;
-constexpr std::size_t kConfirmBase = 8;
+// HELLO is the header (magic, version, flags, id, nonce); REPLY is the
+// header plus the floor (the sender's receive counter) and its MAC;
+// CONFIRM is the floor and its MAC.
+constexpr std::size_t kHeaderSize = 4 + 1 + 1 + 4 + 8;
+constexpr std::size_t kFloorSize = 8;
 constexpr std::size_t kFrameHeader = FrameReassembler::kHeaderSize;
-// A pending accept that has not produced a well-formed HELLO within this
-// many buffered bytes is garbage, whatever its timing.
+// Bytes one readiness event reads into a handshake; every handshake
+// message is far shorter, so a full buffer always parses or fails.
 constexpr std::size_t kMaxHandshakeRx = 4096;
 // Frames gathered per sendmsg(); matches the iovec stack array in
 // net/batch_writer.cpp (3 segments per frame).
@@ -47,11 +48,15 @@ constexpr std::size_t kMaxBatchFrames = 128;
 // Soft byte cap per batched sendmsg(); at least one frame is always
 // offered. IOV_MAX caps the iovec count independently.
 constexpr std::size_t kMaxBatchBytes = 256u << 10;
-// epoll owner tags (epoll_event::data) that are not peer ids; a pending
-// accept with id k is tagged kPendingAcceptTag - k.
+// epoll owner tags (epoll_event::data) that are not peer ids; the
+// handshake with id k is tagged kHandshakeTag - k.
 constexpr std::int64_t kWakeTag = -1;
 constexpr std::int64_t kListenTag = -2;
-constexpr std::int64_t kPendingAcceptTag = -3;
+constexpr std::int64_t kHandshakeTag = -3;
+
+std::int64_t handshake_tag(std::uint64_t id) {
+  return kHandshakeTag - static_cast<std::int64_t>(id);
+}
 
 void set_nonblocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
@@ -63,10 +68,11 @@ void set_nodelay(int fd) {
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
-/// The one expiry rule for handshake and pending-accept deadlines, shared
-/// by service_timers() and fold_timer_deadlines(): a deadline the epoll
-/// timeout folds to 0 ms must also be one service_timers() expires, or the
-/// poll thread spins epoll_wait(0) until the clock passes it.
+/// The one expiry rule for handshake deadlines (LinkRetry::should_dial
+/// applies the same rule to redials), shared by service_timers() and
+/// fold_timer_deadlines(): a deadline the epoll timeout folds to 0 ms must
+/// also be one service_timers() expires, or the poll thread spins
+/// epoll_wait(0) until the clock passes it.
 bool deadline_passed(std::uint64_t now_ms, std::uint64_t deadline_ms) {
   return now_ms >= deadline_ms;
 }
@@ -226,9 +232,8 @@ void TcpTransport::stop() {
     c->fd.reset();
     c->state = LinkState::kDown;
     c->sid = 0;
-    c->phase = HsPhase::kIdle;
   }
-  pending_accepts_.clear();
+  handshakes_.clear();
   listen_fd_.reset();
   epoll_fd_.reset();
 }
@@ -261,25 +266,6 @@ bool TcpTransport::watch(int op, int fd, std::uint32_t events, std::int64_t owne
   ev.events = events;
   ev.data.u64 = static_cast<std::uint64_t>(owner);
   return ::epoll_ctl(epoll_fd_.get(), op, fd, &ev) == 0;
-}
-
-bool TcpTransport::write_all(int fd, ByteView data) {
-  std::size_t off = 0;
-  while (off < data.size()) {
-    const ssize_t k = ::send(fd, data.data() + off, data.size() - off, MSG_NOSIGNAL);
-    if (k > 0) {
-      off += static_cast<std::size_t>(k);
-      continue;
-    }
-    if (k < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      pollfd pfd{fd, POLLOUT, 0};
-      ::poll(&pfd, 1, 1000);
-      continue;
-    }
-    if (k < 0 && errno == EINTR) continue;
-    return false;
-  }
-  return true;
 }
 
 void TcpTransport::prep_entry(Conn& c, Retained& e, ProcessId to) {
@@ -439,248 +425,196 @@ void TcpTransport::send(ProcessId to, Slice frame) {
 }
 
 void TcpTransport::begin_dial(ProcessId peer) {
-  Conn& c = *conns_[peer];
-  c.retry->on_dialing();
-  Fd fd(::socket(AF_INET, SOCK_STREAM, 0));
-  bool failed = !fd.valid();
-  sockaddr_in peer_addr{};
-  if (!failed) {
-    peer_addr.sin_family = AF_INET;
-    peer_addr.sin_port = htons(opts_.peers[peer].port);
-    failed = ::inet_pton(AF_INET, opts_.peers[peer].host.c_str(),
-                         &peer_addr.sin_addr) != 1;
-  }
-  if (!failed) {
-    set_nonblocking(fd.get());
-    const int rc = ::connect(fd.get(), reinterpret_cast<sockaddr*>(&peer_addr),
-                             sizeof(peer_addr));
-    if ((rc == 0 || errno == EINPROGRESS) &&
-        watch(EPOLL_CTL_ADD, fd.get(), EPOLLOUT, peer)) {
-      {
-        std::lock_guard<std::mutex> lock(c.mutex);
-        c.fd = std::move(fd);
-        c.state = LinkState::kConnecting;
-      }
-      c.phase = HsPhase::kDialWait;
-      c.hs_rx.clear();
-      c.hs_deadline_ms = now_ms() + static_cast<std::uint64_t>(opts_.handshake_timeout_ms);
-      if (rc == 0) on_dial_writable(peer);
-      return;
-    }
-    failed = true;
-  }
-  if (failed) c.retry->on_down(now_ms());
-}
-
-void TcpTransport::on_dial_writable(ProcessId peer) {
-  Conn& c = *conns_[peer];
-  int err = 0;
-  socklen_t len = sizeof(err);
-  ::getsockopt(c.fd.get(), SOL_SOCKET, SO_ERROR, &err, &len);
-  if (err != 0) {
-    link_down(peer);
-    return;
-  }
-  set_nodelay(c.fd.get());
-  c.nonce_local = rng_->next();
-  Writer hello(kHelloSize);
-  hello.u32(kHandshakeMagic);
-  hello.u8(kWireVersion);
-  hello.u8(opts_.authenticate ? kFlagAuthenticate : 0);
-  hello.u32(opts_.self);
-  hello.u64(c.nonce_local);
-  if (!write_all(c.fd.get(), hello.data()) ||
-      !watch(EPOLL_CTL_MOD, c.fd.get(), EPOLLIN, peer)) {
-    link_down(peer);
-    return;
-  }
-  c.phase = HsPhase::kHelloSent;
-}
-
-void TcpTransport::handshake_readable(ProcessId peer) {
-  // Dialer side only: accumulate the REPLY, verify it, CONFIRM, resync.
-  Conn& c = *conns_[peer];
-  std::uint8_t buf[4096];
-  for (;;) {
-    const ssize_t k = ::recv(c.fd.get(), buf, sizeof(buf), 0);
-    if (k > 0) {
-      c.hs_rx.insert(c.hs_rx.end(), buf, buf + k);
-      continue;
-    }
-    if (k == 0 || (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR)) {
-      link_down(peer);
-      return;
-    }
-    if (errno == EINTR) continue;
-    break;  // EAGAIN: no more bytes for now
-  }
-  const std::size_t reply_size = kReplyBase + (opts_.authenticate ? kMacSize : 0);
-  if (c.hs_rx.size() < reply_size) {
-    if (c.hs_rx.size() > kMaxHandshakeRx) {
-      counters_->handshake_failures.fetch_add(1, std::memory_order_relaxed);
-      link_down(peer);
-    }
-    return;
-  }
-  Reader r(ByteView(c.hs_rx.data(), kReplyBase));
-  const std::uint32_t magic = r.u32();
-  const std::uint8_t version = r.u8();
-  const std::uint8_t flags = r.u8();
-  const std::uint32_t id = r.u32();
-  const std::uint64_t nonce_a = r.u64();
-  const std::uint64_t peer_rx_expected = r.u64();
-  const std::uint8_t want_flags = opts_.authenticate ? kFlagAuthenticate : 0;
-  bool ok = magic == kHandshakeMagic && version == kWireVersion &&
-            flags == want_flags && id == peer;
-  if (ok && opts_.authenticate) {
-    const auto mac = hs_mac(keys_.mac_key(peer), 'a', opts_.self, peer,
-                            c.nonce_local, nonce_a, peer_rx_expected);
-    ok = ct_equal(ByteView(mac.data(), mac.size()),
-                  ByteView(c.hs_rx.data() + kReplyBase, kMacSize));
+  Handshake hs;
+  hs.id = next_handshake_id_++;
+  hs.dialer = true;
+  hs.await = Handshake::Await::kConnect;
+  hs.peer = peer;
+  hs.deadline_ms = now_ms() + static_cast<std::uint64_t>(opts_.handshake_timeout_ms);
+  hs.fd = Fd(::socket(AF_INET, SOCK_STREAM, 0));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(opts_.peers[peer].port);
+  bool ok = hs.fd.valid() &&
+            ::inet_pton(AF_INET, opts_.peers[peer].host.c_str(), &addr.sin_addr) == 1;
+  int rc = -1;
+  if (ok) {
+    set_nonblocking(hs.fd.get());
+    rc = ::connect(hs.fd.get(), reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
+    ok = (rc == 0 || errno == EINPROGRESS) &&
+         watch(EPOLL_CTL_ADD, hs.fd.get(), EPOLLOUT, handshake_tag(hs.id));
   }
   if (!ok) {
-    counters_->handshake_failures.fetch_add(1, std::memory_order_relaxed);
-    link_down(peer);
-    return;
-  }
-  Writer confirm(kConfirmBase + kMacSize);
-  confirm.u64(c.rx_expected);
-  if (opts_.authenticate) {
-    const auto mac = hs_mac(keys_.mac_key(peer), 'd', opts_.self, peer,
-                            c.nonce_local, nonce_a, c.rx_expected);
-    confirm.raw(ByteView(mac.data(), mac.size()));
-  }
-  if (!write_all(c.fd.get(), confirm.data())) {
-    link_down(peer);
-    return;
-  }
-  // Bytes past the REPLY are already data frames of the new session.
-  Bytes leftover(c.hs_rx.begin() + static_cast<std::ptrdiff_t>(reply_size),
-                 c.hs_rx.end());
-  c.hs_rx.clear();
-  complete_handshake(peer, c.nonce_local, nonce_a, peer_rx_expected);
-  if (!leftover.empty()) {
-    c.rx.feed(leftover.data(), leftover.size());
-    process_rx(peer);
-  }
-}
-
-void TcpTransport::pending_accept_readable(PendingAccept& pa) {
-  std::uint8_t buf[4096];
-  for (;;) {
-    const ssize_t k = ::recv(pa.fd.get(), buf, sizeof(buf), 0);
-    if (k > 0) {
-      pa.rx.insert(pa.rx.end(), buf, buf + k);
-      continue;
-    }
-    if (k == 0 || (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR)) {
-      pa.fd.reset();  // dialer went away mid-handshake
-      return;
-    }
-    if (errno == EINTR) continue;
-    break;
-  }
-  if (pa.rx.size() > kMaxHandshakeRx) {
-    counters_->handshake_failures.fetch_add(1, std::memory_order_relaxed);
-    pa.fd.reset();
-    return;
-  }
-  if (!pa.got_hello) {
-    if (pa.rx.size() < kHelloSize) return;
-    Reader r(ByteView(pa.rx.data(), kHelloSize));
-    const std::uint32_t magic = r.u32();
-    const std::uint8_t version = r.u8();
-    const std::uint8_t flags = r.u8();
-    const std::uint32_t id = r.u32();
-    const std::uint64_t nonce_d = r.u64();
-    const std::uint8_t want_flags = opts_.authenticate ? kFlagAuthenticate : 0;
-    // Only higher ids dial us; anything else is a malformed or forged hello.
-    if (magic != kHandshakeMagic || version != kWireVersion ||
-        flags != want_flags || id <= opts_.self || id >= opts_.n) {
-      counters_->handshake_failures.fetch_add(1, std::memory_order_relaxed);
-      pa.fd.reset();
-      return;
-    }
-    pa.got_hello = true;
-    pa.claimed = id;
-    pa.nonce_d = nonce_d;
-    pa.nonce_a = rng_->next();
-    pa.rx.erase(pa.rx.begin(), pa.rx.begin() + kHelloSize);
-    set_nodelay(pa.fd.get());
-    // REPLY with our receive floor so the peer can resync its counters.
-    // The established session (if any) stays untouched until the dialer
-    // proves key knowledge with its CONFIRM — an unauthenticated hello
-    // must not be able to take down a healthy link.
-    const std::uint64_t rx_expected = conns_[pa.claimed]->rx_expected;
-    Writer reply(kReplyBase + kMacSize);
-    reply.u32(kHandshakeMagic);
-    reply.u8(kWireVersion);
-    reply.u8(want_flags);
-    reply.u32(opts_.self);
-    reply.u64(pa.nonce_a);
-    reply.u64(rx_expected);
-    if (opts_.authenticate) {
-      const auto mac = hs_mac(keys_.mac_key(pa.claimed), 'a', pa.claimed,
-                              opts_.self, pa.nonce_d, pa.nonce_a, rx_expected);
-      reply.raw(ByteView(mac.data(), mac.size()));
-    }
-    if (!write_all(pa.fd.get(), reply.data())) {
-      pa.fd.reset();
-      return;
-    }
-  }
-  const std::size_t confirm_size = kConfirmBase + (opts_.authenticate ? kMacSize : 0);
-  if (pa.rx.size() < confirm_size) return;
-  Reader r(ByteView(pa.rx.data(), kConfirmBase));
-  const std::uint64_t peer_rx_expected = r.u64();
-  if (opts_.authenticate) {
-    const auto mac = hs_mac(keys_.mac_key(pa.claimed), 'd', pa.claimed,
-                            opts_.self, pa.nonce_d, pa.nonce_a, peer_rx_expected);
-    if (!ct_equal(ByteView(mac.data(), mac.size()),
-                  ByteView(pa.rx.data() + kConfirmBase, kMacSize))) {
-      counters_->handshake_failures.fetch_add(1, std::memory_order_relaxed);
-      pa.fd.reset();
-      return;
-    }
-  }
-  // Authenticated: adopt the socket, replacing whatever the slot held (the
-  // dialer redials only when its side of the old stream is dead).
-  const ProcessId peer = pa.claimed;
-  Conn& c = *conns_[peer];
-  if (c.phase == HsPhase::kEstablished) link_down(peer);
-  if (!watch(EPOLL_CTL_MOD, pa.fd.get(), EPOLLIN, peer)) {
-    pa.fd.reset();
+    fail_handshake(hs);  // uncounted: no connection, no handshake
     return;
   }
   {
+    Conn& c = *conns_[peer];
     std::lock_guard<std::mutex> lock(c.mutex);
-    c.fd = std::move(pa.fd);
     c.state = LinkState::kConnecting;
   }
-  c.rx.clear();
-  Bytes leftover(pa.rx.begin() + static_cast<std::ptrdiff_t>(confirm_size),
-                 pa.rx.end());
-  complete_handshake(peer, pa.nonce_d, pa.nonce_a, peer_rx_expected);
-  if (!leftover.empty()) {
-    c.rx.feed(leftover.data(), leftover.size());
-    process_rx(peer);
+  handshakes_.push_back(std::move(hs));
+  if (rc == 0) on_connected(handshakes_.back());
+}
+
+void TcpTransport::on_connected(Handshake& hs) {
+  int err = 0;
+  socklen_t len = sizeof(err);
+  ::getsockopt(hs.fd.get(), SOL_SOCKET, SO_ERROR, &err, &len);
+  if (err != 0) {
+    fail_handshake(hs);
+    return;
+  }
+  set_nodelay(hs.fd.get());
+  hs.await = Handshake::Await::kReply;
+  hs.nonce_d = rng_->next();
+  if (!send_handshake(hs, /*header=*/true, /*floor=*/false) ||
+      !watch(EPOLL_CTL_MOD, hs.fd.get(), EPOLLIN, handshake_tag(hs.id))) {
+    fail_handshake(hs);
   }
 }
 
-void TcpTransport::complete_handshake(ProcessId peer, std::uint64_t nonce_d,
-                                      std::uint64_t nonce_a,
-                                      std::uint64_t peer_rx_expected) {
+Sha256::Digest TcpTransport::transcript_mac(const Handshake& hs, char label,
+                                            std::uint64_t counter_field) const {
+  return hs_mac(keys_.mac_key(hs.peer), label, hs.dialer ? opts_.self : hs.peer,
+                hs.dialer ? hs.peer : opts_.self, hs.nonce_d, hs.nonce_a,
+                counter_field);
+}
+
+bool TcpTransport::send_handshake(const Handshake& hs, bool header, bool floor) {
+  Writer w(kHeaderSize + kFloorSize + kMacSize);
+  if (header) {
+    w.u32(kHandshakeMagic);
+    w.u8(kWireVersion);
+    w.u8(opts_.authenticate ? kFlagAuthenticate : 0);
+    w.u32(opts_.self);
+    w.u64(hs.dialer ? hs.nonce_d : hs.nonce_a);
+  }
+  if (floor) {
+    const std::uint64_t rx_expected = conns_[hs.peer]->rx_expected;
+    w.u64(rx_expected);
+    if (opts_.authenticate) {
+      const auto mac = transcript_mac(hs, hs.dialer ? 'd' : 'a', rx_expected);
+      w.raw(ByteView(mac.data(), mac.size()));
+    }
+  }
+  const ByteView msg = w.data();
+  ssize_t k = -1;
+  do {
+    k = ::send(hs.fd.get(), msg.data(), msg.size(), MSG_NOSIGNAL);
+  } while (k < 0 && errno == EINTR);
+  return k == static_cast<ssize_t>(msg.size());
+}
+
+void TcpTransport::read_handshake(Handshake& hs) {
+  std::uint8_t buf[kMaxHandshakeRx];
+  bool eof = false;
+  while (hs.rx.size() < kMaxHandshakeRx) {
+    const ssize_t k = ::recv(hs.fd.get(), buf, sizeof(buf), 0);
+    if (k > 0) {
+      hs.rx.insert(hs.rx.end(), buf, buf + k);
+      continue;
+    }
+    if (k < 0 && errno == EINTR) continue;
+    eof = k == 0 || (errno != EAGAIN && errno != EWOULDBLOCK);
+    break;
+  }
+  const std::uint8_t want_flags = opts_.authenticate ? kFlagAuthenticate : 0;
+  const std::size_t mac_size = opts_.authenticate ? kMacSize : 0;
+  for (;;) {
+    const bool header = hs.await != Handshake::Await::kConfirm;  // HELLO, REPLY
+    const bool floor = hs.await != Handshake::Await::kHello;     // REPLY, CONFIRM
+    const std::size_t size =
+        (header ? kHeaderSize : 0) + (floor ? kFloorSize + mac_size : 0);
+    if (hs.rx.size() < size) {
+      if (eof) fail_handshake(hs);  // the peer hung up mid-handshake
+      return;
+    }
+    Reader r(ByteView(hs.rx.data(), size));
+    bool ok = true;
+    if (header) {
+      const std::uint32_t magic = r.u32();
+      const std::uint8_t version = r.u8();
+      const std::uint8_t flags = r.u8();
+      const std::uint32_t id = r.u32();
+      const std::uint64_t nonce = r.u64();
+      // A REPLY must come from the peer we dialed; a HELLO from a higher id
+      // (only higher ids dial us).
+      ok = magic == kHandshakeMagic && version == kWireVersion &&
+           flags == want_flags &&
+           (hs.dialer ? id == hs.peer : id > opts_.self && id < opts_.n);
+      if (hs.dialer) {
+        hs.nonce_a = nonce;
+      } else {
+        hs.peer = id;
+        hs.nonce_d = nonce;
+      }
+    }
+    std::uint64_t peer_rx_expected = 0;
+    if (ok && floor) {
+      peer_rx_expected = r.u64();
+      if (opts_.authenticate) {
+        const auto mac = transcript_mac(hs, hs.dialer ? 'a' : 'd', peer_rx_expected);
+        ok = ct_equal(ByteView(mac.data(), mac.size()),
+                      ByteView(hs.rx.data() + size - kMacSize, kMacSize));
+      }
+    }
+    if (!ok) {
+      fail_handshake(hs);
+      return;
+    }
+    hs.rx.erase(hs.rx.begin(), hs.rx.begin() + static_cast<std::ptrdiff_t>(size));
+    if (hs.await == Handshake::Await::kHello) {
+      // REPLY with our receive floor so the dialer can resync its counters.
+      set_nodelay(hs.fd.get());
+      hs.nonce_a = rng_->next();
+      hs.await = Handshake::Await::kConfirm;
+      if (!send_handshake(hs, /*header=*/true, /*floor=*/true)) {
+        fail_handshake(hs);
+        return;
+      }
+      continue;
+    }
+    if (hs.dialer && !send_handshake(hs, /*header=*/false, /*floor=*/true)) {
+      fail_handshake(hs);  // the CONFIRM did not go out whole
+      return;
+    }
+    complete_handshake(hs, peer_rx_expected);
+    return;
+  }
+}
+
+void TcpTransport::fail_handshake(Handshake& hs) {
+  // A dial that never connected is a refused connect, not a handshake.
+  if (hs.await != Handshake::Await::kConnect) {
+    counters_->handshake_failures.fetch_add(1, std::memory_order_relaxed);
+  }
+  hs.fd.reset();
+  if (hs.dialer) link_down(hs.peer);  // backoff; traces kLinkDown with sid 0
+}
+
+void TcpTransport::complete_handshake(Handshake& hs, std::uint64_t peer_rx_expected) {
+  const ProcessId peer = hs.peer;
   Conn& c = *conns_[peer];
-  const std::uint32_t dialer = peer < opts_.self ? opts_.self : peer;
-  const std::uint32_t acceptor = peer < opts_.self ? peer : opts_.self;
+  // Authenticated: the new session replaces whatever the slot held (the
+  // dialer redials only when its side of the old stream is dead).
+  if (c.state == LinkState::kUp) link_down(peer);
+  if (!watch(EPOLL_CTL_MOD, hs.fd.get(), EPOLLIN, peer)) {
+    fail_handshake(hs);
+    return;
+  }
+  const std::uint32_t dialer = hs.dialer ? opts_.self : peer;
+  const std::uint32_t acceptor = hs.dialer ? peer : opts_.self;
   const HmacSha256Key unkeyed;
   const HmacSha256Key& sid_key =
       opts_.authenticate ? keys_.mac_key(peer) : unkeyed;
-  const std::uint64_t sid = derive_sid(sid_key, dialer, acceptor, nonce_d, nonce_a);
+  const std::uint64_t sid =
+      derive_sid(sid_key, dialer, acceptor, hs.nonce_d, hs.nonce_a);
 
   std::uint64_t flushed = 0;
   {
     std::lock_guard<std::mutex> lock(c.mutex);
+    c.fd = std::move(hs.fd);
     c.sid = sid;
     c.broken = false;
     c.tx_partial = 0;
@@ -708,31 +642,35 @@ void TcpTransport::complete_handshake(ProcessId peer, std::uint64_t nonce_d,
     drain_locked(c, peer);
     flushed = c.tx_write_next - resync_base;
   }
-  c.phase = HsPhase::kEstablished;
   if (c.retry) c.retry->on_up();
   if (c.ever_up) counters_->link_reconnects.fetch_add(1, std::memory_order_relaxed);
   c.ever_up = true;
   trace_link(TraceEventKind::kLinkHandshake, peer, flushed);
   trace_link(TraceEventKind::kLinkUp, peer, sid);
+  // Bytes past the last handshake message are the new session's frames.
+  if (!hs.rx.empty()) {
+    c.rx.feed(hs.rx.data(), hs.rx.size());
+    hs.rx.clear();
+    process_rx(peer);
+  }
 }
 
 void TcpTransport::link_down(ProcessId peer) {
   Conn& c = *conns_[peer];
-  const bool was_up = c.phase == HsPhase::kEstablished;
+  bool was_up = false;
   std::uint64_t old_sid = 0;
   {
     std::lock_guard<std::mutex> lock(c.mutex);
+    was_up = c.state == LinkState::kUp;
     old_sid = c.sid;
     c.fd.reset();
     c.sid = 0;
     c.broken = false;
     c.kill_request = 0;
     c.tx_partial = 0;
-    c.tx_blocked = false;
     c.state = c.retry ? LinkState::kBackoff : LinkState::kDown;
   }
-  c.phase = HsPhase::kIdle;
-  c.hs_rx.clear();
+  c.tx_blocked = false;
   c.rx.clear();
   if (c.retry) c.retry->on_down(now_ms());
   // A dialer's attempt that failed before its handshake traces with sid 0.
@@ -784,44 +722,37 @@ void TcpTransport::service_timers() {
       broken = c.broken;
       killed = c.kill_request != 0;
     }
-    if (killed) execute_kill(p);
-    if (broken) link_down(p);
-    if (c.phase != HsPhase::kIdle && c.phase != HsPhase::kEstablished &&
-        deadline_passed(now, c.hs_deadline_ms)) {
-      link_down(p);  // handshake stalled; dialer retries after backoff
+    if (broken) {
+      link_down(p);
+    } else if (killed) {
+      execute_kill(p);
     }
-    if (c.retry && c.phase == HsPhase::kIdle && c.retry->should_dial(now)) {
+    if (c.retry && (c.state == LinkState::kDown || c.state == LinkState::kBackoff) &&
+        c.retry->should_dial(now)) {
       begin_dial(p);
     }
   }
-  for (auto& pa : pending_accepts_) {
-    if (pa.fd.valid() && deadline_passed(now, pa.deadline_ms)) {
-      counters_->handshake_failures.fetch_add(1, std::memory_order_relaxed);
-      pa.fd.reset();
-    }
+  for (Handshake& hs : handshakes_) {
+    if (hs.fd.valid() && deadline_passed(now, hs.deadline_ms)) fail_handshake(hs);
   }
-  pending_accepts_.erase(
-      std::remove_if(pending_accepts_.begin(), pending_accepts_.end(),
-                     [](const PendingAccept& pa) { return !pa.fd.valid(); }),
-      pending_accepts_.end());
+  // The one place finished and failed handshakes are reaped.
+  handshakes_.erase(
+      std::remove_if(handshakes_.begin(), handshakes_.end(),
+                     [](const Handshake& hs) { return !hs.fd.valid(); }),
+      handshakes_.end());
 }
 
 int TcpTransport::fold_timer_deadlines(int timeout_ms) {
   std::uint64_t nearest = ~0ULL;
   for (ProcessId p = 0; p < opts_.n; ++p) {
     if (p == opts_.self) continue;
-    Conn& c = *conns_[p];
-    if (c.phase != HsPhase::kIdle && c.phase != HsPhase::kEstablished &&
-        c.hs_deadline_ms < nearest) {
-      nearest = c.hs_deadline_ms;
-    }
-    if (c.retry && c.phase == HsPhase::kIdle &&
-        c.retry->state() == LinkState::kBackoff && c.retry->retry_at_ms() < nearest) {
-      nearest = c.retry->retry_at_ms();
+    const Conn& c = *conns_[p];
+    if (c.retry && c.state == LinkState::kBackoff) {
+      nearest = std::min(nearest, c.retry->retry_at_ms());
     }
   }
-  for (const auto& pa : pending_accepts_) {
-    if (pa.deadline_ms < nearest) nearest = pa.deadline_ms;
+  for (const Handshake& hs : handshakes_) {
+    if (hs.fd.valid()) nearest = std::min(nearest, hs.deadline_ms);
   }
   // Never oversleep a redial or handshake deadline.
   int tmo = timeout_ms;
@@ -850,43 +781,40 @@ void TcpTransport::dispatch_event(std::int64_t owner, bool rin, bool rout,
       Fd fd(::accept(listen_fd_.get(), nullptr, nullptr));
       if (!fd.valid()) break;
       set_nonblocking(fd.get());
-      const std::uint64_t id = next_accept_id_++;
-      const std::int64_t tag = kPendingAcceptTag - static_cast<std::int64_t>(id);
-      if (!watch(EPOLL_CTL_ADD, fd.get(), EPOLLIN, tag)) continue;  // closes fd
-      pending_accepts_.push_back(PendingAccept{
-          id, std::move(fd), {},
-          now_ms() + static_cast<std::uint64_t>(opts_.handshake_timeout_ms)});
+      Handshake hs;
+      hs.id = next_handshake_id_++;
+      hs.fd = std::move(fd);
+      hs.deadline_ms = now_ms() + static_cast<std::uint64_t>(opts_.handshake_timeout_ms);
+      if (!watch(EPOLL_CTL_ADD, hs.fd.get(), EPOLLIN, handshake_tag(hs.id))) continue;
+      handshakes_.push_back(std::move(hs));
     }
     return;
   }
-  if (owner <= kPendingAcceptTag) {
-    const auto id = static_cast<std::uint64_t>(kPendingAcceptTag - owner);
-    for (PendingAccept& pa : pending_accepts_) {
-      if (pa.id == id && pa.fd.valid() && (rin || rerr)) pending_accept_readable(pa);
+  if (owner <= kHandshakeTag) {
+    const auto id = static_cast<std::uint64_t>(kHandshakeTag - owner);
+    for (Handshake& hs : handshakes_) {
+      if (hs.id != id || !hs.fd.valid()) continue;
+      if (hs.await == Handshake::Await::kConnect) {
+        if (rout || rerr) on_connected(hs);
+      } else if (rin || rerr) {
+        read_handshake(hs);
+      }
+      break;
     }
     return;
   }
+  // A peer tag is an established session (complete_handshake re-tags the
+  // socket). An earlier event of this batch may have torn it down.
   const ProcessId peer = static_cast<ProcessId>(owner);
   if (peer >= opts_.n || peer == opts_.self) return;
   Conn& c = *conns_[peer];
-  switch (c.phase) {
-    case HsPhase::kDialWait:
-      if (rout || rerr) on_dial_writable(peer);
-      break;
-    case HsPhase::kHelloSent:
-      if (rin || rerr) handshake_readable(peer);
-      break;
-    case HsPhase::kEstablished:
-      if (rin || rerr) handle_readable(peer);
-      // handle_readable may have torn the link down: re-check before the
-      // write-side resume so a stale EPOLLOUT can't touch a dead stream.
-      if (rout && c.phase == HsPhase::kEstablished) {
-        std::lock_guard<std::mutex> lock(c.mutex);
-        drain_locked(c, peer);
-      }
-      break;
-    default:
-      break;
+  if (c.state != LinkState::kUp) return;
+  if (rin || rerr) handle_readable(peer);
+  // handle_readable may have torn the link down: re-check before the
+  // write-side resume so a stale EPOLLOUT can't touch a dead stream.
+  if (rout && c.state == LinkState::kUp) {
+    std::lock_guard<std::mutex> lock(c.mutex);
+    drain_locked(c, peer);
   }
 }
 
@@ -914,11 +842,6 @@ void TcpTransport::poll_once(int timeout_ms) {
   // Flush-before-return: deliveries above may have triggered sends from
   // this thread (sink → protocol → send), which only enqueue.
   drain_pending();
-  // Bound handshakes may have completed or died; reap dead pending fds.
-  pending_accepts_.erase(
-      std::remove_if(pending_accepts_.begin(), pending_accepts_.end(),
-                     [](const PendingAccept& pa) { return !pa.fd.valid(); }),
-      pending_accepts_.end());
 }
 
 void TcpTransport::handle_readable(ProcessId peer) {

@@ -8,28 +8,39 @@
 // and a strictly increasing per-direction counter bound into the MAC
 // (anti-replay) — the modern stand-in for the AH protocol the paper used.
 //
-// Unlike the paper's idealized channel, real links fail. Each link runs a
-// small state machine (down / connecting / up / backoff, `net/link.h`):
-// a lost connection moves the dialer into jittered exponential backoff and
-// automatic redial, and every (re)connection performs an authenticated
-// nonce handshake that derives a fresh session id and exchanges receive
-// counters so the sender can retransmit exactly the frames the peer never
-// got (counter resync). Frames from an old session are replay-dropped by
-// session id, never accepted. While a link is down, sends land in a
-// bounded per-link retained-frame queue (drop-oldest; drops of frames that
-// never reached a socket are counted). `start()` needs only a partial mesh
-// (>= n-f-1 links) to return; the rest keep dialing in the background.
+// Unlike the paper's idealized channel, real links fail. Each link has
+// one state (down / connecting / up / backoff, `Conn::state`): a lost
+// connection moves the dialer into jittered exponential backoff
+// (`net/link.h` holds the seeded retry schedule) and automatic redial,
+// and every (re)connection performs an authenticated nonce handshake that
+// derives a fresh session id and exchanges receive counters so the sender
+// can retransmit exactly the frames the peer never got (counter resync).
+// Frames from an old session are replay-dropped by session id, never
+// accepted. While a link is down, sends land in a bounded per-link
+// retained-frame queue (drop-oldest; drops of frames that never reached a
+// socket are counted). `start()` needs only a partial mesh (>= n-f-1
+// links) to return; the rest keep dialing in the background.
 // Wire formats: docs/PROTOCOLS.md "Reliable channel".
 //
+// Handshakes: a dial in flight and an accepted socket are the same
+// record, a role-tagged `Handshake` that never touches the peer's `Conn`.
+// One reader accumulates and verifies HELLO, REPLY and CONFIRM for both
+// roles, every message is written with one non-blocking send(), and every
+// failure takes one path (counted in handshake_failures once the TCP
+// connection exists; a dialer then backs off). Success always runs
+// complete_handshake, which adopts the socket into the `Conn`, so a `Conn`
+// socket is always an established session.
+//
 // Event loop: one epoll_wait (level-triggered) drives readiness for every
-// link, the listen socket, pending accepts and the wakeup pipe. Interest
-// is set where a socket's state changes, never recomputed per cycle: the
-// wake pipe and listener once, a dialing socket for EPOLLOUT (connect
-// completion), an accepted or HELLO-sent socket for EPOLLIN, and EPOLLOUT
-// added while a drain is blocked on a full socket and dropped once it
-// clears. Closing a socket drops its registration. The reconnect/backoff
-// and handshake deadlines fold into the wait timeout via the
-// deterministic `Link` timeline. Linux only.
+// link, the listen socket, handshakes and the wakeup pipe. Interest is set
+// where a socket's state changes, never recomputed per cycle: the wake
+// pipe and listener once, a dialing socket for EPOLLOUT (connect
+// completion), an accepted or HELLO-sent socket for EPOLLIN under its
+// handshake's tag, re-tagged with the peer id when its session opens, and
+// EPOLLOUT added while a drain is blocked on a full socket and dropped
+// once it clears. Closing a socket drops its registration. The
+// redial-backoff and handshake deadlines fold into the wait timeout.
+// Linux only.
 //
 // Send fast path: frames enqueue onto the link's retained queue and the
 // poll thread's drain gathers consecutive ready frames into ONE sendmsg()
@@ -52,8 +63,11 @@
 //     under ASan/TSan.
 //   * All socket I/O — receiving, the batched drains, handshakes and link
 //     management — happens in poll_once(), which the owner (one thread —
-//     see ritas::Node) calls in its loop. Frames are MAC-verified and
-//     handed to the sink inline from poll_once.
+//     see ritas::Node) calls in its loop, and none of it blocks: a
+//     handshake message the socket does not take whole fails that
+//     attempt. Frames are MAC-verified and handed to the sink inline from
+//     poll_once. Handshakes are poll-thread-only; a Conn's state, session
+//     and send queue are written by the poll thread under the Conn mutex.
 #pragma once
 
 #include <array>
@@ -251,20 +265,13 @@ class TcpTransport final : public Transport {
   /// per-field atomic, not globally consistent).
   Stats stats() const;
 
-  /// Breaks the connection to `peer` (see KillMode). The actual teardown
-  /// runs on the polling thread; the link then heals through the normal
-  /// backoff/reconnect path. Test-only chaos hook.
+  /// Breaks the established session to `peer` (see KillMode); a no-op
+  /// while no session is up. The actual teardown runs on the polling
+  /// thread; the link then heals through the normal backoff/reconnect
+  /// path. Test-only chaos hook.
   void kill_link(ProcessId peer, KillMode mode);
 
  private:
-  /// Handshake progress for one connection attempt.
-  enum class HsPhase : std::uint8_t {
-    kIdle,         // no socket
-    kDialWait,     // dialer: non-blocking connect() in flight
-    kHelloSent,    // dialer: HELLO written, waiting for REPLY
-    kEstablished,  // session open, frames flow
-  };
-
   /// A frame retained for retransmission: queued while the link is down,
   /// or recently written and kept until the next resync confirms receipt.
   /// The header/MAC prep is the stable storage the batched iovec triplet
@@ -280,14 +287,14 @@ class TcpTransport final : public Transport {
     Sha256::Digest mac_trailer{};
   };
 
+  /// One link. `state` is its only lifecycle state: kDown until a first
+  /// dial (dialer) or session (acceptor), and at the acceptor after a
+  /// session ends; kConnecting while a dial or its handshake is in flight;
+  /// kUp while `fd` holds the established session; kBackoff while a dialer
+  /// waits out its retry delay.
   struct Conn {
     Conn(std::size_t max_frame, bool with_mac) : rx(max_frame, with_mac) {}
     // --- poll-thread-only unless noted ---
-    Fd fd;
-    HsPhase phase = HsPhase::kIdle;
-    Bytes hs_rx;                     // accumulated handshake bytes
-    std::uint64_t nonce_local = 0;
-    std::uint64_t hs_deadline_ms = 0;
     FrameReassembler rx;             // stream reassembly window
     std::uint64_t rx_expected = 0;   // next counter expected (survives sessions)
     std::unique_ptr<LinkRetry> retry;  // dialed links only (peer < self)
@@ -295,6 +302,7 @@ class TcpTransport final : public Transport {
     bool tx_blocked = false;         // drain hit a short write: EPOLLOUT registered
     // --- shared with sender threads; guarded by mutex ---
     std::mutex mutex;
+    Fd fd;                           // the established session's socket
     LinkState state = LinkState::kDown;
     std::uint64_t sid = 0;           // current session id (0 = none)
     std::uint64_t tx_next = 0;       // next counter to assign (survives sessions)
@@ -306,16 +314,21 @@ class TcpTransport final : public Transport {
     std::uint8_t kill_request = 0;   // 1 + KillMode; poll thread executes
   };
 
-  /// An accepted socket working through the session handshake. It does not
-  /// touch the peer's Conn slot until the CONFIRM authenticates — an
+  /// One session handshake in flight, in either role: a dial from its
+  /// connect() to its CONFIRM, or an accepted socket from its HELLO to its
+  /// CONFIRM. It does not touch the peer's Conn until it succeeds — an
   /// unauthenticated hello must not be able to displace a healthy link.
-  struct PendingAccept {
+  /// Poll-thread-only.
+  struct Handshake {
+    /// What the handshake waits for next.
+    enum class Await : std::uint8_t { kConnect, kHello, kReply, kConfirm };
     std::uint64_t id = 0;     // stable epoll tag; see dispatch_event
+    bool dialer = false;
+    Await await = Await::kHello;
     Fd fd;
-    Bytes rx;
+    Bytes rx;                 // received bytes not yet consumed
     std::uint64_t deadline_ms = 0;
-    bool got_hello = false;
-    ProcessId claimed = 0;    // dialer id from the HELLO
+    ProcessId peer = 0;       // the dialed peer, or the dialer a HELLO names
     std::uint64_t nonce_d = 0;
     std::uint64_t nonce_a = 0;
   };
@@ -326,7 +339,6 @@ class TcpTransport final : public Transport {
   std::uint32_t start_threshold() const;
   /// epoll_ctl(op) for `fd` with `owner` as its tag (see dispatch_event).
   bool watch(int op, int fd, std::uint32_t events, std::int64_t owner);
-  bool write_all(int fd, ByteView data);
   /// Builds (or refreshes, after a re-handshake) the entry's header and
   /// MAC for the current session. Caller holds c.mutex.
   void prep_entry(Conn& c, Retained& e, ProcessId to);
@@ -337,23 +349,37 @@ class TcpTransport final : public Transport {
   /// Poll thread: drains every up link with pending output.
   void drain_pending();
   void begin_dial(ProcessId peer);
-  void on_dial_writable(ProcessId peer);
-  void handshake_readable(ProcessId peer);
-  void pending_accept_readable(PendingAccept& pa);
-  /// Session established: derive sid, resync counters, flush the queue.
-  void complete_handshake(ProcessId peer, std::uint64_t nonce_d,
-                          std::uint64_t nonce_a, std::uint64_t peer_rx_expected);
+  /// A dial's connect() finished: HELLO, or an uncounted failed connect.
+  void on_connected(Handshake& hs);
+  /// The one handshake reader, for both roles: accumulates, checks the
+  /// header (magic, version, flags, id) and transcript MAC of each HELLO,
+  /// REPLY or CONFIRM, answers it, and ends in complete_handshake or
+  /// fail_handshake.
+  void read_handshake(Handshake& hs);
+  /// Writes this side's next message (`header`: magic, version, flags, id
+  /// and nonce; `floor`: receive floor and transcript MAC) in one
+  /// non-blocking send(); false unless the socket took every byte.
+  bool send_handshake(const Handshake& hs, bool header, bool floor);
+  Sha256::Digest transcript_mac(const Handshake& hs, char label,
+                                std::uint64_t counter_field) const;
+  /// The one failure path: counts the attempt once its TCP connection
+  /// exists, closes it, and backs a dialer off.
+  void fail_handshake(Handshake& hs);
+  /// Session established: adopt the socket into the Conn, derive sid,
+  /// resync counters, flush the queue, feed any bytes past the handshake.
+  void complete_handshake(Handshake& hs, std::uint64_t peer_rx_expected);
   void link_down(ProcessId peer);
   void service_timers();
   void execute_kill(ProcessId peer);
   void handle_readable(ProcessId peer);
   void process_rx(ProcessId peer);
   void trace_link(TraceEventKind kind, ProcessId peer, std::uint64_t arg);
-  /// Folds the nearest handshake/backoff/pending-accept deadline into the
-  /// caller's timeout so the wait cannot oversleep a timer.
+  /// Folds the nearest handshake or redial deadline into the caller's
+  /// timeout so the wait cannot oversleep a timer.
   int fold_timer_deadlines(int timeout_ms);
   /// Readiness dispatch. Owner encoding: -1 wake pipe, -2 listen socket,
-  /// -(3+id) the pending accept with that id, else peer id.
+  /// -(3+id) the handshake with that id, else the peer id of an
+  /// established session.
   void dispatch_event(std::int64_t owner, bool rin, bool rout, bool rerr);
   bool is_poll_thread() const;
   void wait_with_epoll(int timeout_ms);
@@ -366,8 +392,8 @@ class TcpTransport final : public Transport {
   Fd listen_fd_;
   Fd wake_rx_, wake_tx_;
   std::vector<std::unique_ptr<Conn>> conns_;  // index = peer id; self unused
-  std::vector<PendingAccept> pending_accepts_;
-  std::uint64_t next_accept_id_ = 0;  // poll-thread-only
+  std::vector<Handshake> handshakes_;   // poll-thread-only
+  std::uint64_t next_handshake_id_ = 0;  // poll-thread-only
   std::unique_ptr<Counters> counters_;
   std::atomic<bool> stopped_{false};
   std::atomic<std::uint64_t> poll_tid_{0};  // hashed id of the polling thread

@@ -7,6 +7,7 @@
 #include "common/rng.h"
 #include "core/atomic_broadcast.h"
 #include "sim/cluster.h"
+#include "sim/fingerprint.h"
 #include "sim/load_gen.h"
 #include "sim/oracles.h"
 
@@ -19,35 +20,6 @@ namespace {
 constexpr std::uint64_t kTagCluster = 0xca3b619000000001ull;
 constexpr std::uint64_t kTagLoad = 0xca3b619000000002ull;
 constexpr std::uint64_t kTagWan = 0xca3b619000000003ull;
-
-std::uint64_t derive(std::uint64_t seed, std::uint64_t tag) {
-  std::uint64_t st = seed ^ tag;
-  return splitmix64(st);
-}
-
-/// Streaming hash over the observation stream (same shape as the
-/// explorer's trial fingerprint).
-struct Fingerprint {
-  std::uint64_t h = 0x243f6a8885a308d3ull;
-  void u64(std::uint64_t v) {
-    std::uint64_t st = h ^ (v + 0x9e3779b97f4a7c15ull);
-    h = splitmix64(st);
-  }
-  void bytes(ByteView b) {
-    u64(b.size());
-    std::uint64_t acc = 0;
-    int k = 0;
-    for (std::uint8_t c : b) {
-      acc = (acc << 8) | c;
-      if (++k == 8) {
-        u64(acc);
-        acc = 0;
-        k = 0;
-      }
-    }
-    if (k != 0) u64(acc);
-  }
-};
 
 }  // namespace
 
@@ -102,11 +74,11 @@ CampaignResult run_campaign(const CampaignOptions& opts) {
     wcfg.kills.push_back({1, 2, load_ns / 2, load_ns / 2 + len});
     wcfg.kills.push_back({2, 3, (3 * load_ns) / 4, (3 * load_ns) / 4 + len});
   }
-  WanModel wan(std::move(wcfg), derive(opts.seed, kTagWan));
+  WanModel wan(std::move(wcfg), derive_seed(opts.seed, kTagWan));
 
   ClusterOptions o;
   o.n = n;
-  o.seed = derive(opts.seed, kTagCluster);
+  o.seed = derive_seed(opts.seed, kTagCluster);
   o.byzantine = byz;
 
   // Observation state — declared before the Cluster so protocol callbacks
@@ -147,7 +119,7 @@ CampaignResult run_campaign(const CampaignOptions& opts) {
   lo.ops_per_sec = opts.ops_per_sec;
   lo.payload_bytes = opts.payload_bytes;
   lo.max_ops = opts.ops;
-  lo.seed = derive(opts.seed, kTagLoad);
+  lo.seed = derive_seed(opts.seed, kTagLoad);
   lo.origins = origins;
   LoadGen gen(c.scheduler(), lo,
               [&c, &ab, &ab_rec](ProcessId origin, Bytes payload) {

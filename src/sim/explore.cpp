@@ -19,6 +19,7 @@
 #include "core/reliable_broadcast.h"
 #include "core/vector_consensus.h"
 #include "sim/cluster.h"
+#include "sim/fingerprint.h"
 #include "sim/oracles.h"
 #include "sim/wan_model.h"
 
@@ -39,11 +40,6 @@ constexpr std::uint64_t kTagWan = 0x5c4ed01e00000006ull;
 // self-describing: payload bytes derive from the seed alone.
 constexpr std::uint32_t kPayloadLen = 8;
 
-std::uint64_t derive(std::uint64_t seed, std::uint64_t tag) {
-  std::uint64_t st = seed ^ tag;
-  return splitmix64(st);
-}
-
 /// Trial LAN: the tests' fast profile (shrunk constants, jitter kept for
 /// schedule diversity). Exploration wants many trials per second, not
 /// calibrated Table-1 timing.
@@ -55,29 +51,6 @@ LanModelConfig trial_lan() {
   lan.jitter_ns = 1'000'000;
   return lan;
 }
-
-/// Order-independent-per-call streaming hash over the observation stream.
-struct Fingerprint {
-  std::uint64_t h = 0x243f6a8885a308d3ull;
-  void u64(std::uint64_t v) {
-    std::uint64_t st = h ^ (v + 0x9e3779b97f4a7c15ull);
-    h = splitmix64(st);
-  }
-  void bytes(ByteView b) {
-    u64(b.size());
-    std::uint64_t acc = 0;
-    int k = 0;
-    for (std::uint8_t c : b) {
-      acc = (acc << 8) | c;
-      if (++k == 8) {
-        u64(acc);
-        acc = 0;
-        k = 0;
-      }
-    }
-    if (k != 0) u64(acc);
-  }
-};
 
 Bytes random_payload(Rng& rng, std::uint32_t len) {
   Bytes b(len);
@@ -104,7 +77,7 @@ std::unique_ptr<Adversary> make_adversary(const Schedule& s, std::uint32_t index
     composed->add(std::make_unique<StubbornStepAdversary>(0, /*silent_instead=*/true));
   }
   if ((hooks & hook::kEquivocate) != 0) {
-    Rng rng(derive(s.seed, kTagEquivocate + index));
+    Rng rng(derive_seed(s.seed, kTagEquivocate + index));
     composed->add(std::make_unique<EquivocationAdversary>(random_payload(rng, 8)));
   }
   if ((hooks & hook::kCorruptMatrix) != 0) {
@@ -116,7 +89,7 @@ std::unique_ptr<Adversary> make_adversary(const Schedule& s, std::uint32_t index
   std::unique_ptr<Adversary> result = std::move(composed);
   if ((hooks & hook::kProbabilistic) != 0) {
     result = std::make_unique<ProbabilisticAdversary>(
-        std::move(result), 0.5, derive(s.seed, kTagProbability + index));
+        std::move(result), 0.5, derive_seed(s.seed, kTagProbability + index));
   }
   return result;
 }
@@ -361,7 +334,7 @@ Schedule Explorer::make_schedule(std::uint64_t trial_seed) const {
   // schedule so a replay reconstructs the identical stack.
   if (s.variants.bc == BcVariant::kCrain) s.coin_mode = CoinMode::kDealt;
 
-  Rng rng(derive(trial_seed, kTagSchedule));
+  Rng rng(derive_seed(trial_seed, kTagSchedule));
   std::uint32_t f = max_faults(cfg_.n);
   // The fault budget respects the weakest configured layer: Imbs–Raynal
   // only tolerates t = (n-1)/5.
@@ -493,7 +466,7 @@ TrialResult Explorer::run_trial(const Schedule& s) {
     wo.jitter_permille = s.wan.jitter_permille;
     wo.loss_ppm = s.wan.loss_ppm;
     wo.rto_ns = s.wan.rto_ns;
-    wan_model.emplace(wan_profile(n, wo), derive(s.seed, kTagWan));
+    wan_model.emplace(wan_profile(n, wo), derive_seed(s.seed, kTagWan));
   }
   Fingerprint fp;
   std::vector<std::vector<bool>> bc_proposals;
@@ -523,8 +496,8 @@ TrialResult Explorer::run_trial(const Schedule& s) {
     return extra;
   });
 
-  Rng prop_rng(derive(s.seed, kTagProposals));
-  Rng payload_rng(derive(s.seed, kTagPayloads));
+  Rng prop_rng(derive_seed(s.seed, kTagProposals));
+  Rng payload_rng(derive_seed(s.seed, kTagPayloads));
 
   std::function<bool()> goal;
   std::function<void(oracle::Report&, bool)> check;

@@ -8,6 +8,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -197,17 +198,90 @@ std::vector<std::optional<T>> decide_all(ContextMesh& mesh, F call) {
 /// implementation of the handshake and frame formats, used both to
 /// cross-check the wire spec and to inject adversarial traffic (tampered
 /// MACs, stale counters, replays from old sessions, malformed handshakes)
-/// that TcpTransport itself can never be coaxed into producing.
+/// that TcpTransport itself can never be coaxed into producing. It plays
+/// either role: a dialer (connect, then handshake) or, after listen(), an
+/// acceptor that answers the victim's HELLO with a crafted REPLY.
 class RawPeer {
  public:
-  /// Prepares a dialer impersonating process `self_id` toward the victim
-  /// listening on `port`. `key` is the pairwise secret s_{self,victim}
-  /// (pass the real one to model an insider, a wrong one for an outsider).
+  /// Prepares a peer impersonating process `self_id` toward the victim.
+  /// `port` is the victim's listen port when dialing, and this peer's own
+  /// (peers[self_id]) when accepting. `key` is the pairwise secret
+  /// s_{self,victim} (pass the real one to model an insider, a wrong one
+  /// for an outsider).
   RawPeer(std::uint16_t port, std::uint32_t self_id, std::uint32_t victim_id,
           Bytes key)
       : port_(port), self_(self_id), victim_(victim_id), key_(std::move(key)) {}
 
-  ~RawPeer() { close(); }
+  ~RawPeer() {
+    close();
+    if (listen_fd_ >= 0) ::close(listen_fd_);
+  }
+
+  /// Acceptor mode: listens on `port` for the victim's dial. accept() and
+  /// read_hello() never block, so one thread can interleave them with the
+  /// victim's poll_once().
+  void listen() {
+    accepting_ = true;
+    listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
+    if (listen_fd_ < 0) throw std::runtime_error("RawPeer: socket() failed");
+    int one = 1;
+    ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(port_);
+    if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
+        ::listen(listen_fd_, 8) != 0) {
+      throw std::runtime_error("RawPeer: listen failed");
+    }
+  }
+
+  /// Takes the victim's next queued dial, if any; true once connected.
+  bool accept() {
+    if (fd_ >= 0) return true;
+    fd_ = ::accept(listen_fd_, nullptr, nullptr);
+    if (fd_ < 0) return false;
+    int one = 1;
+    ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    hello_rx_.clear();
+    return true;
+  }
+
+  /// Accumulates the victim's HELLO; true once all of it is in (its nonce
+  /// is then bound into make_reply's MAC). Throws on EOF or a HELLO that
+  /// does not come from the victim.
+  bool read_hello() {
+    if (hello_rx_.size() == kHelloSize) return true;
+    std::uint8_t buf[kHelloSize];
+    const ssize_t k = ::recv(fd_, buf, kHelloSize - hello_rx_.size(), MSG_DONTWAIT);
+    if (k == 0 || (k < 0 && errno != EAGAIN && errno != EWOULDBLOCK)) {
+      throw std::runtime_error("RawPeer: connection lost before HELLO");
+    }
+    if (k > 0) hello_rx_.insert(hello_rx_.end(), buf, buf + k);
+    if (hello_rx_.size() < kHelloSize) return false;
+    Reader r(ByteView(hello_rx_.data(), kHelloSize));
+    if (r.u32() != kMagic || r.u8() != kVersion || r.u8() != 1 || r.u32() != victim_) {
+      throw std::runtime_error("RawPeer: malformed HELLO");
+    }
+    nonce_d_ = r.u64();
+    return true;
+  }
+
+  /// A well-formed REPLY to the HELLO read last, carrying `nonce_a` and
+  /// this peer's receive floor. Tests mutate the result to forge variants.
+  Bytes make_reply(std::uint64_t nonce_a, std::uint64_t my_rx_expected = 0) {
+    nonce_a_ = nonce_a;
+    Writer reply(26 + 32);
+    reply.u32(kMagic);
+    reply.u8(kVersion);
+    reply.u8(1);  // authenticate
+    reply.u32(self_);
+    reply.u64(nonce_a);
+    reply.u64(my_rx_expected);
+    const auto mac = hs_mac('a', my_rx_expected);
+    reply.raw(ByteView(mac.data(), mac.size()));
+    return std::move(reply).take();
+  }
 
   /// TCP-connects to the victim, retrying while its listener comes up.
   /// Throws on persistent failure.
@@ -236,14 +310,7 @@ class RawPeer {
   /// `nonce_d`, deriving the session id and learning the victim's receive
   /// floor. Returns false if the victim hung up or the REPLY is malformed.
   bool handshake(std::uint64_t nonce_d, std::uint64_t my_rx_expected = 0) {
-    nonce_d_ = nonce_d;
-    Writer hello(18);
-    hello.u32(kMagic);
-    hello.u8(kVersion);
-    hello.u8(1);  // authenticate
-    hello.u32(self_);
-    hello.u64(nonce_d);
-    send_raw(hello.data());
+    send_hello(nonce_d);
     Bytes reply(26 + 32);
     if (!recv_exact(reply.data(), reply.size())) return false;
     Reader r(ByteView(reply.data(), 26));
@@ -258,6 +325,18 @@ class RawPeer {
     confirm.raw(ByteView(mac.data(), mac.size()));
     send_raw(confirm.data());
     return true;
+  }
+
+  /// Sends the dialer's HELLO with `nonce_d`, the first leg of handshake().
+  void send_hello(std::uint64_t nonce_d) {
+    nonce_d_ = nonce_d;
+    Writer hello(kHelloSize);
+    hello.u32(kMagic);
+    hello.u8(kVersion);
+    hello.u8(1);  // authenticate
+    hello.u32(self_);
+    hello.u64(nonce_d);
+    send_raw(hello.data());
   }
 
   /// Encodes one well-formed data frame (header, body, MAC) for the given
@@ -308,13 +387,14 @@ class RawPeer {
  private:
   static constexpr std::uint32_t kMagic = 0x52495441;
   static constexpr std::uint8_t kVersion = 2;
+  static constexpr std::size_t kHelloSize = 18;
 
   Sha256::Digest hs_mac(char label, std::uint64_t counter_field) const {
     Writer w(40);
     w.raw(to_bytes("RITAS-hs-"));
     w.u8(static_cast<std::uint8_t>(label));
-    w.u32(self_);     // dialer
-    w.u32(victim_);   // acceptor
+    w.u32(accepting_ ? victim_ : self_);  // dialer
+    w.u32(accepting_ ? self_ : victim_);  // acceptor
     w.u64(nonce_d_);
     w.u64(nonce_a_);
     w.u64(counter_field);
@@ -342,6 +422,9 @@ class RawPeer {
   std::uint32_t self_, victim_;
   Bytes key_;
   int fd_ = -1;
+  int listen_fd_ = -1;
+  bool accepting_ = false;
+  Bytes hello_rx_;
   std::uint64_t nonce_d_ = 0, nonce_a_ = 0, sid_ = 0, acked_ = 0;
 };
 

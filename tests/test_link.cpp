@@ -1,4 +1,4 @@
-// Deterministic tests for the link backoff/retry state machine: pure,
+// Deterministic tests for the link backoff/retry schedule: pure,
 // clock-free, seeded — the same seed must yield the same reconnect
 // timeline bit-for-bit, and delays must respect the cap and jitter bounds.
 #include "net/link.h"
@@ -94,12 +94,10 @@ std::vector<std::uint64_t> run_timeline(std::uint64_t seed) {
   for (int i = 0; i < 6; ++i) {
     while (!retry.should_dial(now)) ++now;  // advance injected time
     timeline.push_back(now);
-    retry.on_dialing();
     retry.on_down(now);  // connect refused
   }
   while (!retry.should_dial(now)) ++now;
   timeline.push_back(now);
-  retry.on_dialing();
   retry.on_up();
   timeline.push_back(now);
   now += 1000;
@@ -114,56 +112,27 @@ TEST(LinkRetry, SameSeedSameReconnectTimeline) {
   EXPECT_EQ(run_timeline(1234), run_timeline(1234));
 }
 
-TEST(LinkRetry, StateTransitions) {
-  BackoffOptions opts;
-  opts.base_ms = 10;
-  opts.jitter_pct = 0;
-  LinkRetry retry(opts, 1);
-  EXPECT_EQ(retry.state(), LinkState::kDown);
-  EXPECT_TRUE(retry.should_dial(0)) << "down dials immediately";
-
-  retry.on_dialing();
-  EXPECT_EQ(retry.state(), LinkState::kConnecting);
-  EXPECT_FALSE(retry.should_dial(0)) << "no concurrent dials";
-
-  retry.on_down(100);
-  EXPECT_EQ(retry.state(), LinkState::kBackoff);
-  EXPECT_EQ(retry.retry_at_ms(), 110u);
-  EXPECT_FALSE(retry.should_dial(109));
-  EXPECT_TRUE(retry.should_dial(110));
-
-  retry.on_dialing();
-  retry.on_up();
-  EXPECT_EQ(retry.state(), LinkState::kUp);
-  EXPECT_EQ(retry.reconnects(), 0u) << "first connect is not a reconnect";
-  EXPECT_FALSE(retry.should_dial(1'000'000));
-
-  retry.on_down(200);
-  retry.on_dialing();
-  retry.on_up();
-  EXPECT_EQ(retry.reconnects(), 1u);
-}
-
 TEST(LinkRetry, SuccessResetsTheBackoffSchedule) {
   BackoffOptions opts;
   opts.base_ms = 10;
   opts.cap_ms = 10'000;
   opts.jitter_pct = 0;
   LinkRetry retry(opts, 1);
+  EXPECT_TRUE(retry.should_dial(0)) << "the first dial does not wait";
   // Drive the schedule up.
   std::uint64_t prev = 0, now = 0;
   for (int i = 0; i < 8; ++i) {
-    retry.on_dialing();
     retry.on_down(now);
     prev = now;
     now = retry.retry_at_ms();
   }
   EXPECT_EQ(now - prev, 10u << 7) << "8th delay should be base << 7";
-  retry.on_dialing();
   retry.on_up();
   // After a success the next failure must wait only the base delay again.
   retry.on_down(5000);
   EXPECT_EQ(retry.retry_at_ms(), 5010u);
+  EXPECT_FALSE(retry.should_dial(5009));
+  EXPECT_TRUE(retry.should_dial(5010));
 }
 
 }  // namespace

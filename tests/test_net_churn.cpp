@@ -111,8 +111,9 @@ TEST(NetChurn, EveryLinkKilledMidBurstStillTotallyOrders) {
     EXPECT_GE(s.link_reconnects, 1u) << "node " << p << " never reconnected";
     total_reconnects += s.link_reconnects;
     // All peers hold the right keys, so nothing may ever look forged.
-    // (handshake_failures is NOT asserted zero: a kill landing mid-
-    // re-handshake aborts that attempt, which is counted and benign.)
+    // (handshake_failures is NOT asserted zero: a teardown reaching a
+    // re-handshake before its CONFIRM aborts that attempt, which is
+    // counted at each side that gives up, and is benign.)
     EXPECT_EQ(s.mac_failures, 0u);
   }
   // 6 killed links, two endpoints each; allow slack for raced teardowns.

@@ -664,6 +664,166 @@ TEST(TcpTransportAdversarial, SilentDialersExpireWithoutSpinningThePollLoop) {
   EXPECT_LT(returns, 20 * kSilent);
 }
 
+TEST(TcpTransportAdversarial, DialerHangingUpBeforeConfirmIsCounted) {
+  // A dialer that sends a valid HELLO and then closes aborts the victim's
+  // handshake: one counted failure, and the link never leaves kDown.
+  Victim v;
+  {
+    RawPeer quitter(v.port, 1, 0, v.peer_key);
+    quitter.connect();
+    quitter.send_hello(0x8888);
+  }
+  ASSERT_TRUE(wait_until([&] { return v.stats().handshake_failures >= 1; }));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_EQ(v.stats().handshake_failures, 1u) << "counted once";
+  EXPECT_EQ(v.node->transport->link_states()[1], LinkState::kDown);
+  // An honest dialer still gets in (and lets the victim's start() return).
+  RawPeer good(v.port, 1, 0, v.peer_key);
+  good.connect();
+  ASSERT_TRUE(good.handshake(0x9999));
+  ASSERT_TRUE(wait_until([&] { return v.node->transport->links_up() == 1; }));
+}
+
+// --- the dialer's side of the handshake -------------------------------------
+// A lone dialer (n=2, self=1) that this thread drives through poll_once,
+// facing a RawPeer that listens as process 0 and answers each HELLO with a
+// crafted REPLY. One thread runs both ends, so every state read lands
+// between two poll cycles.
+
+struct Dialer {
+  std::vector<std::uint16_t> ports = free_ports(2);
+  KeyChain keys = KeyChain::deal(to_bytes("dialer-master"), 2, 1);
+  KeyChain peer_keys = KeyChain::deal(to_bytes("dialer-master"), 2, 0);
+  Bytes peer_key = Bytes(peer_keys.key(1).begin(), peer_keys.key(1).end());  // s_01
+  std::unique_ptr<TcpTransport> transport;
+
+  explicit Dialer(int handshake_timeout_ms = 5'000)
+      : transport(std::make_unique<TcpTransport>(options(1, handshake_timeout_ms), keys)) {}
+  ~Dialer() { transport->stop(); }
+
+  TcpTransport::Options options(ProcessId self, int handshake_timeout_ms = 5'000) const {
+    TcpTransport::Options o;
+    o.n = 2;
+    o.self = self;
+    o.peers = local_peers(ports);
+    o.handshake_timeout_ms = handshake_timeout_ms;
+    return o;
+  }
+  /// The real process 0, listening on its port from construction.
+  std::unique_ptr<TcpTransport> make_acceptor() const {
+    return std::make_unique<TcpTransport>(options(0), peer_keys);
+  }
+
+  /// Polls the dialer (and `other`, if given) until `cond` holds; false
+  /// after 5 s.
+  bool pump_until(const std::function<bool()>& cond, TcpTransport* other = nullptr) {
+    const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (!cond()) {
+      if (std::chrono::steady_clock::now() > give_up) return false;
+      transport->poll_once(5);
+      if (other != nullptr) other->poll_once(0);
+    }
+    return true;
+  }
+  LinkState link() const { return transport->link_states()[0]; }
+  std::uint64_t failures() const { return transport->stats().handshake_failures; }
+};
+
+TEST(TcpTransportAdversarial, BadRepliesAreCountedAndBackTheDialerOff) {
+  Dialer d;
+  struct Forgery {
+    const char* what;
+    std::function<void(Bytes&)> forge;
+    bool then_eof;
+  };
+  const std::vector<Forgery> forgeries = {
+      {"bad MAC", [](Bytes& r) { r.back() ^= 0x01; }, false},
+      {"wrong acceptor id", [](Bytes& r) { r[6] ^= 0x02; }, false},
+      {"bad magic", [](Bytes& r) { r[0] ^= 0xff; }, false},
+      {"truncated, then EOF", [](Bytes& r) { r.resize(r.size() / 2); }, true},
+  };
+  {
+    RawPeer acceptor(d.ports[0], 0, 1, d.peer_key);
+    acceptor.listen();
+    // Control: an unforged REPLY opens the session, so each forgery below
+    // fails on its one flaw alone.
+    ASSERT_TRUE(d.pump_until([&] { return acceptor.accept(); }));
+    ASSERT_TRUE(d.pump_until([&] { return acceptor.read_hello(); }));
+    acceptor.send_raw(acceptor.make_reply(0x99));
+    ASSERT_TRUE(d.pump_until([&] { return d.link() == LinkState::kUp; }));
+    acceptor.close();
+    ASSERT_TRUE(d.pump_until([&] { return d.link() == LinkState::kBackoff; }));
+    ASSERT_EQ(d.failures(), 0u);
+    for (std::size_t i = 0; i < forgeries.size(); ++i) {
+      const Forgery& f = forgeries[i];
+      ASSERT_TRUE(d.pump_until([&] { return acceptor.accept(); })) << f.what;
+      ASSERT_TRUE(d.pump_until([&] { return acceptor.read_hello(); })) << f.what;
+      Bytes reply = acceptor.make_reply(0xa0 + i);
+      f.forge(reply);
+      acceptor.send_raw(reply);
+      if (f.then_eof) acceptor.close();
+      ASSERT_TRUE(d.pump_until([&] { return d.failures() >= i + 1; })) << f.what;
+      EXPECT_EQ(d.failures(), i + 1) << f.what << ": counted once";
+      EXPECT_EQ(d.link(), LinkState::kBackoff) << f.what;
+      acceptor.close();
+    }
+  }
+  // The real process 0 takes over the port: the next dial comes up.
+  auto real = d.make_acceptor();
+  ASSERT_TRUE(d.pump_until(
+      [&] {
+        return d.link() == LinkState::kUp && real->link_states()[1] == LinkState::kUp;
+      },
+      real.get()));
+  EXPECT_EQ(d.failures(), forgeries.size());
+  EXPECT_EQ(d.transport->stats().link_reconnects, 1u) << "only the control was up before";
+  real->stop();
+}
+
+TEST(TcpTransportAdversarial, DialerHandshakeTimeoutIsCounted) {
+  // The acceptor takes the dial and the HELLO, then says nothing.
+  Dialer d(/*handshake_timeout_ms=*/100);
+  RawPeer mute(d.ports[0], 0, 1, d.peer_key);
+  mute.listen();
+  ASSERT_TRUE(d.pump_until([&] { return mute.accept(); }));
+  ASSERT_TRUE(d.pump_until([&] { return mute.read_hello(); }));
+  ASSERT_TRUE(d.pump_until([&] { return d.failures() >= 1; }));
+  EXPECT_EQ(d.failures(), 1u);
+  EXPECT_EQ(d.link(), LinkState::kBackoff);
+}
+
+TEST(TcpTransport, LinkLifecycleReadsOneStatePerLink) {
+  // kDown before the first dial, kBackoff after a refused one, kUp at both
+  // ends once the peer exists, and kUp again after a kill, with one
+  // reconnect counted at each end.
+  Dialer d;
+  EXPECT_EQ(d.link(), LinkState::kDown) << "never dialed";
+  // Nothing listens on ports[0] yet: the dial is refused.
+  ASSERT_TRUE(d.pump_until([&] { return d.link() == LinkState::kBackoff; }));
+  EXPECT_EQ(d.failures(), 0u) << "a refused connect is not a handshake";
+
+  auto acceptor = d.make_acceptor();
+  const auto accepted = [&] { return acceptor->link_states()[1]; };
+  EXPECT_EQ(accepted(), LinkState::kDown) << "no session yet";
+  ASSERT_TRUE(d.pump_until(
+      [&] { return d.link() == LinkState::kUp && accepted() == LinkState::kUp; },
+      acceptor.get()));
+  EXPECT_EQ(d.transport->stats().link_reconnects, 0u) << "first connect is not a reconnect";
+  EXPECT_EQ(acceptor->stats().link_reconnects, 0u);
+
+  d.transport->kill_link(0, TcpTransport::KillMode::kRst);
+  ASSERT_TRUE(d.pump_until(
+      [&] {
+        return d.transport->stats().link_reconnects == 1 &&
+               acceptor->stats().link_reconnects == 1 &&
+               d.link() == LinkState::kUp && accepted() == LinkState::kUp;
+      },
+      acceptor.get()));
+  EXPECT_EQ(d.failures(), 0u);
+  EXPECT_EQ(acceptor->stats().handshake_failures, 0u);
+  acceptor->stop();
+}
+
 TEST(TcpTransport, DialBeforePeerStartsNeverBacksOff) {
   // Every transport listens from construction, so node 3 dialing peers
   // whose start() runs 50 ms later lands in their accept backlog: no
