@@ -24,7 +24,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <mutex>
 #include <thread>
+#include <vector>
 
 #include "crypto/keychain.h"
 #include "net/tcp_transport.h"
@@ -137,9 +139,9 @@ struct SyscallResult {
 };
 
 /// One bursty sender → receiver run over real loopback TCP: kFrames small
-/// frames enqueued from the app thread while the transport's poll thread
-/// flushes; the sender's counters tell how many frames each sendmsg
-/// carried.
+/// frames handed from the app thread to the sender's poll thread (the
+/// transport's owner), which enqueues them between its flushes; the
+/// sender's counters tell how many frames each sendmsg carried.
 SyscallResult run_syscall_burst(std::size_t msg_bytes) {
   constexpr std::uint32_t kFrames = 2000;
   const auto peers = reserve_local_ports(2);
@@ -160,11 +162,24 @@ SyscallResult run_syscall_burst(std::size_t msg_bytes) {
   tp[1]->set_sink([](ProcessId, Slice) {});
 
   std::atomic<bool> stop{false};
+  std::mutex lane_mutex;
+  std::vector<Bytes> lane;  // frames for the sender's poll thread to send
   std::vector<std::thread> runners;
   for (std::uint32_t p = 0; p < 2; ++p) {
     runners.emplace_back([&, p] {
       tp[p]->start();
-      while (!stop.load()) tp[p]->poll_once(10);
+      std::vector<Bytes> frames;
+      while (!stop.load()) {
+        if (p == 1) {
+          {
+            std::lock_guard<std::mutex> lock(lane_mutex);
+            frames.swap(lane);
+          }
+          for (Bytes& f : frames) tp[1]->send(0, std::move(f));
+          frames.clear();
+        }
+        tp[p]->poll_once(10);
+      }
     });
   }
   auto deadline_spin = [](const std::function<bool()>& cond) {
@@ -178,7 +193,11 @@ SyscallResult run_syscall_burst(std::size_t msg_bytes) {
   if (deadline_spin([&] { return tp[1]->links_up() == 1; })) {
     const Bytes payload(msg_bytes, 0x73);
     for (std::uint32_t i = 0; i < kFrames; ++i) {
-      tp[1]->send(0, Bytes(payload));
+      {
+        std::lock_guard<std::mutex> lock(lane_mutex);
+        lane.push_back(payload);
+      }
+      tp[1]->wakeup();
     }
     deadline_spin([&] { return received.load() >= kFrames; });
   }

@@ -51,7 +51,7 @@ class HmacKey {
 
   /// HMAC_Hash(key, msg1 ‖ msg2 ‖ ...). Accepting multiple views lets
   /// callers MAC a small header plus a shared frame body without
-  /// materializing the concatenation (see TcpTransport::send).
+  /// materializing the concatenation (see TcpTransport::prep_entry).
   template <typename... Views>
   typename Hash::Digest mac(Views... msg) const {
     Hash inner = inner_;

@@ -9,13 +9,11 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cassert>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
 #include <random>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "common/log.h"
@@ -172,7 +170,17 @@ TcpTransport::TcpTransport(Options opts, const KeyChain& keys)
   set_nonblocking(lfd.get());
   listen_fd_ = std::move(lfd);
   epoll_fd_ = Fd(::epoll_create1(EPOLL_CLOEXEC));
-  if (!epoll_fd_.valid() || !watch(EPOLL_CTL_ADD, listen_fd_.get(), EPOLLIN, kListenTag)) {
+  // The wakeup pipe lets other threads interrupt poll_once() from here on.
+  // Both ends are non-blocking: a write that finds the pipe full is a
+  // wakeup already pending.
+  int pipefd[2];
+  if (!epoll_fd_.valid() || ::pipe2(pipefd, O_NONBLOCK | O_CLOEXEC) != 0) {
+    throw std::runtime_error("epoll setup failed");
+  }
+  wake_rx_ = Fd(pipefd[0]);
+  wake_tx_ = Fd(pipefd[1]);
+  if (!watch(EPOLL_CTL_ADD, listen_fd_.get(), EPOLLIN, kListenTag) ||
+      !watch(EPOLL_CTL_ADD, wake_rx_.get(), EPOLLIN, kWakeTag)) {
     throw std::runtime_error("epoll setup failed");
   }
 }
@@ -198,23 +206,16 @@ std::uint32_t TcpTransport::start_threshold() const {
 }
 
 void TcpTransport::start() {
-  // Wakeup pipe so other threads can interrupt poll_once().
-  int pipefd[2];
-  if (::pipe(pipefd) != 0) throw std::runtime_error("pipe() failed");
-  wake_rx_ = Fd(pipefd[0]);
-  wake_tx_ = Fd(pipefd[1]);
-  set_nonblocking(wake_rx_.get());
-  if (!watch(EPOLL_CTL_ADD, wake_rx_.get(), EPOLLIN, kWakeTag)) {
-    throw std::runtime_error("epoll_ctl() failed on the wakeup pipe");
-  }
-
   // Partial-mesh startup: pump the reactor until enough links are up; the
   // stragglers keep dialing from poll_once() for the session's lifetime.
   const std::uint64_t deadline =
       now_ms() + static_cast<std::uint64_t>(opts_.connect_timeout_ms);
   const std::uint32_t want = start_threshold();
   while (links_up() < want) {
-    if (stopped_.load()) throw std::runtime_error("TcpTransport: stopped during start");
+    if (stopped_.load()) {
+      stop();  // this thread owns the sockets a request_stop() left open
+      throw std::runtime_error("TcpTransport: stopped during start");
+    }
     if (now_ms() > deadline) {
       throw std::runtime_error(
           "TcpTransport: mesh setup timed out (" + std::to_string(links_up()) +
@@ -225,10 +226,8 @@ void TcpTransport::start() {
 }
 
 void TcpTransport::stop() {
-  stopped_.store(true);
-  wakeup();
+  request_stop();
   for (auto& c : conns_) {
-    std::lock_guard<std::mutex> lock(c->mutex);
     c->fd.reset();
     c->state = LinkState::kDown;
     c->sid = 0;
@@ -238,16 +237,14 @@ void TcpTransport::stop() {
   epoll_fd_.reset();
 }
 
-void TcpTransport::wakeup() {
-  if (wake_tx_.valid()) {
-    const std::uint8_t b = 1;
-    [[maybe_unused]] ssize_t k = ::write(wake_tx_.get(), &b, 1);
-  }
+void TcpTransport::request_stop() {
+  stopped_.store(true);
+  wakeup();
 }
 
-bool TcpTransport::is_poll_thread() const {
-  return poll_tid_.load(std::memory_order_relaxed) ==
-         std::hash<std::thread::id>{}(std::this_thread::get_id());
+void TcpTransport::wakeup() {
+  const std::uint8_t b = 1;
+  [[maybe_unused]] ssize_t k = ::write(wake_tx_.get(), &b, 1);
 }
 
 void TcpTransport::trace_link(TraceEventKind kind, ProcessId peer,
@@ -287,7 +284,7 @@ void TcpTransport::prep_entry(Conn& c, Retained& e, ProcessId to) {
   e.prep_sid = c.sid;
 }
 
-void TcpTransport::drain_locked(Conn& c, ProcessId to) {
+void TcpTransport::drain(Conn& c, ProcessId to) {
   if (c.state != LinkState::kUp || c.broken || !c.fd.valid()) return;
   bool blocked = false;
   for (;;) {
@@ -341,7 +338,7 @@ void TcpTransport::drain_locked(Conn& c, ProcessId to) {
       } else {
         LOG_WARN("tcp batched send to p%u failed: %s", to, std::strerror(errno));
       }
-      c.broken = true;  // the poll thread reaps the stream and redials
+      c.broken = true;  // the next cycle reaps the stream and redials
       wakeup();
       return;
     }
@@ -383,45 +380,28 @@ void TcpTransport::drain_locked(Conn& c, ProcessId to) {
 
 void TcpTransport::drain_pending() {
   for (ProcessId p = 0; p < opts_.n; ++p) {
-    if (p == opts_.self) continue;
-    Conn& c = *conns_[p];
-    std::lock_guard<std::mutex> lock(c.mutex);
-    drain_locked(c, p);
+    if (p != opts_.self) drain(*conns_[p], p);
   }
 }
 
 void TcpTransport::send(ProcessId to, Slice frame) {
   if (stopped_.load() || to >= opts_.n || to == opts_.self) return;
   Conn& c = *conns_[to];
-  bool need_wake = false;
-  {
-    std::lock_guard<std::mutex> lock(c.mutex);
-    const std::uint64_t counter = c.tx_next++;
-
-    // Retain the frame for counter resync before (or instead of) writing
-    // it. Drop-oldest keeps the budget bounded; evicting a frame that never
-    // reached a socket is real backpressure loss and is counted. The one
-    // frame eviction must never touch is a half-written head — popping it
-    // would tear the byte stream mid-frame.
-    c.retained.push_back(Retained{counter, frame, false, false});
-    c.retained_bytes += frame.size();
-    while (c.retained_bytes > opts_.send_queue_max_bytes && c.retained.size() > 1) {
-      const Retained& victim = c.retained.front();
-      if (c.tx_partial != 0 && victim.counter == c.tx_write_next) break;
-      if (!victim.written) counters_->queue_drops.fetch_add(1, std::memory_order_relaxed);
-      c.retained_bytes -= victim.frame.size();
-      c.retained.pop_front();
-    }
-
-    if (c.state != LinkState::kUp || c.broken || !c.fd.valid()) {
-      return;  // queued; the next session's resync flushes it
-    }
-    // MAC on the sender thread (keeps multi-sender parallelism); the poll
-    // thread's next batched drain writes it.
-    prep_entry(c, c.retained.back(), to);
-    need_wake = !is_poll_thread();
+  // Retain the frame for counter resync; the next drain MACs and writes
+  // it, or, while the link is down, the next session's resync does.
+  // Drop-oldest keeps the budget bounded; evicting a frame that never
+  // reached a socket is real backpressure loss and is counted. The one
+  // frame eviction must never touch is a half-written head — popping it
+  // would tear the byte stream mid-frame.
+  c.retained_bytes += frame.size();
+  c.retained.push_back(Retained{c.tx_next++, std::move(frame), false, false});
+  while (c.retained_bytes > opts_.send_queue_max_bytes && c.retained.size() > 1) {
+    const Retained& victim = c.retained.front();
+    if (c.tx_partial != 0 && victim.counter == c.tx_write_next) break;
+    if (!victim.written) counters_->queue_drops.fetch_add(1, std::memory_order_relaxed);
+    c.retained_bytes -= victim.frame.size();
+    c.retained.pop_front();
   }
-  if (need_wake) wakeup();
 }
 
 void TcpTransport::begin_dial(ProcessId peer) {
@@ -448,11 +428,7 @@ void TcpTransport::begin_dial(ProcessId peer) {
     fail_handshake(hs);  // uncounted: no connection, no handshake
     return;
   }
-  {
-    Conn& c = *conns_[peer];
-    std::lock_guard<std::mutex> lock(c.mutex);
-    c.state = LinkState::kConnecting;
-  }
+  conns_[peer]->state = LinkState::kConnecting;
   handshakes_.push_back(std::move(hs));
   if (rc == 0) on_connected(handshakes_.back());
 }
@@ -611,37 +587,32 @@ void TcpTransport::complete_handshake(Handshake& hs, std::uint64_t peer_rx_expec
   const std::uint64_t sid =
       derive_sid(sid_key, dialer, acceptor, hs.nonce_d, hs.nonce_a);
 
-  std::uint64_t flushed = 0;
-  {
-    std::lock_guard<std::mutex> lock(c.mutex);
-    c.fd = std::move(hs.fd);
-    c.sid = sid;
-    c.broken = false;
-    c.tx_partial = 0;
-    c.tx_blocked = false;
-    // Counter resync: everything below the peer's receive floor was
-    // delivered in a previous session; everything at or above it is
-    // retransmitted under the new session id, oldest first, ahead of any
-    // new sends (which queue behind this mutex). The sid change invalidates
-    // every entry's prep (prep_sid mismatch), so the drain re-MACs each
-    // frame inline under the new session.
-    while (!c.retained.empty() && c.retained.front().counter < peer_rx_expected) {
-      c.retained_bytes -= c.retained.front().frame.size();
-      c.retained.pop_front();
-    }
-    for (Retained& e : c.retained) {
-      if (e.written) {
-        e.written = false;
-        e.retx = true;  // rewrite under this session is a retransmission
-      }
-    }
-    const std::uint64_t resync_base =
-        c.retained.empty() ? c.tx_next : c.retained.front().counter;
-    c.tx_write_next = resync_base;
-    c.state = LinkState::kUp;
-    drain_locked(c, peer);
-    flushed = c.tx_write_next - resync_base;
+  c.fd = std::move(hs.fd);
+  c.sid = sid;
+  c.broken = false;
+  c.tx_partial = 0;
+  c.tx_blocked = false;
+  // Counter resync: everything below the peer's receive floor was
+  // delivered in a previous session; everything at or above it is
+  // retransmitted under the new session id, oldest first, ahead of any
+  // new sends. The sid change invalidates every entry's prep (prep_sid
+  // mismatch), so the drain re-MACs each frame under the new session.
+  while (!c.retained.empty() && c.retained.front().counter < peer_rx_expected) {
+    c.retained_bytes -= c.retained.front().frame.size();
+    c.retained.pop_front();
   }
+  for (Retained& e : c.retained) {
+    if (e.written) {
+      e.written = false;
+      e.retx = true;  // rewrite under this session is a retransmission
+    }
+  }
+  const std::uint64_t resync_base =
+      c.retained.empty() ? c.tx_next : c.retained.front().counter;
+  c.tx_write_next = resync_base;
+  c.state = LinkState::kUp;
+  drain(c, peer);
+  const std::uint64_t flushed = c.tx_write_next - resync_base;
   if (c.retry) c.retry->on_up();
   if (c.ever_up) counters_->link_reconnects.fetch_add(1, std::memory_order_relaxed);
   c.ever_up = true;
@@ -657,19 +628,14 @@ void TcpTransport::complete_handshake(Handshake& hs, std::uint64_t peer_rx_expec
 
 void TcpTransport::link_down(ProcessId peer) {
   Conn& c = *conns_[peer];
-  bool was_up = false;
-  std::uint64_t old_sid = 0;
-  {
-    std::lock_guard<std::mutex> lock(c.mutex);
-    was_up = c.state == LinkState::kUp;
-    old_sid = c.sid;
-    c.fd.reset();
-    c.sid = 0;
-    c.broken = false;
-    c.kill_request = 0;
-    c.tx_partial = 0;
-    c.state = c.retry ? LinkState::kBackoff : LinkState::kDown;
-  }
+  const bool was_up = c.state == LinkState::kUp;
+  const std::uint64_t old_sid = c.sid;
+  c.fd.reset();
+  c.sid = 0;
+  c.broken = false;
+  c.kill_request = 0;
+  c.tx_partial = 0;
+  c.state = c.retry ? LinkState::kBackoff : LinkState::kDown;
   c.tx_blocked = false;
   c.rx.clear();
   if (c.retry) c.retry->on_down(now_ms());
@@ -679,14 +645,8 @@ void TcpTransport::link_down(ProcessId peer) {
 
 void TcpTransport::execute_kill(ProcessId peer) {
   Conn& c = *conns_[peer];
-  std::uint8_t req;
-  int fd;
-  {
-    std::lock_guard<std::mutex> lock(c.mutex);
-    req = c.kill_request;
-    c.kill_request = 0;
-    fd = c.fd.get();
-  }
+  const std::uint8_t req = c.kill_request.exchange(0);
+  const int fd = c.fd.get();
   if (req == 0 || fd < 0) return;
   const KillMode mode = static_cast<KillMode>(req - 1);
   if (mode == KillMode::kRst) {
@@ -703,11 +663,7 @@ void TcpTransport::execute_kill(ProcessId peer) {
 
 void TcpTransport::kill_link(ProcessId peer, KillMode mode) {
   if (peer >= opts_.n || peer == opts_.self) return;
-  Conn& c = *conns_[peer];
-  {
-    std::lock_guard<std::mutex> lock(c.mutex);
-    c.kill_request = static_cast<std::uint8_t>(1 + static_cast<std::uint8_t>(mode));
-  }
+  conns_[peer]->kill_request = static_cast<std::uint8_t>(1 + static_cast<std::uint8_t>(mode));
   wakeup();
 }
 
@@ -716,16 +672,10 @@ void TcpTransport::service_timers() {
   for (ProcessId p = 0; p < opts_.n; ++p) {
     if (p == opts_.self) continue;
     Conn& c = *conns_[p];
-    bool broken, killed;
-    {
-      std::lock_guard<std::mutex> lock(c.mutex);
-      broken = c.broken;
-      killed = c.kill_request != 0;
-    }
-    if (broken) {
+    if (c.broken) {
       link_down(p);
-    } else if (killed) {
-      execute_kill(p);
+    } else {
+      execute_kill(p);  // a no-op unless kill_link() asked
     }
     if (c.retry && (c.state == LinkState::kDown || c.state == LinkState::kBackoff) &&
         c.retry->should_dial(now)) {
@@ -812,10 +762,7 @@ void TcpTransport::dispatch_event(std::int64_t owner, bool rin, bool rout,
   if (rin || rerr) handle_readable(peer);
   // handle_readable may have torn the link down: re-check before the
   // write-side resume so a stale EPOLLOUT can't touch a dead stream.
-  if (rout && c.state == LinkState::kUp) {
-    std::lock_guard<std::mutex> lock(c.mutex);
-    drain_locked(c, peer);
-  }
+  if (rout && c.state == LinkState::kUp) drain(c, peer);
 }
 
 void TcpTransport::wait_with_epoll(int timeout_ms) {
@@ -831,11 +778,9 @@ void TcpTransport::wait_with_epoll(int timeout_ms) {
 
 void TcpTransport::poll_once(int timeout_ms) {
   if (stopped_.load()) return;
-  poll_tid_.store(std::hash<std::thread::id>{}(std::this_thread::get_id()),
-                  std::memory_order_relaxed);
   service_timers();
-  // Top-of-cycle drain: flush frames enqueued (or MAC-completed) since the
-  // last wait — the wakeup pipe got us here for exactly this.
+  // Top-of-cycle drain: flush frames enqueued since the last cycle (by
+  // tasks the owner ran between two polls).
   drain_pending();
   const int tmo = fold_timer_deadlines(timeout_ms);
   wait_with_epoll(tmo);
@@ -931,10 +876,7 @@ void TcpTransport::process_rx(ProcessId peer) {
 std::vector<LinkState> TcpTransport::link_states() const {
   std::vector<LinkState> out(opts_.n, LinkState::kUp);
   for (ProcessId p = 0; p < opts_.n; ++p) {
-    if (p == opts_.self) continue;
-    Conn& c = *conns_[p];
-    std::lock_guard<std::mutex> lock(c.mutex);
-    out[p] = c.state;
+    if (p != opts_.self) out[p] = conns_[p]->state;
   }
   return out;
 }
@@ -942,10 +884,7 @@ std::vector<LinkState> TcpTransport::link_states() const {
 std::uint32_t TcpTransport::links_up() const {
   std::uint32_t up = 0;
   for (ProcessId p = 0; p < opts_.n; ++p) {
-    if (p == opts_.self) continue;
-    Conn& c = *conns_[p];
-    std::lock_guard<std::mutex> lock(c.mutex);
-    if (c.state == LinkState::kUp) ++up;
+    if (p != opts_.self && conns_[p]->state == LinkState::kUp) ++up;
   }
   return up;
 }

@@ -42,32 +42,30 @@
 // redial-backoff and handshake deadlines fold into the wait timeout.
 // Linux only.
 //
-// Send fast path: frames enqueue onto the link's retained queue and the
-// poll thread's drain gathers consecutive ready frames into ONE sendmsg()
-// of {header, shared body, MAC trailer} iovec triplets
-// (net/batch_writer.h), bounded by IOV_MAX and a 256 KiB soft byte cap,
-// resuming byte-exactly after short writes that land
-// mid-header/mid-body/mid-MAC. The framing is self-delimiting, so the
-// wire bytes do not depend on how frames are grouped into syscalls, and
-// zero payload bytes are copied to assemble a batch (the iovecs point at
-// the retained segments; test_transport_batch checks).
+// Send fast path: send() only assigns the link counter and retains the
+// frame. The drain, at the top and the bottom of every poll_once(), is the
+// one place a frame's header and MAC are built (once per session) and
+// written: it gathers consecutive ready frames into ONE sendmsg() of
+// {header, shared body, MAC trailer} iovec triplets (net/batch_writer.h),
+// bounded by IOV_MAX and a 256 KiB soft byte cap, resuming byte-exactly
+// after short writes that land mid-header/mid-body/mid-MAC. The framing is
+// self-delimiting, so the wire bytes do not depend on how frames are
+// grouped into syscalls, and zero payload bytes are copied to assemble a
+// batch (the iovecs point at the retained segments; test_transport_batch
+// checks).
 //
-// Threading contract:
-//   * send() may be called from ANY number of threads concurrently. Each
-//     link's counter assignment, retained-queue update and MAC happen
-//     under that link's Conn mutex, so concurrent senders serialize per
-//     link: frames from one sender thread keep their relative order, and
-//     the per-link counter sequence is gap-free. send() never touches a
-//     socket; it wakes the poll thread.
-//     tests/test_tcp_transport.cpp (ConcurrentSenders*) enforces this
-//     under ASan/TSan.
-//   * All socket I/O — receiving, the batched drains, handshakes and link
-//     management — happens in poll_once(), which the owner (one thread —
-//     see ritas::Node) calls in its loop, and none of it blocks: a
-//     handshake message the socket does not take whole fails that
-//     attempt. Frames are MAC-verified and handed to the sink inline from
-//     poll_once. Handshakes are poll-thread-only; a Conn's state, session
-//     and send queue are written by the poll thread under the Conn mutex.
+// Threading contract: one thread owns the transport, the one that calls
+// start() and then poll_once() (see ritas::Node). Ownership moves to
+// another thread only through something that orders the two, such as
+// that thread's creation or a join. The owner makes every other call —
+// send(), set_sink(), set_tracer(), stop() — so a sender on another
+// thread posts its send to the owner (ritas::Node's task lane). All socket
+// I/O — receiving, the batched drains, handshakes and link management —
+// happens in poll_once(), and none of it blocks: a handshake message the
+// socket does not take whole fails that attempt. Frames are MAC-verified
+// and handed to the sink inline from poll_once. Any thread may call
+// wakeup(), request_stop(), kill_link() (the owner executes the kill) and
+// the reads link_states(), links_up() and stats(), which load atomics.
 #pragma once
 
 #include <array>
@@ -76,7 +74,6 @@
 #include <deque>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -216,10 +213,15 @@ class TcpTransport final : public Transport {
   /// accepts the dials queued since construction. Blocks until at least
   /// min_start_links links are up (throws std::runtime_error on timeout);
   /// remaining links keep connecting in the background as long as
-  /// poll_once keeps being called.
+  /// poll_once keeps being called. After request_stop() it closes every
+  /// socket and throws at once.
   void start();
   /// Closes every socket; subsequent sends are dropped silently.
   void stop();
+  /// Any thread: a start() in progress closes every socket and throws,
+  /// and poll_once() returns at once; the owner's stop() does the
+  /// teardown otherwise.
+  void request_stop();
 
   /// Sink for inbound frames, invoked from poll_once(). Each frame is one
   /// freshly-owned Buffer copied out of the stream-reassembly window (the
@@ -231,9 +233,9 @@ class TcpTransport final : public Transport {
   /// Optional link-event tracing (kLinkUp/kLinkDown/kLinkHandshake; a
   /// dial attempt that fails before its handshake is a kLinkDown with
   /// sid 0 and puts the dialer into backoff). The
-  /// tracer is not thread-safe: events are recorded only from the polling
-  /// thread, so share a tracer with the stack only when the stack runs on
-  /// that same thread (as ritas::Context does).
+  /// tracer is not thread-safe: events are recorded only on the owner, so
+  /// share a tracer with the stack only when the stack runs on that same
+  /// thread (as ritas::Context does).
   void set_tracer(Tracer* tracer) { tracer_ = tracer; }
 
   /// Processes pending socket I/O and link-state timers (redials, expired
@@ -243,12 +245,11 @@ class TcpTransport final : public Transport {
   /// Wakes a blocked poll_once() from another thread.
   void wakeup();
 
-  /// Enqueues one frame for `to`: assigns the link counter, retains the
-  /// refcounted body for counter resync, computes its MAC, and leaves the
-  /// write to the poll thread's batched drain. The body is never copied
-  /// per peer — the batched sendmsg() points straight at the shared
-  /// buffer. If the link is not up the frame stays queued for the next
-  /// session's resync.
+  /// Enqueues one frame for `to`: assigns the link counter and retains the
+  /// refcounted body for counter resync; the next drain MACs and writes
+  /// it. The body is never copied per peer — the batched sendmsg() points
+  /// straight at the shared buffer. If the link is not up the frame stays
+  /// queued for the next session's resync.
   void send(ProcessId to, Slice frame) override;
 
   /// Monotonic wall clock for trace timestamps (real transports are
@@ -261,13 +262,12 @@ class TcpTransport final : public Transport {
   /// Number of links currently in LinkState::kUp.
   std::uint32_t links_up() const;
 
-  /// Counter snapshot (fields are updated concurrently; the snapshot is
-  /// per-field atomic, not globally consistent).
+  /// Counter snapshot (per-field atomic, not globally consistent).
   Stats stats() const;
 
   /// Breaks the established session to `peer` (see KillMode); a no-op
-  /// while no session is up. The actual teardown runs on the polling
-  /// thread; the link then heals through the normal backoff/reconnect
+  /// while no session is up. The owner's next poll cycle runs the
+  /// teardown; the link then heals through the normal backoff/reconnect
   /// path. Test-only chaos hook.
   void kill_link(ProcessId peer, KillMode mode);
 
@@ -294,16 +294,13 @@ class TcpTransport final : public Transport {
   /// waits out its retry delay.
   struct Conn {
     Conn(std::size_t max_frame, bool with_mac) : rx(max_frame, with_mac) {}
-    // --- poll-thread-only unless noted ---
+    // --- owner-only ---
     FrameReassembler rx;             // stream reassembly window
     std::uint64_t rx_expected = 0;   // next counter expected (survives sessions)
     std::unique_ptr<LinkRetry> retry;  // dialed links only (peer < self)
     bool ever_up = false;
     bool tx_blocked = false;         // drain hit a short write: EPOLLOUT registered
-    // --- shared with sender threads; guarded by mutex ---
-    std::mutex mutex;
     Fd fd;                           // the established session's socket
-    LinkState state = LinkState::kDown;
     std::uint64_t sid = 0;           // current session id (0 = none)
     std::uint64_t tx_next = 0;       // next counter to assign (survives sessions)
     std::deque<Retained> retained;
@@ -311,14 +308,16 @@ class TcpTransport final : public Transport {
     std::uint64_t tx_write_next = 0; // next counter the drain hands to the kernel
     std::size_t tx_partial = 0;      // bytes of frame tx_write_next already written
     bool broken = false;             // a drain hit a write error; next cycle reaps
-    std::uint8_t kill_request = 0;   // 1 + KillMode; poll thread executes
+    // --- written by the owner, read by any thread ---
+    std::atomic<LinkState> state{LinkState::kDown};
+    // --- set by any thread (kill_link), taken by the owner ---
+    std::atomic<std::uint8_t> kill_request{0};  // 1 + KillMode
   };
 
   /// One session handshake in flight, in either role: a dial from its
   /// connect() to its CONFIRM, or an accepted socket from its HELLO to its
   /// CONFIRM. It does not touch the peer's Conn until it succeeds — an
   /// unauthenticated hello must not be able to displace a healthy link.
-  /// Poll-thread-only.
   struct Handshake {
     /// What the handshake waits for next.
     enum class Await : std::uint8_t { kConnect, kHello, kReply, kConfirm };
@@ -340,13 +339,13 @@ class TcpTransport final : public Transport {
   /// epoll_ctl(op) for `fd` with `owner` as its tag (see dispatch_event).
   bool watch(int op, int fd, std::uint32_t events, std::int64_t owner);
   /// Builds (or refreshes, after a re-handshake) the entry's header and
-  /// MAC for the current session. Caller holds c.mutex.
+  /// MAC for the current session; the drain's, and the only, MAC site.
   void prep_entry(Conn& c, Retained& e, ProcessId to);
   /// Drains consecutive frames from tx_write_next into batched sendmsg()
   /// calls until the backlog is empty or the socket stops taking bytes
-  /// (tx_blocked; EPOLLOUT resumes). Poll thread; caller holds c.mutex.
-  void drain_locked(Conn& c, ProcessId to);
-  /// Poll thread: drains every up link with pending output.
+  /// (tx_blocked; EPOLLOUT resumes).
+  void drain(Conn& c, ProcessId to);
+  /// Drains every up link with pending output.
   void drain_pending();
   void begin_dial(ProcessId peer);
   /// A dial's connect() finished: HELLO, or an uncounted failed connect.
@@ -381,24 +380,22 @@ class TcpTransport final : public Transport {
   /// -(3+id) the handshake with that id, else the peer id of an
   /// established session.
   void dispatch_event(std::int64_t owner, bool rin, bool rout, bool rerr);
-  bool is_poll_thread() const;
   void wait_with_epoll(int timeout_ms);
 
   Options opts_;
   const KeyChain& keys_;
   std::function<void(ProcessId, Slice)> sink_;
   Tracer* tracer_ = nullptr;
-  std::unique_ptr<Rng> rng_;  // poll-thread-only (nonces)
+  std::unique_ptr<Rng> rng_;  // nonces
   Fd listen_fd_;
-  Fd wake_rx_, wake_tx_;
+  Fd wake_rx_, wake_tx_;  // created with the listen socket
   std::vector<std::unique_ptr<Conn>> conns_;  // index = peer id; self unused
-  std::vector<Handshake> handshakes_;   // poll-thread-only
-  std::uint64_t next_handshake_id_ = 0;  // poll-thread-only
+  std::vector<Handshake> handshakes_;
+  std::uint64_t next_handshake_id_ = 0;
   std::unique_ptr<Counters> counters_;
   std::atomic<bool> stopped_{false};
-  std::atomic<std::uint64_t> poll_tid_{0};  // hashed id of the polling thread
   std::uint64_t epoch_ns_ = 0;  // steady_clock origin for now_ms()
-  Fd epoll_fd_;  // created with the listen socket; poll-thread-only after
+  Fd epoll_fd_;  // created with the listen socket
 };
 
 }  // namespace ritas::net

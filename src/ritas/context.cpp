@@ -143,12 +143,14 @@ void Context::start() {
 
 void Context::stop() {
   // Joins the poll thread, so nothing touches the stack-owned state
-  // (roots_) below.
-  if (!node_.stop()) return;
+  // (roots_) below; when the node was not running it only ends a start()
+  // still dialing, which may be polling on another thread.
+  const bool was_running = node_.stop();
   // Wake any threads blocked in the recv calls.
   rb_rx_.close();
   eb_rx_.close();
   ab_rx_.close();
+  if (!was_running) return;
   roots_.clear();
   dead_roots_.clear();
   ab_ = nullptr;

@@ -96,8 +96,11 @@ class Context {
   /// quorum the stack needs to make progress); stragglers keep connecting
   /// in the background. Frames that arrive meanwhile are already handled
   /// (the atomic broadcast root exists from construction). Call once
-  /// before any service function.
+  /// before any service function. Throws std::runtime_error when the mesh
+  /// times out, or when stop() (from any thread) cuts it short.
   void start();
+  /// Ends the session: closes the receive queues (blocked receivers throw
+  /// ShutdownError) and stops the poll thread, or a start() still dialing.
   void stop();
 
   // --- broadcast services -------------------------------------------------

@@ -52,13 +52,17 @@ void Node::serve(std::function<void()> pump) {
 void Node::start(Sink sink) {
   if (running_.load()) return;
   transport_->set_sink(std::move(sink));
-  transport_->start();
-  running_.store(true);
+  transport_->start();  // throws on timeout, and once stop() has run
   {
     std::lock_guard<std::mutex> lock(tasks_mutex_);
-    tasks_open_ = true;
+    if (lane_ == Lane::kClosed) {  // stop() came after the mesh was up
+      transport_->stop();
+      throw std::runtime_error(who_ + ": stopped during start");
+    }
+    lane_ = Lane::kOpen;
+    running_.store(true);
+    poll_thread_ = std::thread([this] { poll_loop(); });
   }
-  poll_thread_ = std::thread([this] { poll_loop(); });
   // Return once the poll thread has run a cycle: links still handshaking
   // when the threshold was met usually complete in it, so start() tends to
   // return with every live link up.
@@ -66,7 +70,16 @@ void Node::start(Sink sink) {
 }
 
 bool Node::stop() {
-  if (!running_.exchange(false)) return false;
+  {
+    std::lock_guard<std::mutex> lock(tasks_mutex_);
+    if (!running_.exchange(false)) {
+      // Not running: a start() still dialing stops and throws, on its own
+      // thread, and so does any later one.
+      lane_ = Lane::kClosed;
+      transport_->request_stop();
+      return false;
+    }
+  }
   transport_->wakeup();
   if (poll_thread_.joinable()) poll_thread_.join();
   transport_->stop();
@@ -83,7 +96,7 @@ void Node::poll_loop() {
   // instead of queueing a task no thread would run.
   {
     std::lock_guard<std::mutex> lock(tasks_mutex_);
-    tasks_open_ = false;
+    lane_ = Lane::kClosed;
   }
   drain_tasks();
 }
@@ -102,7 +115,7 @@ void Node::drain_tasks() {
 bool Node::post(std::function<void()> fn) {
   {
     std::lock_guard<std::mutex> lock(tasks_mutex_);
-    if (!tasks_open_) return false;
+    if (lane_ != Lane::kOpen) return false;
     tasks_.push_back(std::move(fn));
   }
   transport_->wakeup();

@@ -77,11 +77,13 @@ class Node {
 
   /// Installs `sink` for inbound frames (called on the poll thread), dials
   /// the mesh (blocks until min_start_links links are up), starts the poll
-  /// thread and returns after its first cycle.
+  /// thread and returns after its first cycle. Throws std::runtime_error
+  /// when the mesh times out or stop() cuts it short.
   void start(Sink sink);
   /// Stops the poll thread — tasks already posted still run — then closes
-  /// every socket. Returns false (and does nothing) when the node was not
-  /// running.
+  /// every socket. Returns false when the node was not running; a start()
+  /// blocked on the mesh in another thread then closes its sockets and
+  /// throws, and a later start() throws at once.
   bool stop();
   bool running() const { return running_.load(); }
 
@@ -112,7 +114,12 @@ class Node {
 
   std::atomic<bool> running_{false};
   std::mutex tasks_mutex_;
-  bool tasks_open_ = false;  // guarded by tasks_mutex_
+  /// The task lane: kIdle until start(), kOpen while the poll thread
+  /// runs, kClosed for good from its last drain, or from a stop() before
+  /// start() finished. Guarded by tasks_mutex_, as running_'s transitions
+  /// are.
+  enum class Lane : std::uint8_t { kIdle, kOpen, kClosed };
+  Lane lane_ = Lane::kIdle;
   std::deque<std::function<void()>> tasks_;
   std::thread poll_thread_;
 };

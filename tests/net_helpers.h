@@ -1,6 +1,7 @@
 // Helpers for real-socket tests: free-port discovery on localhost, a mesh
 // of in-process Contexts whose atomic broadcast runs feed the shared §2
-// oracles, and a hand-rolled wire peer for adversarial channel tests.
+// oracles, a post-to-owner lane for tests that poll a transport
+// themselves, and a hand-rolled wire peer for adversarial channel tests.
 #pragma once
 
 #include <netinet/in.h>
@@ -192,6 +193,44 @@ std::vector<std::optional<T>> decide_all(ContextMesh& mesh, F call) {
   for (auto& t : threads) t.join();
   return decision;
 }
+
+/// A post-to-owner lane for a test that polls a TcpTransport from its own
+/// loop. The transport has one owner thread, so other threads hand it work
+/// (above all send()) through post(), and the loop runs it with drain()
+/// before each poll_once().
+class OwnerLane {
+ public:
+  explicit OwnerLane(net::TcpTransport& transport) : transport_(&transport) {}
+
+  /// Any thread: queues `fn` for the owner and wakes its poll.
+  void post(std::function<void()> fn) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      tasks_.push_back(std::move(fn));
+    }
+    transport_->wakeup();
+  }
+  /// Any thread: posts transport.send(to, frame).
+  void send(ProcessId to, Bytes frame) {
+    post([t = transport_, to, f = std::move(frame)]() mutable {
+      t->send(to, std::move(f));
+    });
+  }
+  /// Owner: runs every task posted so far, in order.
+  void drain() {
+    std::vector<std::function<void()>> tasks;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      tasks.swap(tasks_);
+    }
+    for (auto& fn : tasks) fn();
+  }
+
+ private:
+  net::TcpTransport* transport_;
+  std::mutex mu_;
+  std::vector<std::function<void()>> tasks_;
+};
 
 /// A hand-rolled wire peer that speaks the channel protocol of
 /// docs/PROTOCOLS.md ("Reliable channel") from scratch — an independent

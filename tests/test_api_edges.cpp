@@ -1,5 +1,6 @@
 // Public-API edge cases: Context lifecycle (stop wakes blocked receivers,
-// idempotent stop, errors after stop), the delivered-root garbage
+// idempotent stop, errors after stop, stop ending a start() blocked on the
+// mesh), the delivered-root garbage
 // collection behind rb/eb windows and its straggler drops, and C-API
 // buffer-size corners.
 #include <gtest/gtest.h>
@@ -250,6 +251,32 @@ TEST(ContextLifecycle, StopThrowsShutdownErrorSpecifically) {
   EXPECT_THROW((void)cluster[0].ab_try_recv(), ShutdownError);
   EXPECT_THROW((void)cluster[0].ab_recv_for(std::chrono::milliseconds(1)),
                ShutdownError);
+}
+
+TEST(ContextLifecycle, StopEndsAStartBlockedOnTheMesh) {
+  // Node 0's peers never start, so its start() waits below its link
+  // threshold for up to connect_timeout_ms (15 s). A stop() from another
+  // thread ends it at once, and the session stays stopped.
+  Context::Options o;
+  o.n = 4;
+  o.self = 0;
+  o.peers = local_peers(free_ports(4));
+  o.master_secret = to_bytes("lonely-master");
+  Context ctx(std::move(o));
+  const auto t0 = std::chrono::steady_clock::now();
+  std::thread stopper([&ctx] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    ctx.stop();
+  });
+  EXPECT_THROW(ctx.start(), std::runtime_error);
+  const auto took = std::chrono::steady_clock::now() - t0;
+  stopper.join();
+  EXPECT_LT(took, std::chrono::seconds(1));
+  EXPECT_THROW((void)ctx.rb_try_recv(), ShutdownError);
+  EXPECT_THROW((void)ctx.eb_try_recv(), ShutdownError);
+  EXPECT_THROW((void)ctx.ab_try_recv(), ShutdownError);
+  EXPECT_THROW(ctx.ab_bcast(to_bytes("late")), std::logic_error);
+  EXPECT_THROW(ctx.start(), std::runtime_error) << "stopped for good";
 }
 
 TEST(CApiEdges, MvcBufferTooSmall) {

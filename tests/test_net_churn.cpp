@@ -28,6 +28,7 @@ namespace {
 
 using test::free_ports;
 using test::local_peers;
+using test::OwnerLane;
 
 constexpr std::uint32_t kN = 4;
 constexpr int kBurst = 25;  // messages per node; 100 total per run
@@ -188,13 +189,18 @@ TEST(NetChurn, QueueOverflowIsAccountedAcrossReconnect) {
   tp[0]->set_sink([&](ProcessId, Slice) { received.fetch_add(1); });
   tp[1]->set_sink([](ProcessId, Slice) {});
   tp[1]->set_tracer(&tracer);
+  // Each runner owns its transport; this thread sends through its lane.
+  OwnerLane lane(*tp[1]);
 
   std::atomic<bool> stop{false};
   std::vector<std::thread> runners;
   for (std::uint32_t p = 0; p < 2; ++p) {
     runners.emplace_back([&, p] {
       tp[p]->start();
-      while (!stop.load()) tp[p]->poll_once(10);
+      while (!stop.load()) {
+        if (p == 1) lane.drain();
+        tp[p]->poll_once(10);
+      }
     });
   }
   auto wait_until = [](const std::function<bool()>& cond, int timeout_ms) {
@@ -206,7 +212,7 @@ TEST(NetChurn, QueueOverflowIsAccountedAcrossReconnect) {
   };
   ASSERT_TRUE(wait_until([&] { return tp[1]->links_up() == 1; }, 10'000));
 
-  tp[1]->send(0, to_bytes("before the cut"));
+  lane.send(0, to_bytes("before the cut"));
   ASSERT_TRUE(wait_until([&] { return received.load() >= 1; }, 5'000));
 
   // Cut the link, then stuff 1 KiB frames well past the 4 KiB budget while
@@ -215,9 +221,11 @@ TEST(NetChurn, QueueOverflowIsAccountedAcrossReconnect) {
   // forward counter jump instead of silently renumbering.
   tp[1]->kill_link(0, net::TcpTransport::KillMode::kRst);
   ASSERT_TRUE(wait_until([&] { return tp[1]->links_up() == 0; }, 5'000));
-  const Bytes big(1024, 0x55);
-  for (int i = 0; i < 64; ++i) tp[1]->send(0, Bytes(big));
-  EXPECT_GE(tp[1]->stats().queue_drops, 1u);
+  lane.post([&tp] {
+    const Bytes big(1024, 0x55);
+    for (int i = 0; i < 64; ++i) tp[1]->send(0, Bytes(big));
+  });
+  EXPECT_TRUE(wait_until([&] { return tp[1]->stats().queue_drops >= 1; }, 5'000));
 
   ASSERT_TRUE(wait_until([&] { return tp[1]->links_up() == 1; }, 10'000))
       << "link did not self-heal";

@@ -1,6 +1,6 @@
 // Real-socket transport tests: mesh setup, framing, HMAC integrity,
 // session handshakes, anti-replay counters, oversize protection,
-// adversarial wire peers, concurrent traffic.
+// adversarial wire peers, concurrent traffic and the cross-thread reads.
 #include "net/tcp_transport.h"
 
 #include <gtest/gtest.h>
@@ -21,11 +21,15 @@ namespace {
 
 using test::free_ports;
 using test::local_peers;
+using test::OwnerLane;
 using test::RawPeer;
 
+/// One transport and the thread that owns it: the thread starts it, then
+/// runs the lane's tasks and polls. Other threads send through send().
 struct Node {
   std::unique_ptr<KeyChain> keys;
   std::unique_ptr<TcpTransport> transport;
+  std::unique_ptr<OwnerLane> lane;
   std::thread thread;
   std::mutex mutex;
   std::vector<std::pair<ProcessId, Bytes>> received;
@@ -54,10 +58,13 @@ struct Node {
         continue;
       }
       parked.store(false);
+      lane->drain();
       transport->poll_once(20);
       polls.fetch_add(1);
     }
   }
+  /// Any thread: the owner sends `frame` to `to` on its next cycle.
+  void send(ProcessId to, Bytes frame) { lane->send(to, std::move(frame)); }
   std::size_t count() {
     std::lock_guard<std::mutex> lock(mutex);
     return received.size();
@@ -80,6 +87,7 @@ std::unique_ptr<Node> make_node(std::uint32_t n, ProcessId p,
   o.connect_timeout_ms = connect_timeout_ms;
   o.send_queue_max_bytes = send_queue_max_bytes;
   node->transport = std::make_unique<TcpTransport>(o, *node->keys);
+  node->lane = std::make_unique<OwnerLane>(*node->transport);
   Node* raw = node.get();
   raw->transport->set_sink([raw](ProcessId from, Slice frame) {
     std::lock_guard<std::mutex> lock(raw->mutex);
@@ -162,8 +170,8 @@ class Mesh {
 
 TEST(TcpTransport, MeshDeliversFrames) {
   Mesh mesh(4);
-  mesh.node(0).transport->send(1, to_bytes("zero to one"));
-  mesh.node(3).transport->send(1, to_bytes("three to one"));
+  mesh.node(0).send(1, to_bytes("zero to one"));
+  mesh.node(3).send(1, to_bytes("three to one"));
   ASSERT_TRUE(mesh.wait_for(1, 2));
   std::lock_guard<std::mutex> lock(mesh.node(1).mutex);
   std::set<std::string> got;
@@ -177,7 +185,7 @@ TEST(TcpTransport, MeshDeliversFrames) {
 TEST(TcpTransport, FifoPerPair) {
   Mesh mesh(4);
   for (int i = 0; i < 200; ++i) {
-    mesh.node(2).transport->send(0, Bytes{static_cast<std::uint8_t>(i)});
+    mesh.node(2).send(0, Bytes{static_cast<std::uint8_t>(i)});
   }
   ASSERT_TRUE(mesh.wait_for(0, 200));
   std::lock_guard<std::mutex> lock(mesh.node(0).mutex);
@@ -189,7 +197,7 @@ TEST(TcpTransport, FifoPerPair) {
 TEST(TcpTransport, LargeFrames) {
   Mesh mesh(4);
   const Bytes big(2 * 1024 * 1024, 0xab);
-  mesh.node(0).transport->send(2, Bytes(big));
+  mesh.node(0).send(2, Bytes(big));
   ASSERT_TRUE(mesh.wait_for(2, 1, 15000));
   std::lock_guard<std::mutex> lock(mesh.node(2).mutex);
   EXPECT_EQ(mesh.node(2).received[0].second, big);
@@ -197,7 +205,7 @@ TEST(TcpTransport, LargeFrames) {
 
 TEST(TcpTransport, WorksWithoutAuthentication) {
   Mesh mesh(4, /*authenticate=*/false);
-  mesh.node(1).transport->send(0, to_bytes("plain"));
+  mesh.node(1).send(0, to_bytes("plain"));
   ASSERT_TRUE(mesh.wait_for(0, 1));
 }
 
@@ -237,7 +245,7 @@ TEST(TcpTransport, MismatchedKeysCannotJoinTheMesh) {
   EXPECT_EQ(nodes[3]->transport->links_up(), 0u);
   EXPECT_GE(nodes[3]->transport->stats().handshake_failures, 1u);
 
-  nodes[1]->transport->send(0, to_bytes("legit"));
+  nodes[1]->send(0, to_bytes("legit"));
   ASSERT_TRUE(wait_until([&] { return nodes[0]->count() >= 1; }));
   {
     std::lock_guard<std::mutex> lock(nodes[0]->mutex);
@@ -309,7 +317,7 @@ TEST(TcpTransport, BlockedLinkResumesInOrderAndThenIdles) {
     Writer seq(4);
     seq.u32(i);
     std::copy(seq.data().begin(), seq.data().end(), frame.begin());
-    tx.transport->send(0, std::move(frame));
+    tx.send(0, std::move(frame));
   }
   // The sender's drain blocks short of the burst: bytes_to_kernel stops
   // growing while the receiver is away.
@@ -348,7 +356,7 @@ TEST(TcpTransport, BlockedLinkResumesInOrderAndThenIdles) {
 
 TEST(TcpTransport, StatsCountTraffic) {
   Mesh mesh(4);
-  mesh.node(0).transport->send(1, to_bytes("counted"));
+  mesh.node(0).send(1, to_bytes("counted"));
   ASSERT_TRUE(mesh.wait_for(1, 1));
   // The sender counts a frame after its sendmsg returns, which can trail
   // the peer's delivery of that frame (docs/OBSERVABILITY.md).
@@ -360,29 +368,29 @@ TEST(TcpTransport, StatsCountTraffic) {
 
 TEST(TcpTransport, SendToSelfOrOutOfRangeIgnored) {
   Mesh mesh(4);
-  mesh.node(0).transport->send(0, to_bytes("self"));
-  mesh.node(0).transport->send(99, to_bytes("nowhere"));
+  mesh.node(0).send(0, to_bytes("self"));
+  mesh.node(0).send(99, to_bytes("nowhere"));
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   EXPECT_EQ(mesh.node(0).transport->stats().frames_sent, 0u);
 }
 
 TEST(TcpTransport, ConcurrentSendersToOneReceiver) {
+  // Nodes 1-3 each send a burst to node 0 from their own owner thread, all
+  // three at once: per-sender FIFO holds although the streams interleave.
   Mesh mesh(4);
   constexpr int kPer = 100;
-  std::vector<std::thread> senders;
   for (std::uint32_t p = 1; p < 4; ++p) {
-    senders.emplace_back([&mesh, p] {
+    Node& node = mesh.node(p);
+    node.lane->post([&node, p] {
       for (int i = 0; i < kPer; ++i) {
         Writer w;
         w.u32(p);
         w.u32(static_cast<std::uint32_t>(i));
-        mesh.node(p).transport->send(0, std::move(w).take());
+        node.transport->send(0, std::move(w).take());
       }
     });
   }
-  for (auto& t : senders) t.join();
   ASSERT_TRUE(mesh.wait_for(0, 3 * kPer, 15000));
-  // Per-sender FIFO even with interleaving.
   std::lock_guard<std::mutex> lock(mesh.node(0).mutex);
   std::map<ProcessId, std::uint32_t> next;
   for (auto& [from, frame] : mesh.node(0).received) {
@@ -394,42 +402,67 @@ TEST(TcpTransport, ConcurrentSendersToOneReceiver) {
   }
 }
 
-TEST(TcpTransport, ConcurrentSendersExerciseTheAnyThreadContract) {
-  // The documented threading contract: send() is callable from ANY number
-  // of threads concurrently, racing the poll thread, with per-link FIFO
-  // preserved. Several app threads send to the same destination AND to
-  // distinct ones while the mesh's poll threads run — under ASan/TSan this
-  // is the focused race test for the per-Conn mutex.
+TEST(TcpTransport, ForeignThreadReadsAndKillsWhileOwnersCarryTraffic) {
+  // The cross-thread seams the transport keeps: one foreign thread
+  // hammers every node's link_states(), links_up(), stats() and
+  // kill_link() while each owner sends, resyncs and heals. Under TSan this
+  // is the focused race test; the traffic still arrives exactly once and
+  // in order per sender.
   Mesh mesh(4);
-  constexpr int kPer = 150;
-  constexpr int kThreadsPerNode = 2;
-  std::vector<std::thread> senders;
-  for (std::uint32_t p = 1; p < 4; ++p) {
-    for (int t = 0; t < kThreadsPerNode; ++t) {
-      senders.emplace_back([&mesh, p, t] {
-        for (int i = 0; i < kPer; ++i) {
+  ASSERT_TRUE(wait_full_mesh(mesh.nodes()));
+  std::atomic<bool> done{false};
+  std::thread foreign([&] {
+    const TcpTransport::KillMode modes[2] = {TcpTransport::KillMode::kRst,
+                                             TcpTransport::KillMode::kHalfClose};
+    for (std::uint32_t round = 0; !done.load(); ++round) {
+      for (auto& node : mesh.nodes()) {
+        const auto states = node->transport->link_states();
+        EXPECT_EQ(states.size(), 4u);
+        EXPECT_LE(node->transport->links_up(), 3u);
+        EXPECT_EQ(node->transport->stats().mac_failures, 0u);
+      }
+      if (round % 20 == 0) {  // kill one dialer-side link, rotating
+        const ProcessId hi = 1 + (round / 20) % 3;
+        mesh.node(hi).transport->kill_link((round / 60) % hi, modes[round / 20 % 2]);
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+  constexpr int kChunks = 30;
+  constexpr int kPerChunk = 10;
+  for (int c = 0; c < kChunks; ++c) {
+    for (std::uint32_t p = 1; p < 4; ++p) {
+      Node& node = mesh.node(p);
+      node.lane->post([&node, p, c] {
+        for (int i = 0; i < kPerChunk; ++i) {
           Writer w;
-          w.u32(p * 16 + static_cast<std::uint32_t>(t));
-          w.u32(static_cast<std::uint32_t>(i));
-          mesh.node(p).transport->send(0, std::move(w).take());
-          // Cross-traffic to a second destination from the same threads.
-          mesh.node(p).transport->send(p == 1 ? 2 : 1, to_bytes("x"));
+          w.u32(p);
+          w.u32(static_cast<std::uint32_t>(c * kPerChunk + i));
+          node.transport->send(0, std::move(w).take());
+          node.transport->send(p == 1 ? 2 : 1, to_bytes("x"));  // cross-traffic
         }
       });
     }
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
-  for (auto& s : senders) s.join();
-  ASSERT_TRUE(mesh.wait_for(0, 3 * kThreadsPerNode * kPer, 20'000));
-  // Per (sender thread) FIFO: each stream's sequence numbers arrive
-  // monotonically even though streams interleave arbitrarily.
+  const bool all = mesh.wait_for(0, 3 * kChunks * kPerChunk, 30'000);
+  done.store(true);
+  foreign.join();
+  ASSERT_TRUE(all) << "received " << mesh.node(0).count();
+  std::uint64_t reconnects = 0;
+  for (auto& node : mesh.nodes()) {
+    const auto s = node->transport->stats();
+    reconnects += s.link_reconnects;
+    EXPECT_EQ(s.mac_failures, 0u);
+  }
+  EXPECT_GE(reconnects, 1u) << "no kill took effect";
   std::lock_guard<std::mutex> lock(mesh.node(0).mutex);
-  std::map<std::uint32_t, std::uint32_t> next;
+  EXPECT_EQ(mesh.node(0).received.size(), 3u * kChunks * kPerChunk);
+  std::map<ProcessId, std::uint32_t> next;
   for (auto& [from, frame] : mesh.node(0).received) {
     Reader r(frame);
-    const std::uint32_t stream = r.u32();
-    const std::uint32_t seq = r.u32();
-    EXPECT_EQ(stream / 16, from);
-    EXPECT_EQ(seq, next[stream]++);
+    EXPECT_EQ(r.u32(), from);
+    EXPECT_EQ(r.u32(), next[from]++);
   }
 }
 
@@ -455,7 +488,7 @@ struct Victim {
 
   ~Victim() {
     node->stop.store(true);
-    node->transport->wakeup();
+    node->transport->request_stop();  // also ends a start() with no session yet
     node->thread.join();
     node->transport->stop();
   }
@@ -890,7 +923,7 @@ TEST(TcpTransport, StoppedPeerCountsAsPeerClosedNotAFault) {
     senders.emplace_back([&mesh, &sending, p] {
       while (sending.load()) {
         for (ProcessId q = 0; q < 4; ++q) {
-          mesh.node(p).transport->send(q, to_bytes("background"));
+          mesh.node(p).send(q, to_bytes("background"));
         }
         std::this_thread::sleep_for(std::chrono::microseconds(200));
       }
@@ -907,12 +940,14 @@ TEST(TcpTransport, StoppedPeerCountsAsPeerClosedNotAFault) {
   // close() resets the stream instead of ending it with a FIN.
   halt(victim);
   const std::uint64_t sent = survivor.transport->stats().frames_sent;
-  survivor.transport->send(3, to_bytes("unread"));
+  survivor.send(3, to_bytes("unread"));
   ASSERT_TRUE(wait_until(
       [&] { return survivor.transport->stats().frames_sent > sent; }));
   // Hold node 0's poll thread across the close so its next cycle meets the
   // reset on the send path (top-of-cycle drain) before any read.
   halt(survivor);
+  // Both poll threads are joined, so this thread owns both transports
+  // until the survivor's next poll thread starts.
   victim.transport->stop();
   survivor.transport->send(3, to_bytes("after close"));
   survivor.stop.store(false);

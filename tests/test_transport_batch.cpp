@@ -224,7 +224,7 @@ struct SocketPair {
 };
 
 /// Drives a batch to completion with the same cursor arithmetic as
-/// TcpTransport::drain_locked: `next` = first unfinished frame, `partial` =
+/// TcpTransport::drain: `next` = first unfinished frame, `partial` =
 /// bytes of it already written. Returns the number of short writes seen.
 void pump_batch(SocketPair& sp, const std::vector<FrameImage>& imgs,
                 Bytes& received, std::size_t& shorts) {
