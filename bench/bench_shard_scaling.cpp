@@ -60,7 +60,6 @@ struct ScalingResult {
   double elapsed_ms = 0;
   double agg_ops_s = 0;
   std::uint64_t foreign_drops = 0;
-  std::uint64_t forwarded = 0;
 };
 
 ScalingResult run_once(std::uint32_t groups, std::uint64_t seed) {
@@ -96,7 +95,7 @@ ScalingResult run_once(std::uint32_t groups, std::uint64_t seed) {
   std::uint64_t seq = 0;
   for (std::uint32_t i = 0; i < kPerShardOps; ++i) {
     for (std::uint32_t g = 0; g < groups; ++g) {
-      // Rotate fronts so every process both originates and forwards load.
+      // Rotate fronts so every process originates load.
       c.submit(static_cast<ProcessId>(seq % 4), /*client=*/1, seq,
                set_cmd(keys[g][i], "v"));
       ++seq;
@@ -115,9 +114,6 @@ ScalingResult run_once(std::uint32_t groups, std::uint64_t seed) {
   // group's stack, which counts them.
   const Metrics m = c.total_metrics();
   r.foreign_drops = m.foreign_group_dropped;
-  for (ProcessId p = 0; p < c.n(); ++p) {
-    r.forwarded += c.service(p).forwarded();
-  }
   return r;
 }
 
@@ -129,7 +125,6 @@ ScalingResult run_avg(std::uint32_t groups, int runs) {
     acc.elapsed_ms += r.elapsed_ms / runs;
     acc.agg_ops_s += r.agg_ops_s / runs;
     acc.foreign_drops += r.foreign_drops;
-    acc.forwarded += r.forwarded;
   }
   return acc;
 }
@@ -155,8 +150,7 @@ int main() {
   report.compare(
       R"({"key":["groups"],"fields":{)"
       R"("elapsed_ms":{"exact":true},"agg_ops_s":{"exact":true},)"
-      R"("speedup_vs_g1":{"exact":true},"foreign_drops":{"exact":true},)"
-      R"("forwarded":{"exact":true}}})");
+      R"("speedup_vs_g1":{"exact":true},"foreign_drops":{"exact":true}}})");
 
   std::printf("%-8s %10s %12s %14s %10s\n", "groups", "total ops",
               "elapsed(ms)", "agg ops/s", "speedup");
@@ -171,7 +165,6 @@ int main() {
     const std::string cell = "g" + std::to_string(g);
     clean_mesh &=
         report.gate(cell + "_foreign_drops", r.foreign_drops, "==", 0);
-    clean_mesh &= report.gate(cell + "_forwarded", r.forwarded, "==", 0);
     std::printf("%-8u %10llu %12.1f %14.0f %9.2fx\n", g,
                 static_cast<unsigned long long>(g * kPerShardOps),
                 r.elapsed_ms, r.agg_ops_s, speedup);
@@ -183,7 +176,6 @@ int main() {
       w.field("agg_ops_s", r.agg_ops_s);
       w.field("speedup_vs_g1", speedup);
       w.field("foreign_drops", r.foreign_drops);
-      w.field("forwarded", r.forwarded);
     });
   }
 
@@ -191,7 +183,7 @@ int main() {
   std::printf("\nshape checks:\n");
   std::printf("  G=4 aggregate >= %.1fx G=1                  : %s (%.2fx)\n",
               kMinSpeedupG4, gate ? "PASS" : "FAIL", g4_speedup);
-  std::printf("  shared mesh clean (no foreign drops/fwds)  : %s\n",
+  std::printf("  shared mesh clean (no foreign drops)       : %s\n",
               clean_mesh ? "PASS" : "FAIL");
 
   const bool wrote = report.write();

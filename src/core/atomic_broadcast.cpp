@@ -15,13 +15,17 @@ constexpr std::uint64_t kVectBit = 1ULL << 62;
 constexpr std::uint64_t kOriginMask = (1ULL << 22) - 1;
 constexpr std::uint64_t kRbidMask = (1ULL << 40) - 1;
 constexpr std::size_t kMaxIdsPerVector = 1u << 20;
+// How far beyond the enqueued floor per origin new AB_MSG broadcast
+// instances are accepted; further-ahead traffic parks out-of-context.
+constexpr std::uint64_t kAbMsgWindow = 8192;
 }  // namespace
 
 AtomicBroadcast::AtomicBroadcast(ProtocolStack& stack, Protocol* parent,
                                  InstanceId id, DeliverFn deliver)
     : Protocol(stack, parent, std::move(id)),
       deliver_(std::move(deliver)),
-      enq_floor_(stack.n(), 0) {}
+      enqueued_(stack.n()),
+      delivered_(stack.n()) {}
 
 std::uint64_t AtomicBroadcast::msg_seq(ProcessId origin, std::uint64_t rbid) {
   return (static_cast<std::uint64_t>(origin) << 40) | (rbid & kRbidMask);
@@ -211,23 +215,18 @@ void AtomicBroadcast::on_message(ProcessId, std::uint8_t, const Slice&) {
   drop_invalid();  // traffic flows through children only
 }
 
-bool AtomicBroadcast::enqueued_contains(const MsgId& id) const {
-  return id.rbid < enq_floor_[id.origin] || enq_extra_.contains(id);
-}
-
-void AtomicBroadcast::enqueued_insert(const MsgId& id) {
-  if (id.rbid == enq_floor_[id.origin]) {
-    std::uint64_t& floor = enq_floor_[id.origin];
+void AtomicBroadcast::IdWatermarks::insert(const MsgId& id) {
+  std::uint64_t& floor = floor_[id.origin];
+  if (id.rbid != floor) {
+    if (id.rbid > floor) extra_.insert(id);
+    return;
+  }
+  ++floor;
+  // Compact any extras that are now contiguous with the floor.
+  for (auto it = extra_.find(MsgId{id.origin, floor}); it != extra_.end();
+       it = extra_.find(MsgId{id.origin, floor})) {
+    extra_.erase(it);
     ++floor;
-    // Compact any extras that are now contiguous with the floor.
-    for (auto it = enq_extra_.find(MsgId{id.origin, floor});
-         it != enq_extra_.end() && it->origin == id.origin && it->rbid == floor;
-         it = enq_extra_.find(MsgId{id.origin, floor})) {
-      enq_extra_.erase(it);
-      ++floor;
-    }
-  } else {
-    enq_extra_.insert(id);
   }
 }
 
@@ -241,7 +240,7 @@ void AtomicBroadcast::on_msg_deliver(ProcessId origin, std::uint64_t rbid,
     maybe_seal();
   }
   const MsgId id{origin, rbid};
-  if (done_.contains(id) || contents_.contains(id)) return;  // defensive
+  if (delivered_.contains(id) || contents_.contains(id)) return;  // defensive
   std::vector<Slice> msgs;
   if (batched) {
     auto decoded = decode_batch(payload);
@@ -262,7 +261,7 @@ void AtomicBroadcast::on_msg_deliver(ProcessId origin, std::uint64_t rbid,
     msgs.push_back(std::move(payload));
   }
   contents_.emplace(id, std::move(msgs));
-  if (enqueued_contains(id)) {
+  if (enqueued_.contains(id)) {
     // Decided before the content arrived locally; it may now be at the
     // head of the delivery queue.
     flush_deliveries();
@@ -334,8 +333,8 @@ void AtomicBroadcast::on_mvc_decide(std::uint32_t round,
       std::sort(ids->begin(), ids->end());
       ids->erase(std::unique(ids->begin(), ids->end()), ids->end());
       for (const MsgId& id : *ids) {
-        if (enqueued_contains(id)) continue;
-        enqueued_insert(id);
+        if (enqueued_.contains(id)) continue;
+        enqueued_.insert(id);
         pending_.erase(id);
         delivery_queue_.push_back(id);
       }
@@ -370,7 +369,7 @@ void AtomicBroadcast::flush_deliveries() {
     std::vector<Slice> msgs = std::move(it->second);
     contents_.erase(it);
     delivery_queue_.pop_front();
-    done_.insert(id);
+    delivered_.insert(id);
     gc_candidates_.push_back(id);
     if (stack_.config().ab_batch.enabled) {
       trace(TracePhase::kAbBatchUnpack, id.rbid,
@@ -393,7 +392,7 @@ Protocol* AtomicBroadcast::spawn_child(const Component& c, bool& drop) {
       drop = true;  // completed agreement round
       return nullptr;
     }
-    if (c.seq > round_ + stack_.config().round_window) return nullptr;  // OOC
+    if (c.seq > round_ + kRoundWindow) return nullptr;  // OOC
     return &ensure_mvc(static_cast<std::uint32_t>(c.seq));
   }
   if (c.type != ProtocolType::kReliableBroadcast) {
@@ -410,15 +409,15 @@ Protocol* AtomicBroadcast::spawn_child(const Component& c, bool& drop) {
       drop = true;  // completed round
       return nullptr;
     }
-    if (key.round > round_ + stack_.config().round_window) return nullptr;
+    if (key.round > round_ + kRoundWindow) return nullptr;
     return &ensure_vect_rb(key.round, key.origin);
   }
   const MsgId id{key.origin, key.rbid};
-  if (done_.contains(id)) {
+  if (delivered_.contains(id)) {
     drop = true;  // fully delivered; stragglers' echoes are useless to us
     return nullptr;
   }
-  if (key.rbid >= enq_floor_[key.origin] + stack_.config().ab_msg_window) {
+  if (key.rbid >= enqueued_.floor(key.origin) + kAbMsgWindow) {
     return nullptr;  // flow-control window; park out-of-context
   }
   return &ensure_msg_rb(key.origin, key.rbid);

@@ -85,6 +85,12 @@ class AtomicBroadcast final : public Protocol {
 
   std::uint64_t delivered_count() const { return delivered_count_; }
   std::uint32_t round() const { return round_; }
+  /// Identifiers held one by one (pending, awaiting content, or above a
+  /// watermark floor); at quiescence this is O(n), not O(delivered).
+  std::size_t tracked_ids() const {
+    return pending_.size() + contents_.size() + enqueued_.extras() +
+           delivered_.extras();
+  }
 
   // Child path encodings (subtype packed into the high bits of seq).
   static std::uint64_t msg_seq(ProcessId origin, std::uint64_t rbid);
@@ -110,6 +116,24 @@ class AtomicBroadcast final : public Protocol {
   static std::optional<std::vector<Slice>> decode_batch(const Slice& payload);
 
  private:
+  /// A set of identifiers kept per origin as a floor (every rbid below it
+  /// is in) plus sparse extras above it, so a set that fills in rbid order
+  /// costs one number per origin.
+  class IdWatermarks {
+   public:
+    explicit IdWatermarks(std::uint32_t n) : floor_(n, 0) {}
+    bool contains(const MsgId& id) const {
+      return id.rbid < floor_[id.origin] || extra_.contains(id);
+    }
+    void insert(const MsgId& id);
+    std::uint64_t floor(ProcessId origin) const { return floor_[origin]; }
+    std::size_t extras() const { return extra_.size(); }
+
+   private:
+    std::vector<std::uint64_t> floor_;
+    std::set<MsgId> extra_;
+  };
+
   struct VectState {
     std::vector<std::optional<std::vector<MsgId>>> vectors;
     std::vector<ProcessId> order;
@@ -130,8 +154,6 @@ class AtomicBroadcast final : public Protocol {
   RbAlgorithm& ensure_vect_rb(std::uint32_t round, ProcessId origin);
   MultiValuedConsensus& ensure_mvc(std::uint32_t round);
   VectState& vect_state(std::uint32_t round);
-  bool enqueued_contains(const MsgId& id) const;
-  void enqueued_insert(const MsgId& id);
 
   DeliverFn deliver_;
 
@@ -149,11 +171,11 @@ class AtomicBroadcast final : public Protocol {
   std::map<MsgId, std::vector<Slice>> contents_;
   std::set<MsgId> pending_;          // RB-delivered, not yet decided
 
-  // Identifiers that entered the delivery queue, compressed per origin as
-  // floor (all rbids below are in) + sparse extras.
-  std::vector<std::uint64_t> enq_floor_;
-  std::set<MsgId> enq_extra_;
-  std::set<MsgId> done_;  // delivered to the application
+  // Identifiers that entered the delivery queue, and those delivered to
+  // the application. Both sets' extras stay below the enqueued floor plus
+  // the AB_MSG window, beyond which spawn_child refuses an rbid.
+  IdWatermarks enqueued_;
+  IdWatermarks delivered_;
   std::vector<MsgId> gc_candidates_;  // delivered since the last GC pass
 
   // Agreement state.

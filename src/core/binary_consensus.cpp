@@ -125,7 +125,7 @@ Protocol* BinaryConsensus::spawn_child(const Component& c, bool& drop) {
     drop = true;  // we are done; later rounds will never be created
     return nullptr;
   }
-  if (key.round > round_ + stack_.config().round_window) {
+  if (key.round > round_ + kRoundWindow) {
     return nullptr;  // too far ahead: park in the out-of-context table
   }
   ensure_round_children(key.round);

@@ -33,7 +33,7 @@ bool CrainConsensus::parse(const Slice& payload, std::uint32_t& round,
 }
 
 bool CrainConsensus::round_in_window(std::uint32_t r) const {
-  return r >= 1 && r <= round_ + stack_.config().round_window;
+  return r >= 1 && r <= round_ + kRoundWindow;
 }
 
 void CrainConsensus::propose(bool v) {

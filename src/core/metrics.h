@@ -30,8 +30,8 @@ namespace ritas {
 // "multi-valued consensus always decided a non-default value"); atomic
 // broadcast rounds and batching (StackConfig::ab_batch); the zero-copy
 // buffer layer (common/buffer.h: a broadcast encodes once and shares the
-// frame across all n-1 sends, and payload_bytes_copied stays 0 so copy
-// elimination is machine-checkable); and the schedule explorer
+// frame across all n-1 sends, and received payloads alias their arrival
+// frame); and the schedule explorer
 // (src/sim/explore.h), kept by the Explorer rather than by stacks.
 #define RITAS_METRICS_COUNTERS(X)                                             \
   X(msgs_sent, "frames",                                                      \
@@ -71,8 +71,6 @@ namespace ritas {
   X(ab_batch_malformed, "frames",                                             \
     "delivered batch frames that failed to decode (also invalid_dropped)")    \
   X(frames_encoded, "frames", "Message::encode calls on the send path")       \
-  X(payload_bytes_copied, "bytes",                                            \
-    "payload bytes copied on the dissemination receive path")                 \
   X(payload_bytes_aliased, "bytes",                                           \
     "payload bytes handed to protocols as slices of the arrival frame")       \
   X(explore_trials, "trials", "schedules the explorer executed")              \

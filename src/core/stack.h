@@ -33,6 +33,10 @@
 
 namespace ritas {
 
+/// How many rounds ahead of the local round the round-based protocols (AB
+/// agreement, Bracha and Crain BC) accept spawn-on-demand children;
+/// further-ahead traffic goes out-of-context.
+inline constexpr std::uint32_t kRoundWindow = 8;
 
 /// Payload batching for the atomic broadcast: many application messages
 /// ride one AB_MSG dissemination RB (length-prefixed framing, see
@@ -79,14 +83,6 @@ struct StackConfig {
   /// its own buffered messages, never another process's (extension beyond
   /// the paper; see DESIGN.md §5.4).
   std::size_t ooc_per_sender = 2048;
-
-  /// How many rounds ahead of the local round consensus protocols accept
-  /// spawn-on-demand children (further-ahead traffic goes out-of-context).
-  std::uint32_t round_window = 8;
-
-  /// How far beyond the last delivered rbid per origin the atomic
-  /// broadcast accepts new AB_MSG broadcast instances.
-  std::uint64_t ab_msg_window = 8192;
 
   // --- ablation switches (benchmarks only; defaults = the paper's design) --
   /// Use reliable broadcast instead of echo broadcast for the MVC VECT

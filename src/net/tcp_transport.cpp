@@ -40,6 +40,9 @@ constexpr std::size_t kFrameHeader = FrameReassembler::kHeaderSize;
 // Bytes one readiness event reads into a handshake; every handshake
 // message is far shorter, so a full buffer always parses or fails.
 constexpr std::size_t kMaxHandshakeRx = 4096;
+// Largest frame body a receiver accepts; a longer declared body poisons
+// the stream (Stats::oversize_drops).
+constexpr std::size_t kMaxFrame = 16u << 20;
 // Frames gathered per sendmsg(); matches the iovec stack array in
 // net/batch_writer.cpp (3 segments per frame).
 constexpr std::size_t kMaxBatchFrames = 128;
@@ -142,7 +145,7 @@ TcpTransport::TcpTransport(Options opts, const KeyChain& keys)
   rng_ = std::make_unique<Rng>(seed);
   conns_.reserve(opts_.n);
   for (ProcessId p = 0; p < opts_.n; ++p) {
-    conns_.push_back(std::make_unique<Conn>(opts_.max_frame, opts_.authenticate));
+    conns_.push_back(std::make_unique<Conn>(kMaxFrame, opts_.authenticate));
     if (p < opts_.self) {
       // We dial every lower id; each link's jitter stream is independent.
       conns_[p]->retry =

@@ -131,7 +131,7 @@ class Fd {
     "frames with a counter below the receive floor")                          \
   X(session_rejects, 7, "frames", "frames tagged with a stale session id")    \
   X(counter_gaps, 8, "frames", "frames skipped by a forward counter jump")    \
-  X(oversize_drops, 9, "frames", "frames over Options::max_frame")            \
+  X(oversize_drops, 9, "frames", "frames declaring a body over 16 MiB")       \
   X(queue_drops, 10, "frames",                                                \
     "never-sent frames evicted by the send-queue cap")                        \
   X(link_reconnects, 11, "handshakes", "handshakes that revived a dead link") \
@@ -150,7 +150,6 @@ class TcpTransport final : public Transport {
     ProcessId self = 0;
     std::vector<PeerAddr> peers;  // size n; peers[self] = own listen address
     bool authenticate = true;     // HMAC frames + handshake (the "IPSec" switch)
-    std::size_t max_frame = 16u << 20;
     int connect_timeout_ms = 15'000;
     /// start() returns once this many links are up; 0 = auto (n - f - 1,
     /// f = (n-1)/3): enough links that the local stack can make protocol

@@ -33,7 +33,6 @@ Node::Node(std::string who, const Options& opts)
   topts.n = opts.n;
   topts.self = opts.self;
   topts.peers = opts.peers;
-  topts.authenticate = opts.authenticate;
   topts.min_start_links = opts.min_start_links;
   // Decorrelate per-process transport randomness (handshake nonces,
   // backoff jitter) even when every node is configured with the same seed.

@@ -48,7 +48,6 @@ class Node {
     /// Shared secret all processes derive pairwise keys from (the trusted
     /// dealer of §2; distribute out of band).
     Bytes master_secret;
-    bool authenticate = true;  // HMAC frames (the "IPSec" switch)
     /// start() returns once this many links are up (0 = auto: n - f - 1);
     /// the remaining links keep dialing in the background and heal through
     /// the transport's backoff/reconnect machinery.

@@ -40,6 +40,13 @@ constexpr std::uint64_t kTagWan = 0x5c4ed01e00000006ull;
 // self-describing: payload bytes derive from the seed alone.
 constexpr std::uint32_t kPayloadLen = 8;
 
+// Schedule generation: at most kMaxPerturbations link delays and
+// partitions per trial, each placed inside [0, kHorizon); crashes start
+// inside the same window, and a link delay adds up to kMaxDelay.
+constexpr std::uint32_t kMaxPerturbations = 6;
+constexpr Time kHorizon = 20 * kMillisecond;
+constexpr Time kMaxDelay = 5 * kMillisecond;
+
 /// Trial LAN: the tests' fast profile (shrunk constants, jitter kept for
 /// schedule diversity). Exploration wants many trials per second, not
 /// calibrated Table-1 timing.
@@ -161,8 +168,6 @@ std::string Schedule::to_json() const {
   w.field("max_events", max_events);
   w.field("coin_mode", coin_mode == CoinMode::kDealt ? "dealt" : "local");
   w.field("weak_bc_quorum", weak_bc_quorum);
-  w.field("bc_disable_validation", bc_disable_validation);
-  w.field("mvc_vect_via_rb", mvc_vect_via_rb);
   w.field("ab_batching", ab_batching);
   w.field("rb_variant", rb_variant_name(variants.rb));
   w.field("bc_variant", bc_variant_name(variants.bc));
@@ -235,8 +240,6 @@ std::optional<Schedule> Schedule::from_json(std::string_view text) {
     return std::nullopt;
   }
   s.weak_bc_quorum = v->bool_at("weak_bc_quorum").value_or(false);
-  s.bc_disable_validation = v->bool_at("bc_disable_validation").value_or(false);
-  s.mvc_vect_via_rb = v->bool_at("mvc_vect_via_rb").value_or(false);
   s.ab_batching = v->bool_at("ab_batching").value_or(false);
   {
     const auto rb = rb_variant_from_name(
@@ -325,8 +328,6 @@ Schedule Explorer::make_schedule(std::uint64_t trial_seed) const {
   s.max_events = cfg_.max_events;
   s.coin_mode = cfg_.coin_mode;
   s.weak_bc_quorum = cfg_.weak_bc_quorum;
-  s.bc_disable_validation = cfg_.bc_disable_validation;
-  s.mvc_vect_via_rb = cfg_.mvc_vect_via_rb;
   s.ab_batching = cfg_.ab_batching;
   s.variants = cfg_.variants;
   s.wan = cfg_.wan;
@@ -335,13 +336,13 @@ Schedule Explorer::make_schedule(std::uint64_t trial_seed) const {
   if (s.variants.bc == BcVariant::kCrain) s.coin_mode = CoinMode::kDealt;
 
   Rng rng(derive_seed(trial_seed, kTagSchedule));
-  std::uint32_t f = max_faults(cfg_.n);
-  // The fault budget respects the weakest configured layer: Imbs–Raynal
-  // only tolerates t = (n-1)/5.
+  // The fault budget (Byzantine + crashes) respects the weakest configured
+  // layer: Imbs–Raynal only tolerates t = (n-1)/5.
+  std::uint32_t fault_budget = max_faults(cfg_.n);
   if (s.variants.rb == RbVariant::kImbsRaynal) {
-    f = std::min(f, ImbsRaynalBroadcast::max_faults_ir(cfg_.n));
+    fault_budget =
+        std::min(fault_budget, ImbsRaynalBroadcast::max_faults_ir(cfg_.n));
   }
-  const std::uint32_t fault_budget = std::min(cfg_.max_faults, f);
 
   // Partition the fault budget between Byzantine processes and crashes.
   std::vector<ProcessId> perm(cfg_.n);
@@ -364,15 +365,14 @@ Schedule Explorer::make_schedule(std::uint64_t trial_seed) const {
     Perturbation p;
     p.kind = Perturbation::Kind::kCrash;
     p.a = perm[n_byz + i];
-    p.start = rng.below(cfg_.horizon);
+    p.start = rng.below(kHorizon);
     p.end = p.start;
     s.perturbations.push_back(p);
   }
 
-  if (n_byz > 0 && (cfg_.allowed_hooks & hook::kAll) != 0) {
+  if (n_byz > 0) {
     do {
-      s.adversary_hooks =
-          static_cast<std::uint32_t>(rng.next()) & cfg_.allowed_hooks & hook::kAll;
+      s.adversary_hooks = static_cast<std::uint32_t>(rng.next()) & hook::kAll;
     } while (s.adversary_hooks == 0);
     // Selective omission is the strongest schedule-splitter: an otherwise
     // protocol-following Byzantine process contributes values every
@@ -382,7 +382,7 @@ Schedule Explorer::make_schedule(std::uint64_t trial_seed) const {
     // rule filters them, turning the attacker into a silent crash.) Three
     // quarters of faulty trials get omission on top of whatever they drew.
     if (rng.below(4) != 0) {
-      s.adversary_hooks |= cfg_.allowed_hooks & hook::kOmission;
+      s.adversary_hooks |= hook::kOmission;
     }
     if ((s.adversary_hooks & hook::kOmission) != 0) {
       const std::uint64_t all =
@@ -394,17 +394,17 @@ Schedule Explorer::make_schedule(std::uint64_t trial_seed) const {
   }
 
   const std::uint32_t n_pert =
-      static_cast<std::uint32_t>(rng.below(cfg_.max_perturbations + 1));
+      static_cast<std::uint32_t>(rng.below(kMaxPerturbations + 1));
   for (std::uint32_t i = 0; i < n_pert; ++i) {
     Perturbation p;
-    p.start = rng.below(cfg_.horizon);
-    p.end = p.start + 1 + rng.below(cfg_.horizon / 2 + 1);
+    p.start = rng.below(kHorizon);
+    p.end = p.start + 1 + rng.below(kHorizon / 2 + 1);
     if (cfg_.n < 3 || rng.coin()) {
       p.kind = Perturbation::Kind::kLinkDelay;
       p.a = static_cast<ProcessId>(rng.below(cfg_.n));
       p.b = static_cast<ProcessId>(rng.below(cfg_.n));
       if (p.b == p.a) p.b = static_cast<ProcessId>((p.a + 1) % cfg_.n);
-      p.delay_ns = 1 + rng.below(cfg_.max_delay);
+      p.delay_ns = 1 + rng.below(kMaxDelay);
     } else {
       p.kind = Perturbation::Kind::kPartition;
       // Non-empty proper subset cut.
@@ -444,8 +444,6 @@ TrialResult Explorer::run_trial(const Schedule& s) {
   // refuses to construct with private coins.
   if (s.variants.bc == BcVariant::kCrain) o.stack.coin_mode = CoinMode::kDealt;
   o.stack.test_weak_bc_quorum = s.weak_bc_quorum;
-  o.stack.bc_disable_validation = s.bc_disable_validation;
-  o.stack.mvc_vect_via_rb = s.mvc_vect_via_rb;
   o.stack.ab_batch.enabled = s.ab_batching;
   o.byzantine = s.byzantine;
   auto byz_index = std::make_shared<std::uint32_t>(0);

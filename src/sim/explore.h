@@ -126,8 +126,6 @@ struct Schedule {
   // trial for bit-identical re-execution).
   CoinMode coin_mode = CoinMode::kLocal;
   bool weak_bc_quorum = false;  // StackConfig::test_weak_bc_quorum
-  bool bc_disable_validation = false;
-  bool mvc_vect_via_rb = false;
   bool ab_batching = false;
   /// Which RB/BC algorithms the trial's stacks run (JSON fields
   /// "rb_variant" / "bc_variant", names from core/variants.h; absent =
@@ -181,20 +179,9 @@ class Explorer {
     std::uint32_t messages = 2;
     std::uint64_t max_events = 200'000;
 
-    /// Fault budget per trial (Byzantine + crashes); clamped to f = (n-1)/3.
-    std::uint32_t max_faults = 0xffffffffu;
-    /// Which adversary hooks generation may draw from.
-    std::uint32_t allowed_hooks = hook::kAll;
-    std::uint32_t max_perturbations = 6;
-    /// Perturbation windows are placed inside [0, horizon).
-    Time horizon = 20 * kMillisecond;
-    Time max_delay = 5 * kMillisecond;
-
     // Stack switches applied to every generated schedule.
     CoinMode coin_mode = CoinMode::kLocal;
     bool weak_bc_quorum = false;
-    bool bc_disable_validation = false;
-    bool mvc_vect_via_rb = false;
     bool ab_batching = false;
     /// RB/BC algorithm selection for every generated schedule. Imbs–Raynal
     /// shrinks the per-trial fault budget to its own t = (n-1)/5 bound;

@@ -49,15 +49,6 @@ smr::ShardId ShardedCluster::submit(ProcessId via, std::uint64_t client,
   return services_[via]->submit(client, seq, op);
 }
 
-smr::ShardId ShardedCluster::submit_via(ProcessId via, smr::ShardId guess,
-                                        std::uint64_t client, std::uint64_t seq,
-                                        ByteView op) {
-  if (via >= n() || crashed(via)) {
-    throw std::invalid_argument("submit_via: bad via process");
-  }
-  return services_[via]->submit_via(guess, client, seq, op);
-}
-
 void ShardedCluster::flush_all() {
   for (ProcessId p = 0; p < n(); ++p) {
     for (GroupId g = 0; g < abs_[p].size(); ++g) {

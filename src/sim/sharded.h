@@ -32,10 +32,6 @@ class ShardedCluster : public Cluster {
   /// owning shard.
   smr::ShardId submit(ProcessId via, std::uint64_t client, std::uint64_t seq,
                       ByteView op);
-  /// Same, for a client that guessed shard `guess` — a wrong guess is
-  /// forwarded (service.forwarded() counts it), never dropped.
-  smr::ShardId submit_via(ProcessId via, smr::ShardId guess,
-                          std::uint64_t client, std::uint64_t seq, ByteView op);
 
   /// Seals every open AB batch at every live stack (no-op unbatched).
   void flush_all();

@@ -64,17 +64,6 @@ ShardId ShardedService::submit(std::uint64_t client, std::uint64_t seq,
   return owner;
 }
 
-ShardId ShardedService::submit_via(ShardId via, std::uint64_t client,
-                                   std::uint64_t seq, ByteView op) {
-  const ShardId owner = shard_of(op);
-  if (owner != via) {
-    forwarded_.fetch_add(1, std::memory_order_relaxed);  // wrong front: reroute
-  }
-  if (!submit_) throw std::logic_error("ShardedService: no submitter bound");
-  submit_(owner, ExactlyOnceApplier::encode_command(client, seq, op));
-  return owner;
-}
-
 void ShardedService::on_delivered(ShardId shard, ByteView command) {
   if (shard >= cfg_.shards) return;  // harness bug, not reachable from wire
   // Partition audit: a correct process only broadcasts a command on its

@@ -8,9 +8,8 @@
 //
 //   * routing — `shard_of` hash-partitions client operations by routing
 //     key (a stable FNV-1a/splitmix hash, identical across processes and
-//     platforms; never std::hash). Requests submitted at the wrong shard
-//     front are FORWARDED to the owner, never dropped — the `forwarded`
-//     counter audits how often clients guessed wrong.
+//     platforms; never std::hash). `submit` always places a request on
+//     its owner's group, whatever front the client reached.
 //   * framing — commands carry (client, seq) for exactly-once semantics
 //     (ExactlyOnceApplier). One shard is plain single-group SMR.
 //   * applying — `on_delivered(shard, bytes)` feeds shard s's decided
@@ -28,13 +27,12 @@
 //
 // Threading follows the stacks it serves: every harness runs all shards
 // on one loop (ShardedNode: the Node's poll thread), so per-shard state
-// (machine, applier) is touched by exactly one thread. Only the tallies
-// `forwarded` and `misrouted_dropped` are atomics that application
-// threads may read; `applied_total` sums the appliers' plain counters, so
-// read it on the loop thread or under the caller's own lock.
-// submit/submit_via are safe from any thread once bind_submitter's target
-// is (ShardedNode posts to the poll thread). No clocks, no unseeded
-// randomness.
+// (machine, applier) is touched by exactly one thread. Only the tally
+// `misrouted_dropped` is an atomic that application threads may read;
+// `applied_total` sums the appliers' plain counters, so read it on the
+// loop thread or under the caller's own lock. submit is safe from any
+// thread once bind_submitter's target is (ShardedNode posts to the poll
+// thread). No clocks, no unseeded randomness.
 #pragma once
 
 #include <atomic>
@@ -99,12 +97,6 @@ class ShardedService {
   /// shard that ordered the command.
   ShardId submit(std::uint64_t client, std::uint64_t seq, ByteView op);
 
-  /// Same, for a request that arrived addressed to shard `via` (a client
-  /// that guessed the partition). A wrong guess is forwarded to the owner
-  /// — counted, never dropped.
-  ShardId submit_via(ShardId via, std::uint64_t client, std::uint64_t seq,
-                     ByteView op);
-
   /// Feeds one command decided by shard `shard`'s atomic broadcast, in
   /// that shard's total order. Malformed frames, duplicates and misroutes
   /// are counted skips — Byzantine bytes never throw.
@@ -126,10 +118,6 @@ class ShardedService {
   // --- service-wide stats --------------------------------------------------
   /// Commands applied across all shards (not an atomic; see the header).
   std::uint64_t applied_total() const;
-  /// Requests submitted at a non-owner front and rerouted to the owner.
-  std::uint64_t forwarded() const {
-    return forwarded_.load(std::memory_order_relaxed);
-  }
   /// Delivered commands whose routing key belongs to another shard.
   std::uint64_t misrouted_dropped() const {
     return misrouted_dropped_.load(std::memory_order_relaxed);
@@ -141,7 +129,6 @@ class ShardedService {
   std::vector<std::unique_ptr<ExactlyOnceApplier>> appliers_;
   SubmitFn submit_;
   AppliedFn on_applied_;
-  std::atomic<std::uint64_t> forwarded_{0};
   std::atomic<std::uint64_t> misrouted_dropped_{0};
 };
 

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/reliable_broadcast.h"
 #include "sim_helpers.h"
 
 namespace ritas {
@@ -154,6 +155,45 @@ TEST(AtomicBroadcast, GarbageCollectionBoundsInstanceCount) {
     if (c.stack(0).has_instance(path)) ++leftover_msg_rbs;
   }
   EXPECT_EQ(leftover_msg_rbs, 0u);
+}
+
+TEST(AtomicBroadcast, DeliveredIdentifiersCollapseIntoWatermarks) {
+  // 2000 unbatched messages: once quiet, each process keeps a per-origin
+  // floor, not one set entry per delivered identifier.
+  constexpr std::size_t kPer = 500;
+  Cluster c(fast_lan(4, 31));
+  AbGroup g(c);
+  for (ProcessId p : c.live()) {
+    c.call(p, [&, p] {
+      for (std::size_t i = 0; i < kPer; ++i) g.bcast(p, to_bytes("w"));
+    });
+  }
+  const std::size_t total = kPer * 4;
+  ASSERT_TRUE(c.run_until([&] { return g.everyone_has(c.live(), total); },
+                          kDeadline));
+  c.run_all();
+  for (ProcessId p : c.live()) {
+    EXPECT_LE(g.at(p).tracked_ids(), c.n()) << "process " << p;
+  }
+
+  // A late ECHO for a delivered and collected identifier is still refused:
+  // counted as unroutable, no instance created, nothing parked.
+  const InstanceId path =
+      InstanceId::root(ProtocolType::kAtomicBroadcast, 0)
+          .child({ProtocolType::kReliableBroadcast,
+                   AtomicBroadcast::msg_seq(/*origin=*/1, /*rbid=*/3)});
+  ProtocolStack& s = c.stack(0);
+  ASSERT_FALSE(s.has_instance(path));
+  const std::uint64_t dropped = s.metrics().unroutable_dropped;
+  Message late;
+  late.path = path;
+  late.tag = ReliableBroadcast::kEcho;
+  late.payload = to_bytes("w");
+  s.on_packet(2, late.encode());
+  s.pump();
+  EXPECT_EQ(s.metrics().unroutable_dropped, dropped + 1);
+  EXPECT_FALSE(s.has_instance(path));
+  EXPECT_EQ(s.ooc_size(), 0u);
 }
 
 TEST(AtomicBroadcast, LargePayloads) {

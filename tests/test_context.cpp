@@ -276,6 +276,64 @@ TEST(Context, LateStarterDeliversTheSameAtomicBroadcastOrder) {
   EXPECT_TRUE(r.ok()) << r.text();
 }
 
+/// Crain BC with the dealt coin, the agreement variant the fronts can
+/// select, judged by the same oracles as the paper's stack.
+ContextMesh::Tweak crain(bool batched) {
+  return [batched](Context::Options& o) {
+    o.stack.variants.bc = BcVariant::kCrain;
+    o.stack.coin_mode = CoinMode::kDealt;
+    o.stack.ab_batch.enabled = batched;
+    o.stack.ab_batch.max_batch_msgs = 4;
+  };
+}
+
+TEST(Context, CrainAtomicBroadcastTotalOrder) {
+  for (const bool batched : {false, true}) {
+    SCOPED_TRACE(batched ? "batched" : "unbatched");
+    ContextMesh nodes(4, "context-crain", 2000, crain(batched));
+    nodes.start_all();
+    constexpr int kPer = 6;
+    std::vector<std::thread> senders;
+    for (ProcessId p = 0; p < 4; ++p) {
+      senders.emplace_back([&nodes, p] {
+        for (int i = 0; i < kPer; ++i) {
+          nodes.ab_bcast(p, to_bytes("cr" + std::to_string(p) + "-" +
+                                     std::to_string(i)));
+        }
+        nodes[p].ab_flush();
+      });
+    }
+    for (auto& t : senders) t.join();
+    for (ProcessId p = 0; p < 4; ++p) {
+      for (int i = 0; i < 4 * kPer; ++i) nodes.delivered(p, nodes[p].ab_recv());
+    }
+    const auto r = nodes.check_ab(nodes.all());
+    EXPECT_TRUE(r.ok()) << r.text();
+  }
+}
+
+TEST(Context, CrainConsensusCallsAgree) {
+  ContextMesh nodes(4, "context-crain", 2100, crain(false));
+  nodes.start_all();
+  const std::vector<bool> split = {true, false, true, false};
+  for (int round = 0; round < 3; ++round) {
+    const auto decision = decide_all<bool>(
+        nodes, [&](ProcessId p) { return nodes[p].bc(split[p]); });
+    oracle::Report r;
+    oracle::check_bc(r, nodes.all(), split, decision);
+    EXPECT_TRUE(r.ok()) << "bc round " << round << ": " << r.text();
+  }
+  const std::vector<Bytes> proposals = {to_bytes("x"), to_bytes("x"),
+                                        to_bytes("x"), to_bytes("y")};
+  for (int round = 0; round < 2; ++round) {
+    const auto decision = decide_all<oracle::MvcDecision>(
+        nodes, [&](ProcessId p) { return nodes[p].mvc(proposals[p]); });
+    oracle::Report r;
+    oracle::check_mvc(r, nodes.all(), proposals, decision);
+    EXPECT_TRUE(r.ok()) << "mvc round " << round << ": " << r.text();
+  }
+}
+
 TEST(Context, MetricsVisible) {
   Mesh4 cluster;
   cluster[0].rb_bcast(to_bytes("m"));

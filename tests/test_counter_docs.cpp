@@ -1,12 +1,16 @@
 // docs/OBSERVABILITY.md's counter tables against the counter lists they
 // describe: each table must name exactly its list's counters, with the
 // same units, in list order. A counter added to a list without a doc row
-// (or a doc row left behind by a deleted counter) fails here.
+// (or a doc row left behind by a deleted counter) fails here, and so does
+// a counter that nothing under src/ ever writes.
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -81,6 +85,67 @@ TEST(CounterDocs, ObservabilityTablesMatchCounterLists) {
   EXPECT_EQ(render(doc_table(doc.str(), "### Transport counters")),
             render(list_rows(net::TcpTransport::Stats{})))
       << "docs/OBSERVABILITY.md transport table vs RITAS_TRANSPORT_COUNTERS";
+}
+
+/// Every .h/.cpp under src/ as one string, line comments stripped.
+std::string source_text() {
+  std::string all;
+  for (const auto& e :
+       std::filesystem::recursive_directory_iterator(RITAS_SRC_DIR)) {
+    const auto ext = e.path().extension();
+    if (ext != ".h" && ext != ".cpp") continue;
+    std::ifstream f(e.path());
+    for (std::string line; std::getline(f, line);) {
+      all += line.substr(0, line.find("//"));
+      all += '\n';
+    }
+  }
+  return all;
+}
+
+bool ident_char(char c) {
+  return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_';
+}
+
+/// A write site of `name`: the name followed within its statement by `++`,
+/// `+=` or `.fetch_add(`, or preceded by `++` and a member-access chain
+/// (`++stack_.metrics().name`).
+bool has_write_site(const std::string& src, const std::string& name) {
+  for (std::size_t pos = src.find(name); pos != std::string::npos;
+       pos = src.find(name, pos + 1)) {
+    const std::size_t end = pos + name.size();
+    if ((pos > 0 && ident_char(src[pos - 1])) ||
+        (end < src.size() && ident_char(src[end]))) {
+      continue;  // part of a longer identifier
+    }
+    const std::string rest = src.substr(end, src.find(';', end) - end);
+    if (rest.find("++") != std::string::npos ||
+        rest.find("+=") != std::string::npos ||
+        rest.find(".fetch_add(") != std::string::npos) {
+      return true;
+    }
+    std::size_t b = pos;
+    while (b > 0 && (ident_char(src[b - 1]) ||
+                     std::string_view(".->()").find(src[b - 1]) !=
+                         std::string_view::npos)) {
+      --b;
+    }
+    if (b >= 2 && src.compare(b - 2, 2, "++") == 0) return true;
+  }
+  return false;
+}
+
+TEST(CounterDocs, EveryCounterHasAWriteSite) {
+  const std::string src = source_text();
+  ASSERT_FALSE(src.empty()) << "cannot read " RITAS_SRC_DIR;
+  std::string unwritten;
+  for (const Rows& rows :
+       {list_rows(Metrics{}), list_rows(net::TcpTransport::Stats{})}) {
+    for (const auto& [name, unit] : rows) {
+      if (!has_write_site(src, name)) unwritten += name + "\n";
+    }
+  }
+  EXPECT_EQ(unwritten, "") << "counters with no write site under src/";
 }
 
 }  // namespace

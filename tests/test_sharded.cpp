@@ -1,7 +1,7 @@
 // Sharded multi-group SMR over one shared mesh: partition correctness,
 // per-shard linearizable total order (the AB oracles applied per group),
-// request forwarding, foreign-group containment, per-shard determinism,
-// and the usual crash/Byzantine faultloads.
+// foreign-group containment, per-shard determinism, and the usual
+// crash/Byzantine faultloads.
 #include "sim/sharded.h"
 
 #include <gtest/gtest.h>
@@ -94,28 +94,6 @@ TEST(Sharded, ShardsConvergePartitionHoldsAndPerShardOrderIsLinearizable) {
     oracle::Report r;
     c.ab(g).check(r, correct);
     EXPECT_TRUE(r.ok()) << "shard " << g << ":\n" << r.text();
-  }
-}
-
-TEST(Sharded, WrongShardRequestIsForwardedNotDropped) {
-  ShardedCluster c(fast_sharded(4, 4, 12));
-  const Bytes cmd = set_cmd("routed-key", "val");
-  const ShardId owner = c.service(0).shard_of(cmd);
-  const ShardId wrong = (owner + 1) % c.groups();
-  // A client that guessed the partition wrong: the front forwards to the
-  // owner's group instead of rejecting.
-  const ShardId decided = c.submit_via(/*via=*/1, wrong, 7, 1, cmd);
-  EXPECT_EQ(decided, owner);
-  EXPECT_EQ(c.service(1).forwarded(), 1u);
-  // A correct guess is not counted.
-  c.submit_via(/*via=*/1, owner, 7, 2, set_cmd("routed-key", "val2"));
-  EXPECT_EQ(c.service(1).forwarded(), 1u);
-  ASSERT_TRUE(c.run_until([&] { return c.all_applied_at_least(2); }, kDeadline));
-  for (ProcessId p = 0; p < c.n(); ++p) {
-    EXPECT_EQ(c.service(p).applied_count(owner), 2u);
-    EXPECT_EQ(c.service(p).misrouted_dropped(), 0u);
-    EXPECT_NE(to_string(c.service(p).snapshot(owner)).find("routed-key=val2"),
-              std::string::npos);
   }
 }
 
@@ -245,7 +223,7 @@ TEST(Sharded, ConsistentUnderByzantineReplica) {
   ShardedCluster c(o);
   std::uint64_t seq = 0;
   for (int i = 0; i < 8; ++i) {
-    // Includes the attacker as a front: its stacks still forward.
+    // Includes the attacker as a front: it still routes to the owner.
     c.submit(static_cast<ProcessId>(i % 4), 1, seq++,
              set_cmd("b" + std::to_string(i), "v"));
   }
