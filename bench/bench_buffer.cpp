@@ -4,12 +4,12 @@
 // "Before" (the legacy Bytes-valued path) is computed analytically from the
 // same run's traffic counters: it encoded one frame per transport send
 // (frames = msgs_sent) and copied every delivered payload byte out of the
-// arrival frame (copies = the bytes the mbuf path merely aliases). The
-// measured "after" numbers come straight from the stack's metrics; the
-// binary exits non-zero unless encode-once fan-out holds exactly
-// (frames_encoded == broadcast count) and batched receives hand payloads
-// out as slices of the arrival frame (payload_bytes_aliased > 0), recorded
-// as gates in BENCH_buffer.json. The receive path has no copying branch
+// arrival frame, so its copies equal payload_bytes_aliased, which each row
+// carries once. The measured "after" numbers come straight from the
+// stack's metrics; the binary exits non-zero unless encode-once fan-out
+// holds exactly (frames_encoded == broadcast count) and batched receives
+// hand payloads out as slices of the arrival frame (payload_bytes_aliased
+// > 0), recorded as gates in BENCH_buffer.json. The receive path has no copying branch
 // to count: decode and batch unpack only ever alias.
 //
 // A second, REAL-TIME section measures the transport fast path over actual
@@ -236,10 +236,8 @@ int run() {
     const bool batched = mode == 1;
     for (std::size_t sz : sizes) {
       const BufferResult r = run_buffer_burst(kBurst, sz, batched, kSeed);
-      // Legacy baseline, same traffic: one encode per transport send, one
-      // payload copy per decode (every byte the mbuf path aliases).
+      // Legacy baseline, same traffic: one encode per transport send.
       const std::uint64_t legacy_frames = r.transport_sends;
-      const std::uint64_t legacy_copied = r.bytes_aliased;
       std::printf("%-6zu %-9s %10llu %12llu %12llu %14llu\n", sz,
                   batched ? "batched" : "unbatched",
                   static_cast<unsigned long long>(r.deliveries),
@@ -265,7 +263,6 @@ int run() {
         w.field("legacy_frames_encoded", legacy_frames);
         w.field("frames_saved", legacy_frames - r.frames_encoded);
         w.field("payload_bytes_aliased", r.bytes_aliased);
-        w.field("legacy_payload_bytes_copied", legacy_copied);
       });
     }
   }

@@ -1,7 +1,8 @@
 // Microbenchmarks (google-benchmark) for the primitives under the stack:
-// hashing, MACs, serialization, message codec, and in-memory single-process
-// protocol machinery. These are wall-clock benches of this host, not the
-// simulated testbed.
+// hashing, MACs, serialization, message codec, in-memory single-process
+// protocol machinery, and building a real-TCP front (keychain, listen
+// socket, stacks, roots), the first stage of a node's set-up. These are
+// wall-clock benches of this host, not the simulated testbed.
 #include <benchmark/benchmark.h>
 
 #include "common/rng.h"
@@ -12,6 +13,8 @@
 #include "crypto/keychain.h"
 #include "crypto/sha1.h"
 #include "crypto/sha256.h"
+#include "ritas/context.h"
+#include "ritas/sharded_node.h"
 
 namespace {
 
@@ -129,6 +132,40 @@ void BM_RngCoin(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RngCoin);
+
+/// Options for process 0 of a 4-process group whose own port is 0: the
+/// listen socket binds an ephemeral port and no peer is ever dialed, since
+/// nothing is started. Each iteration builds and destroys one front.
+template <typename Options>
+Options construct_options() {
+  Options o;
+  o.n = 4;
+  o.self = 0;
+  o.peers = {{"127.0.0.1", 0}, {"127.0.0.1", 1}, {"127.0.0.1", 2},
+             {"127.0.0.1", 3}};
+  o.master_secret = to_bytes("bench-micro");
+  o.rng_seed = 1;
+  return o;
+}
+
+void BM_ContextConstruct(benchmark::State& state) {
+  const auto opts = construct_options<Context::Options>();
+  for (auto _ : state) {
+    Context ctx(opts);
+    benchmark::DoNotOptimize(&ctx);
+  }
+}
+BENCHMARK(BM_ContextConstruct);
+
+void BM_ShardedNodeConstruct(benchmark::State& state) {
+  auto opts = construct_options<ShardedNode::Options>();
+  opts.groups = static_cast<std::uint32_t>(state.range(0));
+  for (auto _ : state) {
+    ShardedNode node(opts);
+    benchmark::DoNotOptimize(&node);
+  }
+}
+BENCHMARK(BM_ShardedNodeConstruct)->Arg(4);
 
 }  // namespace
 

@@ -18,23 +18,12 @@ namespace ritas {
 
 namespace {
 
-/// Rejects inconsistent Options before any member (keychain, transport,
-/// stack) is built from them — a wrong membership must never reach the
-/// mesh layer.
+/// Rejects a zero receive window before any member (keychain, transport,
+/// stack) is built; Node::validate checks the rest.
 Context::Options validate(Context::Options o) {
-  Node::validate("ritas::Context", o);
   if (o.recv_window == 0) {
     throw std::invalid_argument("ritas::Context: recv_window must be > 0");
   }
-  const AbBatchConfig& batch = o.stack.ab_batch;
-  if (batch.enabled &&
-      (batch.max_batch_msgs == 0 || batch.max_batch_bytes == 0)) {
-    throw std::invalid_argument("ritas::Context: batch limits must be > 0");
-  }
-  // Unknown or incompatible protocol-variant selections fail here, before
-  // any networking exists (the ProtocolStack constructor re-checks, but
-  // this path owns the user-facing error).
-  validate_variants(o.stack.variants, o.n, o.stack.coin_mode);
   return o;
 }
 
@@ -99,19 +88,14 @@ Context::Context(Options opts)
       eb_created_(opts_.n, 0),
       rb_delivered_(opts_.n, 0),
       eb_delivered_(opts_.n, 0) {
-  StackConfig cfg = opts_.stack;
-  cfg.n = opts_.n;
-  cfg.self = opts_.self;
-  cfg.group = 0;
-  stack_ = std::make_unique<ProtocolStack>(cfg, node_.transport(), node_.keys(),
-                                           node_.seed());
-  stack_->set_root_resolver(
+  ProtocolStack& stack = node_.stack();
+  stack.set_root_resolver(
       [this](const InstanceId& root) { return admit_bcast_root(root); });
   // The session-wide atomic broadcast root exists before the first frame
   // can arrive; rb/eb roots are created on first reference
   // (admit_bcast_root).
   auto ab = std::make_unique<AtomicBroadcast>(
-      *stack_, nullptr, InstanceId::root(ProtocolType::kAtomicBroadcast, 0),
+      stack, nullptr, InstanceId::root(ProtocolType::kAtomicBroadcast, 0),
       [this](ProcessId origin, std::uint64_t rbid, Slice payload) {
         // App-boundary copy: queued deliveries must not pin whole batch
         // frames for as long as the application keeps the payload.
@@ -124,10 +108,9 @@ Context::Context(Options opts)
       });
   ab_ = ab.get();
   roots_.emplace(ab_->id(), std::move(ab));
-  // The pump runs on the poll thread at a safe point, so delivered rb/eb
-  // roots are freed there.
+  // Delivered rb/eb roots are freed at the node's safe point, after the
+  // stack's pump.
   node_.serve([this] {
-    stack_->pump();
     for (const InstanceId& id : dead_roots_) roots_.erase(id);
     dead_roots_.clear();
   });
@@ -135,11 +118,7 @@ Context::Context(Options opts)
 
 Context::~Context() { stop(); }
 
-void Context::start() {
-  node_.start([this](ProcessId from, Slice frame) {
-    stack_->on_packet(from, std::move(frame));
-  });
-}
+void Context::start() { node_.start(); }
 
 void Context::stop() {
   // Joins the poll thread, so nothing touches the stack-owned state
@@ -179,12 +158,13 @@ RootVerdict Context::admit_bcast_root(const InstanceId& root) {
     auto deliver = [this, type = c.type, o, j](Slice payload) {
       on_bcast_deliver(type, o, j, payload.to_bytes());
     };
+    ProtocolStack& stack = node_.stack();
     if (rb) {
-      roots_.emplace(id, make_rb(*stack_, nullptr, id, o, Attribution::kPayload,
+      roots_.emplace(id, make_rb(stack, nullptr, id, o, Attribution::kPayload,
                                  std::move(deliver)));
     } else {
       roots_.emplace(id, std::make_unique<EchoBroadcast>(
-                             *stack_, nullptr, id, o, Attribution::kPayload,
+                             stack, nullptr, id, o, Attribution::kPayload,
                              std::move(deliver)));
     }
   }
@@ -215,7 +195,7 @@ void Context::on_bcast_deliver(ProtocolType type, ProcessId origin,
   if (k + 1 > delivered) delivered = k + 1;
   // Frames parked beyond the old window end may now create their roots.
   for (std::uint64_t j = old_end; j < delivered + opts_.recv_window; ++j) {
-    stack_->retry_ooc(InstanceId::root(type, bcast_seq(origin, j)));
+    node_.stack().retry_ooc(InstanceId::root(type, bcast_seq(origin, j)));
   }
   // This instance finished its job; free it at the next safe point (we are
   // currently inside its delivery callback).
@@ -287,7 +267,7 @@ bool Context::bc(bool proposal) {
   Decision<bool> decision;
   node_.run([this, proposal, decide = decision.callback()] {
     const std::uint64_t k = bc_calls_++;
-    auto inst = make_bc(*stack_, nullptr,
+    auto inst = make_bc(node_.stack(), nullptr,
                         InstanceId::root(ProtocolType::kBinaryConsensus, k),
                         Attribution::kAgreement, decide);
     inst->propose(proposal);
@@ -301,7 +281,7 @@ std::optional<Bytes> Context::mvc(Bytes proposal) {
   node_.run([this, &proposal, decide = decision.callback()] {
     const std::uint64_t k = mvc_calls_++;
     auto inst = std::make_unique<MultiValuedConsensus>(
-        *stack_, nullptr,
+        node_.stack(), nullptr,
         InstanceId::root(ProtocolType::kMultiValuedConsensus, k),
         Attribution::kAgreement, decide);
     inst->propose(std::move(proposal));
@@ -315,18 +295,13 @@ std::vector<std::optional<Bytes>> Context::vc(Bytes proposal) {
   node_.run([this, &proposal, decide = decision.callback()] {
     const std::uint64_t k = vc_calls_++;
     auto inst = std::make_unique<VectorConsensus>(
-        *stack_, nullptr, InstanceId::root(ProtocolType::kVectorConsensus, k),
+        node_.stack(), nullptr,
+        InstanceId::root(ProtocolType::kVectorConsensus, k),
         Attribution::kAgreement, decide);
     inst->propose(std::move(proposal));
     roots_.emplace(inst->id(), std::move(inst));
   });
   return decision.wait();
-}
-
-Metrics Context::metrics() {
-  Metrics m;
-  node_.run([this, &m] { m = stack_->metrics(); });
-  return m;
 }
 
 }  // namespace ritas

@@ -13,7 +13,8 @@
 // The protocol stack runs in a single thread, independent of the
 // application thread (§3: "the protocol stack runs in a single thread,
 // independent of the application thread"): the poll thread of the shared
-// ritas::Node runtime, which also owns the sockets. Application calls post
+// ritas::Node runtime, which also owns the sockets and the stack; the
+// Context owns the protocol roots on it. Application calls post
 // work to that thread and block on queues (deliveries) or a decision slot
 // (consensus).
 //
@@ -52,15 +53,11 @@ class ShutdownError : public std::runtime_error {
 
 class Context {
  public:
-  /// Membership, secret and transport knobs come from Node::Options
-  /// (ritas/node.h).
+  /// Membership, secret, transport and stack knobs come from
+  /// Node::Options (ritas/node.h). A session owns its mesh, so its one
+  /// stack runs group 0 (the original wire format); several groups on one
+  /// mesh is ShardedNode.
   struct Options : Node::Options {
-    /// A session owns its mesh, so its stack always runs group 0 (the
-    /// original wire format); several groups on one mesh is ShardedNode.
-    /// stack.ab_batch switches atomic-broadcast payload batching; being a
-    /// wire-format switch, it must be set identically at every correct
-    /// process.
-    StackConfig stack;         // n/self/group overwritten
     /// How far an origin's rb (and, separately, eb) broadcasts may run
     /// ahead of the last one delivered here: broadcast k of origin o is
     /// admitted while k < d + recv_window, with d one past the highest k
@@ -81,10 +78,10 @@ class Context {
     Bytes payload;
   };
 
-  /// Validates `opts` up front — throws std::invalid_argument on an
-  /// inconsistent membership (peers.size() != n, self >= n, n < 3f+1 for
-  /// f >= 1, i.e. n < 4) or nonsensical knobs (zero recv_window, zero
-  /// batch limits) instead of letting them reach the mesh layer.
+  /// Validates `opts` up front — throws std::invalid_argument on a zero
+  /// recv_window or on anything Node::validate rejects (an inconsistent
+  /// membership, zero batch limits) instead of letting it reach the mesh
+  /// layer.
   explicit Context(Options opts);
   ~Context();
 
@@ -144,7 +141,7 @@ class Context {
   std::vector<std::optional<Bytes>> vc(Bytes proposal);
 
   /// Snapshot of the stack's counters (taken on the poll thread).
-  Metrics metrics();
+  Metrics metrics() { return node_.metrics(); }
   net::TcpTransport::Stats transport_stats() const {
     return node_.transport().stats();
   }
@@ -155,6 +152,8 @@ class Context {
   /// The underlying transport — fault injection (kill_link) and
   /// link-level probes for tests and operational tooling.
   net::TcpTransport& transport() { return node_.transport(); }
+  /// The runtime underneath: its one stack, seed and task lane.
+  Node& node() { return node_; }
   ProcessId self() const { return opts_.self; }
   std::uint32_t n() const { return opts_.n; }
 
@@ -235,7 +234,6 @@ class Context {
 
   Options opts_;
   Node node_;
-  std::unique_ptr<ProtocolStack> stack_;
 
   // Poll-thread-owned protocol state. rb/eb roots are created on first
   // reference and destroyed once delivered (deferred to a safe point —

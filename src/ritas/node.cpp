@@ -16,17 +16,28 @@ std::uint64_t resolve_seed(std::uint64_t seed) {
 
 }  // namespace
 
-void Node::validate(const std::string& who, const Options& o) {
+void Node::validate(const std::string& who, const Options& o,
+                    std::uint32_t groups) {
   const auto fail = [&who](const char* what) {
     throw std::invalid_argument(who + ": " + what);
   };
   if (o.n < 4) fail("n must be >= 4 (n >= 3f+1, f >= 1)");
   if (o.self >= o.n) fail("self must be < n");
   if (o.peers.size() != o.n) fail("peers.size() must equal n");
+  if (groups == 0) fail("groups must be > 0");
+  const AbBatchConfig& batch = o.stack.ab_batch;
+  if (batch.enabled &&
+      (batch.max_batch_msgs == 0 || batch.max_batch_bytes == 0)) {
+    fail("batch limits must be > 0");
+  }
+  // Unknown or incompatible protocol-variant selections fail here, before
+  // any networking exists (the ProtocolStack constructor re-checks, but
+  // this path owns the user-facing error).
+  validate_variants(o.stack.variants, o.n, o.stack.coin_mode);
 }
 
-Node::Node(std::string who, const Options& opts)
-    : who_((validate(who, opts), std::move(who))),
+Node::Node(std::string who, const Options& opts, std::uint32_t groups)
+    : who_((validate(who, opts, groups), std::move(who))),
       keys_(KeyChain::deal(opts.master_secret, opts.n, opts.self)),
       seed_(resolve_seed(opts.rng_seed)) {
   net::TcpTransport::Options topts;
@@ -40,17 +51,27 @@ Node::Node(std::string who, const Options& opts)
                        ? 0
                        : opts.rng_seed ^ (0x9e3779b97f4a7c15ULL * (opts.self + 1));
   transport_ = std::make_unique<net::TcpTransport>(topts, keys_);
+  stacks_.reserve(groups);
+  for (GroupId g = 0; g < groups; ++g) {
+    StackConfig cfg = opts.stack;
+    cfg.n = opts.n;
+    cfg.self = opts.self;
+    cfg.group = g;
+    stacks_.push_back(std::make_unique<ProtocolStack>(
+        cfg, *transport_, keys_, stack_seed(seed_, opts.self, g)));
+    mux_.attach(g, *stacks_[g]);
+  }
+  transport_->set_sink([this](ProcessId from, Slice frame) {
+    mux_.on_packet(from, std::move(frame));
+  });
 }
 
 Node::~Node() { stop(); }
 
-void Node::serve(std::function<void()> pump) {
-  pumps_.push_back(std::move(pump));
-}
+void Node::serve(std::function<void()> hook) { hook_ = std::move(hook); }
 
-void Node::start(Sink sink) {
+void Node::start() {
   if (running_.load()) return;
-  transport_->set_sink(std::move(sink));
   transport_->start();  // throws on timeout, and once stop() has run
   {
     std::lock_guard<std::mutex> lock(tasks_mutex_);
@@ -108,7 +129,8 @@ void Node::drain_tasks() {
   }
   for (auto& t : tasks) t();
   // Safe point: nothing is on a protocol call stack here.
-  for (auto& pump : pumps_) pump();
+  for (auto& stack : stacks_) stack->pump();
+  if (hook_) hook_();
 }
 
 bool Node::post(std::function<void()> fn) {
@@ -119,6 +141,14 @@ bool Node::post(std::function<void()> fn) {
   }
   transport_->wakeup();
   return true;
+}
+
+Metrics Node::metrics() {
+  Metrics m;
+  run([this, &m] {
+    for (const auto& stack : stacks_) m += stack->metrics();
+  });
+  return m;
 }
 
 void Node::run(std::function<void()> fn) {

@@ -2,20 +2,23 @@
 // fronts built on it (ritas::Context: one group behind the paper's API;
 // ritas::ShardedNode: G KV shards over one mesh).
 //
-// A Node owns everything that does not depend on the front: the pairwise
+// A Node owns everything below the fronts' protocol roots: the pairwise
 // keychain dealt from the master secret, the TcpTransport (listening from
-// construction), the poll thread and the task lane that carries
-// application calls onto it. The front owns its stacks and protocol roots,
-// registers one pump per group with serve(), and hands start() the sink
-// for inbound frames.
+// construction), one ProtocolStack per consensus group behind one
+// GroupMux (the transport's sink), the poll thread and the task lane that
+// carries application calls onto it. It is the TCP twin of one process of
+// sim::Cluster: group g's stack draws from stack_seed(seed(), self, g),
+// and metrics() sums every group. A front creates its roots on stack(g)
+// and owns them.
 //
 // Thread ownership map:
-//   poll thread  — sockets, link state machines, the inbound sink (and so
-//                  every stack's on_packet), every posted task and every
-//                  pump; one thread per node, as in the paper (§3).
-//                  Until start() returns, the thread calling it polls
-//                  the mesh and plays this role.
-//   app threads  — post()/run(), stats, waits
+//   poll thread  — sockets, link state machines, the mux and every
+//                  stack's on_packet, every posted task, and after each
+//                  drain every stack's pump and then the serve() hook;
+//                  one thread per node, as in the paper (§3). Until
+//                  start() returns, the thread calling it polls the mesh
+//                  and plays this role.
+//   app threads  — post()/run(), metrics(), stats, waits
 //
 // Protocol work therefore always runs on exactly one thread, the
 // invariant every stack is built on.
@@ -32,6 +35,9 @@
 #include <utility>
 #include <vector>
 
+#include "core/group_mux.h"
+#include "core/metrics.h"
+#include "core/stack.h"
 #include "crypto/keychain.h"
 #include "net/tcp_transport.h"
 
@@ -53,32 +59,38 @@ class Node {
     /// the transport's backoff/reconnect machinery.
     std::uint32_t min_start_links = 0;
     std::uint64_t rng_seed = 0;  // 0 = seed from std::random_device
+    /// Template for every group's stack (n/self/group overwritten). Its
+    /// protocol switches (ab_batch, variants, coin_mode) change the wire
+    /// format, so every correct process must set them identically.
+    StackConfig stack;
   };
-
-  using Sink = std::function<void(ProcessId from, Slice frame)>;
 
   /// Throws std::invalid_argument, prefixed with `who`, on an inconsistent
   /// membership (n < 4, i.e. n < 3f+1 for f >= 1; self >= n;
-  /// peers.size() != n).
-  static void validate(const std::string& who, const Options& opts);
+  /// peers.size() != n), zero groups or zero batch limits; an unknown or
+  /// incompatible variant selection throws from validate_variants.
+  static void validate(const std::string& who, const Options& opts,
+                       std::uint32_t groups = 1);
 
-  /// Validates `opts`, deals the keychain and binds the listen socket, so
-  /// a wrong membership never reaches the mesh layer.
-  Node(std::string who, const Options& opts);
+  /// Validates `opts`, deals the keychain, binds the listen socket and
+  /// builds `groups` stacks (group g on stack g), so a wrong membership
+  /// never reaches the mesh layer.
+  Node(std::string who, const Options& opts, std::uint32_t groups = 1);
   ~Node();
   Node(const Node&) = delete;
   Node& operator=(const Node&) = delete;
 
-  /// Registers a group's pump, run on the poll thread after every batch
-  /// of frames and tasks (stack->pump() plus any safe-point housekeeping).
-  /// Call before start().
-  void serve(std::function<void()> pump);
+  /// Registers the front's safe-point hook, run on the poll thread after
+  /// every batch of frames and tasks, once every stack has been pumped:
+  /// nothing is on a protocol call stack there, so it may destroy roots
+  /// that delivered. Call before start().
+  void serve(std::function<void()> hook);
 
-  /// Installs `sink` for inbound frames (called on the poll thread), dials
-  /// the mesh (blocks until min_start_links links are up), starts the poll
+  /// Dials the mesh (blocks until min_start_links links are up; frames
+  /// that arrive meanwhile already reach the stacks), starts the poll
   /// thread and returns after its first cycle. Throws std::runtime_error
   /// when the mesh times out or stop() cuts it short.
-  void start(Sink sink);
+  void start();
   /// Stops the poll thread — tasks already posted still run — then closes
   /// every socket. Returns false when the node was not running; a start()
   /// blocked on the mesh in another thread then closes its sockets and
@@ -100,16 +112,27 @@ class Node {
   /// The session seed: Options::rng_seed, or a random one when that is 0.
   std::uint64_t seed() const { return seed_; }
 
+  std::uint32_t groups() const {
+    return static_cast<std::uint32_t>(stacks_.size());
+  }
+  /// Group g's stack. Poll thread only once start() has been called.
+  ProtocolStack& stack(GroupId g = 0) { return *stacks_.at(g); }
+  /// Sum of every group's stack counters, taken on the poll thread (so,
+  /// like run(), it throws std::logic_error when the node is not running).
+  Metrics metrics();
+
  private:
   void poll_loop();
-  /// Runs every queued task, then every pump.
+  /// Runs every queued task, then pumps every stack, then the hook.
   void drain_tasks();
 
   std::string who_;
   KeyChain keys_;
   std::uint64_t seed_;
   std::unique_ptr<net::TcpTransport> transport_;
-  std::vector<std::function<void()>> pumps_;
+  std::vector<std::unique_ptr<ProtocolStack>> stacks_;  // [group]
+  GroupMux mux_;
+  std::function<void()> hook_;
 
   std::atomic<bool> running_{false};
   std::mutex tasks_mutex_;

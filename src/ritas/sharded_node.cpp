@@ -6,43 +6,21 @@
 
 namespace ritas {
 
-namespace {
-
-ShardedNode::Options validate(ShardedNode::Options o) {
-  Node::validate("ShardedNode", o);
-  if (o.groups == 0) throw std::invalid_argument("ShardedNode: groups == 0");
-  return o;
-}
-
-}  // namespace
-
 ShardedNode::ShardedNode(Options opts)
-    : opts_(validate(std::move(opts))), node_("ShardedNode", opts_) {
-  stacks_.reserve(opts_.groups);
-  for (GroupId g = 0; g < opts_.groups; ++g) {
-    StackConfig cfg = opts_.stack;
-    cfg.n = opts_.n;
-    cfg.self = opts_.self;
-    cfg.group = g;
-    stacks_.push_back(std::make_unique<ProtocolStack>(
-        cfg, node_.transport(), node_.keys(),
-        stack_seed(node_.seed(), opts_.self, g)));
-    mux_.attach(g, *stacks_[g]);
-    node_.serve([stack = stacks_[g].get()] { stack->pump(); });
-  }
-
+    : node_("ShardedNode", opts, opts.groups) {
+  const std::uint32_t groups = node_.groups();
   service_ = std::make_unique<smr::ShardedService>(
-      smr::ShardedService::Config{.shards = opts_.groups,
+      smr::ShardedService::Config{.shards = groups,
                                   .key_of = smr::kv_key_of},
       [](smr::ShardId) { return std::make_unique<smr::KvMachine>(); });
 
   // AB roots: the SAME root id at every process and every group — the
   // GroupId prefix is the wire-level separator.
   const InstanceId ab_root = InstanceId::root(ProtocolType::kAtomicBroadcast, 0);
-  abs_.reserve(opts_.groups);
-  for (GroupId g = 0; g < opts_.groups; ++g) {
+  abs_.reserve(groups);
+  for (GroupId g = 0; g < groups; ++g) {
     abs_.push_back(std::make_unique<AtomicBroadcast>(
-        *stacks_[g], nullptr, ab_root,
+        node_.stack(g), nullptr, ab_root,
         [this, g](ProcessId /*origin*/, std::uint64_t /*rbid*/, Slice payload) {
           service_->on_delivered(g, payload.view());
         }));
@@ -56,22 +34,15 @@ ShardedNode::ShardedNode(Options opts)
     applied_cv_.notify_all();
   });
   service_->bind_submitter([this](smr::ShardId shard, const Bytes& command) {
-    // Any thread → the poll thread, which owns every shard's stack; the
-    // broadcast and the follow-up pump both run there.
-    node_.post([this, shard, command] {
-      abs_[shard]->bcast(Bytes(command));
-      stacks_[shard]->pump();
-    });
+    // Any thread → the poll thread, which owns every shard's stack and
+    // pumps them all once the task has run.
+    node_.post([this, shard, command] { abs_[shard]->bcast(Bytes(command)); });
   });
 }
 
 ShardedNode::~ShardedNode() { stop(); }
 
-void ShardedNode::start() {
-  node_.start([this](ProcessId from, Slice frame) {
-    mux_.on_packet(from, std::move(frame));
-  });
-}
+void ShardedNode::start() { node_.start(); }
 
 void ShardedNode::stop() { node_.stop(); }
 

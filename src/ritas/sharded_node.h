@@ -1,11 +1,10 @@
 // ShardedNode — one process of a real-TCP sharded SMR deployment.
 //
 // The TCP twin of sim::ShardedCluster's per-process wiring, on the shared
-// ritas::Node runtime: one TcpTransport (shared mesh), G ProtocolStacks
-// (one per group = shard) demultiplexed by a GroupMux, one AtomicBroadcast
-// root per group feeding one KV smr::ShardedService. The Node's poll
-// thread runs all G stacks; the thread ownership map is Node's
-// (ritas/node.h).
+// ritas::Node runtime: the Node runs G ProtocolStacks (one per group =
+// shard) behind its GroupMux on one TcpTransport (shared mesh); the
+// ShardedNode adds one AtomicBroadcast root per group feeding one KV
+// smr::ShardedService. The thread ownership map is Node's (ritas/node.h).
 #pragma once
 
 #include <chrono>
@@ -16,8 +15,6 @@
 #include <vector>
 
 #include "core/atomic_broadcast.h"
-#include "core/group_mux.h"
-#include "core/stack.h"
 #include "ritas/node.h"
 #include "smr/sharded_service.h"
 
@@ -28,7 +25,6 @@ class ShardedNode {
   struct Options : Node::Options {
     /// Shard count: one consensus group (and one ProtocolStack) each.
     std::uint32_t groups = 1;
-    StackConfig stack;  // template; n/self/group overwritten
   };
 
   explicit ShardedNode(Options opts);
@@ -50,17 +46,18 @@ class ShardedNode {
   bool wait_applied_at_least(std::uint64_t count,
                              std::chrono::milliseconds timeout);
 
+  /// Sum of every shard's stack counters (taken on the poll thread).
+  Metrics metrics() { return node_.metrics(); }
+  /// The runtime underneath: its G stacks, seed and task lane.
+  Node& node() { return node_; }
   net::TcpTransport& transport() { return node_.transport(); }
   net::TcpTransport::Stats transport_stats() const {
     return node_.transport().stats();
   }
 
  private:
-  Options opts_;
   Node node_;
-  GroupMux mux_;
-  std::vector<std::unique_ptr<ProtocolStack>> stacks_;     // [group]
-  std::vector<std::unique_ptr<AtomicBroadcast>> abs_;      // [group]
+  std::vector<std::unique_ptr<AtomicBroadcast>> abs_;  // [group]
   std::unique_ptr<smr::ShardedService> service_;
 
   mutable std::mutex applied_mutex_;

@@ -1,7 +1,8 @@
 // ritas::Node — the runtime Context and ShardedNode share: option checks,
-// the task lane onto the poll thread, the per-group pumps, a stop() that
-// still runs every task posted before it, and a run() racing stop() that
-// never hangs; plus a ShardedNode cluster on a real loopback mesh.
+// the task lane onto the poll thread, the per-group stacks (their seed
+// rule and their pumps), a stop() that still runs every task posted before
+// it, and a run() racing stop() that never hangs; plus a ShardedNode
+// cluster on a real loopback mesh.
 #include "ritas/node.h"
 
 #include <gtest/gtest.h>
@@ -17,7 +18,9 @@
 #include <thread>
 #include <vector>
 
+#include "common/rng.h"
 #include "net_helpers.h"
+#include "ritas/context.h"
 #include "ritas/sharded_node.h"
 
 namespace ritas {
@@ -36,26 +39,19 @@ Node::Options options(const std::vector<net::PeerAddr>& peers, ProcessId self) {
   return o;
 }
 
-/// Four nodes on a loopback mesh; node 0 serves two groups, the first with
-/// a pump that records where it ran.
+/// Four nodes on a loopback mesh; node 0 runs two groups.
 struct Mesh {
   std::vector<std::unique_ptr<Node>> nodes;
-  std::atomic<std::uint64_t> pumps0{0};
-  std::atomic<std::size_t> pump0_tid{0};
 
   Mesh() {
     const auto peers = local_peers(free_ports(4));
     for (ProcessId p = 0; p < 4; ++p) {
-      nodes.push_back(std::make_unique<Node>("test", options(peers, p)));
+      nodes.push_back(
+          std::make_unique<Node>("test", options(peers, p), p == 0 ? 2 : 1));
     }
-    nodes[0]->serve([this] {
-      pump0_tid.store(std::hash<std::thread::id>{}(std::this_thread::get_id()));
-      ++pumps0;
-    });
-    nodes[0]->serve([] {});
     std::vector<std::thread> starters;
     for (auto& n : nodes) {
-      starters.emplace_back([&n] { n->start([](ProcessId, Slice) {}); });
+      starters.emplace_back([&n] { n->start(); });
     }
     for (auto& t : starters) t.join();
   }
@@ -67,6 +63,22 @@ struct Mesh {
 std::size_t this_tid() {
   return std::hash<std::thread::id>{}(std::this_thread::get_id());
 }
+
+/// A root that records where and how often its stack's pump ran its
+/// deferred garbage collection: defer_gc() work runs only in a pump.
+class PumpProbe final : public Protocol {
+ public:
+  PumpProbe(ProtocolStack& stack, std::uint64_t k)
+      : Protocol(stack, nullptr,
+                 InstanceId::root(ProtocolType::kReliableBroadcast, k)) {}
+  void on_message(ProcessId, std::uint8_t, const Slice&) override {}
+  void collect_garbage() override {
+    tid = this_tid();
+    ++runs;
+  }
+  std::size_t tid = 0;
+  int runs = 0;
+};
 
 TEST(Node, RejectsInconsistentOptions) {
   const auto peers = local_peers(free_ports(4));
@@ -83,6 +95,43 @@ TEST(Node, RejectsInconsistentOptions) {
   } catch (const std::invalid_argument& e) {
     EXPECT_EQ(std::string(e.what()).rfind("who: ", 0), 0u) << e.what();
   }
+  o = options(peers, 0);
+  EXPECT_THROW(Node("test", o, 0), std::invalid_argument);
+  // A zero batch limit would seal every message alone; ShardedNode refuses
+  // it before any socket exists, as Context does (test_api_edges).
+  for (const bool zero_msgs : {false, true}) {
+    ShardedNode::Options so;
+    static_cast<Node::Options&>(so) = options(peers, 0);
+    so.stack.ab_batch.enabled = true;
+    (zero_msgs ? so.stack.ab_batch.max_batch_msgs
+               : so.stack.ab_batch.max_batch_bytes) = 0;
+    so.groups = 2;
+    EXPECT_THROW(ShardedNode{so}, std::invalid_argument) << zero_msgs;
+  }
+}
+
+TEST(Node, EveryGroupStackDrawsFromTheSharedSeedRule) {
+  // The rule sim::Cluster uses: group g of process p draws from
+  // Rng(stack_seed(seed, p, g)), on a Context's one stack as on each of a
+  // ShardedNode's.
+  const auto peers = local_peers(free_ports(4));
+  const auto first_draw = [](std::uint64_t seed) { return Rng(seed).next(); };
+  Context::Options c;
+  static_cast<Node::Options&>(c) = options(peers, 2);
+  Context ctx(c);
+  EXPECT_EQ(ctx.node().groups(), 1u);
+  EXPECT_EQ(ctx.node().stack().rng().next(), first_draw(stack_seed(11, 2, 0)));
+
+  ShardedNode::Options so;
+  static_cast<Node::Options&>(so) = options(peers, 1);
+  so.groups = 3;
+  ShardedNode sharded(so);
+  ASSERT_EQ(sharded.node().groups(), 3u);
+  for (GroupId g = 0; g < 3; ++g) {
+    EXPECT_EQ(sharded.node().stack(g).rng().next(),
+              first_draw(stack_seed(11, 1, g)))
+        << "group " << g;
+  }
 }
 
 TEST(Node, RunBeforeStartIsALogicError) {
@@ -95,16 +144,28 @@ TEST(Node, RunBeforeStartIsALogicError) {
 TEST(Node, InlineTasksAndPumpsRunOnThePollThread) {
   Mesh m;
   Node& node = *m.nodes[0];
+  ASSERT_EQ(node.groups(), 2u);
   std::size_t first = 0, second = 0;
   node.run([&] { first = this_tid(); });
   node.run([&] { second = this_tid(); });
   EXPECT_NE(first, this_tid());
   EXPECT_EQ(first, second) << "one thread runs every task";
-  const std::uint64_t before = m.pumps0.load();
-  node.run([] {});
-  node.run([] {});  // the first task's pump ran before this one
-  EXPECT_GT(m.pumps0.load(), before);
-  EXPECT_EQ(m.pump0_tid.load(), first);
+  // Probes live on the poll thread, which owns the stacks they register in.
+  std::vector<std::unique_ptr<PumpProbe>> probes;
+  node.run([&] {
+    for (GroupId g = 0; g < node.groups(); ++g) {
+      probes.push_back(std::make_unique<PumpProbe>(node.stack(g), g));
+      node.stack(g).defer_gc(probes.back().get());
+    }
+  });
+  node.run([] {});  // the first task's pumps ran before this one
+  node.run([&] {
+    for (GroupId g = 0; g < node.groups(); ++g) {
+      EXPECT_EQ(probes[g]->runs, 1) << "group " << g;
+      EXPECT_EQ(probes[g]->tid, first) << "group " << g;
+    }
+    probes.clear();
+  });
 }
 
 TEST(Node, RunRethrowsOnTheCallingThread) {
@@ -216,6 +277,12 @@ TEST(ShardedNode, ClusterReachesAgreementOverTcp) {
   }
   for (std::uint32_t p = 0; p < kN; ++p) {
     EXPECT_EQ(nodes[p]->service().misrouted_dropped(), 0u) << "node " << p;
+    // The node's counters cover every shard's stack.
+    const Metrics m = nodes[p]->metrics();
+    EXPECT_GT(m.msgs_received, 0u) << "node " << p;
+    EXPECT_EQ(m.ooc_evicted, 0u) << "node " << p;
+    EXPECT_EQ(m.malformed_dropped, 0u) << "node " << p;
+    EXPECT_EQ(m.foreign_group_dropped, 0u) << "node " << p;
   }
   for (auto& n : nodes) n->stop();
 }
