@@ -1,18 +1,15 @@
 // Intrusion-tolerant replicated key-value store over real TCP.
 //
 // State machine replication (the canonical application the paper's
-// introduction motivates) on the public ritas::Context API, served by the
-// stack's own SMR layer: every node runs an smr::ShardedService with a
-// single shard (G=1) over an smr::KvMachine, subscribes to the atomic
-// broadcast (ab_subscribe), and feeds the decided command stream to the
-// service, staying identical to its peers. Command framing, (client, seq)
-// exactly-once dedup and the SET/DEL/CAS semantics all come from src/smr
-// — the example only wires transport to service. Payload batching
-// (Options::stack.ab_batch) packs bursts of small commands into shared
-// dissemination broadcasts. For the same state machine surviving an
-// actively Byzantine replica, see examples/faultload_explorer.cpp; for a
-// multi-group deployment of the same service, see sim::ShardedCluster and
-// bench_shard_scaling.
+// introduction motivates) on ritas::ShardedNode with one shard (G = 1):
+// each node runs one protocol stack, one atomic broadcast root and an
+// smr::ShardedService over an smr::KvMachine, and applies the decided
+// command stream in total order, staying identical to its peers. Command
+// framing, (client, seq) exactly-once dedup and the SET/DEL/CAS semantics
+// all come from src/smr; the example only submits and compares. Payload
+// batching (Options::stack.ab_batch) packs bursts of small commands into
+// shared dissemination broadcasts. For more shards over the same mesh,
+// raise Options::groups (see sim::ShardedCluster and bench_shard_scaling).
 //
 //   $ ./replicated_kv
 #include <netinet/in.h>
@@ -21,14 +18,13 @@
 
 #include <chrono>
 #include <cstdio>
-#include <mutex>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "ritas/context.h"
+#include "ritas/sharded_node.h"
 #include "smr/kv_machine.h"
-#include "smr/sharded_service.h"
 
 using namespace ritas;
 
@@ -53,32 +49,6 @@ std::vector<net::PeerAddr> reserve_local_ports(std::uint32_t n) {
   for (int fd : fds) ::close(fd);
   return peers;
 }
-
-/// One node's service plus the lock that bridges the Context's poll
-/// thread (on_delivered runs in the ab_subscribe callback) and main-thread
-/// readers. The service itself is single-threaded by design — the harness
-/// owns the synchronization, exactly like the sim loop owns it in tests.
-struct KvReplica {
-  KvReplica()
-      : service({.shards = 1, .key_of = smr::kv_key_of},
-                [](smr::ShardId) { return std::make_unique<smr::KvMachine>(); }) {}
-
-  std::string snapshot() {
-    std::lock_guard<std::mutex> lock(mu);
-    return to_string(service.snapshot(0));
-  }
-  std::uint64_t applied() {
-    std::lock_guard<std::mutex> lock(mu);
-    return service.applied_total();
-  }
-  std::uint64_t duplicates() {
-    std::lock_guard<std::mutex> lock(mu);
-    return service.duplicates_skipped(0);
-  }
-
-  std::mutex mu;
-  smr::ShardedService service;
-};
 
 smr::KvCommand set(const std::string& key, const std::string& value) {
   smr::KvCommand c;
@@ -108,27 +78,15 @@ smr::KvCommand cas(const std::string& key, const std::string& expected,
 int main() {
   const auto peers = reserve_local_ports(kN);
 
-  std::vector<KvReplica> replicas(kN);
-  std::vector<std::unique_ptr<Context>> nodes;
+  std::vector<std::unique_ptr<ShardedNode>> nodes;
   for (std::uint32_t p = 0; p < kN; ++p) {
-    Context::Options o;
+    ShardedNode::Options o;
     o.n = kN;
     o.self = p;
     o.peers = peers;
     o.master_secret = to_bytes("kv-shared-secret");
     o.stack.ab_batch.enabled = true;  // wire-format switch: identical at every node
-    nodes.push_back(std::make_unique<Context>(o));
-    // Outbound: the service frames the command, the context orders it.
-    replicas[p].service.bind_submitter(
-        [&nodes, p](smr::ShardId, const Bytes& command) {
-          nodes[p]->ab_bcast(command);
-        });
-    // Inbound: subscribe before start(); the decided stream drives the
-    // service directly on the poll thread, in total order.
-    nodes[p]->ab_subscribe([&replicas, p](Context::AbDelivery d) {
-      std::lock_guard<std::mutex> lock(replicas[p].mu);
-      replicas[p].service.on_delivered(0, d.payload);
-    });
+    nodes.push_back(std::make_unique<ShardedNode>(o));
   }
 
   std::printf("establishing the TCP mesh (4 replicas, batching on)...\n");
@@ -151,42 +109,53 @@ int main() {
   constexpr std::uint64_t kClient = 42;
   for (std::size_t i = 0; i < workload.size(); ++i) {
     const std::uint32_t via = static_cast<std::uint32_t>(i % kN);
-    replicas[via].service.submit(kClient, i, workload[i].encode());
+    nodes[via]->submit(kClient, i, workload[i].encode());
     if (i == 2) {  // impatient client retries through another front
-      replicas[0].service.submit(kClient, i, workload[i].encode());
+      nodes[0]->submit(kClient, i, workload[i].encode());
     }
   }
-  for (auto& node : nodes) node->ab_flush();  // seal the submission tails
 
+  // Every replica applies the eight commands; the retry's later copy may
+  // be ordered after the last of them, so also wait (reading the service
+  // on the node's poll thread) until each replica has skipped it.
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::minutes(2);
-  auto all_applied = [&] {
-    for (KvReplica& r : replicas) {
-      if (r.applied() < workload.size()) return false;
+  bool applied = true;
+  for (auto& node : nodes) {
+    applied = applied && node->wait_applied_at_least(
+                             workload.size(), std::chrono::minutes(2));
+    std::uint64_t skipped = 0;
+    while (applied && skipped == 0 &&
+           std::chrono::steady_clock::now() < deadline) {
+      node->node().run(
+          [&node, &skipped] { skipped = node->service().duplicates_skipped(0); });
+      if (skipped == 0) std::this_thread::sleep_for(std::chrono::milliseconds(10));
     }
-    return true;
-  };
-  while (!all_applied() && std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
-  if (!all_applied()) {
+  // Stopping joins every poll thread, so the services are safe to read.
+  for (auto& node : nodes) node->stop();
+  if (!applied) {
     std::fprintf(stderr, "replication did not complete\n");
     return 1;
   }
 
-  std::printf("replicated KV store, n=4, smr::ShardedService (G=1)\n");
-  std::printf("final state at replica 0: %s\n", replicas[0].snapshot().c_str());
+  auto snapshot = [&nodes](std::uint32_t p) {
+    return to_string(nodes[p]->service().snapshot(0));
+  };
+  std::printf("replicated KV store, n=4, ShardedNode (G=1)\n");
+  std::printf("final state at replica 0: %s\n", snapshot(0).c_str());
   bool consistent = true;
   std::uint64_t duplicates = 0;
   for (std::uint32_t p = 0; p < kN; ++p) {
-    const bool same = replicas[p].snapshot() == replicas[0].snapshot();
+    const bool same = snapshot(p) == snapshot(0);
+    const std::uint64_t dup = nodes[p]->service().duplicates_skipped(0);
     std::printf("replica %u: %s, %llu applied, %llu duplicates skipped\n", p,
                 same ? "state identical" : "STATE DIVERGED",
-                static_cast<unsigned long long>(replicas[p].applied()),
-                static_cast<unsigned long long>(replicas[p].duplicates()));
+                static_cast<unsigned long long>(nodes[p]->applied_total()),
+                static_cast<unsigned long long>(dup));
     consistent = consistent && same;
-    duplicates += replicas[p].duplicates();
+    duplicates += dup;
   }
-  const std::string digest = replicas[0].snapshot();
+  const std::string digest = snapshot(0);
   const bool won90 = digest.find("balance:1=90") != std::string::npos;
   const bool won80 = digest.find("balance:1=80") != std::string::npos;
   std::printf("exactly one racing CAS won (%s): %s\n", won90 ? "90" : "80",

@@ -15,7 +15,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -117,15 +116,6 @@ inline std::uint64_t stack_seed(std::uint64_t seed, ProcessId p, GroupId g) {
          (static_cast<std::uint64_t>(g) * 0x9e3779b97f4a7c15ULL);
 }
 
-/// A root resolver's answer for a frame whose root instance is not
-/// registered (ProtocolStack::set_root_resolver).
-enum class RootVerdict : std::uint8_t {
-  kOutOfContext,  // park the frame (§3.4): the root may still be created
-  kDrop,          // discard it as unroutable: the root will never exist again
-  kCreated,       // the resolver registered the root; dispatch continues
-};
-using RootResolver = std::function<RootVerdict(const InstanceId& root)>;
-
 class ProtocolStack {
  public:
   /// `keys` must hold this process's row of pairwise secrets (s_self,j for
@@ -198,13 +188,6 @@ class ProtocolStack {
   void register_instance(Protocol* p);
   void unregister_instance(Protocol* p);
 
-  /// Lets the session owner create root instances on first reference. The
-  /// resolver runs on the stack's thread whenever an inbound (or drained)
-  /// frame names a root that is not registered; it may register that root
-  /// and answer kCreated. Unset (the default), such frames go out of
-  /// context exactly as in the paper.
-  void set_root_resolver(RootResolver r) { root_resolver_ = std::move(r); }
-
   /// Re-attempts dispatch of out-of-context messages whose path has the
   /// given prefix — call after a spawn window advances.
   void retry_ooc(const InstanceId& prefix);
@@ -236,9 +219,8 @@ class ProtocolStack {
   }
 
   void dispatch(ProcessId from, Message m);
-  /// Finds or spawns the instance for `path` (asking the root resolver when
-  /// the root is missing). nullptr with drop=false means "out of context";
-  /// drop=true means discard.
+  /// Finds or spawns the instance for `path`. nullptr with drop=false
+  /// means "out of context"; drop=true means discard.
   Protocol* resolve(const InstanceId& path, bool& drop);
   void ooc_store(ProcessId from, Message m);
   void ooc_purge_prefix(const InstanceId& prefix);
@@ -251,7 +233,6 @@ class ProtocolStack {
   Metrics metrics_;
   Adversary* adversary_;
   Tracer* tracer_ = nullptr;
-  RootResolver root_resolver_;
 
   std::unordered_map<InstanceId, Protocol*, InstanceIdHash> registry_;
 

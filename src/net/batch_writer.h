@@ -25,8 +25,8 @@
 
 namespace ritas::net {
 
-/// One frame as up to three non-owning segments; empty segments are legal
-/// (unauthenticated frames have no MAC, bodies may be zero-length).
+/// One frame as up to three non-owning segments (header, body, MAC); empty
+/// segments are legal (bodies may be zero-length).
 struct FrameImage {
   ByteView parts[3];
   std::size_t size() const {

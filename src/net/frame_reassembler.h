@@ -1,7 +1,7 @@
 // Incremental splitter for the reliable-channel byte stream.
 //
 // The data-frame format (docs/PROTOCOLS.md "Reliable channel") is
-// self-delimiting: u32 body_len | u64 sid | u64 counter | body | [32 B mac].
+// self-delimiting: u32 body_len | u64 sid | u64 counter | body | 32 B mac.
 // TCP delivers that stream at arbitrary byte boundaries, so the transport
 // accumulates bytes here and pulls whole frames out. The class is pure and
 // position-agnostic by construction: feeding a stream one byte at a time,
@@ -32,7 +32,7 @@ class FrameReassembler {
     std::uint64_t counter = 0;
     // Views into the internal window; valid until consume()/feed()/clear().
     ByteView body;
-    ByteView mac;  // empty when the stream carries no MAC trailer
+    ByteView mac;
   };
 
   enum class Status {
@@ -41,8 +41,7 @@ class FrameReassembler {
     kOversize,  // declared body_len exceeds max_frame: poison the stream
   };
 
-  FrameReassembler(std::size_t max_frame, bool with_mac)
-      : max_frame_(max_frame), with_mac_(with_mac) {}
+  explicit FrameReassembler(std::size_t max_frame) : max_frame_(max_frame) {}
 
   void feed(const std::uint8_t* data, std::size_t len) {
     buf_.insert(buf_.end(), data, data + len);
@@ -60,15 +59,12 @@ class FrameReassembler {
     const std::uint64_t sid = hdr.u64();
     const std::uint64_t counter = hdr.u64();
     if (body_len > max_frame_) return Status::kOversize;
-    const std::size_t trailer = with_mac_ ? kMacSize : 0;
-    const std::size_t total = kHeaderSize + body_len + trailer;
+    const std::size_t total = kHeaderSize + body_len + kMacSize;
     if (avail < total) return Status::kNeedMore;
     out.sid = sid;
     out.counter = counter;
     out.body = ByteView(buf_.data() + off_ + kHeaderSize, body_len);
-    out.mac = with_mac_
-                  ? ByteView(buf_.data() + off_ + kHeaderSize + body_len, kMacSize)
-                  : ByteView{};
+    out.mac = ByteView(buf_.data() + off_ + kHeaderSize + body_len, kMacSize);
     pending_ = total;
     return Status::kFrame;
   }
@@ -101,7 +97,6 @@ class FrameReassembler {
   std::size_t off_ = 0;      // consumed prefix
   std::size_t pending_ = 0;  // size of the frame last returned by next()
   std::size_t max_frame_;
-  bool with_mac_;
 };
 
 }  // namespace ritas::net

@@ -145,7 +145,7 @@ TcpTransport::TcpTransport(Options opts, const KeyChain& keys)
   rng_ = std::make_unique<Rng>(seed);
   conns_.reserve(opts_.n);
   for (ProcessId p = 0; p < opts_.n; ++p) {
-    conns_.push_back(std::make_unique<Conn>(kMaxFrame, opts_.authenticate));
+    conns_.push_back(std::make_unique<Conn>(kMaxFrame));
     if (p < opts_.self) {
       // We dial every lower id; each link's jitter stream is independent.
       conns_[p]->retry =
@@ -270,14 +270,12 @@ bool TcpTransport::watch(int op, int fd, std::uint32_t events, std::int64_t owne
 
 void TcpTransport::prep_entry(Conn& c, Retained& e, ProcessId to) {
   if (e.prep_sid == c.sid) return;  // header + MAC already current
-  if (opts_.authenticate) {
-    Writer macin(24);
-    macin.u32(opts_.self);
-    macin.u32(to);
-    macin.u64(c.sid);
-    macin.u64(e.counter);
-    e.mac_trailer = keys_.mac_key(to).mac(macin.data(), e.frame);
-  }
+  Writer macin(24);
+  macin.u32(opts_.self);
+  macin.u32(to);
+  macin.u64(c.sid);
+  macin.u64(e.counter);
+  e.mac_trailer = keys_.mac_key(to).mac(macin.data(), e.frame);
   Writer hdr(kFrameHeader);
   hdr.u32(static_cast<std::uint32_t>(e.frame.size()));
   hdr.u64(c.sid);
@@ -315,9 +313,7 @@ void TcpTransport::drain(Conn& c, ProcessId to) {
       FrameImage& img = imgs[nimg];
       img.parts[0] = ByteView(e.hdr.data(), e.hdr.size());
       img.parts[1] = e.frame;
-      img.parts[2] = opts_.authenticate
-                         ? ByteView(e.mac_trailer.data(), e.mac_trailer.size())
-                         : ByteView{};
+      img.parts[2] = ByteView(e.mac_trailer.data(), e.mac_trailer.size());
       batch_bytes += img.size();
       ++nimg;
       // Soft cap: at least one frame is always offered.
@@ -465,17 +461,15 @@ bool TcpTransport::send_handshake(const Handshake& hs, bool header, bool floor) 
   if (header) {
     w.u32(kHandshakeMagic);
     w.u8(kWireVersion);
-    w.u8(opts_.authenticate ? kFlagAuthenticate : 0);
+    w.u8(kFlagAuthenticate);
     w.u32(opts_.self);
     w.u64(hs.dialer ? hs.nonce_d : hs.nonce_a);
   }
   if (floor) {
     const std::uint64_t rx_expected = conns_[hs.peer]->rx_expected;
     w.u64(rx_expected);
-    if (opts_.authenticate) {
-      const auto mac = transcript_mac(hs, hs.dialer ? 'd' : 'a', rx_expected);
-      w.raw(ByteView(mac.data(), mac.size()));
-    }
+    const auto mac = transcript_mac(hs, hs.dialer ? 'd' : 'a', rx_expected);
+    w.raw(ByteView(mac.data(), mac.size()));
   }
   const ByteView msg = w.data();
   ssize_t k = -1;
@@ -498,13 +492,11 @@ void TcpTransport::read_handshake(Handshake& hs) {
     eof = k == 0 || (errno != EAGAIN && errno != EWOULDBLOCK);
     break;
   }
-  const std::uint8_t want_flags = opts_.authenticate ? kFlagAuthenticate : 0;
-  const std::size_t mac_size = opts_.authenticate ? kMacSize : 0;
   for (;;) {
     const bool header = hs.await != Handshake::Await::kConfirm;  // HELLO, REPLY
     const bool floor = hs.await != Handshake::Await::kHello;     // REPLY, CONFIRM
     const std::size_t size =
-        (header ? kHeaderSize : 0) + (floor ? kFloorSize + mac_size : 0);
+        (header ? kHeaderSize : 0) + (floor ? kFloorSize + kMacSize : 0);
     if (hs.rx.size() < size) {
       if (eof) fail_handshake(hs);  // the peer hung up mid-handshake
       return;
@@ -520,7 +512,7 @@ void TcpTransport::read_handshake(Handshake& hs) {
       // A REPLY must come from the peer we dialed; a HELLO from a higher id
       // (only higher ids dial us).
       ok = magic == kHandshakeMagic && version == kWireVersion &&
-           flags == want_flags &&
+           flags == kFlagAuthenticate &&
            (hs.dialer ? id == hs.peer : id > opts_.self && id < opts_.n);
       if (hs.dialer) {
         hs.nonce_a = nonce;
@@ -532,11 +524,9 @@ void TcpTransport::read_handshake(Handshake& hs) {
     std::uint64_t peer_rx_expected = 0;
     if (ok && floor) {
       peer_rx_expected = r.u64();
-      if (opts_.authenticate) {
-        const auto mac = transcript_mac(hs, hs.dialer ? 'a' : 'd', peer_rx_expected);
-        ok = ct_equal(ByteView(mac.data(), mac.size()),
-                      ByteView(hs.rx.data() + size - kMacSize, kMacSize));
-      }
+      const auto mac = transcript_mac(hs, hs.dialer ? 'a' : 'd', peer_rx_expected);
+      ok = ct_equal(ByteView(mac.data(), mac.size()),
+                    ByteView(hs.rx.data() + size - kMacSize, kMacSize));
     }
     if (!ok) {
       fail_handshake(hs);
@@ -584,11 +574,8 @@ void TcpTransport::complete_handshake(Handshake& hs, std::uint64_t peer_rx_expec
   }
   const std::uint32_t dialer = hs.dialer ? opts_.self : peer;
   const std::uint32_t acceptor = hs.dialer ? peer : opts_.self;
-  const HmacSha256Key unkeyed;
-  const HmacSha256Key& sid_key =
-      opts_.authenticate ? keys_.mac_key(peer) : unkeyed;
-  const std::uint64_t sid =
-      derive_sid(sid_key, dialer, acceptor, hs.nonce_d, hs.nonce_a);
+  const std::uint64_t sid = derive_sid(keys_.mac_key(peer), dialer, acceptor,
+                                      hs.nonce_d, hs.nonce_a);
 
   c.fd = std::move(hs.fd);
   c.sid = sid;
@@ -836,7 +823,7 @@ void TcpTransport::process_rx(ProcessId peer) {
       counters_->session_rejects.fetch_add(1, std::memory_order_relaxed);
       ok = false;
     }
-    if (ok && opts_.authenticate) {
+    if (ok) {
       Writer macin(24);
       macin.u32(peer);
       macin.u32(opts_.self);

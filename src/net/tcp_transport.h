@@ -149,7 +149,6 @@ class TcpTransport final : public Transport {
     std::uint32_t n = 4;
     ProcessId self = 0;
     std::vector<PeerAddr> peers;  // size n; peers[self] = own listen address
-    bool authenticate = true;     // HMAC frames + handshake (the "IPSec" switch)
     int connect_timeout_ms = 15'000;
     /// start() returns once this many links are up; 0 = auto (n - f - 1,
     /// f = (n-1)/3): enough links that the local stack can make protocol
@@ -292,7 +291,7 @@ class TcpTransport final : public Transport {
   /// kUp while `fd` holds the established session; kBackoff while a dialer
   /// waits out its retry delay.
   struct Conn {
-    Conn(std::size_t max_frame, bool with_mac) : rx(max_frame, with_mac) {}
+    explicit Conn(std::size_t max_frame) : rx(max_frame) {}
     // --- owner-only ---
     FrameReassembler rx;             // stream reassembly window
     std::uint64_t rx_expected = 0;   // next counter expected (survives sessions)

@@ -6,12 +6,9 @@
 #include <mutex>
 #include <optional>
 #include <stdexcept>
-#include <string>
 
 #include "core/binary_consensus.h"
-#include "core/echo_broadcast.h"
 #include "core/multivalued_consensus.h"
-#include "core/reliable_broadcast.h"
 #include "core/vector_consensus.h"
 
 namespace ritas {
@@ -82,18 +79,11 @@ class Decision {
 }  // namespace
 
 Context::Context(Options opts)
-    : opts_(validate(std::move(opts))),
-      node_("ritas::Context", opts_),
-      rb_created_(opts_.n, 0),
-      eb_created_(opts_.n, 0),
-      rb_delivered_(opts_.n, 0),
-      eb_delivered_(opts_.n, 0) {
+    : opts_(validate(std::move(opts))), node_("ritas::Context", opts_) {
   ProtocolStack& stack = node_.stack();
-  stack.set_root_resolver(
-      [this](const InstanceId& root) { return admit_bcast_root(root); });
-  // The session-wide atomic broadcast root exists before the first frame
-  // can arrive; rb/eb roots are created on first reference
-  // (admit_bcast_root).
+  // The session-wide roots exist before the first frame can arrive; rb/eb
+  // broadcasts are their service root's children, created on first
+  // reference.
   auto ab = std::make_unique<AtomicBroadcast>(
       stack, nullptr, InstanceId::root(ProtocolType::kAtomicBroadcast, 0),
       [this](ProcessId origin, std::uint64_t rbid, Slice payload) {
@@ -108,12 +98,16 @@ Context::Context(Options opts)
       });
   ab_ = ab.get();
   roots_.emplace(ab_->id(), std::move(ab));
-  // Delivered rb/eb roots are freed at the node's safe point, after the
-  // stack's pump.
-  node_.serve([this] {
-    for (const InstanceId& id : dead_roots_) roots_.erase(id);
-    dead_roots_.clear();
-  });
+  auto service = [&](ProtocolType type, BlockingQueue<Delivery>& rx) {
+    auto s = std::make_unique<BroadcastService>(
+        stack, type, opts_.recv_window,
+        [&rx](ProcessId o, Slice p) { rx.push(Delivery{o, p.to_bytes()}); });
+    BroadcastService* raw = s.get();
+    roots_.emplace(raw->id(), std::move(s));
+    return raw;
+  };
+  rb_ = service(ProtocolType::kReliableBroadcast, rb_rx_);
+  eb_ = service(ProtocolType::kEchoBroadcast, eb_rx_);
 }
 
 Context::~Context() { stop(); }
@@ -131,96 +125,16 @@ void Context::stop() {
   ab_rx_.close();
   if (!was_running) return;
   roots_.clear();
-  dead_roots_.clear();
   ab_ = nullptr;
-}
-
-RootVerdict Context::admit_bcast_root(const InstanceId& root) {
-  const Component c = root.at(0);
-  const bool rb = c.type == ProtocolType::kReliableBroadcast;
-  if (!rb && c.type != ProtocolType::kEchoBroadcast) {
-    // Consensus roots exist only once the local process calls bc/mvc/vc.
-    return RootVerdict::kOutOfContext;
-  }
-  const std::uint64_t origin = c.seq >> 32;
-  if (origin >= opts_.n) return RootVerdict::kDrop;  // no such sender
-  const auto o = static_cast<ProcessId>(origin);
-  const std::uint64_t k = c.seq & 0xffffffffu;
-  std::uint64_t& created = (rb ? rb_created_ : eb_created_)[o];
-  const std::uint64_t delivered = (rb ? rb_delivered_ : eb_delivered_)[o];
-  // Below the watermark the root was delivered and destroyed: late
-  // ECHO/READY stragglers are dropped, like AtomicBroadcast's done_ rule.
-  if (k < created) return RootVerdict::kDrop;
-  if (k >= delivered + opts_.recv_window) return RootVerdict::kOutOfContext;
-  for (; created <= k; ++created) {
-    const std::uint64_t j = created;
-    const InstanceId id = InstanceId::root(c.type, bcast_seq(o, j));
-    auto deliver = [this, type = c.type, o, j](Slice payload) {
-      on_bcast_deliver(type, o, j, payload.to_bytes());
-    };
-    ProtocolStack& stack = node_.stack();
-    if (rb) {
-      roots_.emplace(id, make_rb(stack, nullptr, id, o, Attribution::kPayload,
-                                 std::move(deliver)));
-    } else {
-      roots_.emplace(id, std::make_unique<EchoBroadcast>(
-                             stack, nullptr, id, o, Attribution::kPayload,
-                             std::move(deliver)));
-    }
-  }
-  return RootVerdict::kCreated;
-}
-
-Protocol& Context::local_bcast_root(ProtocolType type, std::uint64_t k) {
-  const InstanceId id = InstanceId::root(type, bcast_seq(opts_.self, k));
-  auto it = roots_.find(id);
-  if (it == roots_.end() && admit_bcast_root(id) == RootVerdict::kCreated) {
-    it = roots_.find(id);
-  }
-  if (it == roots_.end()) {
-    throw std::logic_error(
-        std::string(type == ProtocolType::kReliableBroadcast ? "rb_bcast"
-                                                             : "eb_bcast") +
-        ": sender outran the receive window");
-  }
-  return *it->second;
-}
-
-void Context::on_bcast_deliver(ProtocolType type, ProcessId origin,
-                               std::uint64_t k, Bytes payload) {
-  std::uint64_t& delivered = (type == ProtocolType::kReliableBroadcast
-                                  ? rb_delivered_
-                                  : eb_delivered_)[origin];
-  const std::uint64_t old_end = delivered + opts_.recv_window;
-  if (k + 1 > delivered) delivered = k + 1;
-  // Frames parked beyond the old window end may now create their roots.
-  for (std::uint64_t j = old_end; j < delivered + opts_.recv_window; ++j) {
-    node_.stack().retry_ooc(InstanceId::root(type, bcast_seq(origin, j)));
-  }
-  // This instance finished its job; free it at the next safe point (we are
-  // currently inside its delivery callback).
-  dead_roots_.push_back(InstanceId::root(type, bcast_seq(origin, k)));
-  if (type == ProtocolType::kReliableBroadcast) {
-    rb_rx_.push(Delivery{origin, std::move(payload)});
-  } else {
-    eb_rx_.push(Delivery{origin, std::move(payload)});
-  }
+  rb_ = eb_ = nullptr;
 }
 
 void Context::rb_bcast(Bytes payload) {
-  node_.run([this, &payload] {
-    auto& rb = static_cast<RbAlgorithm&>(
-        local_bcast_root(ProtocolType::kReliableBroadcast, rb_sent_++));
-    rb.bcast(std::move(payload));
-  });
+  node_.run([this, &payload] { rb_->bcast(std::move(payload)); });
 }
 
 void Context::eb_bcast(Bytes payload) {
-  node_.run([this, &payload] {
-    auto& eb = static_cast<EchoBroadcast&>(
-        local_bcast_root(ProtocolType::kEchoBroadcast, eb_sent_++));
-    eb.bcast(std::move(payload));
-  });
+  node_.run([this, &payload] { eb_->bcast(std::move(payload)); });
 }
 
 Context::Delivery Context::rb_recv() { return rb_rx_.pop(); }

@@ -19,9 +19,10 @@
 // (consensus).
 //
 // Instance naming convention (implicit agreement across processes): the
-// k-th rb/eb broadcast by origin o is root (kRB/kEB, o<<32|k); consensus
-// calls are numbered by call order (all processes must invoke them in the
-// same order, as with any consensus API); one atomic broadcast instance
+// k-th rb/eb broadcast by origin o is (kRB/kEB, o<<32|k), a child of the
+// service root (kRB/kEB, 0) (ritas/broadcast_service.h); consensus calls
+// are numbered by call order (all processes must invoke them in the same
+// order, as with any consensus API); one atomic broadcast instance
 // (kAB, 0) serves the whole session.
 #pragma once
 
@@ -39,6 +40,7 @@
 
 #include "core/atomic_broadcast.h"
 #include "core/stack.h"
+#include "ritas/broadcast_service.h"
 #include "ritas/node.h"
 
 namespace ritas {
@@ -63,8 +65,8 @@ class Context {
     /// admitted while k < d + recv_window, with d one past the highest k
     /// of o delivered so far; frames further ahead wait out of context
     /// until deliveries catch up. Also bounds the local sender
-    /// (rb_bcast/eb_bcast throw std::logic_error beyond it). Instances are
-    /// created on first reference, not up front.
+    /// (rb_bcast/eb_bcast throw std::logic_error beyond it, using up no
+    /// k). Instances are created on first reference, not up front.
     std::uint32_t recv_window = 64;
   };
 
@@ -218,35 +220,16 @@ class Context {
     bool closed_ = false;
   };
 
-  static std::uint64_t bcast_seq(ProcessId origin, std::uint64_t k) {
-    return (static_cast<std::uint64_t>(origin) << 32) | k;
-  }
-  /// The stack's root resolver: creates rb/eb roots on first reference.
-  /// For root (type, origin o, k): drop below created[o] (delivered and
-  /// destroyed), park out of context at or beyond delivered[o] +
-  /// recv_window, else create roots created[o]..k. Poll thread only.
-  RootVerdict admit_bcast_root(const InstanceId& root);
-  /// The local origin's k-th rb/eb root, created under the same rule;
-  /// throws std::logic_error when the sender outran the receive window.
-  Protocol& local_bcast_root(ProtocolType type, std::uint64_t k);
-  void on_bcast_deliver(ProtocolType type, ProcessId origin, std::uint64_t k,
-                        Bytes payload);
-
   Options opts_;
   Node node_;
 
-  // Poll-thread-owned protocol state. rb/eb roots are created on first
-  // reference and destroyed once delivered (deferred to a safe point —
-  // never inside their own delivery callback); consensus roots stay for
-  // the session (peers may still need our courtesy-round participation).
+  // Poll-thread-owned protocol state: the session-wide AB and rb/eb
+  // service roots, and one root per consensus call, kept for the session
+  // (peers may still need our courtesy-round participation).
   std::map<InstanceId, std::unique_ptr<Protocol>> roots_;
-  std::vector<InstanceId> dead_roots_;
   AtomicBroadcast* ab_ = nullptr;
-  // Per origin: roots 0..created-1 exist or were delivered; delivered is
-  // one past the highest delivered k.
-  std::vector<std::uint64_t> rb_created_, eb_created_;
-  std::vector<std::uint64_t> rb_delivered_, eb_delivered_;
-  std::uint64_t rb_sent_ = 0, eb_sent_ = 0;
+  BroadcastService* rb_ = nullptr;
+  BroadcastService* eb_ = nullptr;
   std::uint64_t bc_calls_ = 0, mvc_calls_ = 0, vc_calls_ = 0;
 
   BlockingQueue<Delivery> rb_rx_, eb_rx_;

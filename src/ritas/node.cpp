@@ -68,8 +68,6 @@ Node::Node(std::string who, const Options& opts, std::uint32_t groups)
 
 Node::~Node() { stop(); }
 
-void Node::serve(std::function<void()> hook) { hook_ = std::move(hook); }
-
 void Node::start() {
   if (running_.load()) return;
   transport_->start();  // throws on timeout, and once stop() has run
@@ -130,7 +128,6 @@ void Node::drain_tasks() {
   for (auto& t : tasks) t();
   // Safe point: nothing is on a protocol call stack here.
   for (auto& stack : stacks_) stack->pump();
-  if (hook_) hook_();
 }
 
 bool Node::post(std::function<void()> fn) {

@@ -14,8 +14,9 @@
 // Thread ownership map:
 //   poll thread  — sockets, link state machines, the mux and every
 //                  stack's on_packet, every posted task, and after each
-//                  drain every stack's pump and then the serve() hook;
-//                  one thread per node, as in the paper (§3). Until
+//                  drain every stack's pump (the safe point where
+//                  protocols free what completed); one thread per node,
+//                  as in the paper (§3). Until
 //                  start() returns, the thread calling it polls the mesh
 //                  and plays this role.
 //   app threads  — post()/run(), metrics(), stats, waits
@@ -80,12 +81,6 @@ class Node {
   Node(const Node&) = delete;
   Node& operator=(const Node&) = delete;
 
-  /// Registers the front's safe-point hook, run on the poll thread after
-  /// every batch of frames and tasks, once every stack has been pumped:
-  /// nothing is on a protocol call stack there, so it may destroy roots
-  /// that delivered. Call before start().
-  void serve(std::function<void()> hook);
-
   /// Dials the mesh (blocks until min_start_links links are up; frames
   /// that arrive meanwhile already reach the stacks), starts the poll
   /// thread and returns after its first cycle. Throws std::runtime_error
@@ -123,7 +118,7 @@ class Node {
 
  private:
   void poll_loop();
-  /// Runs every queued task, then pumps every stack, then the hook.
+  /// Runs every queued task, then pumps every stack.
   void drain_tasks();
 
   std::string who_;
@@ -132,7 +127,6 @@ class Node {
   std::unique_ptr<net::TcpTransport> transport_;
   std::vector<std::unique_ptr<ProtocolStack>> stacks_;  // [group]
   GroupMux mux_;
-  std::function<void()> hook_;
 
   std::atomic<bool> running_{false};
   std::mutex tasks_mutex_;

@@ -1,14 +1,15 @@
 // Public-API edge cases: Context lifecycle (stop wakes blocked receivers,
 // idempotent stop, errors after stop, stop ending a start() blocked on the
-// mesh), the delivered-root garbage
-// collection behind rb/eb windows and its straggler drops, and C-API
-// buffer-size corners.
+// mesh), the rb window (delivered broadcasts freed, stragglers dropped, a
+// refused rb_bcast retried), and C-API buffer-size corners.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <future>
 #include <thread>
+#include <vector>
 
 #include "net_helpers.h"
 #include "ritas/context.h"
@@ -80,29 +81,80 @@ TEST(ContextLifecycle, StopWakesBlockedConsensusCaller) {
   EXPECT_THROW((void)cluster[0].bc(true), std::logic_error);
 }
 
+/// A node's stack instance count, read on its poll thread.
+std::size_t instance_count(Context& c) {
+  std::size_t count = 0;
+  c.node().run([&c, &count] { count = c.node().stack().instance_count(); });
+  return count;
+}
+
+/// Polls a node's instance count for up to 5 s until it reads `want`.
+std::size_t settle_instance_count(Context& c, std::size_t want) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  std::size_t count = instance_count(c);
+  while (count != want && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    count = instance_count(c);
+  }
+  return count;
+}
+
 TEST(ContextLifecycle, DeliveredBroadcastRootsAreFreed) {
-  // The receive-window roots of delivered broadcasts must be destroyed
-  // (deferred GC), keeping the instance count bounded during long streams.
+  // The broadcasts of a delivered stream must be destroyed (deferred GC),
+  // keeping the instance count bounded during long streams: a broadcast
+  // lives from its first reference until its delivery, and an origin may
+  // run at most recv_window (64) broadcasts ahead of the last one
+  // delivered.
   Mesh4 cluster;
+  const std::size_t baseline = instance_count(cluster[3]);
   const Metrics before = cluster[3].metrics();
   for (int i = 0; i < 40; ++i) {
     cluster[0].rb_bcast(to_bytes("gc-probe"));
     (void)cluster[3].rb_recv();
   }
-  // Give the reactor a beat to run its deferred GC.
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  const Metrics after = cluster[3].metrics();
-  EXPECT_GE(after.msgs_received, before.msgs_received + 40);
-  // An rb root lives from its first reference until its delivery, and an
-  // origin may run at most recv_window (64) broadcasts ahead of the last
-  // one delivered; the 40 delivered instances must NOT stay allocated. We
-  // can't see instance_count through the facade, so probe indirectly: the
-  // stream still works after more than one window of traffic.
+  EXPECT_GE(cluster[3].metrics().msgs_received, before.msgs_received + 40);
+  EXPECT_EQ(settle_instance_count(cluster[3], baseline), baseline);
+  // More than one window of traffic from another origin.
   for (int i = 0; i < 80; ++i) {
     cluster[1].rb_bcast(to_bytes("beyond-one-window"));
     (void)cluster[3].rb_recv();
   }
-  SUCCEED();
+  EXPECT_EQ(settle_instance_count(cluster[3], baseline), baseline);
+}
+
+TEST(ContextLifecycle, RefusedBroadcastDoesNotUseUpItsSequenceNumber) {
+  // Node 0 may run one rb broadcast ahead of its last delivered one. Only
+  // nodes 0 and 1 run at first, too few to deliver anything, so a second
+  // rb_bcast is refused for certain. The refusal must leave k alone: once
+  // nodes 2 and 3 join and "a" is delivered, the retry is broadcast 1,
+  // which every node admits and delivers, and no broadcast is left behind.
+  test::ContextMesh cluster(4, "edge-master", 2100, [](Context::Options& o) {
+    o.min_start_links = 1;
+    if (o.self == 0) o.recv_window = 1;
+  });
+  cluster.start({0, 1});
+  // Every node holds the same roots before the burst.
+  const std::size_t baseline = instance_count(cluster[0]);
+  cluster[0].rb_bcast(to_bytes("a"));
+  EXPECT_THROW(cluster[0].rb_bcast(to_bytes("b")), std::logic_error);
+  cluster.start({2, 3});
+  for (ProcessId p = 0; p < 4; ++p) {
+    const auto d = cluster[p].rb_recv_for(std::chrono::seconds(30));
+    ASSERT_TRUE(d.has_value()) << "node " << p;
+    EXPECT_EQ(to_string(d->payload), "a");
+  }
+  ASSERT_NO_THROW(cluster[0].rb_bcast(to_bytes("b")));
+  for (ProcessId p = 0; p < 4; ++p) {
+    const auto d = cluster[p].rb_recv_for(std::chrono::seconds(30));
+    ASSERT_TRUE(d.has_value()) << "node " << p;
+    EXPECT_EQ(d->origin, 0u);
+    EXPECT_EQ(to_string(d->payload), "b");
+  }
+  for (ProcessId p = 0; p < 4; ++p) {
+    EXPECT_EQ(settle_instance_count(cluster[p], baseline), baseline)
+        << "node " << p;
+  }
 }
 
 TEST(ContextLifecycle, LateFramesForDeliveredRootsAreDroppedNotParked) {

@@ -1,19 +1,18 @@
 // ProtocolStack unit tests: demultiplexing, spawn-on-demand, the
-// out-of-context table (store/drain/evict/purge), defensive drops, and the
-// root resolver hook (create / drop / park roots on first reference).
+// out-of-context table (store/drain/evict/purge) and defensive drops, and
+// ritas::BroadcastService's windowed children (create / park / drop on
+// first reference) on an in-memory loopback mesh.
 #include "core/stack.h"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <deque>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "core/message.h"
-#include "core/variants.h"
+#include "ritas/broadcast_service.h"
 
 namespace ritas {
 namespace {
@@ -359,46 +358,7 @@ TEST_F(StackTest, RejectsBadConfig) {
   EXPECT_THROW(ProtocolStack(bad2, transport_, keys_, 1), std::invalid_argument);
 }
 
-// --- root resolver --------------------------------------------------------
-
-TEST_F(StackTest, ResolverCreatedRootReceivesTheFrame) {
-  const InstanceId root = InstanceId::root(ProtocolType::kAtomicBroadcast, 1);
-  const InstanceId deep = root.child({ProtocolType::kReliableBroadcast, 7});
-  std::vector<InstanceId> asked;
-  std::unique_ptr<Probe> made;
-  stack_.set_root_resolver([&](const InstanceId& r) {
-    asked.push_back(r);
-    made = std::make_unique<Probe>(stack_, nullptr, r, &log_, /*spawnable=*/true);
-    return RootVerdict::kCreated;
-  });
-  stack_.on_packet(1, frame_for(deep, 1, to_bytes("on demand")));
-  ASSERT_EQ(asked.size(), 1u);
-  EXPECT_EQ(asked[0], root);  // asked about the root, not the full path
-  ASSERT_EQ(log_.size(), 1u);
-  EXPECT_EQ(log_[0].path, deep);
-  EXPECT_EQ(stack_.metrics().ooc_stored, 0u);
-  // Once registered, the root is routed to without asking again.
-  stack_.on_packet(2, frame_for(root, 2, {}));
-  EXPECT_EQ(asked.size(), 1u);
-  EXPECT_EQ(log_.size(), 2u);
-}
-
-TEST_F(StackTest, ResolverDropAndOutOfContextVerdicts) {
-  RootVerdict verdict = RootVerdict::kDrop;
-  stack_.set_root_resolver([&](const InstanceId&) { return verdict; });
-  const InstanceId id = InstanceId::root(ProtocolType::kReliableBroadcast, 3);
-  stack_.on_packet(1, frame_for(id, 0, to_bytes("gone")));
-  EXPECT_EQ(stack_.metrics().unroutable_dropped, 1u);
-  EXPECT_EQ(stack_.ooc_size(), 0u);
-  verdict = RootVerdict::kOutOfContext;
-  stack_.on_packet(1, frame_for(id, 0, to_bytes("early")));
-  EXPECT_EQ(stack_.ooc_size(), 1u);
-  // A resolver claiming kCreated without registering anything parks too.
-  verdict = RootVerdict::kCreated;
-  stack_.on_packet(2, frame_for(id, 0, to_bytes("claimed")));
-  EXPECT_EQ(stack_.ooc_size(), 2u);
-  EXPECT_TRUE(log_.empty());
-}
+// --- the rb/eb broadcast service on a loopback mesh ---------------------
 
 /// n stacks joined by an in-memory loopback: sends queue up and run()
 /// delivers them in FIFO order until the mesh is quiet. Clock-less, so
@@ -423,13 +383,16 @@ class LoopbackMesh {
   }
   ProtocolStack& stack(ProcessId p) { return *stacks_[p]; }
   void inject(const Hop& h) { stacks_[h.to]->on_packet(h.from, h.frame); }
+  /// Delivers the oldest queued hop and returns it.
+  Hop step() {
+    Hop h = std::move(queue_.front());
+    queue_.pop_front();
+    delivered.push_back(h);
+    inject(h);
+    return h;
+  }
   void run() {
-    while (!queue_.empty()) {
-      Hop h = std::move(queue_.front());
-      queue_.pop_front();
-      delivered.push_back(h);
-      inject(h);
-    }
+    while (!queue_.empty()) step();
   }
   std::vector<Hop> delivered;
 
@@ -452,81 +415,69 @@ class LoopbackMesh {
   std::deque<Hop> queue_;
 };
 
-/// One process's rb roots for origin 1 (root seq = k), created on demand
-/// under the create / drop-below-watermark / out-of-context-beyond-window
-/// rule, with each delivery re-offering the keys it admits.
-class WindowedRoots {
- public:
-  WindowedRoots(ProtocolStack& stack, std::uint64_t window)
-      : stack_(stack), window_(window) {}
-
-  RootVerdict admit(const InstanceId& root) {
-    const std::uint64_t k = root.at(0).seq;
-    if (k < created_) return RootVerdict::kDrop;
-    if (k >= delivered_ + window_) return RootVerdict::kOutOfContext;
-    for (; created_ <= k; ++created_) {
-      const std::uint64_t j = created_;
-      roots[j] = make_rb(stack_, nullptr, id(j), 1, Attribution::kPayload,
-                         [this, j](Slice payload) { on_deliver(j, payload); });
-    }
-    return RootVerdict::kCreated;
-  }
-  void install() {
-    stack_.set_root_resolver([this](const InstanceId& r) { return admit(r); });
-  }
-  static InstanceId id(std::uint64_t k) {
-    return InstanceId::root(ProtocolType::kReliableBroadcast, k);
-  }
-
-  std::map<std::uint64_t, std::unique_ptr<RbAlgorithm>> roots;
-  std::vector<std::string> got;
-
- private:
-  void on_deliver(std::uint64_t k, const Slice& payload) {
-    got.push_back(to_string(payload.to_bytes()));
-    const std::uint64_t old_end = delivered_ + window_;
-    delivered_ = std::max(delivered_, k + 1);
-    for (std::uint64_t j = old_end; j < delivered_ + window_; ++j) {
-      stack_.retry_ooc(id(j));
+/// One rb BroadcastService per process of a LoopbackMesh, each logging
+/// what it delivers.
+struct Services {
+  Services(LoopbackMesh& mesh, const std::vector<std::uint32_t>& windows) {
+    got.resize(windows.size());
+    for (ProcessId p = 0; p < windows.size(); ++p) {
+      at.push_back(std::make_unique<BroadcastService>(
+          mesh.stack(p), ProtocolType::kReliableBroadcast, windows[p],
+          [this, p](ProcessId origin, Slice payload) {
+            got[p].push_back(std::to_string(origin) + ":" +
+                             to_string(payload.to_bytes()));
+          }));
     }
   }
-
-  ProtocolStack& stack_;
-  std::uint64_t window_;
-  std::uint64_t created_ = 0, delivered_ = 0;
+  /// Origin o's k-th broadcast.
+  InstanceId path(ProcessId o, std::uint64_t k) const {
+    return at[0]->id().child(at[0]->child_component(o, k));
+  }
+  std::vector<std::unique_ptr<BroadcastService>> at;
+  std::vector<std::vector<std::string>> got;
 };
 
-TEST(StackRootResolver, CreateParkAndDropOnALoopbackMesh) {
+Message frame_to(const InstanceId& path) {
+  Message m;
+  m.path = path;
+  m.tag = 0;
+  m.payload = to_bytes("x");
+  return m;
+}
+
+TEST(BroadcastService, CreateParkAndDropOnALoopbackMesh) {
   LoopbackMesh mesh(4);
-  std::vector<std::unique_ptr<WindowedRoots>> w;
-  for (ProcessId p = 0; p < 4; ++p) {
-    w.push_back(std::make_unique<WindowedRoots>(mesh.stack(p), p == 0 ? 1 : 64));
-    w[p]->install();
-  }
+  Services svc(mesh, {1, 64, 64, 64});
   // Origin 1 starts broadcasts 0 and 1 before anything is delivered.
-  for (std::uint64_t k = 0; k < 2; ++k) {
-    ASSERT_EQ(w[1]->admit(WindowedRoots::id(k)), RootVerdict::kCreated);
-    w[1]->roots[k]->bcast(to_bytes("b" + std::to_string(k)));
+  for (const char* b : {"b0", "b1"}) {
+    svc.at[1]->bcast(to_bytes(b));
     mesh.stack(1).pump();
   }
+  // p0 creates broadcast 0 on its first frame, with nothing parked.
+  while (mesh.step().to != 0) {
+  }
+  EXPECT_TRUE(mesh.stack(0).has_instance(svc.path(1, 0)));
+  EXPECT_EQ(mesh.stack(0).ooc_size(), 0u);
   mesh.run();
-  // p0 created root 0 on its first frame, parked broadcast 1 (beyond its
-  // one-wide window) and drained it once broadcast 0 was delivered.
+  // p0 parked broadcast 1 (beyond its one-wide window) and drained it
+  // once broadcast 0 was delivered.
   const Metrics& m = mesh.stack(0).metrics();
-  EXPECT_EQ(w[0]->got, (std::vector<std::string>{"b0", "b1"}));
+  EXPECT_EQ(svc.got[0], (std::vector<std::string>{"1:b0", "1:b1"}));
   EXPECT_GT(m.ooc_stored, 0u);
   EXPECT_EQ(m.ooc_drained, m.ooc_stored);
   EXPECT_EQ(mesh.stack(0).ooc_size(), 0u);
-  for (ProcessId p = 1; p < 4; ++p) EXPECT_EQ(w[p]->got.size(), 2u);
+  for (ProcessId p = 1; p < 4; ++p) EXPECT_EQ(svc.got[p].size(), 2u);
+  // Both broadcasts were freed at the safe point after their delivery.
+  EXPECT_FALSE(mesh.stack(0).has_instance(svc.path(1, 0)));
+  EXPECT_FALSE(mesh.stack(0).has_instance(svc.path(1, 1)));
 
-  // Root 0 delivered and destroyed: a late copy of one of its frames is
-  // dropped below the watermark, not parked.
-  w[0]->roots.erase(0);
-  const std::uint64_t dropped = m.unroutable_dropped;
+  // A late copy of one of broadcast 0's frames is dropped below the
+  // floor, not parked.
+  std::uint64_t dropped = m.unroutable_dropped;
   bool replayed = false;
   for (const auto& h : mesh.delivered) {
     const auto msg = Message::decode(h.frame);
-    if (h.to == 0 && msg && msg->path == WindowedRoots::id(0)) {
+    if (h.to == 0 && msg && msg->path == svc.path(1, 0)) {
       mesh.inject(h);
       replayed = true;
       break;
@@ -535,47 +486,38 @@ TEST(StackRootResolver, CreateParkAndDropOnALoopbackMesh) {
   ASSERT_TRUE(replayed);
   EXPECT_EQ(m.unroutable_dropped, dropped + 1);
   EXPECT_EQ(mesh.stack(0).ooc_size(), 0u);
+
+  // So is a frame naming an origin outside the group.
+  dropped = m.unroutable_dropped;
+  mesh.stack(0).on_packet(2, frame_to(svc.path(4, 0)).encode());
+  EXPECT_EQ(m.unroutable_dropped, dropped + 1);
+  EXPECT_EQ(mesh.stack(0).ooc_size(), 0u);
+
+  // The service root takes no traffic: a counted invalid drop.
+  const std::uint64_t invalid = m.invalid_dropped;
+  EXPECT_NO_THROW(mesh.stack(0).on_packet(2, frame_to(svc.at[0]->id()).encode()));
+  EXPECT_EQ(m.invalid_dropped, invalid + 1);
+  EXPECT_EQ(mesh.stack(0).instance_count(), 1u);
 }
 
-TEST(StackRootResolver, DecliningResolverLeavesTheTraceByteIdentical) {
-  // p0 has no rb roots while the broadcasts run, so every frame to it is
-  // parked, then drained when the roots appear. A resolver that always
-  // answers kOutOfContext must produce exactly the no-resolver trace.
-  auto trace = [](bool declining_resolver) {
-    LoopbackMesh mesh(4);
-    Tracer tracer(0);
-    mesh.stack(0).set_tracer(&tracer);
-    if (declining_resolver) {
-      mesh.stack(0).set_root_resolver(
-          [](const InstanceId&) { return RootVerdict::kOutOfContext; });
-    }
-    std::vector<std::unique_ptr<WindowedRoots>> w;
-    for (ProcessId p = 1; p < 4; ++p) {
-      w.push_back(std::make_unique<WindowedRoots>(mesh.stack(p), 64));
-      w.back()->install();
-    }
-    for (std::uint64_t k = 0; k < 2; ++k) {
-      w[0]->admit(WindowedRoots::id(k));
-      w[0]->roots[k]->bcast(to_bytes("b" + std::to_string(k)));
-      mesh.stack(1).pump();
-    }
-    mesh.run();
-    std::vector<Slice> got;
-    std::vector<std::unique_ptr<RbAlgorithm>> late;
-    for (std::uint64_t k = 0; k < 2; ++k) {
-      late.push_back(make_rb(mesh.stack(0), nullptr, WindowedRoots::id(k), 1,
-                             Attribution::kPayload,
-                             [&got](Slice payload) { got.push_back(payload); }));
-    }
-    mesh.stack(0).pump();
-    mesh.run();
-    EXPECT_EQ(got.size(), 2u);
-    EXPECT_GT(mesh.stack(0).metrics().ooc_drained, 0u);
-    return tracer.encode();
-  };
-  const Bytes plain = trace(false);
-  EXPECT_FALSE(plain.empty());
-  EXPECT_EQ(trace(true), plain);
+TEST(BroadcastService, RefusedBcastKeepsItsSequenceNumber) {
+  LoopbackMesh mesh(4);
+  Services svc(mesh, {1, 64, 64, 64});
+  svc.at[0]->bcast(to_bytes("a"));
+  // Broadcast 0 is not delivered yet, so a one-wide window refuses k = 1.
+  EXPECT_THROW(svc.at[0]->bcast(to_bytes("b")), std::logic_error);
+  mesh.stack(0).pump();
+  mesh.run();
+  // The refusal used up nothing: the retry is broadcast 1, and it is
+  // delivered everywhere.
+  svc.at[0]->bcast(to_bytes("b"));
+  mesh.stack(0).pump();
+  mesh.run();
+  for (ProcessId p = 0; p < 4; ++p) {
+    EXPECT_EQ(svc.got[p], (std::vector<std::string>{"0:a", "0:b"})) << p;
+    EXPECT_EQ(mesh.stack(p).instance_count(), 1u) << p;
+  }
+  EXPECT_FALSE(mesh.stack(1).has_instance(svc.path(0, 2)));
 }
 
 TEST(StackSeed, PinnedPerProcessAndGroup) {

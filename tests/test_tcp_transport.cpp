@@ -73,7 +73,7 @@ struct Node {
 
 std::unique_ptr<Node> make_node(std::uint32_t n, ProcessId p,
                                 const std::vector<PeerAddr>& peers,
-                                const Bytes& master, bool authenticate = true,
+                                const Bytes& master,
                                 int connect_timeout_ms = 15'000,
                                 std::size_t send_queue_max_bytes =
                                     TcpTransport::Options{}.send_queue_max_bytes) {
@@ -83,7 +83,6 @@ std::unique_ptr<Node> make_node(std::uint32_t n, ProcessId p,
   o.n = n;
   o.self = p;
   o.peers = peers;
-  o.authenticate = authenticate;
   o.connect_timeout_ms = connect_timeout_ms;
   o.send_queue_max_bytes = send_queue_max_bytes;
   node->transport = std::make_unique<TcpTransport>(o, *node->keys);
@@ -127,13 +126,12 @@ constexpr auto kIdleWindow = std::chrono::milliseconds(300);
 /// own thread.
 class Mesh {
  public:
-  explicit Mesh(std::uint32_t n, bool authenticate = true,
-                const Bytes& master = to_bytes("mesh-master")) {
+  explicit Mesh(std::uint32_t n, const Bytes& master = to_bytes("mesh-master")) {
     const auto ports = free_ports(n);
     const auto peers = local_peers(ports);
     nodes_.resize(n);
     for (std::uint32_t p = 0; p < n; ++p) {
-      nodes_[p] = make_node(n, p, peers, master, authenticate);
+      nodes_[p] = make_node(n, p, peers, master);
       nodes_[p]->thread =
           std::thread([raw = nodes_[p].get()] { raw->start_and_run(); });
     }
@@ -203,12 +201,6 @@ TEST(TcpTransport, LargeFrames) {
   EXPECT_EQ(mesh.node(2).received[0].second, big);
 }
 
-TEST(TcpTransport, WorksWithoutAuthentication) {
-  Mesh mesh(4, /*authenticate=*/false);
-  mesh.node(1).send(0, to_bytes("plain"));
-  ASSERT_TRUE(mesh.wait_for(0, 1));
-}
-
 TEST(TcpTransport, LinkStatesReachFullMesh) {
   Mesh mesh(4);
   for (std::uint32_t p = 0; p < 4; ++p) {
@@ -233,7 +225,7 @@ TEST(TcpTransport, MismatchedKeysCannotJoinTheMesh) {
   std::vector<std::unique_ptr<Node>> nodes(4);
   for (std::uint32_t p = 0; p < 4; ++p) {
     const Bytes master = p == 3 ? to_bytes("evil") : to_bytes("good");
-    nodes[p] = make_node(4, p, peers, master, /*authenticate=*/true,
+    nodes[p] = make_node(4, p, peers, master,
                          /*connect_timeout_ms=*/p == 3 ? 1500 : 15'000);
     nodes[p]->thread = std::thread([raw = nodes[p].get()] { raw->start_and_run(); });
   }
@@ -288,8 +280,8 @@ TEST(TcpTransport, BlockedLinkResumesInOrderAndThenIdles) {
   const auto peers = local_peers(free_ports(2));
   std::vector<std::unique_ptr<Node>> nodes;
   for (ProcessId p = 0; p < 2; ++p) {
-    nodes.push_back(make_node(2, p, peers, to_bytes("blocked-link"), true,
-                              15'000, 2 * kBurstBytes));
+    nodes.push_back(make_node(2, p, peers, to_bytes("blocked-link"), 15'000,
+                              2 * kBurstBytes));
     nodes[p]->thread = std::thread([raw = nodes[p].get()] { raw->start_and_run(); });
   }
   const auto teardown = [&] {

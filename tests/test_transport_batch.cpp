@@ -40,7 +40,7 @@ namespace {
 struct TestFrame {
   Bytes hdr;
   Bytes body;
-  Bytes mac;  // empty = unauthenticated frame
+  Bytes mac;  // empty = no MAC segment
 
   FrameImage image() const {
     FrameImage img;
@@ -146,8 +146,8 @@ TEST(BatchWriter, SingleFrameResumesAtEveryOffset) {
 TEST(BatchWriter, MultiFrameBatchResumesAtEveryOffsetOfTheHead) {
   // A batch resumes only ever inside its FIRST unfinished frame (the drain
   // pops completed heads), but the tail frames ride along whole. Mix
-  // authenticated, empty-body and unauthenticated frames so empty segments
-  // sit at every position.
+  // full, empty-body and MAC-less images so empty segments sit at every
+  // position.
   std::vector<TestFrame> frames;
   frames.push_back(make_frame(9, 0, patterned_body(10, 1), true));
   frames.push_back(make_frame(9, 1, {}, true));                    // empty body
@@ -351,8 +351,8 @@ void harvest(FrameReassembler& ra, Verdicts& v) {
 /// Feeds `stream` at the given split points (positions where the stream is
 /// cut into separate feed() calls) and returns every verdict in order.
 Verdicts replay(const Bytes& stream, const std::vector<std::size_t>& splits,
-                std::size_t max_frame, bool with_mac) {
-  FrameReassembler ra(max_frame, with_mac);
+                std::size_t max_frame) {
+  FrameReassembler ra(max_frame);
   Verdicts v;
   std::size_t at = 0;
   for (const std::size_t s : splits) {
@@ -436,21 +436,16 @@ TEST(FrameReassembler, CorpusBodiesSplitInvariant) {
   const auto bodies = corpus_bodies();
   ASSERT_GE(bodies.size(), 10u) << "corpus went missing";
   Rng rng(20260809);
-  for (const bool with_mac : {true, false}) {
-    std::size_t idx = 0;
-    for (const Bytes& body : bodies) {
-      const TestFrame f =
-          make_frame(0xD00D + idx, idx, body, with_mac);
-      const Bytes stream = f.wire();
-      const Verdicts whole = replay(stream, {}, 1u << 20, with_mac);
-      const Verdicts bytewise =
-          replay(stream, every_byte(stream.size()), 1u << 20, with_mac);
-      const Verdicts random =
-          replay(stream, random_splits(stream.size(), rng), 1u << 20, with_mac);
-      EXPECT_EQ(whole, bytewise) << "corpus body " << idx << " mac=" << with_mac;
-      EXPECT_EQ(whole, random) << "corpus body " << idx << " mac=" << with_mac;
-      ++idx;
-    }
+  std::size_t idx = 0;
+  for (const Bytes& body : bodies) {
+    const Bytes stream = make_frame(0xD00D + idx, idx, body, true).wire();
+    const Verdicts whole = replay(stream, {}, 1u << 20);
+    const Verdicts bytewise = replay(stream, every_byte(stream.size()), 1u << 20);
+    const Verdicts random =
+        replay(stream, random_splits(stream.size(), rng), 1u << 20);
+    EXPECT_EQ(whole, bytewise) << "corpus body " << idx;
+    EXPECT_EQ(whole, random) << "corpus body " << idx;
+    ++idx;
   }
 }
 
@@ -464,14 +459,14 @@ TEST(FrameReassembler, ConcatenatedCorpusStreamSplitInvariant) {
     frames.push_back(make_frame(0xFEED, idx++, body, true));
   }
   const Bytes stream = concat_wire(frames);
-  const Verdicts whole = replay(stream, {}, 1u << 20, true);
+  const Verdicts whole = replay(stream, {}, 1u << 20);
   EXPECT_EQ(whole.events.size(), frames.size() + 1);  // +1 terminal buffered=0
-  const Verdicts bytewise = replay(stream, every_byte(stream.size()), 1u << 20, true);
+  const Verdicts bytewise = replay(stream, every_byte(stream.size()), 1u << 20);
   EXPECT_EQ(whole, bytewise);
   Rng rng(424242);
   for (int round = 0; round < 8; ++round) {
     const Verdicts random =
-        replay(stream, random_splits(stream.size(), rng), 1u << 20, true);
+        replay(stream, random_splits(stream.size(), rng), 1u << 20);
     EXPECT_EQ(whole, random) << "seeded split round " << round;
   }
 }
@@ -490,8 +485,8 @@ TEST(FrameReassembler, OversizeVerdictIsGranularityIndependent) {
   const ByteView bh = bad_hdr.data();
   stream.insert(stream.end(), bh.begin(), bh.end());
   // No body bytes follow — the verdict must not wait for them.
-  const Verdicts whole = replay(stream, {}, max_frame, true);
-  const Verdicts bytewise = replay(stream, every_byte(stream.size()), max_frame, true);
+  const Verdicts whole = replay(stream, {}, max_frame);
+  const Verdicts bytewise = replay(stream, every_byte(stream.size()), max_frame);
   EXPECT_EQ(whole, bytewise);
   ASSERT_GE(whole.events.size(), 2u);
   EXPECT_EQ(whole.events[1], "oversize");
@@ -504,7 +499,7 @@ TEST(FrameReassembler, CompactPreservesPendingBytes) {
   const TestFrame b = make_frame(1, 1, patterned_body(9, 3), true);
   const Bytes wa = a.wire();
   const Bytes wb = b.wire();
-  FrameReassembler ra(1u << 20, true);
+  FrameReassembler ra(1u << 20);
   ra.feed(wa.data(), wa.size());
   ra.feed(wb.data(), 5);  // partial header of frame b
   Verdicts v;
