@@ -82,6 +82,57 @@ TEST(Explore, SameScheduleSameTrialTrace) {
             Explorer::run_trial(ex.make_schedule(4)).fingerprint);
 }
 
+TEST(Explore, GoldenFingerprintsArePinned) {
+  // The observation-stream fingerprints of fixed trials, computed once with
+  // gcc/libstdc++ (BC proposals go through std::shuffle) and never edited:
+  // a change to how trials create, feed or judge their roots that moves
+  // any event shows up here.
+  struct Case {
+    Workload workload;
+    std::uint32_t n;
+    VariantConfig variants;
+    std::uint64_t seed;
+    std::uint64_t fingerprint;
+  };
+  const VariantConfig bracha;
+  const VariantConfig crain{RbVariant::kBracha, BcVariant::kCrain};
+  const VariantConfig imbs_raynal{RbVariant::kImbsRaynal, BcVariant::kBracha};
+  const Case cases[] = {
+      {Workload::kReliableBroadcast, 4, bracha, 1, 0x822a4e059e4d6459ull},
+      {Workload::kReliableBroadcast, 4, bracha, 7, 0xb2b789b1d913ee27ull},
+      {Workload::kReliableBroadcast, 4, bracha, 23, 0x391a3c089f00b6c8ull},
+      {Workload::kEchoBroadcast, 4, bracha, 1, 0xd36cb19efaa9f2e0ull},
+      {Workload::kEchoBroadcast, 4, bracha, 7, 0xc7d155f32c5ea865ull},
+      {Workload::kEchoBroadcast, 4, bracha, 23, 0x8a5bb7d92b9224beull},
+      {Workload::kBinaryConsensus, 4, bracha, 1, 0xbb6ab690e99678feull},
+      {Workload::kBinaryConsensus, 4, bracha, 7, 0x4d86e60ef113aed7ull},
+      {Workload::kBinaryConsensus, 4, bracha, 23, 0x62ffc793a5418494ull},
+      {Workload::kMultiValuedConsensus, 4, bracha, 1, 0xb0e78b3cdfe95e70ull},
+      {Workload::kMultiValuedConsensus, 4, bracha, 7, 0x62406244dfa643cdull},
+      {Workload::kMultiValuedConsensus, 4, bracha, 23, 0xfb570dc279d2508cull},
+      {Workload::kVectorConsensus, 4, bracha, 1, 0x6598d64af9e2feb7ull},
+      {Workload::kVectorConsensus, 4, bracha, 7, 0xa97fab9a385a1f72ull},
+      {Workload::kVectorConsensus, 4, bracha, 23, 0xa1a0810efb8578e6ull},
+      {Workload::kAtomicBroadcast, 4, bracha, 1, 0x04b36dbbd93d09f6ull},
+      {Workload::kAtomicBroadcast, 4, bracha, 7, 0x46cf812db67024bfull},
+      {Workload::kAtomicBroadcast, 4, bracha, 23, 0x91cf7f7c26594cd8ull},
+      {Workload::kBinaryConsensus, 4, crain, 1, 0x134261cdd094b163ull},
+      {Workload::kReliableBroadcast, 6, imbs_raynal, 1, 0xde21ac6d2dbf3650ull},
+  };
+  for (const Case& c : cases) {
+    Explorer::Config cfg;
+    cfg.workload = c.workload;
+    cfg.n = c.n;
+    cfg.variants = c.variants;
+    const Explorer ex(cfg);
+    EXPECT_EQ(Explorer::run_trial(ex.make_schedule(c.seed)).fingerprint,
+              c.fingerprint)
+        << workload_name(c.workload) << " n=" << c.n
+        << " rb=" << rb_variant_name(c.variants.rb)
+        << " bc=" << bc_variant_name(c.variants.bc) << " seed " << c.seed;
+  }
+}
+
 TEST(Explore, CleanSweepFindsNothing) {
   Explorer::Config cfg;
   cfg.messages = 1;
