@@ -15,7 +15,9 @@
 // Every arm is one row of BENCH_ablation.json (virtual time, tracked
 // exactly against bench/baselines/), and each claim is a gate: echo beats
 // reliable broadcast, validation keeps one-round agreement and disabling
-// it costs safety, the dealt coin is no slower, and AH costs latency.
+// it costs safety, the dealt coin is no slower, and AH costs latency. Every
+// run but the disabled-validation control also passes the shared property
+// oracles (the `oracles` gate).
 #include <cstdio>
 
 #include "paper_harness.h"
@@ -24,6 +26,7 @@ namespace {
 
 using namespace ritas;
 using namespace ritas::bench;
+using sim::Workload;
 
 // Runs one binary consensus with a stubborn-zero Byzantine attacker and
 // returns (sum of decided rounds at correct processes, coin flips).
@@ -66,7 +69,12 @@ void add_arm(BenchReport& report, const char* ablation, const char* arm,
   });
 }
 
-BcAttackResult run_bc_attack(bool validation_enabled, std::uint64_t seed) {
+/// One stubborn-zero attack. The validation-on run is judged by the BC
+/// oracles once quiesced; the disabled arm is the unsafe control, so its
+/// violations are the `bc_validation_off_unsafe_runs` gate, not an oracle
+/// failure.
+BcAttackResult run_bc_attack(bool validation_enabled, std::uint64_t seed,
+                             sim::oracle::Report& oracles) {
   ClusterOptions o;
   o.n = 4;
   o.seed = seed;
@@ -77,25 +85,11 @@ BcAttackResult run_bc_attack(bool validation_enabled, std::uint64_t seed) {
   o.adversary_factory = [] { return std::make_unique<StubbornZero>(); };
   Cluster c(o);
 
-  std::vector<BcAlgorithm*> inst(4, nullptr);
-  std::vector<std::optional<bool>> got(4);
-  const InstanceId id = InstanceId::root(ProtocolType::kBinaryConsensus, 1);
-  for (ProcessId p : c.live()) {
-    inst[p] = &c.create_bc(
-        p, id, Attribution::kAgreement,
-        [&got, p](bool b) { got[p] = b; });
-  }
-  for (ProcessId p : c.live()) {
-    c.call(p, [&, p] { inst[p]->propose(true); });  // all correct propose 1
-  }
-  const bool all = c.run_until(
-      [&] {
-        for (ProcessId p : c.correct_set()) {
-          if (!got[p].has_value()) return false;
-        }
-        return true;
-      },
-      60 * sim::kSecond);
+  // All correct processes propose 1.
+  sim::LayerRun run(c, Workload::kBinaryConsensus, 1,
+                    {.bits = std::vector<bool>(4, true)});
+  const bool all = c.run_until([&] { return run.done(c.correct_set()); },
+                               60 * sim::kSecond);
 
   BcAttackResult r;
   r.decided = all;
@@ -104,9 +98,13 @@ BcAttackResult run_bc_attack(bool validation_enabled, std::uint64_t seed) {
     rounds += c.stack(p).metrics().bc_rounds_total;
     decided += c.stack(p).metrics().bc_decided;
     r.coin_flips += c.stack(p).metrics().bc_coin_flips;
-    if (got[p] != got[0]) r.agreed = false;
+    if (run.bits()[p] != run.bits()[0]) r.agreed = false;
   }
   r.avg_rounds = decided > 0 ? static_cast<double>(rounds) / decided : 0;
+  if (validation_enabled) {
+    c.run_all();
+    run.check(oracles, c.correct_set(), /*complete=*/true);
+  }
   return r;
 }
 
@@ -133,18 +131,18 @@ int main() {
       R"("coin_flips":{"exact":true},"undecided_runs":{"exact":true},)"
       R"("disagreed_runs":{"exact":true}}})");
 
+  sim::oracle::Report oracles;
   print_header("Ablation A: echo vs reliable broadcast in the MVC VECT phase");
   {
     StackConfig eb_cfg, rb_cfg;
     rb_cfg.mvc_vect_via_rb = true;
-    const double mvc_eb =
-        isolated_latency_us(Proto::kMVC, true, kMvcIters, kMvcSeed, eb_cfg);
-    const double mvc_rb =
-        isolated_latency_us(Proto::kMVC, true, kMvcIters, kMvcSeed, rb_cfg);
-    const double ab_eb =
-        isolated_latency_us(Proto::kAB, true, kMvcIters, kMvcSeed, eb_cfg);
-    const double ab_rb =
-        isolated_latency_us(Proto::kAB, true, kMvcIters, kMvcSeed, rb_cfg);
+    const auto latency = [&](Workload w, const StackConfig& cfg) {
+      return isolated_latency_us(w, true, kMvcIters, kMvcSeed, oracles, cfg);
+    };
+    const double mvc_eb = latency(Workload::kMultiValuedConsensus, eb_cfg);
+    const double mvc_rb = latency(Workload::kMultiValuedConsensus, rb_cfg);
+    const double ab_eb = latency(Workload::kAtomicBroadcast, eb_cfg);
+    const double ab_rb = latency(Workload::kAtomicBroadcast, rb_cfg);
     std::printf("%-32s %12s %12s %9s\n", "metric", "echo (paper)", "reliable",
                 "saving");
     std::printf("%-32s %12.0f %12.0f %8.1f%%\n", "MVC isolated latency (us)",
@@ -155,6 +153,8 @@ int main() {
                                        Faultload::kFailureFree, kBurstSeed, eb_cfg);
     const BurstResult b_rb = run_burst(kBurst, kBurstBytes,
                                        Faultload::kFailureFree, kBurstSeed, rb_cfg);
+    merge(oracles, b_eb.oracles);
+    merge(oracles, b_rb.oracles);
     std::printf("%-32s %12.1f %12.1f %8.1f%%\n", "AB burst k=200 latency (ms)",
                 b_eb.latency_ms, b_rb.latency_ms,
                 (b_rb.latency_ms / b_eb.latency_ms - 1) * 100);
@@ -193,8 +193,8 @@ int main() {
     } on, off;
     for (int i = 0; i < kAttackRuns; ++i) {
       const std::uint64_t seed = kAttackFirstSeed + static_cast<std::uint64_t>(i);
-      on.add(run_bc_attack(true, seed));
-      off.add(run_bc_attack(false, seed));
+      on.add(run_bc_attack(true, seed, oracles));
+      off.add(run_bc_attack(false, seed, oracles));
     }
     std::printf("%-36s %12s %12s\n", "metric", "validation", "disabled");
     std::printf("%-36s %12.2f %12.2f\n", "avg rounds to decide", on.rounds,
@@ -232,7 +232,7 @@ int main() {
       "(n=5 so n-f is even and the coin path is reachable; adversarial\n"
       " clique skew + split proposals)");
   {
-    auto rounds_with = [](CoinMode mode) {
+    auto rounds_with = [&oracles](CoinMode mode) {
       double avg = 0;
       std::uint64_t flips = 0;
       for (int i = 0; i < kCoinRuns; ++i) {
@@ -248,31 +248,18 @@ int main() {
               const bool cross = (from < 2) != (to < 2);
               return cross ? 2 * sim::kMillisecond : 0;
             });
-        std::vector<BcAlgorithm*> inst(5, nullptr);
-        std::vector<std::optional<bool>> got(5);
-        const InstanceId id = InstanceId::root(ProtocolType::kBinaryConsensus, 1);
-        for (ProcessId p : c.live()) {
-          inst[p] = &c.create_bc(
-              p, id, Attribution::kAgreement, [&got, p](bool b) { got[p] = b; });
-        }
-        const bool props[5] = {true, true, false, false, true};
-        for (ProcessId p : c.live()) {
-          c.call(p, [&, p] { inst[p]->propose(props[p]); });
-        }
-        c.run_until(
-            [&] {
-              for (ProcessId p : c.correct_set()) {
-                if (!got[p].has_value()) return false;
-              }
-              return true;
-            },
-            120 * sim::kSecond);
+        sim::LayerRun run(c, Workload::kBinaryConsensus, 1,
+                          {.bits = {true, true, false, false, true}});
+        c.run_until([&] { return run.done(c.correct_set()); },
+                    120 * sim::kSecond);
         const Metrics m = c.total_metrics();
         if (m.bc_decided > 0) {
           avg += static_cast<double>(m.bc_rounds_total) /
                  static_cast<double>(m.bc_decided) / kCoinRuns;
         }
         flips += m.bc_coin_flips;
+        c.run_all();
+        run.check(oracles, c.correct_set(), /*complete=*/true);
       }
       return std::pair<double, std::uint64_t>(avg, flips);
     };
@@ -302,10 +289,10 @@ int main() {
   {
     // run_burst always uses ipsec=true; emulate the w/o case via the
     // latency harness at the AB level plus Table 1's isolated columns.
-    const double ab_with =
-        isolated_latency_us(Proto::kAB, true, kIpsecIters, kIpsecSeed);
-    const double ab_without =
-        isolated_latency_us(Proto::kAB, false, kIpsecIters, kIpsecSeed);
+    const double ab_with = isolated_latency_us(
+        Workload::kAtomicBroadcast, true, kIpsecIters, kIpsecSeed, oracles);
+    const double ab_without = isolated_latency_us(
+        Workload::kAtomicBroadcast, false, kIpsecIters, kIpsecSeed, oracles);
     std::printf("AB isolated latency: %0.0f us with AH, %0.0f us without "
                 "(+%.1f%%; paper: +27%%)\n",
                 ab_with, ab_without, (ab_with / ab_without - 1) * 100);
@@ -315,6 +302,7 @@ int main() {
             [&](JsonWriter& w) { w.field("ab_latency_us", ab_without); });
     report.gate("ipsec_ab_latency_us_gt_without", ab_with, ">", ab_without);
   }
+  report.oracles(oracles);
   if (!report.write()) {
     std::fprintf(stderr, "failed to write %s\n", report.path().c_str());
     return 1;

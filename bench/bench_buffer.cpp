@@ -25,10 +25,12 @@
 
 #include <atomic>
 #include <chrono>
+#include <deque>
 #include <mutex>
 #include <thread>
 #include <vector>
 
+#include "core/atomic_broadcast.h"
 #include "crypto/keychain.h"
 #include "net/tcp_transport.h"
 #include "paper_harness.h"
@@ -46,7 +48,8 @@ struct BufferResult {
 
 /// One failure-free AB burst; every metric summed over the whole cluster.
 BufferResult run_buffer_burst(std::uint32_t burst, std::size_t msg_bytes,
-                              bool batched, std::uint64_t seed) {
+                              bool batched, std::uint64_t seed,
+                              sim::oracle::Report& oracles) {
   ClusterOptions o;
   o.n = 4;
   o.seed = seed;
@@ -54,33 +57,27 @@ BufferResult run_buffer_burst(std::uint32_t burst, std::size_t msg_bytes,
   o.stack.ab_batch.enabled = batched;
   Cluster c(o);
 
-  std::vector<AtomicBroadcast*> ab(4, nullptr);
-  std::vector<std::uint64_t> delivered(4, 0);
-  const InstanceId id = InstanceId::root(ProtocolType::kAtomicBroadcast, 0);
-  for (ProcessId p : c.live()) {
-    ab[p] = &c.create_root<AtomicBroadcast>(
-        p, id, [&delivered, p](ProcessId, std::uint64_t, Slice) { ++delivered[p]; });
-  }
   const std::uint32_t per = burst / 4;
   const std::uint32_t total = per * 4;
-  const Bytes payload(msg_bytes, 0x62);
-  const Time t0 = c.now();
+  sim::LayerRun::Inputs in;
   for (ProcessId p : c.live()) {
-    c.call(p, [&, p] {
-      for (std::uint32_t i = 0; i < per; ++i) ab[p]->bcast(Bytes(payload));
-    });
+    in.calls.push_back({p, std::vector<Bytes>(per, Bytes(msg_bytes, 0x62))});
   }
+  const Time t0 = c.now();
+  sim::LayerRun run(c, sim::Workload::kAtomicBroadcast, 0, std::move(in));
   if (batched) {
-    for (ProcessId p : c.live()) c.call(p, [&, p] { ab[p]->flush(); });
+    for (ProcessId p : c.live()) c.call(p, [&, p] { run.ab_root(p).flush(); });
   }
-  c.run_until([&] { return delivered[0] >= total; }, t0 + kDeadline);
+  c.run_until([&] { return run.ab().log(0).size() >= total; }, t0 + kDeadline);
 
   BufferResult r;
   const Metrics m = c.total_metrics();
-  for (ProcessId p = 0; p < 4; ++p) r.deliveries += delivered[p];
+  for (ProcessId p = 0; p < 4; ++p) r.deliveries += run.ab().log(p).size();
   r.frames_encoded = m.frames_encoded;
   r.transport_sends = m.msgs_sent;
   r.bytes_aliased = m.payload_bytes_aliased;
+  c.run_all();
+  run.check(oracles, c.correct_set(), /*complete=*/true);
   return r;
 }
 
@@ -88,25 +85,26 @@ BufferResult run_buffer_burst(std::uint32_t burst, std::size_t msg_bytes,
 /// broadcasts are INIT/ECHO/READY fan-outs only, so every encoded frame is
 /// sent to exactly n-1 peers — frames_encoded * (n-1) == msgs_sent, and
 /// frames_encoded / broadcasts == 1.0 regardless of n.
-bool rb_encode_once(std::uint32_t k, std::uint64_t seed) {
+bool rb_encode_once(std::uint32_t k, std::uint64_t seed,
+                    sim::oracle::Report& oracles) {
   ClusterOptions o;
   o.n = 4;
   o.seed = seed;
   o.lan = paper_lan(true);
   Cluster c(o);
-  std::vector<std::uint64_t> got(4, 0);
-  std::vector<RbAlgorithm*> rb(4, nullptr);
+  std::deque<sim::LayerRun> runs;
   for (std::uint32_t i = 0; i < k; ++i) {
-    const InstanceId id =
-        InstanceId::root(ProtocolType::kReliableBroadcast, i + 1);
-    for (ProcessId p : c.live()) {
-      rb[p] = &c.create_rb(
-          p, id, 0, Attribution::kPayload, [&got, p](Slice) { ++got[p]; });
-    }
-    c.call(0, [&] { rb[0]->bcast(to_bytes("encode-once")); });
-    c.run_until([&] { return got[0] >= i + 1; }, c.now() + kDeadline);
+    const sim::LayerRun& run = runs.emplace_back(
+        c, sim::Workload::kReliableBroadcast, i + 1,
+        sim::LayerRun::Inputs{.calls = {{0, {to_bytes("encode-once")}}}});
+    c.run_until([&] { return run.delivered()[0].has_value(); },
+                c.now() + kDeadline);
   }
   const Metrics m = c.total_metrics();
+  c.run_all();
+  for (const sim::LayerRun& run : runs) {
+    run.check(oracles, c.correct_set(), /*complete=*/true);
+  }
   return m.frames_encoded * 3 == m.msgs_sent;
 }
 
@@ -229,13 +227,14 @@ int run() {
       R"("fields":{"frames_encoded":{"better":"lower","tolerance":0.2}}})");
 
   bool encode_once = true;
+  sim::oracle::Report oracles;
 
   std::printf("\n%-6s %-9s %10s %12s %12s %14s\n", "m", "mode", "deliveries",
               "frames", "legacy_frames", "rx_aliased_B");
   for (int mode = 0; mode < 2; ++mode) {
     const bool batched = mode == 1;
     for (std::size_t sz : sizes) {
-      const BufferResult r = run_buffer_burst(kBurst, sz, batched, kSeed);
+      const BufferResult r = run_buffer_burst(kBurst, sz, batched, kSeed, oracles);
       // Legacy baseline, same traffic: one encode per transport send.
       const std::uint64_t legacy_frames = r.transport_sends;
       std::printf("%-6zu %-9s %10llu %12llu %12llu %14llu\n", sz,
@@ -267,8 +266,9 @@ int run() {
     }
   }
 
-  const bool rb_exact =
-      report.gate("rb_frames_times_fanout_eq_sends", rb_encode_once(20, kSeed));
+  const bool rb_exact = report.gate("rb_frames_times_fanout_eq_sends",
+                                    rb_encode_once(20, kSeed, oracles));
+  report.oracles(oracles);
 
   // Real-TCP transport fast path: syscalls per frame under a small-frame
   // burst through the batched drain. Real-time numbers (loopback kernel in

@@ -14,10 +14,11 @@
 //   vector consensus:   4 proposal RB + MVC                       = 108+792 = 900
 //   atomic broadcast:   1 AB_MSG RB + 4 AB_VECT RB + MVC          = 27+108+792 = 927
 //
-// Every run executes with tracing enabled; the frame counts are
-// cross-checked against the trace-derived send count, the atomic-broadcast
-// trace is written out as Chrome trace_event JSON (trace_fig2.json, load in
-// chrome://tracing or Perfetto), and BENCH_fig2.json captures the table.
+// Every run executes with tracing enabled and is judged by the shared
+// property oracles; the frame counts are cross-checked against the
+// trace-derived send count, the atomic-broadcast trace is written out as
+// Chrome trace_event JSON (trace_fig2.json, load in chrome://tracing or
+// Perfetto), and BENCH_fig2.json captures the table.
 #include <cstdio>
 
 #include "paper_harness.h"
@@ -36,99 +37,16 @@ struct Census {
   std::string chrome_json;     // Chrome trace of the whole run
 };
 
-Census census_of(Proto proto) {
+/// One isolated execution of `layer` (Table 1's, root 1, seed 3) with
+/// tracing on, counted once the run has quiesced.
+Census census_of(sim::Workload layer, sim::oracle::Report& oracles) {
   ClusterOptions o;
   o.n = 4;
   o.seed = 3;
   o.lan = paper_lan(true);
   o.trace = true;
   Cluster c(o);
-
-  bool done = false;
-  const InstanceId rb_id = InstanceId::root(ProtocolType::kReliableBroadcast, 1);
-  const InstanceId eb_id = InstanceId::root(ProtocolType::kEchoBroadcast, 1);
-  const InstanceId bc_id = InstanceId::root(ProtocolType::kBinaryConsensus, 1);
-  const InstanceId mvc_id = InstanceId::root(ProtocolType::kMultiValuedConsensus, 1);
-  const InstanceId vc_id = InstanceId::root(ProtocolType::kVectorConsensus, 1);
-  const InstanceId ab_id = InstanceId::root(ProtocolType::kAtomicBroadcast, 1);
-  const Bytes payload(10, 0x61);
-
-  switch (proto) {
-    case Proto::kRB: {
-      std::vector<RbAlgorithm*> inst(4, nullptr);
-      for (ProcessId p : c.live()) {
-        RbAlgorithm::DeliverFn cb;
-        if (p == 0) cb = [&done](Slice) { done = true; };
-        inst[p] = &c.create_rb(p, rb_id, 0,
-                                                    Attribution::kPayload,
-                                                    std::move(cb));
-      }
-      c.call(0, [&] { inst[0]->bcast(Bytes(payload)); });
-      break;
-    }
-    case Proto::kEB: {
-      std::vector<EchoBroadcast*> inst(4, nullptr);
-      for (ProcessId p : c.live()) {
-        EchoBroadcast::DeliverFn cb;
-        if (p == 0) cb = [&done](Slice) { done = true; };
-        inst[p] = &c.create_root<EchoBroadcast>(p, eb_id, 0, Attribution::kPayload,
-                                                std::move(cb));
-      }
-      c.call(0, [&] { inst[0]->bcast(Bytes(payload)); });
-      break;
-    }
-    case Proto::kBC: {
-      std::vector<BcAlgorithm*> inst(4, nullptr);
-      for (ProcessId p : c.live()) {
-        BcAlgorithm::DecideFn cb;
-        if (p == 0) cb = [&done](bool) { done = true; };
-        inst[p] = &c.create_bc(p, bc_id, Attribution::kAgreement,
-                                                  std::move(cb));
-      }
-      for (ProcessId p : c.live()) {
-        c.call(p, [&, p] { inst[p]->propose(true); });
-      }
-      break;
-    }
-    case Proto::kMVC: {
-      std::vector<MultiValuedConsensus*> inst(4, nullptr);
-      for (ProcessId p : c.live()) {
-        MultiValuedConsensus::DecideFn cb;
-        if (p == 0) cb = [&done](std::optional<Bytes>) { done = true; };
-        inst[p] = &c.create_root<MultiValuedConsensus>(
-            p, mvc_id, Attribution::kAgreement, std::move(cb));
-      }
-      for (ProcessId p : c.live()) {
-        c.call(p, [&, p] { inst[p]->propose(payload); });
-      }
-      break;
-    }
-    case Proto::kVC: {
-      std::vector<VectorConsensus*> inst(4, nullptr);
-      for (ProcessId p : c.live()) {
-        VectorConsensus::DecideFn cb;
-        if (p == 0) cb = [&done](VectorConsensus::Vector) { done = true; };
-        inst[p] = &c.create_root<VectorConsensus>(p, vc_id, Attribution::kAgreement,
-                                                  std::move(cb));
-      }
-      for (ProcessId p : c.live()) {
-        c.call(p, [&, p] { inst[p]->propose(payload); });
-      }
-      break;
-    }
-    case Proto::kAB: {
-      std::vector<AtomicBroadcast*> inst(4, nullptr);
-      for (ProcessId p : c.live()) {
-        AtomicBroadcast::DeliverFn cb;
-        if (p == 0) cb = [&done](ProcessId, std::uint64_t, Slice) { done = true; };
-        inst[p] = &c.create_root<AtomicBroadcast>(p, ab_id, std::move(cb));
-      }
-      c.call(0, [&] { inst[0]->bcast(Bytes(payload)); });
-      break;
-    }
-  }
-  c.run_until([&] { return done; }, kDeadline);
-  c.run_all();  // include courtesy rounds and stragglers
+  isolated_run(c, layer, 1, oracles);
 
   Census out;
   const Metrics m = c.total_metrics();
@@ -157,15 +75,19 @@ int main() {
       "Figure 2 (derived): messages actually exchanged per protocol\n"
       "(n=4, one isolated execution incl. consensus courtesy rounds)");
 
+  using ritas::sim::Workload;
   struct Row {
-    Proto proto;
-    const char* key;
+    Workload layer;
+    const char* title;
     std::uint64_t analytic_frames;
   };
   const Row rows[] = {
-      {Proto::kEB, "eb", 9},   {Proto::kRB, "rb", 27},
-      {Proto::kBC, "bc", 648}, {Proto::kMVC, "mvc", 792},
-      {Proto::kVC, "vc", 900}, {Proto::kAB, "ab", 927},
+      {Workload::kEchoBroadcast, "Echo Broadcast", 9},
+      {Workload::kReliableBroadcast, "Reliable Broadcast", 27},
+      {Workload::kBinaryConsensus, "Binary Consensus", 648},
+      {Workload::kMultiValuedConsensus, "Multi-valued Consensus", 792},
+      {Workload::kVectorConsensus, "Vector Consensus", 900},
+      {Workload::kAtomicBroadcast, "Atomic Broadcast", 927},
   };
 
   BenchReport report("fig2");
@@ -177,17 +99,20 @@ int main() {
   bool all_match = true;
   bool trace_sends_match = true;
   std::string ab_chrome;
+  ritas::sim::oracle::Report oracles;
   for (const Row& r : rows) {
-    Census cs = census_of(r.proto);
-    const std::string key = r.key;
+    Census cs = census_of(r.layer, oracles);
+    const std::string key = ritas::sim::workload_name(r.layer);
     const bool match = report.gate(key + "_frames_eq_analytic", cs.frames,
                                    "==", r.analytic_frames);
     all_match = all_match && match;
     trace_sends_match &= report.gate(key + "_trace_sends_eq_frames",
                                      cs.trace_sends, "==", cs.frames);
-    if (r.proto == Proto::kAB) ab_chrome = std::move(cs.chrome_json);
+    if (r.layer == Workload::kAtomicBroadcast) {
+      ab_chrome = std::move(cs.chrome_json);
+    }
     std::printf("%-24s %10llu %10llu %12llu %12llu %12llu  %s\n",
-                proto_name(r.proto),
+                r.title,
                 static_cast<unsigned long long>(r.analytic_frames),
                 static_cast<unsigned long long>(cs.frames),
                 static_cast<unsigned long long>(cs.wire_bytes),
@@ -195,7 +120,7 @@ int main() {
                 static_cast<unsigned long long>(cs.trace_events),
                 match ? "" : "<- differs");
     report.add_row([&](ritas::JsonWriter& w) {
-      w.field("protocol", r.key);
+      w.field("protocol", key);
       w.field("analytic_frames", r.analytic_frames);
       w.field("frames", cs.frames);
       w.field("wire_bytes", cs.wire_bytes);
@@ -209,6 +134,8 @@ int main() {
               all_match ? "PASS" : "FAIL");
   std::printf("  trace-derived send counts match stack metrics     : %s\n",
               trace_sends_match ? "PASS" : "FAIL");
+  std::printf("  every run passed the property oracles             : %s\n",
+              report.oracles(oracles) ? "PASS" : "FAIL");
 
   const bool wrote_trace = write_file("trace_fig2.json", ab_chrome);
   const auto trace = ritas::json_parse(ab_chrome);

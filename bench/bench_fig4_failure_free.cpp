@@ -12,7 +12,7 @@ int main() {
   return run_burst_figure(
       "Figure 4: atomic broadcast, failure-free faultload (n=4)",
       "fig4_failure_free", Faultload::kFailureFree, ref, 2.0,
-      [](BenchReport& report) {
+      [](BenchReport& report, ritas::sim::oracle::Report&) {
         // Batched throughput is the headline tracked against baseline.
         report.compare(R"({"key":["burst","msg_bytes","batched"],)"
                        R"("where":{"batched":true},"fields":{)"

@@ -13,9 +13,11 @@ int main() {
   const int rc = run_burst_figure(
       "Figure 5: atomic broadcast, fail-stop faultload (n=4, one crashed)",
       "fig5_fail_stop", Faultload::kFailStop, ref, 1.0,
-      [&](BenchReport& report) {
+      [&](BenchReport& report, ritas::sim::oracle::Report& oracles) {
         ff = run_burst_avg(500, 100, Faultload::kFailureFree, bench_runs(3));
         fs = run_burst_avg(500, 100, Faultload::kFailStop, bench_runs(3));
+        merge(oracles, ff.oracles);
+        merge(oracles, fs.oracles);
         report.gate("fail_stop_latency_ms_lt_failure_free_k500", fs.latency_ms,
                     "<", ff.latency_ms);
       });

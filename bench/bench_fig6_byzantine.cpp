@@ -15,9 +15,11 @@ int main() {
   const int rc = run_burst_figure(
       "Figure 6: atomic broadcast, Byzantine faultload (n=4, one attacker)",
       "fig6_byzantine", Faultload::kByzantine, ref, 1.0,
-      [&](BenchReport& report) {
+      [&](BenchReport& report, ritas::sim::oracle::Report& oracles) {
         ff = run_burst_avg(500, 100, Faultload::kFailureFree, bench_runs(3));
         byz = run_burst_avg(500, 100, Faultload::kByzantine, bench_runs(3));
+        merge(oracles, ff.oracles);
+        merge(oracles, byz.oracles);
         delta = (byz.latency_ms - ff.latency_ms) / ff.latency_ms * 100.0;
         report.gate("byzantine_latency_delta_pct_abs_k500", std::abs(delta),
                     "<", 10.0);

@@ -26,8 +26,10 @@ int main() {
 
   double first_ratio = 0, last_ratio = 0;
   std::uint64_t last_rounds = 0;
+  ritas::sim::oracle::Report oracles;
   for (std::uint32_t k : bursts) {
     const BurstResult r = run_burst_avg(k, 10, Faultload::kFailureFree, kRuns);
+    merge(oracles, r.oracles);
     const char* paper = k == 4 ? "~92%" : (k == 1000 ? "2.4%" : "");
     std::printf("%-8u %17.1f%% %14s %12llu\n", k, r.agreement_ratio * 100, paper,
                 static_cast<unsigned long long>(r.ab_rounds));
@@ -58,6 +60,8 @@ int main() {
   std::printf("  burst of 1000 needs only a handful of rounds: %s (%llu)\n",
               few_agreements ? "PASS" : "FAIL",
               static_cast<unsigned long long>(last_rounds));
+  std::printf("  every run passed the AB oracles             : %s\n",
+              report.oracles(oracles) ? "PASS" : "FAIL");
 
   const bool wrote = report.write();
   std::printf("  wrote %s : %s\n", report.path().c_str(),

@@ -133,7 +133,9 @@ int main() {
   }
 
   // Simulated-era latencies.
-  const double matrix_us = isolated_latency_us(Proto::kEB, true, kIters, 1);
+  sim::oracle::Report oracles;
+  const double matrix_us = isolated_latency_us(sim::Workload::kEchoBroadcast,
+                                               true, kIters, 1, oracles);
   const double signed_era_us = signed_eb_latency_us(kIters, SignatureCosts{}, dirs);
   const double signed_free_us =
       signed_eb_latency_us(kIters, SignatureCosts{0, 0}, dirs);
@@ -160,6 +162,7 @@ int main() {
   const bool dominate =
       report.gate("signature_us_gt_half_signed_era", signed_era_us - signed_free_us,
                   ">", 0.5 * signed_era_us);
+  report.oracles(oracles);
   std::printf("\nshape check:\n");
   std::printf("  \"public-key operations dominate the latency\" : %s\n",
               faster && dominate ? "PASS" : "FAIL");

@@ -19,20 +19,22 @@
 
 namespace {
 
+using ritas::sim::Workload;
+
 struct Row {
-  ritas::bench::Proto proto;
-  const char* key;
+  Workload layer;
+  const char* title;
   double paper_with;
   double paper_without;
 };
 
 constexpr Row kRows[] = {
-    {ritas::bench::Proto::kEB, "eb", 1724, 1497},
-    {ritas::bench::Proto::kRB, "rb", 2134, 1641},
-    {ritas::bench::Proto::kBC, "bc", 8922, 6816},
-    {ritas::bench::Proto::kMVC, "mvc", 16359, 11186},
-    {ritas::bench::Proto::kVC, "vc", 20673, 15382},
-    {ritas::bench::Proto::kAB, "ab", 23744, 18604},
+    {Workload::kEchoBroadcast, "Echo Broadcast", 1724, 1497},
+    {Workload::kReliableBroadcast, "Reliable Broadcast", 2134, 1641},
+    {Workload::kBinaryConsensus, "Binary Consensus", 8922, 6816},
+    {Workload::kMultiValuedConsensus, "Multi-valued Consensus", 16359, 11186},
+    {Workload::kVectorConsensus, "Vector Consensus", 20673, 15382},
+    {Workload::kAtomicBroadcast, "Atomic Broadcast", 23744, 18604},
 };
 
 }  // namespace
@@ -55,16 +57,20 @@ int main() {
 
   double prev_sim = 0;
   bool ordering_ok = true;
+  ritas::sim::oracle::Report oracles;
   for (const Row& row : kRows) {
-    const double with = isolated_latency_us(row.proto, true, kIterations, 42);
-    const double without = isolated_latency_us(row.proto, false, kIterations, 42);
+    const std::string key = ritas::sim::workload_name(row.layer);
+    const double with =
+        isolated_latency_us(row.layer, true, kIterations, 42, oracles);
+    const double without =
+        isolated_latency_us(row.layer, false, kIterations, 42, oracles);
     const double paper_ovh = (row.paper_with / row.paper_without - 1) * 100;
     const double sim_ovh = (with / without - 1) * 100;
     std::printf("%-24s %11.0f %11.0f %11.0f %11.0f %8.0f%% %8.0f%%\n",
-                proto_name(row.proto), row.paper_with, with, row.paper_without,
+                row.title, row.paper_with, with, row.paper_without,
                 without, paper_ovh, sim_ovh);
     report.add_row([&](ritas::JsonWriter& w) {
-      w.field("protocol", row.key);
+      w.field("protocol", key);
       w.field("paper_with_ipsec_us", row.paper_with);
       w.field("sim_with_ipsec_us", with);
       w.field("paper_without_ipsec_us", row.paper_without);
@@ -72,16 +78,20 @@ int main() {
       w.field("paper_overhead_pct", paper_ovh);
       w.field("sim_overhead_pct", sim_ovh);
     });
-    if (row.proto != kRows[0].proto) {
-      ordering_ok &= report.gate(std::string(row.key) + "_us_ge_previous",
+    if (row.layer != kRows[0].layer) {
+      ordering_ok &= report.gate(key + "_us_ge_previous",
                                  with, ">=", prev_sim);
     }
     prev_sim = with;
   }
 
+  const bool oracles_ok = report.oracles(oracles);
+
   std::printf("\nshape checks:\n");
   std::printf("  stack ordering EB < RB < BC < MVC < VC < AB : %s\n",
               ordering_ok ? "PASS" : "FAIL");
+  std::printf("  every run passed the property oracles       : %s\n",
+              oracles_ok ? "PASS" : "FAIL");
 
   const bool wrote = report.write();
   std::printf("  wrote %s : %s\n", report.path().c_str(),

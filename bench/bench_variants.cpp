@@ -24,7 +24,8 @@
 // Gates (enforced in-binary, exit 1 on failure, re-checked by CI from
 // BENCH_variants.json): on every failure-free point where both run,
 // Imbs–Raynal must beat Bracha RB on latency and messages, and Crain must
-// use fewer messages per decision and per AB delivery than Bracha BC.
+// use fewer messages per decision and per AB delivery than Bracha BC; and
+// every run, in every faultload, passes the shared property oracles.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -69,6 +70,7 @@ struct CellResult {
   double ab_tmax_msgs_s = 0;       // failure-free only: burst / time to p0
   double ab_msgs_per_delivery = 0;  // transport msgs (all n) per AB message
   bool completed = true;
+  sim::oracle::Report oracles;  // every run, judged once quiesced
 };
 
 ClusterOptions cell_options(const Combo& cb, Faultload fl, std::uint32_t n,
@@ -94,29 +96,18 @@ ClusterOptions cell_options(const Combo& cb, Faultload fl, std::uint32_t n,
 bool rb_once(const Combo& cb, Faultload fl, std::uint32_t n,
              std::uint64_t seed, CellResult& acc, int runs) {
   Cluster c(cell_options(cb, fl, n, seed));
-  std::vector<bool> got(n, false);
-  const InstanceId id = InstanceId::root(ProtocolType::kReliableBroadcast, 1);
-  std::vector<RbAlgorithm*> inst(n, nullptr);
-  for (ProcessId p : c.live()) {
-    inst[p] = &c.create_rb(p, id, 0, Attribution::kPayload,
-                           [&got, p](Slice) { got[p] = true; });
-  }
   const std::uint64_t msgs0 = c.total_metrics().msgs_sent;
   const sim::Time t0 = c.now();
-  c.call(0, [&] { inst[0]->bcast(Bytes(10, 0x61)); });
-  const bool done = c.run_until(
-      [&] {
-        for (ProcessId p : c.correct_set()) {
-          if (!got[p]) return false;
-        }
-        return true;
-      },
-      t0 + kDeadline);
+  sim::LayerRun run(c, sim::Workload::kReliableBroadcast, 1,
+                    {.calls = {{0, {Bytes(10, 0x61)}}}});
+  const bool done =
+      c.run_until([&] { return run.done(c.correct_set()); }, t0 + kDeadline);
   const double lat = static_cast<double>(c.now() - t0) / 1e3;
   c.run_all();  // quiesce: count the instance's full message complement
   acc.rb_latency_us += lat / runs;
   acc.rb_msgs +=
       static_cast<double>(c.total_metrics().msgs_sent - msgs0) / runs;
+  run.check(acc.oracles, c.correct_set(), /*complete=*/true);
   return done;
 }
 
@@ -125,26 +116,14 @@ bool rb_once(const Combo& cb, Faultload fl, std::uint32_t n,
 bool bc_once(const Combo& cb, Faultload fl, std::uint32_t n,
              std::uint64_t seed, bool split, CellResult& acc, int runs) {
   Cluster c(cell_options(cb, fl, n, seed));
-  std::vector<bool> decided(n, false);
-  const InstanceId id = InstanceId::root(ProtocolType::kBinaryConsensus, 1);
-  std::vector<BcAlgorithm*> inst(n, nullptr);
-  for (ProcessId p : c.live()) {
-    inst[p] = &c.create_bc(p, id, Attribution::kAgreement,
-                           [&decided, p](bool) { decided[p] = true; });
-  }
+  std::vector<bool> proposals(n);
+  for (ProcessId p = 0; p < n; ++p) proposals[p] = split ? (p & 1) != 0 : true;
   const std::uint64_t msgs0 = c.total_metrics().msgs_sent;
   const sim::Time t0 = c.now();
-  for (ProcessId p : c.live()) {
-    c.call(p, [&, p] { inst[p]->propose(split ? (p & 1) != 0 : true); });
-  }
-  const bool done = c.run_until(
-      [&] {
-        for (ProcessId p : c.correct_set()) {
-          if (!decided[p]) return false;
-        }
-        return true;
-      },
-      t0 + kDeadline);
+  sim::LayerRun run(c, sim::Workload::kBinaryConsensus, 1,
+                    {.bits = std::move(proposals)});
+  const bool done =
+      c.run_until([&] { return run.done(c.correct_set()); }, t0 + kDeadline);
   const double lat = static_cast<double>(c.now() - t0) / 1e3;
   c.run_all();
   std::uint64_t rounds = 0, count = 0;
@@ -164,6 +143,7 @@ bool bc_once(const Combo& cb, Faultload fl, std::uint32_t n,
     acc.bc_msgs +=
         static_cast<double>(c.total_metrics().msgs_sent - msgs0) / runs;
   }
+  run.check(acc.oracles, c.correct_set(), /*complete=*/true);
   return done;
 }
 
@@ -173,36 +153,25 @@ bool bc_once(const Combo& cb, Faultload fl, std::uint32_t n,
 /// message until the cluster is quiet, like the RB/BC counts.
 bool ab_burst(const Combo& cb, std::uint32_t n, CellResult& acc) {
   Cluster c(cell_options(cb, Faultload::kFailureFree, n, kAbBurstSeed));
-  std::vector<AtomicBroadcast*> ab(n, nullptr);
-  std::uint64_t delivered = 0;
-  const InstanceId id = InstanceId::root(ProtocolType::kAtomicBroadcast, 0);
-  for (ProcessId p : c.live()) {
-    AtomicBroadcast::DeliverFn on_deliver;
-    if (p == 0) {
-      on_deliver = [&delivered](ProcessId, std::uint64_t, Slice) {
-        ++delivered;
-      };
-    }
-    ab[p] = &c.create_root<AtomicBroadcast>(p, id, std::move(on_deliver));
-  }
   const auto senders = c.correct_set();
   const std::uint32_t per = kAbBurst / static_cast<std::uint32_t>(senders.size());
   const std::uint64_t total = std::uint64_t{per} * senders.size();
+  sim::LayerRun::Inputs in;
+  for (ProcessId p : senders) {
+    in.calls.push_back({p, std::vector<Bytes>(per, Bytes(10, 0x62))});
+  }
   const std::uint64_t msgs0 = c.total_metrics().msgs_sent;
   const sim::Time t0 = c.now();
-  for (ProcessId p : senders) {
-    c.call(p, [&, p] {
-      for (std::uint32_t i = 0; i < per; ++i) ab[p]->bcast(Bytes(10, 0x62));
-    });
-  }
-  const bool done =
-      c.run_until([&] { return delivered >= total; }, t0 + kDeadline);
+  sim::LayerRun run(c, sim::Workload::kAtomicBroadcast, 0, std::move(in));
+  const bool done = c.run_until(
+      [&] { return run.ab().log(0).size() >= total; }, t0 + kDeadline);
   const double secs = static_cast<double>(c.now() - t0) / 1e9;
   acc.ab_tmax_msgs_s = secs > 0 ? static_cast<double>(total) / secs : 0;
   c.run_all();
   acc.ab_msgs_per_delivery =
       static_cast<double>(c.total_metrics().msgs_sent - msgs0) /
       static_cast<double>(total);
+  run.check(acc.oracles, c.correct_set(), /*complete=*/true);
   return done;
 }
 
@@ -259,6 +228,7 @@ int main() {
   std::vector<std::pair<std::uint32_t, Baseline>> bracha_ff;
   bool gate_rb_latency = true, gate_rb_msgs = true, gate_bc_msgs = true;
   bool gate_ab_msgs = true, all_completed = true;
+  ritas::sim::oracle::Report oracles;
   int head_to_head = 0;  // comparisons made: 2 per imbs-raynal n, 2 per crain n
 
   for (const Combo& cb : kCombos) {
@@ -288,6 +258,7 @@ int main() {
         }
         const CellResult r = run_cell(cb, fl, n, kRuns);
         all_completed &= report.gate(cell + "_completed", r.completed);
+        merge(oracles, r.oracles);
         const bool ff = fl == Faultload::kFailureFree;
         std::printf("%-13s %3u %10.1f %8.1f %10.1f %8.2f %8.1f %12.1f %10.2f",
                     faultload_name(fl), n, r.rb_latency_us, r.rb_msgs,
@@ -363,6 +334,8 @@ int main() {
               gate_ab_msgs ? "PASS" : "FAIL");
   std::printf("  every cell completed before deadline       : %s\n",
               all_completed ? "PASS" : "FAIL");
+  std::printf("  every run passed the property oracles      : %s\n",
+              report.oracles(oracles) ? "PASS" : "FAIL");
 
   // The combo set: imbs-raynal met bracha at n = 6 and 10, crain at every n.
   report.gate("head_to_head_comparisons", head_to_head, "==", 10);

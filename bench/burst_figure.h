@@ -22,12 +22,15 @@ struct PaperReference {
 /// BENCH_<name>.json (rows carry a "batched" flag). `min_speedup_10b` is
 /// the required batched/unbatched throughput ratio at the largest burst
 /// with 10-byte messages (1.0 = "no slower"). `extend` adds the figure's
-/// own gates or baseline spec before the artifact is written. Returns the
-/// exit status: 1 if any gate failed.
+/// own gates or baseline spec before the artifact is written, and merges
+/// the oracle verdicts of any runs it makes into its second argument; the
+/// `oracles` gate covers them with the grid's. Returns the exit status: 1
+/// if any gate failed.
 inline int run_burst_figure(
     const char* title, const char* report_name, Faultload fl,
     const PaperReference& ref, double min_speedup_10b = 1.0,
-    const std::function<void(BenchReport&)>& extend = {}) {
+    const std::function<void(BenchReport&, sim::oracle::Report&)>& extend =
+        {}) {
   const std::size_t sizes[4] = {10, 100, 1000, 10000};
   const std::vector<std::uint32_t> bursts = {4, 10, 20, 50, 100, 200, 500, 1000};
   // The paper used 10 runs; the deterministic sim needs fewer, and the CI
@@ -48,6 +51,7 @@ inline int run_burst_figure(
 
   BurstResult last[2][4];
   bool one_round[2] = {true, true}, no_default[2] = {true, true};
+  sim::oracle::Report oracles;
   for (int mode = 0; mode < 2; ++mode) {
     std::printf("\n[%s]\n%-8s", mode_name[mode], "burst");
     for (std::size_t m : sizes) {
@@ -62,6 +66,7 @@ inline int run_burst_figure(
         last[mode][i] = r;
         one_round[mode] = one_round[mode] && r.bc_always_one_round;
         no_default[mode] = no_default[mode] && r.mvc_never_default;
+        merge(oracles, r.oracles);
         report.add_row([&](JsonWriter& w) {
           w.field("batched", mode == 1);
           w.field("burst", k);
@@ -123,7 +128,9 @@ inline int run_burst_figure(
   std::printf("  batched Tmax >= %.1fx unbatched (m=10)      : %s\n",
               min_speedup_10b, batched_fast_enough ? "PASS" : "FAIL");
 
-  if (extend) extend(report);
+  if (extend) extend(report, oracles);
+  std::printf("  every run passed the AB oracles            : %s\n",
+              report.oracles(oracles) ? "PASS" : "FAIL");
   const bool wrote = report.write();
   std::printf("  wrote %s : %s\n", report.path().c_str(),
               wrote ? "PASS" : "FAIL");

@@ -1,8 +1,14 @@
 // Shared harness for the paper-replication benchmarks (Table 1, Figures
-// 4-7 of the DSN'06 RITAS paper). Each bench binary builds workloads out
-// of these runners and prints the paper's numbers next to the measured
+// 2 and 4-7 of the DSN'06 RITAS paper). Each bench binary builds workloads
+// out of these runners and prints the paper's numbers next to the measured
 // ones. All experiments use n = 4 on the calibrated simulated LAN, exactly
 // the paper's testbed shape.
+//
+// The runners drive every layer through sim::LayerRun (sim/layer_run.h),
+// so each run is also judged by the shared property oracles of
+// sim/oracles.h once its row values have been taken: the quiescing a
+// complete check needs can never move a row. A bench passes the verdicts
+// of all its runs to BenchReport::oracles, its artifact's `oracles` gate.
 #pragma once
 
 #include <charconv>
@@ -17,13 +23,9 @@
 
 #include "common/json.h"
 #include "common/stats.h"
-#include "core/atomic_broadcast.h"
-#include "core/binary_consensus.h"
-#include "core/echo_broadcast.h"
-#include "core/multivalued_consensus.h"
-#include "core/reliable_broadcast.h"
-#include "core/vector_consensus.h"
 #include "sim/cluster.h"
+#include "sim/layer_run.h"
+#include "sim/oracles.h"
 
 namespace ritas::bench {
 
@@ -40,26 +42,37 @@ inline sim::LanModelConfig paper_lan(bool ipsec) {
   return lan;
 }
 
-enum class Proto { kEB, kRB, kBC, kMVC, kVC, kAB };
-
-inline const char* proto_name(Proto p) {
-  switch (p) {
-    case Proto::kEB: return "Echo Broadcast";
-    case Proto::kRB: return "Reliable Broadcast";
-    case Proto::kBC: return "Binary Consensus";
-    case Proto::kMVC: return "Multi-valued Consensus";
-    case Proto::kVC: return "Vector Consensus";
-    case Proto::kAB: return "Atomic Broadcast";
-  }
-  return "?";
+/// Table 1's isolated execution of layer `w` on `c`: root `seq`, broadcast
+/// sender p0, identical proposals, a 10-byte payload (BC proposes 1).
+/// Returns the virtual time from the signal until p0 decided or delivered;
+/// then quiesces and judges the run with the shared oracles into `oracles`
+/// (termination included, so a run p0 never finished cannot pass).
+inline Time isolated_run(Cluster& c, sim::Workload w, std::uint64_t seq,
+                         sim::oracle::Report& oracles) {
+  const Bytes payload(10, 0x61);
+  sim::LayerRun::Inputs in;
+  in.bits.assign(c.n(), true);
+  in.values.assign(c.n(), payload);
+  in.calls = {{0, {payload}}};
+  const Time t0 = c.now();
+  bool p0_done = false;
+  sim::LayerRun run(c, w, seq, std::move(in),
+                    [&p0_done](const sim::LayerRun::Outcome& o) {
+                      p0_done = p0_done || o.at == 0;
+                    });
+  c.run_until([&] { return p0_done; }, t0 + kDeadline);
+  const Time latency = c.now() - t0;
+  c.run_all();  // quiesce: include courtesy rounds and stragglers
+  run.check(oracles, c.correct_set(), /*complete=*/true);
+  return latency;
 }
 
-/// Table 1 workload: N isolated executions of one protocol; broadcast
-/// sender = lowest id; consensus proposals identical; payload 10 bytes
-/// (1 byte for binary consensus). Returns mean latency in microseconds
-/// measured at process 0, signal -> deliver/decide.
-inline double isolated_latency_us(Proto proto, bool ipsec, int iterations,
+/// Table 1 workload: N isolated executions of one layer (isolated_run,
+/// roots 1..N on one cluster). Returns the mean latency at p0 in
+/// microseconds; every run's oracle verdict goes into `oracles`.
+inline double isolated_latency_us(sim::Workload w, bool ipsec, int iterations,
                                   std::uint64_t seed,
+                                  sim::oracle::Report& oracles,
                                   StackConfig stack_cfg = {}) {
   ClusterOptions o;
   o.n = 4;
@@ -68,97 +81,10 @@ inline double isolated_latency_us(Proto proto, bool ipsec, int iterations,
   o.stack = stack_cfg;
   Cluster c(o);
   Sample lat;
-  const Bytes payload(10, 0x61);
-
   for (int it = 0; it < iterations; ++it) {
     const std::uint64_t seq = static_cast<std::uint64_t>(it) + 1;
-    const Time t0 = c.now();
-    bool done = false;
-
-    switch (proto) {
-      case Proto::kEB: {
-        const InstanceId id = InstanceId::root(ProtocolType::kEchoBroadcast, seq);
-        std::vector<EchoBroadcast*> inst(4, nullptr);
-        for (ProcessId p : c.live()) {
-          EchoBroadcast::DeliverFn cb;
-          if (p == 0) cb = [&done](Slice) { done = true; };
-          inst[p] = &c.create_root<EchoBroadcast>(p, id, 0, Attribution::kPayload,
-                                                  std::move(cb));
-        }
-        c.call(0, [&] { inst[0]->bcast(Bytes(payload)); });
-        break;
-      }
-      case Proto::kRB: {
-        const InstanceId id = InstanceId::root(ProtocolType::kReliableBroadcast, seq);
-        std::vector<RbAlgorithm*> inst(4, nullptr);
-        for (ProcessId p : c.live()) {
-          RbAlgorithm::DeliverFn cb;
-          if (p == 0) cb = [&done](Slice) { done = true; };
-          inst[p] = &c.create_rb(p, id, 0, Attribution::kPayload,
-                                                      std::move(cb));
-        }
-        c.call(0, [&] { inst[0]->bcast(Bytes(payload)); });
-        break;
-      }
-      case Proto::kBC: {
-        const InstanceId id = InstanceId::root(ProtocolType::kBinaryConsensus, seq);
-        std::vector<BcAlgorithm*> inst(4, nullptr);
-        for (ProcessId p : c.live()) {
-          BcAlgorithm::DecideFn cb;
-          if (p == 0) cb = [&done](bool) { done = true; };
-          inst[p] = &c.create_bc(p, id, Attribution::kAgreement,
-                                                    std::move(cb));
-        }
-        for (ProcessId p : c.live()) {
-          c.call(p, [&, p] { inst[p]->propose(true); });
-        }
-        break;
-      }
-      case Proto::kMVC: {
-        const InstanceId id =
-            InstanceId::root(ProtocolType::kMultiValuedConsensus, seq);
-        std::vector<MultiValuedConsensus*> inst(4, nullptr);
-        for (ProcessId p : c.live()) {
-          MultiValuedConsensus::DecideFn cb;
-          if (p == 0) cb = [&done](std::optional<Bytes>) { done = true; };
-          inst[p] = &c.create_root<MultiValuedConsensus>(p, id, Attribution::kAgreement,
-                                                         std::move(cb));
-        }
-        for (ProcessId p : c.live()) {
-          c.call(p, [&, p] { inst[p]->propose(payload); });
-        }
-        break;
-      }
-      case Proto::kVC: {
-        const InstanceId id = InstanceId::root(ProtocolType::kVectorConsensus, seq);
-        std::vector<VectorConsensus*> inst(4, nullptr);
-        for (ProcessId p : c.live()) {
-          VectorConsensus::DecideFn cb;
-          if (p == 0) cb = [&done](VectorConsensus::Vector) { done = true; };
-          inst[p] = &c.create_root<VectorConsensus>(p, id, Attribution::kAgreement,
-                                                    std::move(cb));
-        }
-        for (ProcessId p : c.live()) {
-          c.call(p, [&, p] { inst[p]->propose(payload); });
-        }
-        break;
-      }
-      case Proto::kAB: {
-        const InstanceId id = InstanceId::root(ProtocolType::kAtomicBroadcast, seq);
-        std::vector<AtomicBroadcast*> inst(4, nullptr);
-        for (ProcessId p : c.live()) {
-          AtomicBroadcast::DeliverFn cb;
-          if (p == 0) cb = [&done](ProcessId, std::uint64_t, Slice) { done = true; };
-          inst[p] = &c.create_root<AtomicBroadcast>(p, id, std::move(cb));
-        }
-        c.call(0, [&] { inst[0]->bcast(Bytes(payload)); });
-        break;
-      }
-    }
-
-    c.run_until([&] { return done; }, c.now() + kDeadline);
-    lat.add(static_cast<double>(c.now() - t0) / 1e3);  // us
-    c.run_all();  // quiesce before tearing the instances down
+    const Time ns = isolated_run(c, w, seq, oracles);
+    lat.add(static_cast<double>(ns) / 1e3);  // us
     for (ProcessId p : c.live()) c.destroy_roots(p);
   }
   return lat.mean();
@@ -175,6 +101,12 @@ inline const char* faultload_name(Faultload f) {
   return "?";
 }
 
+/// Appends `from`'s violations to `into`.
+inline void merge(sim::oracle::Report& into, const sim::oracle::Report& from) {
+  into.violations.insert(into.violations.end(), from.violations.begin(),
+                         from.violations.end());
+}
+
 struct BurstResult {
   std::uint32_t burst = 0;          // messages actually sent
   double latency_ms = 0;            // signal -> k-th delivery at p0
@@ -183,11 +115,13 @@ struct BurstResult {
   std::uint64_t ab_rounds = 0;      // agreement rounds at p0
   bool bc_always_one_round = true;  // §4.3 claim
   bool mvc_never_default = true;    // §4.3 claim
+  /// The §2.7 AB oracles over the quiesced run (after the figures above).
+  sim::oracle::Report oracles;
 };
 
 /// Figures 4-6 workload: every (live, counted) sender transmits burst/S
-/// messages of msg_bytes; latency is measured at p0 from the signal to the
-/// delivery of the last message.
+/// messages of msg_bytes inside one call; latency is measured at p0 from
+/// the signal to the delivery of the last message.
 inline BurstResult run_burst(std::uint32_t burst, std::size_t msg_bytes,
                              Faultload fl, std::uint64_t seed,
                              StackConfig stack_cfg = {}) {
@@ -200,26 +134,17 @@ inline BurstResult run_burst(std::uint32_t burst, std::size_t msg_bytes,
   if (fl == Faultload::kByzantine) o.byzantine = {3};
   Cluster c(o);
 
-  std::vector<AtomicBroadcast*> ab(4, nullptr);
-  std::vector<std::uint64_t> delivered(4, 0);
-  const InstanceId id = InstanceId::root(ProtocolType::kAtomicBroadcast, 0);
-  for (ProcessId p : c.live()) {
-    ab[p] = &c.create_root<AtomicBroadcast>(
-        p, id, [&delivered, p](ProcessId, std::uint64_t, Slice) { ++delivered[p]; });
-  }
-
   const auto senders = c.live();  // Byzantine processes still send (paper)
   const std::uint32_t per = burst / static_cast<std::uint32_t>(senders.size());
   const std::uint32_t total = per * static_cast<std::uint32_t>(senders.size());
-  const Bytes payload(msg_bytes, 0x62);
+  sim::LayerRun::Inputs in;
+  for (ProcessId p : senders) {
+    in.calls.push_back({p, std::vector<Bytes>(per, Bytes(msg_bytes, 0x62))});
+  }
 
   const Time t0 = c.now();
-  for (ProcessId p : senders) {
-    c.call(p, [&, p] {
-      for (std::uint32_t i = 0; i < per; ++i) ab[p]->bcast(Bytes(payload));
-    });
-  }
-  c.run_until([&] { return delivered[0] >= total; }, t0 + kDeadline);
+  sim::LayerRun run(c, sim::Workload::kAtomicBroadcast, 0, std::move(in));
+  c.run_until([&] { return run.ab().log(0).size() >= total; }, t0 + kDeadline);
 
   BurstResult r;
   r.burst = total;
@@ -238,10 +163,12 @@ inline BurstResult run_burst(std::uint32_t burst, std::size_t msg_bytes,
     if (pm.bc_rounds_total != pm.bc_decided) r.bc_always_one_round = false;
     if (pm.mvc_decided_default != 0) r.mvc_never_default = false;
   }
+  c.run_all();
+  run.check(r.oracles, c.correct_set(), /*complete=*/true);
   return r;
 }
 
-/// Averages `runs` seeded executions of run_burst.
+/// Averages `runs` seeded executions of run_burst (oracle verdicts merged).
 inline BurstResult run_burst_avg(std::uint32_t burst, std::size_t msg_bytes,
                                  Faultload fl, int runs,
                                  StackConfig stack_cfg = {}) {
@@ -256,6 +183,7 @@ inline BurstResult run_burst_avg(std::uint32_t burst, std::size_t msg_bytes,
     acc.ab_rounds += r.ab_rounds;
     acc.bc_always_one_round = acc.bc_always_one_round && r.bc_always_one_round;
     acc.mvc_never_default = acc.mvc_never_default && r.mvc_never_default;
+    merge(acc.oracles, r.oracles);
   }
   acc.ab_rounds /= static_cast<std::uint64_t>(runs);
   return acc;
@@ -317,6 +245,14 @@ class BenchReport {
   bool gate(std::string_view name, bool ok) {
     record_gate(name, ok ? "true" : "false", "==", "true", ok);
     return ok;
+  }
+
+  /// The `oracles` gate: every run behind the rows passed the shared
+  /// property oracles. Call once, after every row; a failure prints the
+  /// violations on stderr.
+  bool oracles(const sim::oracle::Report& r) {
+    if (!r.ok()) std::fprintf(stderr, "%s\n", r.text().c_str());
+    return gate("oracles", r.ok());
   }
 
   /// Declares the baseline comparison, the "compare" object: {"key": [...],

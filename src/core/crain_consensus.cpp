@@ -7,14 +7,10 @@
 namespace ritas {
 
 CrainConsensus::CrainConsensus(ProtocolStack& stack, Protocol* parent,
-                               InstanceId id, Attribution attr,
-                               DecideFn decide)
+                               InstanceId id, DecideFn decide)
     : BcAlgorithm(stack, parent, std::move(id)),
-      attr_(attr),
       decide_(std::move(decide)),
-      done_seen_(stack.n(), false) {
-  (void)attr_;  // kept for parity with the other BC variant (no child RBs)
-}
+      done_seen_(stack.n(), false) {}
 
 CrainConsensus::RoundState& CrainConsensus::round_state(std::uint32_t r) {
   auto it = rounds_.find(r);

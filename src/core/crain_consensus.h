@@ -75,7 +75,7 @@ class CrainConsensus final : public BcAlgorithm {
                                               BcAlgorithm::DecideFn);
 
   CrainConsensus(ProtocolStack& stack, Protocol* parent, InstanceId id,
-                 Attribution attr, DecideFn decide);
+                 DecideFn decide);
 
   struct RoundState {
     bool bval_sent[2] = {false, false};  // our BVAL(v) is out (or omitted)
@@ -115,7 +115,6 @@ class CrainConsensus final : public BcAlgorithm {
   void try_advance();
   void decide(bool w, std::uint32_t r);
 
-  const Attribution attr_;
   DecideFn decide_;
 
   bool active_ = false;

@@ -78,8 +78,9 @@ std::unique_ptr<BcAlgorithm> make_bc(ProtocolStack& stack, Protocol* parent,
                                      BcAlgorithm::DecideFn decide) {
   switch (stack.config().variants.bc) {
     case BcVariant::kCrain:
-      return std::unique_ptr<BcAlgorithm>(new CrainConsensus(
-          stack, parent, std::move(id), attr, std::move(decide)));
+      // Crain spawns no child broadcasts, so it has nothing to attribute.
+      return std::unique_ptr<BcAlgorithm>(
+          new CrainConsensus(stack, parent, std::move(id), std::move(decide)));
     case BcVariant::kBracha:
       break;
   }

@@ -5,11 +5,10 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "core/atomic_broadcast.h"
 #include "sim/cluster.h"
 #include "sim/fingerprint.h"
+#include "sim/layer_run.h"
 #include "sim/load_gen.h"
-#include "sim/oracles.h"
 
 namespace ritas::sim {
 
@@ -84,7 +83,6 @@ CampaignResult run_campaign(const CampaignOptions& opts) {
   // Observation state — declared before the Cluster so protocol callbacks
   // referencing it can never dangle.
   Fingerprint fp;
-  oracle::AbRecorder ab_rec(n, o.stack.ab_batch.enabled);
   std::vector<std::uint64_t> got(n, 0);  // loadgen ops delivered at p
   std::vector<bool> is_origin(n, false);
   LoadGen* lg = nullptr;
@@ -96,23 +94,19 @@ CampaignResult run_campaign(const CampaignOptions& opts) {
   const ProcessId observer = origins.front();
   for (ProcessId p : origins) is_origin[p] = true;
 
-  std::vector<AtomicBroadcast*> ab(n, nullptr);
-  const InstanceId id = InstanceId::root(ProtocolType::kAtomicBroadcast, 1);
-  for (ProcessId p : c.live()) {
-    AtomicBroadcast::DeliverFn cb;
-    if (c.correct(p)) {
-      cb = [&, p](ProcessId origin, std::uint64_t rbid, Slice payload) {
-        ab_rec.delivered(p, origin, rbid, payload.to_bytes());
-        if (is_origin[origin]) ++got[p];
-        fp.u64((std::uint64_t{p} << 40) | ab_rec.log(p).size());
-        fp.u64(origin);
-        fp.bytes(ab_rec.log(p).back().payload);
-        fp.u64(c.now());
-        if (p == observer && lg != nullptr) lg->on_completed(origin);
-      };
-    }
-    ab[p] = &c.create_root<AtomicBroadcast>(p, id, std::move(cb));
-  }
+  // Every correct process's deliveries feed the fingerprint and the
+  // per-process op counts; the observer's also complete the generator's ops.
+  LayerRun run(c, Workload::kAtomicBroadcast, 1, {},
+               [&](const LayerRun::Outcome& d) {
+                 const ProcessId p = d.at;
+                 if (!c.correct(p)) return;
+                 if (is_origin[d.origin]) ++got[p];
+                 fp.u64((std::uint64_t{p} << 40) | run.ab().log(p).size());
+                 fp.u64(d.origin);
+                 fp.bytes(*d.value);
+                 fp.u64(c.now());
+                 if (p == observer && lg != nullptr) lg->on_completed(d.origin);
+               });
 
   LoadGen::Options lo;
   lo.clients = opts.clients;
@@ -121,13 +115,9 @@ CampaignResult run_campaign(const CampaignOptions& opts) {
   lo.max_ops = opts.ops;
   lo.seed = derive_seed(opts.seed, kTagLoad);
   lo.origins = origins;
-  LoadGen gen(c.scheduler(), lo,
-              [&c, &ab, &ab_rec](ProcessId origin, Bytes payload) {
-                c.call(origin, [&] {
-                  const std::uint64_t rbid = ab[origin]->bcast(Bytes(payload));
-                  ab_rec.sent(origin, rbid, std::move(payload));
-                });
-              });
+  LoadGen gen(c.scheduler(), lo, [&run](ProcessId origin, Bytes payload) {
+    run.send(origin, {std::move(payload)});
+  });
   lg = &gen;
   const Time t0 = c.now();
   gen.start();
@@ -145,7 +135,7 @@ CampaignResult run_campaign(const CampaignOptions& opts) {
   lg = nullptr;
 
   oracle::Report report;
-  ab_rec.check(report, origins, out.completed);
+  run.check(report, origins, out.completed);
   out.ordered = report.ok();
   out.ops_offered = gen.offered();
   out.ops_completed = gen.completed();

@@ -74,6 +74,14 @@ Cluster::Cluster(ClusterOptions opts) : opts_(std::move(opts)) {
 
 Cluster::~Cluster() = default;
 
+bool Cluster::faulty(ProcessId p) const {
+  if (!correct(p)) return true;
+  for (const auto& [q, t] : opts_.timed_crashes) {
+    if (q == p) return true;
+  }
+  return false;
+}
+
 std::vector<ProcessId> Cluster::live() const {
   std::vector<ProcessId> out;
   for (ProcessId p = 0; p < opts_.n; ++p) {

@@ -70,6 +70,9 @@ class Cluster {
   bool byzantine(ProcessId p) const { return adversaries_[p] != nullptr; }
   /// Correct = neither crashed nor Byzantine.
   bool correct(ProcessId p) const { return !crashed(p) && !byzantine(p); }
+  /// Faulty = not correct now, or scheduled to crash (timed_crashes): a
+  /// process that crashes mid-run is not correct.
+  bool faulty(ProcessId p) const;
   std::vector<ProcessId> live() const;      // not crashed
   std::vector<ProcessId> correct_set() const;
 

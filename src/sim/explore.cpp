@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <bit>
-#include <functional>
+#include <deque>
 #include <memory>
 #include <numeric>
 #include <set>
@@ -12,15 +12,9 @@
 #include "common/json.h"
 #include "common/rng.h"
 #include "core/atomic_broadcast.h"
-#include "core/binary_consensus.h"
-#include "core/echo_broadcast.h"
 #include "core/imbs_raynal_broadcast.h"
-#include "core/multivalued_consensus.h"
-#include "core/reliable_broadcast.h"
-#include "core/vector_consensus.h"
 #include "sim/cluster.h"
 #include "sim/fingerprint.h"
-#include "sim/oracles.h"
 #include "sim/wan_model.h"
 
 namespace ritas::sim {
@@ -101,6 +95,60 @@ std::unique_ptr<Adversary> make_adversary(const Schedule& s, std::uint32_t index
   return result;
 }
 
+/// Instance m's inputs for a trial of one of the per-instance layers: BC
+/// proposals (half the rows a balanced split, the adversarially hardest
+/// input: unanimity converges in one step regardless of schedule, a split
+/// is where ordering decides the outcome), random MVC/VC proposals, or one
+/// RB/EB broadcast from process m mod n.
+LayerRun::Inputs trial_inputs(Workload w, std::uint32_t n, std::uint32_t m,
+                              Rng& prop_rng, Rng& payload_rng) {
+  LayerRun::Inputs in;
+  if (w == Workload::kBinaryConsensus) {
+    in.bits.resize(n);
+    if (prop_rng.coin()) {
+      for (std::uint32_t p = 0; p < n; ++p) in.bits[p] = (p & 1) != 0;
+      std::shuffle(in.bits.begin(), in.bits.end(), prop_rng);
+    } else {
+      for (std::uint32_t p = 0; p < n; ++p) in.bits[p] = prop_rng.coin();
+    }
+  } else if (w == Workload::kMultiValuedConsensus ||
+             w == Workload::kVectorConsensus) {
+    for (std::uint32_t p = 0; p < n; ++p) {
+      in.values.push_back(random_payload(prop_rng, 8));
+    }
+  } else {
+    in.calls.push_back({static_cast<ProcessId>(m % n),
+                        {random_payload(payload_rng, kPayloadLen)}});
+  }
+  return in;
+}
+
+/// Fingerprint tag of each layer's outcomes, indexed by Workload (RB and
+/// EB share one).
+constexpr std::uint64_t kOutcomeTag[] = {4, 4, 1, 2, 3, 5};
+
+/// Hashes one outcome of instance m into the trial's observation stream:
+/// tag, instance (AB: origin) and process, the value, the virtual time.
+void hash_outcome(Fingerprint& fp, Workload w, std::uint32_t m,
+                  const LayerRun::Outcome& o, Time now) {
+  const bool ab = w == Workload::kAtomicBroadcast;
+  fp.u64((kOutcomeTag[static_cast<std::size_t>(w)] << 56) |
+         (std::uint64_t{ab ? o.origin : m} << 32) | o.at);
+  if (ab) fp.u64(o.rbid);
+  if (w == Workload::kBinaryConsensus) {
+    fp.u64(o.bit ? 1 : 0);
+  } else if (o.vector != nullptr) {
+    for (const auto& e : *o.vector) {
+      if (e) fp.bytes(*e); else fp.u64(0xbaadull);
+    }
+  } else if (o.value != nullptr) {
+    fp.bytes(*o.value);
+  } else {
+    fp.u64(0xbaadull);  // MVC decided the default value
+  }
+  fp.u64(now);
+}
+
 const char* perturbation_kind_name(Perturbation::Kind k) {
   switch (k) {
     case Perturbation::Kind::kLinkDelay: return "link_delay";
@@ -123,28 +171,6 @@ auto perturbation_key(const Perturbation& p) {
 }
 
 }  // namespace
-
-const char* workload_name(Workload w) {
-  switch (w) {
-    case Workload::kReliableBroadcast: return "rb";
-    case Workload::kEchoBroadcast: return "eb";
-    case Workload::kBinaryConsensus: return "bc";
-    case Workload::kMultiValuedConsensus: return "mvc";
-    case Workload::kVectorConsensus: return "vc";
-    case Workload::kAtomicBroadcast: return "ab";
-  }
-  return "?";
-}
-
-std::optional<Workload> workload_from_name(std::string_view name) {
-  if (name == "rb") return Workload::kReliableBroadcast;
-  if (name == "eb") return Workload::kEchoBroadcast;
-  if (name == "bc") return Workload::kBinaryConsensus;
-  if (name == "mvc") return Workload::kMultiValuedConsensus;
-  if (name == "vc") return Workload::kVectorConsensus;
-  if (name == "ab") return Workload::kAtomicBroadcast;
-  return std::nullopt;
-}
 
 std::string schedule_filename(std::uint64_t seed) {
   return "schedule_" + std::to_string(seed) + ".json";
@@ -420,19 +446,7 @@ Schedule Explorer::make_schedule(std::uint64_t trial_seed) const {
 TrialResult Explorer::run_trial(const Schedule& s) {
   TrialResult out;
   const std::uint32_t n = s.n;
-  const std::uint32_t f = max_faults(n);
   const std::uint32_t messages = std::max(1u, s.messages);
-
-  // Statically faulty processes: Byzantine from t=0, plus scheduled
-  // crashes. Workload goals and "sent by a correct process" accounting
-  // exclude them (a process that crashes mid-run is not correct).
-  std::vector<bool> faulty(n, false);
-  for (ProcessId p : s.byzantine) {
-    if (p < n) faulty[p] = true;
-  }
-  for (const Perturbation& p : s.perturbations) {
-    if (p.kind == Perturbation::Kind::kCrash && p.a < n) faulty[p.a] = true;
-  }
 
   ClusterOptions o;
   o.n = n;
@@ -448,6 +462,8 @@ TrialResult Explorer::run_trial(const Schedule& s) {
   o.byzantine = s.byzantine;
   auto byz_index = std::make_shared<std::uint32_t>(0);
   o.adversary_factory = [&s, byz_index] { return make_adversary(s, (*byz_index)++); };
+  // Scheduled crashes make a process faulty from the start: workload goals
+  // and "sent by a correct process" accounting exclude it.
   for (const Perturbation& p : s.perturbations) {
     if (p.kind == Perturbation::Kind::kCrash) {
       o.timed_crashes.emplace_back(p.a, p.start);
@@ -467,13 +483,6 @@ TrialResult Explorer::run_trial(const Schedule& s) {
     wan_model.emplace(wan_profile(n, wo), derive_seed(s.seed, kTagWan));
   }
   Fingerprint fp;
-  std::vector<std::vector<bool>> bc_proposals;
-  std::vector<std::vector<std::optional<bool>>> bc_decisions;
-  std::vector<std::vector<Bytes>> proposals;  // mvc/vc/rb/eb payloads
-  std::vector<std::vector<std::optional<oracle::MvcDecision>>> mvc_decisions;
-  std::vector<std::vector<std::optional<oracle::VcVector>>> vc_decisions;
-  std::vector<std::vector<std::optional<Bytes>>> delivered;  // [m][p]
-  oracle::AbRecorder ab(n, o.stack.ab_batch.enabled);
 
   Cluster c(o);
   c.network().set_delay_policy([&s, &wan_model](ProcessId from, ProcessId to,
@@ -496,264 +505,42 @@ TrialResult Explorer::run_trial(const Schedule& s) {
 
   Rng prop_rng(derive_seed(s.seed, kTagProposals));
   Rng payload_rng(derive_seed(s.seed, kTagPayloads));
-
-  std::function<bool()> goal;
-  std::function<void(oracle::Report&, bool)> check;
-
-  switch (s.workload) {
-    case Workload::kBinaryConsensus: {
-      bc_proposals.assign(messages, std::vector<bool>(n));
-      bc_decisions.assign(messages,
-                          std::vector<std::optional<bool>>(n));
-      for (auto& row : bc_proposals) {
-        if (prop_rng.coin()) {
-          // Balanced split: the adversarially hardest input for binary
-          // consensus (unanimity converges in one step regardless of
-          // schedule, a split is where ordering decides the outcome).
-          for (std::uint32_t p = 0; p < n; ++p) row[p] = (p & 1) != 0;
-          std::shuffle(row.begin(), row.end(), prop_rng);
-        } else {
-          for (std::uint32_t p = 0; p < n; ++p) row[p] = prop_rng.coin();
-        }
-      }
-      std::vector<std::vector<BcAlgorithm*>> insts(
-          messages, std::vector<BcAlgorithm*>(n, nullptr));
-      for (std::uint32_t m = 0; m < messages; ++m) {
-        const InstanceId id =
-            InstanceId::root(ProtocolType::kBinaryConsensus, m + 1);
-        for (ProcessId p : c.live()) {
-          insts[m][p] = &c.create_bc(
-              p, id, Attribution::kAgreement, [&, m, p](bool v) {
-                bc_decisions[m][p] = v;
-                fp.u64((std::uint64_t{1} << 56) | (std::uint64_t{m} << 32) | p);
-                fp.u64(v ? 1 : 0);
-                fp.u64(c.now());
-              });
-        }
-      }
-      for (std::uint32_t m = 0; m < messages; ++m) {
-        for (ProcessId p : c.live()) {
-          c.call(p, [&, m, p] { insts[m][p]->propose(bc_proposals[m][p]); });
-        }
-      }
-      goal = [&, messages] {
-        for (ProcessId p : c.correct_set()) {
-          for (std::uint32_t m = 0; m < messages; ++m) {
-            if (!bc_decisions[m][p].has_value()) return false;
-          }
-        }
-        return true;
-      };
-      check = [&, messages](oracle::Report& r, bool complete) {
-        const auto correct = c.correct_set();
-        for (std::uint32_t m = 0; m < messages; ++m) {
-          oracle::check_bc(r, correct, bc_proposals[m], bc_decisions[m], complete);
-        }
-      };
-      break;
-    }
-
-    case Workload::kMultiValuedConsensus: {
-      proposals.assign(messages, std::vector<Bytes>(n));
-      mvc_decisions.assign(
-          messages, std::vector<std::optional<oracle::MvcDecision>>(n));
-      for (auto& row : proposals) {
-        for (std::uint32_t p = 0; p < n; ++p) {
-          row[p] = random_payload(prop_rng, 8);
-        }
-      }
-      std::vector<std::vector<MultiValuedConsensus*>> insts(
-          messages, std::vector<MultiValuedConsensus*>(n, nullptr));
-      for (std::uint32_t m = 0; m < messages; ++m) {
-        const InstanceId id =
-            InstanceId::root(ProtocolType::kMultiValuedConsensus, m + 1);
-        for (ProcessId p : c.live()) {
-          insts[m][p] = &c.create_root<MultiValuedConsensus>(
-              p, id, Attribution::kAgreement,
-              [&, m, p](std::optional<Bytes> v) {
-                fp.u64((std::uint64_t{2} << 56) | (std::uint64_t{m} << 32) | p);
-                if (v) fp.bytes(*v); else fp.u64(0xbaadull);
-                fp.u64(c.now());
-                mvc_decisions[m][p] = std::move(v);
-              });
-        }
-      }
-      for (std::uint32_t m = 0; m < messages; ++m) {
-        for (ProcessId p : c.live()) {
-          c.call(p, [&, m, p] { insts[m][p]->propose(proposals[m][p]); });
-        }
-      }
-      goal = [&, messages] {
-        for (ProcessId p : c.correct_set()) {
-          for (std::uint32_t m = 0; m < messages; ++m) {
-            if (!mvc_decisions[m][p].has_value()) return false;
-          }
-        }
-        return true;
-      };
-      check = [&, messages](oracle::Report& r, bool complete) {
-        const auto correct = c.correct_set();
-        for (std::uint32_t m = 0; m < messages; ++m) {
-          oracle::mvc_agreement(r, correct, mvc_decisions[m]);
-          // No-creation only holds against known proposals; with Byzantine
-          // processes the oracle cannot know what they "proposed".
-          if (s.byzantine.empty()) {
-            oracle::mvc_no_creation(r, correct, proposals[m], mvc_decisions[m]);
-          }
-          if (complete) oracle::mvc_termination(r, correct, mvc_decisions[m]);
-        }
-      };
-      break;
-    }
-
-    case Workload::kVectorConsensus: {
-      proposals.assign(messages, std::vector<Bytes>(n));
-      vc_decisions.assign(messages,
-                          std::vector<std::optional<oracle::VcVector>>(n));
-      for (auto& row : proposals) {
-        for (std::uint32_t p = 0; p < n; ++p) {
-          row[p] = random_payload(prop_rng, 8);
-        }
-      }
-      std::vector<std::vector<VectorConsensus*>> insts(
-          messages, std::vector<VectorConsensus*>(n, nullptr));
-      for (std::uint32_t m = 0; m < messages; ++m) {
-        const InstanceId id =
-            InstanceId::root(ProtocolType::kVectorConsensus, m + 1);
-        for (ProcessId p : c.live()) {
-          insts[m][p] = &c.create_root<VectorConsensus>(
-              p, id, Attribution::kAgreement,
-              [&, m, p](VectorConsensus::Vector v) {
-                fp.u64((std::uint64_t{3} << 56) | (std::uint64_t{m} << 32) | p);
-                for (const auto& e : v) {
-                  if (e) fp.bytes(*e); else fp.u64(0xbaadull);
-                }
-                fp.u64(c.now());
-                vc_decisions[m][p] = std::move(v);
-              });
-        }
-      }
-      for (std::uint32_t m = 0; m < messages; ++m) {
-        for (ProcessId p : c.live()) {
-          c.call(p, [&, m, p] { insts[m][p]->propose(proposals[m][p]); });
-        }
-      }
-      goal = [&, messages] {
-        for (ProcessId p : c.correct_set()) {
-          for (std::uint32_t m = 0; m < messages; ++m) {
-            if (!vc_decisions[m][p].has_value()) return false;
-          }
-        }
-        return true;
-      };
-      check = [&, messages, f](oracle::Report& r, bool complete) {
-        const auto correct = c.correct_set();
-        for (std::uint32_t m = 0; m < messages; ++m) {
-          oracle::check_vc(r, correct, proposals[m], vc_decisions[m], f, complete);
-        }
-      };
-      break;
-    }
-
-    case Workload::kReliableBroadcast:
-    case Workload::kEchoBroadcast: {
-      const bool rb = s.workload == Workload::kReliableBroadcast;
-      proposals.assign(messages, std::vector<Bytes>(1));
-      delivered.assign(messages, std::vector<std::optional<Bytes>>(n));
-      std::vector<ProcessId> origins(messages);
-      for (std::uint32_t m = 0; m < messages; ++m) {
-        origins[m] = static_cast<ProcessId>(m % n);
-        proposals[m][0] = random_payload(payload_rng, kPayloadLen);
-      }
-      for (std::uint32_t m = 0; m < messages; ++m) {
-        const auto type = rb ? ProtocolType::kReliableBroadcast
-                             : ProtocolType::kEchoBroadcast;
-        const InstanceId id = InstanceId::root(type, m + 1);
-        for (ProcessId p : c.live()) {
-          auto sink = [&, m, p](Slice payload) {
-            delivered[m][p] = payload.to_bytes();
-            fp.u64((std::uint64_t{4} << 56) | (std::uint64_t{m} << 32) | p);
-            fp.bytes(*delivered[m][p]);
-            fp.u64(c.now());
-          };
-          if (rb) {
-            auto& inst = c.create_rb(
-                p, id, origins[m], Attribution::kPayload, sink);
-            if (p == origins[m]) {
-              c.call(p, [&, m] { inst.bcast(Bytes(proposals[m][0])); });
-            }
-          } else {
-            auto& inst = c.create_root<EchoBroadcast>(
-                p, id, origins[m], Attribution::kPayload, sink);
-            if (p == origins[m]) {
-              c.call(p, [&, m] { inst.bcast(Bytes(proposals[m][0])); });
-            }
-          }
-        }
-      }
-      goal = [&, messages, origins] {
-        for (ProcessId p : c.correct_set()) {
-          for (std::uint32_t m = 0; m < messages; ++m) {
-            if (!faulty[origins[m]] && !delivered[m][p].has_value()) return false;
-          }
-        }
-        return true;
-      };
-      check = [&, messages, origins, rb](oracle::Report& r, bool complete) {
-        const auto correct = c.correct_set();
-        const char* layer = rb ? "rb" : "eb";
-        for (std::uint32_t m = 0; m < messages; ++m) {
-          oracle::broadcast_agreement(r, correct, delivered[m], layer);
-          const bool origin_correct =
-              std::find(correct.begin(), correct.end(), origins[m]) !=
-              correct.end();
-          if (origin_correct) {
-            oracle::broadcast_correct_origin(r, correct, proposals[m][0],
-                                             delivered[m], layer, complete);
-          }
-          if (rb && complete) {
-            oracle::rb_totality(r, correct, delivered[m]);
-          }
-        }
-      };
-      break;
-    }
-
-    case Workload::kAtomicBroadcast: {
-      std::vector<AtomicBroadcast*> insts(n, nullptr);
-      const InstanceId id = InstanceId::root(ProtocolType::kAtomicBroadcast, 1);
+  // One run per instance m (root seq m + 1); AB is one root carrying
+  // `messages` sends per process.
+  std::deque<LayerRun> runs;
+  const auto observe = [&](std::uint32_t m) {
+    return [&, m](const LayerRun::Outcome& obs) {
+      hash_outcome(fp, s.workload, m, obs, c.now());
+    };
+  };
+  if (s.workload == Workload::kAtomicBroadcast) {
+    LayerRun::Inputs in;
+    for (std::uint32_t m = 0; m < messages; ++m) {
       for (ProcessId p : c.live()) {
-        insts[p] = &c.create_root<AtomicBroadcast>(
-            p, id,
-            [&, p](ProcessId origin, std::uint64_t rbid, Slice payload) {
-              ab.delivered(p, origin, rbid, payload.to_bytes());
-              fp.u64((std::uint64_t{5} << 56) | (std::uint64_t{origin} << 32) | p);
-              fp.u64(rbid);
-              fp.bytes(ab.log(p).back().payload);
-              fp.u64(c.now());
-            });
+        in.calls.push_back({p, {random_payload(payload_rng, kPayloadLen)}});
       }
-      for (std::uint32_t m = 0; m < messages; ++m) {
-        for (ProcessId p : c.live()) {
-          Bytes payload = random_payload(payload_rng, kPayloadLen);
-          c.call(p, [&] {
-            const std::uint64_t rbid = insts[p]->bcast(Bytes(payload));
-            if (!faulty[p]) ab.sent(p, rbid, std::move(payload));
-          });
-        }
+    }
+    LayerRun& ab =
+        runs.emplace_back(c, s.workload, 1, std::move(in), observe(0));
+    if (s.ab_batching) {
+      for (ProcessId p : c.live()) {
+        c.call(p, [&, p] { ab.ab_root(p).flush(); });
       }
-      if (s.ab_batching) {
-        for (ProcessId p : c.live()) {
-          c.call(p, [&, p] { insts[p]->flush(); });
-        }
-      }
-      goal = [&] { return ab.all_delivered(c.correct_set()); };
-      check = [&](oracle::Report& r, bool complete) {
-        ab.check(r, c.correct_set(), complete);
-      };
-      break;
+    }
+  } else {
+    for (std::uint32_t m = 0; m < messages; ++m) {
+      runs.emplace_back(c, s.workload, m + 1,
+                        trial_inputs(s.workload, n, m, prop_rng, payload_rng),
+                        observe(m));
     }
   }
+  const auto goal = [&] {
+    const auto correct = c.correct_set();
+    for (const LayerRun& r : runs) {
+      if (!r.done(correct)) return false;
+    }
+    return true;
+  };
 
   // --- drive under the liveness budget ------------------------------------
   std::uint64_t events = 0;
@@ -773,7 +560,9 @@ TrialResult Explorer::run_trial(const Schedule& s) {
   }
 
   oracle::Report report;
-  check(report, out.completed && c.scheduler().empty());
+  for (const LayerRun& r : runs) {
+    r.check(report, c.correct_set(), out.completed && c.scheduler().empty());
+  }
   out.violations = std::move(report.violations);
   out.events = events;
   out.end_time = c.now();

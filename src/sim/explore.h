@@ -7,8 +7,9 @@
 // (Byzantine hook composition, timed crashes), and a list of network
 // perturbations (windowed link delays, partition windows realized as
 // delay-until-heal). `Explorer` generates schedules from a seed range,
-// executes each under a liveness budget, and checks the per-layer property
-// oracles (sim/oracles.h) after every trial. When a trial fails, a
+// executes each under a liveness budget (driving its layer through
+// sim::LayerRun), and checks the per-layer property oracles
+// (sim/oracles.h) after every trial. When a trial fails, a
 // delta-debugging pass shrinks the schedule — dropping perturbations,
 // clearing adversary hooks, removing Byzantine processes, reducing the
 // workload — to a minimal still-failing schedule, serialized as JSON that
@@ -28,22 +29,10 @@
 #include "core/metrics.h"
 #include "core/stack.h"
 #include "core/types.h"
+#include "sim/layer_run.h"
 #include "sim/scheduler.h"
 
 namespace ritas::sim {
-
-/// Which protocol layer a trial drives (and which oracles judge it).
-enum class Workload : std::uint8_t {
-  kReliableBroadcast = 0,
-  kEchoBroadcast = 1,
-  kBinaryConsensus = 2,
-  kMultiValuedConsensus = 3,
-  kVectorConsensus = 4,
-  kAtomicBroadcast = 5,
-};
-
-const char* workload_name(Workload w);
-std::optional<Workload> workload_from_name(std::string_view name);
 
 /// One scheduled network disturbance. All windows are half-open
 /// [start, end) in simulated nanoseconds.

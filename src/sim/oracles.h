@@ -2,11 +2,16 @@
 // executable checks over captured per-process observations.
 //
 // Every oracle appends human-readable violation strings to a Report
-// instead of asserting, so the same checks serve every harness:
+// instead of asserting, so the same checks serve every harness. The
+// simulator ones drive their layers through sim::LayerRun
+// (sim/layer_run.h), which records what the oracles judge and picks each
+// layer's set:
 //
 //   * the schedule-exploration engine (sim/explore.h) runs the full set
 //     after every trial and treats a non-empty report as "shrink this
 //     schedule and emit an artifact";
+//   * the paper benches (bench/paper_harness.h) judge every run behind a
+//     row and gate the verdict as their artifact's `oracles` gate;
 //   * the sim campaigns (sim/campaign.h) judge every cell with check_ab,
 //     and the sharded cluster (sim/sharded.h) records each group for it;
 //   * GoogleTest suites wrap a report in EXPECT_TRUE(r.ok()) << r.text(),

@@ -73,7 +73,7 @@ void ShardedService::on_delivered(ShardId shard, ByteView command) {
   if (command.size() >= 16) {
     const ByteView op = command.subspan(16);
     if (shard_of(op) != shard) {
-      misrouted_dropped_.fetch_add(1, std::memory_order_relaxed);
+      counters_.misrouted_dropped.fetch_add(1, std::memory_order_relaxed);
       return;
     }
   }
@@ -81,6 +81,15 @@ void ShardedService::on_delivered(ShardId shard, ByteView command) {
   if (applied && on_applied_) {
     on_applied_(shard, applied->client, applied->seq, applied->result);
   }
+}
+
+ShardedService::Stats ShardedService::stats() const {
+  Stats s;
+#define RITAS_SERVICE_LOAD(field, unit, help) \
+  s.field = counters_.field.load(std::memory_order_relaxed);
+  RITAS_SERVICE_COUNTERS(RITAS_SERVICE_LOAD)
+#undef RITAS_SERVICE_LOAD
+  return s;
 }
 
 std::uint64_t ShardedService::applied_total() const {

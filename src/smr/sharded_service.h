@@ -16,9 +16,9 @@
 //     command stream to shard s's applier. A command whose routing key
 //     does NOT belong to the delivering shard (a Byzantine replica
 //     broadcast it on the wrong group) is a counted drop
-//     (`misrouted_dropped`): every correct replica skips it identically,
-//     so per-shard state stays consistent AND the partition invariant
-//     (each key lives in exactly one shard) holds.
+//     (`misrouted_dropped`, a service counter): every correct replica
+//     skips it identically, so per-shard state stays consistent AND the
+//     partition invariant (each key lives in exactly one shard) holds.
 //
 // The service is transport-agnostic: it never touches a stack directly.
 // Harnesses (sim::ShardedCluster, ritas::ShardedNode, examples) bind a
@@ -27,8 +27,8 @@
 //
 // Threading follows the stacks it serves: every harness runs all shards
 // on one loop (ShardedNode: the Node's poll thread), so per-shard state
-// (machine, applier) is touched by exactly one thread. Only the tally
-// `misrouted_dropped` is an atomic that application threads may read;
+// (machine, applier) is touched by exactly one thread. Only the service
+// counters (`stats()`) are atomics that application threads may read;
 // `applied_total` sums the appliers' plain counters, so read it on the
 // loop thread or under the caller's own lock. submit is safe from any
 // thread once bind_submitter's target is (ShardedNode posts to the poll
@@ -44,10 +44,20 @@
 #include <vector>
 
 #include "common/bytes.h"
+#include "common/stats.h"
 #include "smr/applier.h"
 #include "smr/state_machine.h"
 
 namespace ritas::smr {
+
+// The service's counter list: one X(field, unit, help) row per counter.
+// Stats, the atomic twin the service writes and for_each() are generated
+// from it, and the "Service counters" table in docs/OBSERVABILITY.md lists
+// the same names and units (test_counter_docs checks). Add a counter here
+// and nowhere else.
+#define RITAS_SERVICE_COUNTERS(X)                                             \
+  X(misrouted_dropped, "commands",                                            \
+    "delivered commands whose routing key belongs to another shard")
 
 /// Index of one shard == one consensus group of the sharded deployment.
 using ShardId = std::uint32_t;
@@ -70,6 +80,20 @@ class ShardedService {
   /// Fires on THIS process for every command applied to any local shard.
   using AppliedFn = std::function<void(ShardId shard, std::uint64_t client,
                                        std::uint64_t seq, const Bytes& result)>;
+
+  struct Stats {
+#define RITAS_SERVICE_FIELD(field, unit, help) std::uint64_t field = 0;
+    RITAS_SERVICE_COUNTERS(RITAS_SERVICE_FIELD)
+#undef RITAS_SERVICE_FIELD
+    /// Calls f(CounterInfo, value) once per counter, in list order.
+    template <typename F>
+    void for_each(F&& f) const {
+#define RITAS_SERVICE_VISIT(field, unit, help) \
+  f(CounterInfo{#field, unit, help}, field);
+      RITAS_SERVICE_COUNTERS(RITAS_SERVICE_VISIT)
+#undef RITAS_SERVICE_VISIT
+    }
+  };
 
   struct Config {
     std::uint32_t shards = 1;
@@ -118,10 +142,8 @@ class ShardedService {
   // --- service-wide stats --------------------------------------------------
   /// Commands applied across all shards (not an atomic; see the header).
   std::uint64_t applied_total() const;
-  /// Delivered commands whose routing key belongs to another shard.
-  std::uint64_t misrouted_dropped() const {
-    return misrouted_dropped_.load(std::memory_order_relaxed);
-  }
+  /// Snapshot of the service counters; any thread.
+  Stats stats() const;
 
  private:
   Config cfg_;
@@ -129,7 +151,12 @@ class ShardedService {
   std::vector<std::unique_ptr<ExactlyOnceApplier>> appliers_;
   SubmitFn submit_;
   AppliedFn on_applied_;
-  std::atomic<std::uint64_t> misrouted_dropped_{0};
+  struct Counters {
+#define RITAS_SERVICE_ATOMIC(field, unit, help) \
+  std::atomic<std::uint64_t> field{0};
+    RITAS_SERVICE_COUNTERS(RITAS_SERVICE_ATOMIC)
+#undef RITAS_SERVICE_ATOMIC
+  } counters_;
 };
 
 }  // namespace ritas::smr

@@ -1,8 +1,7 @@
 // Shared helpers for protocol tests driven through the simulated cluster.
 #pragma once
 
-#include <functional>
-#include <map>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -13,6 +12,7 @@
 #include "core/reliable_broadcast.h"
 #include "core/vector_consensus.h"
 #include "sim/cluster.h"
+#include "sim/layer_run.h"
 #include "sim/oracles.h"
 
 namespace ritas::test {
@@ -27,6 +27,8 @@ constexpr Time kDeadline = 120 * sim::kSecond;
 template <typename T>
 struct Capture {
   std::vector<std::optional<T>> got;
+  /// The run that recorded `got`, when run_layer made it.
+  std::shared_ptr<const sim::LayerRun> run;
   explicit Capture(std::uint32_t n) : got(n) {}
 
   auto sink(ProcessId p) {
@@ -48,56 +50,44 @@ struct Capture {
   }
 };
 
-/// Runs one binary consensus across all live processes; proposals[p] is
-/// p's input. Returns per-process decisions via the capture.
+/// Runs one root of layer `w` at every live process (sim::LayerRun) until
+/// every correct process decided; `got` holds what `recorded` returns at
+/// that point. The capture keeps the run alive: its roots still report to
+/// it.
+template <typename T>
+Capture<T> run_layer(Cluster& c, sim::Workload w, std::uint64_t root_seq,
+                     sim::LayerRun::Inputs in,
+                     const std::vector<std::optional<T>>& (
+                         sim::LayerRun::*recorded)() const) {
+  auto run = std::make_shared<sim::LayerRun>(c, w, root_seq, std::move(in));
+  c.run_until([&] { return run->done(c.correct_set()); }, kDeadline);
+  Capture<T> cap(c.n());
+  cap.got = ((*run).*recorded)();
+  cap.run = std::move(run);
+  return cap;
+}
+
+/// One binary consensus across all live processes; proposals[p] is p's
+/// input.
 inline Capture<bool> run_binary_consensus(Cluster& c,
                                           const std::vector<bool>& proposals,
                                           std::uint64_t root_seq = 1) {
-  Capture<bool> cap(c.n());
-  std::vector<BcAlgorithm*> insts(c.n(), nullptr);
-  const InstanceId id = InstanceId::root(ProtocolType::kBinaryConsensus, root_seq);
-  for (ProcessId p : c.live()) {
-    insts[p] = &c.create_bc(p, id, Attribution::kAgreement,
-                                               cap.sink(p));
-  }
-  for (ProcessId p : c.live()) {
-    c.call(p, [&, p] { insts[p]->propose(proposals[p]); });
-  }
-  c.run_until([&] { return cap.all_set(c.correct_set()); }, kDeadline);
-  return cap;
+  return run_layer(c, sim::Workload::kBinaryConsensus, root_seq,
+                   {.bits = proposals}, &sim::LayerRun::bits);
 }
 
 inline Capture<std::optional<Bytes>> run_mvc(
-    Cluster& c, const std::vector<Bytes>& proposals, std::uint64_t root_seq = 1) {
-  Capture<std::optional<Bytes>> cap(c.n());
-  std::vector<MultiValuedConsensus*> insts(c.n(), nullptr);
-  const InstanceId id =
-      InstanceId::root(ProtocolType::kMultiValuedConsensus, root_seq);
-  for (ProcessId p : c.live()) {
-    insts[p] = &c.create_root<MultiValuedConsensus>(p, id, Attribution::kAgreement,
-                                                    cap.sink(p));
-  }
-  for (ProcessId p : c.live()) {
-    c.call(p, [&, p] { insts[p]->propose(proposals[p]); });
-  }
-  c.run_until([&] { return cap.all_set(c.correct_set()); }, kDeadline);
-  return cap;
+    Cluster& c, const std::vector<Bytes>& proposals,
+    std::uint64_t root_seq = 1) {
+  return run_layer(c, sim::Workload::kMultiValuedConsensus, root_seq,
+                   {.values = proposals}, &sim::LayerRun::mvc);
 }
 
 inline Capture<VectorConsensus::Vector> run_vc(
-    Cluster& c, const std::vector<Bytes>& proposals, std::uint64_t root_seq = 1) {
-  Capture<VectorConsensus::Vector> cap(c.n());
-  std::vector<VectorConsensus*> insts(c.n(), nullptr);
-  const InstanceId id = InstanceId::root(ProtocolType::kVectorConsensus, root_seq);
-  for (ProcessId p : c.live()) {
-    insts[p] = &c.create_root<VectorConsensus>(p, id, Attribution::kAgreement,
-                                               cap.sink(p));
-  }
-  for (ProcessId p : c.live()) {
-    c.call(p, [&, p] { insts[p]->propose(proposals[p]); });
-  }
-  c.run_until([&] { return cap.all_set(c.correct_set()); }, kDeadline);
-  return cap;
+    Cluster& c, const std::vector<Bytes>& proposals,
+    std::uint64_t root_seq = 1) {
+  return run_layer(c, sim::Workload::kVectorConsensus, root_seq,
+                   {.values = proposals}, &sim::LayerRun::vc);
 }
 
 /// Ordered per-process delivery log for broadcast protocols.
@@ -115,46 +105,31 @@ struct DeliveryLog {
   }
 };
 
-/// Atomic broadcast roots (kAtomicBroadcast, 0) with every send and every
-/// delivery fed to one oracle::AbRecorder, the input of the §2.7 oracles.
+/// Atomic broadcast roots (kAtomicBroadcast, 0) driven by one
+/// sim::LayerRun, whose AbRecorder takes every send and every delivery: the
+/// input of the §2.7 oracles.
 class AbGroup {
  public:
-  /// Creates the root at every live process.
-  explicit AbGroup(Cluster& c) : AbGroup(c, c.live()) {}
-  /// Creates the root only at `at`; join() adds the others later.
-  AbGroup(Cluster& c, const std::vector<ProcessId>& at)
-      : c_(c), rec_(c.n(), c.stack(0).config().ab_batch.enabled),
-        ab_(c.n(), nullptr) {
-    for (ProcessId p : at) join(p);
-  }
-  AbGroup(const AbGroup&) = delete;
-  AbGroup& operator=(const AbGroup&) = delete;
+  /// Creates the root at `at` (default: every live process); join() adds
+  /// the others later.
+  explicit AbGroup(Cluster& c, std::vector<ProcessId> at = {})
+      : run_(c, sim::Workload::kAtomicBroadcast, 0, {.at = std::move(at)}) {}
 
-  void join(ProcessId p) {
-    ab_[p] = &c_.create_root<AtomicBroadcast>(
-        p, InstanceId::root(ProtocolType::kAtomicBroadcast, 0),
-        [this, p](ProcessId origin, std::uint64_t rbid, Slice payload) {
-          rec_.delivered(p, origin, rbid, payload.to_bytes());
-        });
-  }
+  void join(ProcessId p) { run_.join(p); }
   /// p's AB instance, for calls other than bcast (flush, batch probes).
-  AtomicBroadcast& at(ProcessId p) { return *ab_[p]; }
-  /// p broadcasts `payload`, and the send is recorded. Call from inside
-  /// c.call(p, ...), like any protocol entry point.
+  AtomicBroadcast& at(ProcessId p) { return run_.ab_root(p); }
+  /// p broadcasts `payload`, and the send is recorded unless p is faulty.
+  /// Call from inside c.call(p, ...), like any protocol entry point.
   std::uint64_t bcast(ProcessId p, Bytes payload) {
-    const std::uint64_t rbid = ab_[p]->bcast(Bytes(payload));
-    rec_.sent(p, rbid, std::move(payload));
-    return rbid;
+    return run_.bcast(p, std::move(payload));
   }
   /// c.call(p, ...) around one bcast.
-  void send(ProcessId p, Bytes payload) {
-    c_.call(p, [&] { bcast(p, std::move(payload)); });
-  }
+  void send(ProcessId p, Bytes payload) { run_.send(p, {std::move(payload)}); }
 
-  const sim::oracle::AbLog& log(ProcessId p) const { return rec_.log(p); }
+  const sim::oracle::AbLog& log(ProcessId p) const { return run_.ab().log(p); }
   bool everyone_has(const std::vector<ProcessId>& who, std::size_t k) const {
     for (ProcessId p : who) {
-      if (rec_.log(p).size() < k) return false;
+      if (log(p).size() < k) return false;
     }
     return true;
   }
@@ -162,15 +137,13 @@ class AbGroup {
   sim::oracle::Report check(const std::vector<ProcessId>& correct,
                             bool complete = true) const {
     sim::oracle::Report r;
-    rec_.check(r, correct, complete);
+    run_.check(r, correct, complete);
     return r;
   }
-  const sim::oracle::AbRecorder& recorder() const { return rec_; }
+  const sim::oracle::AbRecorder& recorder() const { return run_.ab(); }
 
  private:
-  Cluster& c_;
-  sim::oracle::AbRecorder rec_;
-  std::vector<AtomicBroadcast*> ab_;
+  sim::LayerRun run_;
 };
 
 inline ClusterOptions fast_lan(std::uint32_t n, std::uint64_t seed) {

@@ -58,14 +58,8 @@ TEST(Cluster, MetricsAggregateSkipsCrashed) {
   test::ClusterOptions o = fast_lan(4, 4);
   o.crashed = {3};
   Cluster c(o);
-  test::DeliveryLog log(4);
-  std::vector<RbAlgorithm*> rb(4, nullptr);
-  const InstanceId id = InstanceId::root(ProtocolType::kReliableBroadcast, 1);
-  for (ProcessId p : c.live()) {
-    rb[p] = &c.create_rb(p, id, 0, Attribution::kPayload,
-                                              log.sink(p));
-  }
-  c.call(0, [&] { rb[0]->bcast(to_bytes("m")); });
+  sim::LayerRun run(c, sim::Workload::kReliableBroadcast, 1,
+                    {.calls = {{0, {to_bytes("m")}}}});
   c.run_all();
   const Metrics m = c.total_metrics();
   EXPECT_EQ(m.rb_started_payload, 1u);

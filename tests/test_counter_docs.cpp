@@ -16,6 +16,7 @@
 
 #include "core/metrics.h"
 #include "net/tcp_transport.h"
+#include "smr/sharded_service.h"
 
 namespace ritas {
 namespace {
@@ -85,6 +86,9 @@ TEST(CounterDocs, ObservabilityTablesMatchCounterLists) {
   EXPECT_EQ(render(doc_table(doc.str(), "### Transport counters")),
             render(list_rows(net::TcpTransport::Stats{})))
       << "docs/OBSERVABILITY.md transport table vs RITAS_TRANSPORT_COUNTERS";
+  EXPECT_EQ(render(doc_table(doc.str(), "### Service counters")),
+            render(list_rows(smr::ShardedService::Stats{})))
+      << "docs/OBSERVABILITY.md service table vs RITAS_SERVICE_COUNTERS";
 }
 
 /// Every .h/.cpp under src/ as one string, line comments stripped.
@@ -140,7 +144,8 @@ TEST(CounterDocs, EveryCounterHasAWriteSite) {
   ASSERT_FALSE(src.empty()) << "cannot read " RITAS_SRC_DIR;
   std::string unwritten;
   for (const Rows& rows :
-       {list_rows(Metrics{}), list_rows(net::TcpTransport::Stats{})}) {
+       {list_rows(Metrics{}), list_rows(net::TcpTransport::Stats{}),
+        list_rows(smr::ShardedService::Stats{})}) {
     for (const auto& [name, unit] : rows) {
       if (!has_write_site(src, name)) unwritten += name + "\n";
     }

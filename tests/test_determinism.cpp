@@ -67,28 +67,12 @@ TEST(Determinism, AtomicBroadcastBurstReplays) {
     test::ClusterOptions o = fast_lan(4, seed);
     o.lan.jitter_ns = 300'000;
     Cluster c(o);
-    std::vector<AtomicBroadcast*> ab(4, nullptr);
-    std::vector<std::pair<ProcessId, std::uint64_t>> order;
-    std::uint64_t count = 0;
-    const InstanceId id = InstanceId::root(ProtocolType::kAtomicBroadcast, 0);
-    for (ProcessId p : c.live()) {
-      AtomicBroadcast::DeliverFn cb;
-      if (p == 0) {
-        cb = [&order](ProcessId origin, std::uint64_t rbid, Slice) {
-          order.emplace_back(origin, rbid);
-        };
-      } else {
-        cb = [&count](ProcessId, std::uint64_t, Slice) { ++count; };
-      }
-      ab[p] = &c.create_root<AtomicBroadcast>(p, id, std::move(cb));
-    }
+    test::AbGroup g(c);
     for (int i = 0; i < 6; ++i) {
-      for (ProcessId p : c.live()) {
-        c.call(p, [&, p] { ab[p]->bcast(to_bytes("d")); });
-      }
+      for (ProcessId p : c.live()) g.send(p, to_bytes("d"));
     }
-    c.run_until([&] { return order.size() >= 24; }, kDeadline);
-    return std::make_pair(order, c.now());
+    c.run_until([&] { return g.log(0).size() >= 24; }, kDeadline);
+    return std::make_pair(g.log(0), c.now());
   };
   EXPECT_EQ(run(11), run(11));
   // Not a requirement, but overwhelmingly likely: a different seed gives a
@@ -104,7 +88,7 @@ TEST(Determinism, TraceBytesAreBitIdentical) {
     o.lan.jitter_ns = 500'000;
     o.trace = true;
     Cluster c(o);
-    test::run_binary_consensus(c, {true, false, true, false});
+    const auto cap = test::run_binary_consensus(c, {true, false, true, false});
     c.run_all();
     return c.trace_bytes();
   };
@@ -125,22 +109,16 @@ TEST(Determinism, BatchedTraceBytesAreBitIdentical) {
     o.stack.ab_batch.enabled = true;
     o.stack.ab_batch.max_batch_msgs = 4;
     Cluster c(o);
-    const InstanceId id = InstanceId::root(ProtocolType::kAtomicBroadcast, 0);
-    std::vector<AtomicBroadcast*> ab(4, nullptr);
-    std::vector<std::uint64_t> delivered(4, 0);
-    for (ProcessId p : c.live()) {
-      ab[p] = &c.create_root<AtomicBroadcast>(
-          p, id, [&delivered, p](ProcessId, std::uint64_t, Slice) { ++delivered[p]; });
-    }
+    test::AbGroup g(c);
     for (ProcessId p : c.live()) {
       c.call(p, [&, p] {
         for (int i = 0; i < 10; ++i) {
-          ab[p]->bcast(to_bytes("d" + std::to_string(p) + std::to_string(i)));
+          g.bcast(p, to_bytes("d" + std::to_string(p) + std::to_string(i)));
         }
-        ab[p]->flush();
+        g.at(p).flush();
       });
     }
-    c.run_until([&] { return delivered[0] >= 40; }, kDeadline);
+    c.run_until([&] { return g.log(0).size() >= 40; }, kDeadline);
     c.run_all();
     return c.trace_bytes();
   };
@@ -189,25 +167,7 @@ Bytes golden_bc_trace(const VariantConfig& variants) {
   o.trace = true;
   o.stack.variants = variants;
   Cluster c(o);
-  std::vector<std::optional<bool>> got(4);
-  const InstanceId id = InstanceId::root(ProtocolType::kBinaryConsensus, 0);
-  const std::vector<bool> proposals = {true, false, true, false};
-  std::vector<BcAlgorithm*> bc(4, nullptr);
-  for (ProcessId p : c.live()) {
-    bc[p] = &c.create_bc(p, id, Attribution::kAgreement,
-                         [&got, p](bool v) { got[p] = v; });
-  }
-  for (ProcessId p : c.live()) {
-    c.call(p, [&, p] { bc[p]->propose(proposals[p]); });
-  }
-  c.run_until(
-      [&] {
-        for (ProcessId p : c.live()) {
-          if (!got[p].has_value()) return false;
-        }
-        return true;
-      },
-      kDeadline);
+  const auto cap = test::run_binary_consensus(c, {true, false, true, false}, 0);
   c.run_all();
   return c.trace_bytes();
 }
@@ -229,26 +189,7 @@ TEST(Determinism, DefaultVariantMvcTraceMatchesPreRefactorGolden) {
   test::ClusterOptions o = fast_lan(4, 3);
   o.trace = true;
   Cluster c(o);
-  std::vector<std::optional<std::optional<Bytes>>> got(4);
-  const InstanceId id =
-      InstanceId::root(ProtocolType::kMultiValuedConsensus, 0);
-  std::vector<MultiValuedConsensus*> mvc(4, nullptr);
-  for (ProcessId p : c.live()) {
-    mvc[p] = &c.create_root<MultiValuedConsensus>(
-        p, id, Attribution::kAgreement,
-        [&got, p](std::optional<Bytes> v) { got[p] = std::move(v); });
-  }
-  for (ProcessId p : c.live()) {
-    c.call(p, [&, p] { mvc[p]->propose(to_bytes("m")); });
-  }
-  c.run_until(
-      [&] {
-        for (ProcessId p : c.live()) {
-          if (!got[p].has_value()) return false;
-        }
-        return true;
-      },
-      kDeadline);
+  const auto cap = test::run_mvc(c, std::vector<Bytes>(4, to_bytes("m")), 0);
   c.run_all();
   const Bytes t = c.trace_bytes();
   EXPECT_EQ(t.size(), 132336u);
@@ -268,25 +209,8 @@ TEST(Determinism, NonDefaultVariantTracesAreDeterministicAndDistinct) {
     o.stack.coin_mode = CoinMode::kDealt;
     o.stack.variants = crain;
     Cluster c(o);
-    std::vector<std::optional<bool>> got(4);
-    const InstanceId id = InstanceId::root(ProtocolType::kBinaryConsensus, 0);
-    const std::vector<bool> proposals = {true, false, true, false};
-    std::vector<BcAlgorithm*> bc(4, nullptr);
-    for (ProcessId p : c.live()) {
-      bc[p] = &c.create_bc(p, id, Attribution::kAgreement,
-                           [&got, p](bool v) { got[p] = v; });
-    }
-    for (ProcessId p : c.live()) {
-      c.call(p, [&, p] { bc[p]->propose(proposals[p]); });
-    }
-    c.run_until(
-        [&] {
-          for (ProcessId p : c.live()) {
-            if (!got[p].has_value()) return false;
-          }
-          return true;
-        },
-        kDeadline);
+    const auto cap =
+        test::run_binary_consensus(c, {true, false, true, false}, 0);
     c.run_all();
     return c.trace_bytes();
   };

@@ -290,15 +290,9 @@ TEST(Fuzz, CrossVariantFramesAreCountedDrops) {
     o.stack.variants.bc = BcVariant::kCrain;
     o.stack.coin_mode = CoinMode::kDealt;
     Cluster c(o);
-    test::Capture<bool> cap(c.n());
     const InstanceId id = InstanceId::root(ProtocolType::kBinaryConsensus, 1);
-    std::vector<BcAlgorithm*> bc(c.n(), nullptr);
-    for (ProcessId p : c.live()) {
-      bc[p] = &c.create_bc(p, id, Attribution::kAgreement, cap.sink(p));
-    }
-    for (ProcessId p : c.live()) {
-      c.call(p, [&, p] { bc[p]->propose(p % 2 == 0); });
-    }
+    sim::LayerRun run(c, sim::Workload::kBinaryConsensus, 1,
+                      {.bits = {true, false, true, false}});
     std::size_t injected = 0;
     Message m;
     m.path = id;
@@ -321,9 +315,11 @@ TEST(Fuzz, CrossVariantFramesAreCountedDrops) {
       ++injected;
     }
     ASSERT_TRUE(
-        c.run_until([&] { return cap.all_set(c.correct_set()); }, kDeadline));
+        c.run_until([&] { return run.done(c.correct_set()); }, kDeadline));
     c.run_all();
-    EXPECT_TRUE(cap.agree(c.correct_set()));
+    sim::oracle::Report r;
+    run.check(r, c.correct_set(), /*complete=*/true);
+    EXPECT_TRUE(r.ok()) << r.text();
     const Metrics met = c.total_metrics();
     EXPECT_GE(met.invalid_dropped + met.unroutable_dropped + met.ooc_stored,
               injected);

@@ -39,14 +39,8 @@ TEST(Metrics, Aggregation) {
 
 TEST(Metrics, SingleReliableBroadcastCountsOnce) {
   Cluster c(fast_lan(4, 1));
-  test::DeliveryLog log(4);
-  std::vector<RbAlgorithm*> rb(4, nullptr);
-  const InstanceId id = InstanceId::root(ProtocolType::kReliableBroadcast, 1);
-  for (ProcessId p : c.live()) {
-    rb[p] = &c.create_rb(p, id, 0, Attribution::kPayload,
-                                              log.sink(p));
-  }
-  c.call(0, [&] { rb[0]->bcast(to_bytes("m")); });
+  sim::LayerRun run(c, sim::Workload::kReliableBroadcast, 1,
+                    {.calls = {{0, {to_bytes("m")}}}});
   c.run_all();
   const Metrics m = c.total_metrics();
   // Exactly one broadcast instance was *started* system-wide (by p0).
@@ -72,18 +66,12 @@ TEST(Metrics, MvcAttributesEverythingToAgreement) {
 
 TEST(Metrics, AtomicBroadcastSplitsPayloadFromAgreement) {
   Cluster c(fast_lan(4, 3));
-  std::vector<AtomicBroadcast*> ab(4, nullptr);
-  std::vector<std::uint64_t> delivered(4, 0);
-  const InstanceId id = InstanceId::root(ProtocolType::kAtomicBroadcast, 0);
-  for (ProcessId p : c.live()) {
-    ab[p] = &c.create_root<AtomicBroadcast>(
-        p, id, [&delivered, p](ProcessId, std::uint64_t, Slice) { ++delivered[p]; });
-  }
+  test::AbGroup g(c);
   const std::uint32_t kMsgs = 10;
   c.call(0, [&] {
-    for (std::uint32_t i = 0; i < kMsgs; ++i) ab[0]->bcast(to_bytes("x"));
+    for (std::uint32_t i = 0; i < kMsgs; ++i) g.bcast(0, to_bytes("x"));
   });
-  ASSERT_TRUE(c.run_until([&] { return delivered[0] >= kMsgs; }, kDeadline));
+  ASSERT_TRUE(c.run_until([&] { return g.log(0).size() >= kMsgs; }, kDeadline));
   c.run_all();  // drain the other processes' deliveries too
   const Metrics m = c.total_metrics();
   EXPECT_EQ(m.rb_started_payload, kMsgs);  // AB_MSG dissemination

@@ -276,7 +276,7 @@ TEST(ShardedNode, ClusterReachesAgreementOverTcp) {
     }
   }
   for (std::uint32_t p = 0; p < kN; ++p) {
-    EXPECT_EQ(nodes[p]->service().misrouted_dropped(), 0u) << "node " << p;
+    EXPECT_EQ(nodes[p]->service().stats().misrouted_dropped, 0u) << "node " << p;
     // The node's counters cover every shard's stack.
     const Metrics m = nodes[p]->metrics();
     EXPECT_GT(m.msgs_received, 0u) << "node " << p;

@@ -146,7 +146,7 @@ TEST(Sharded, MisroutedCommandIsCountedDropAtEveryReplica) {
   const ShardId wrong = (owner + 1) % c.groups();
   const Bytes framed = smr::ExactlyOnceApplier::encode_command(66, 1, cmd);
   EXPECT_NO_THROW(c.service(2).on_delivered(wrong, framed));
-  EXPECT_EQ(c.service(2).misrouted_dropped(), 1u);
+  EXPECT_EQ(c.service(2).stats().misrouted_dropped, 1u);
   EXPECT_EQ(c.service(2).applied_count(wrong), 0u);
   EXPECT_EQ(to_string(c.service(2).snapshot(wrong)).find("leak-attempt"),
             std::string::npos);

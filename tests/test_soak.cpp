@@ -81,19 +81,9 @@ TEST(Soak, RepeatedConsensusInstancesDoNotLeakOoc) {
   // out-of-context table must return to (near) empty between instances.
   Cluster c(fast_lan(4, 515151));
   for (std::uint64_t k = 1; k <= 200; ++k) {
-    test::Capture<bool> cap(4);
-    std::vector<BcAlgorithm*> inst(4, nullptr);
-    const InstanceId id = InstanceId::root(ProtocolType::kBinaryConsensus, k);
-    for (ProcessId p : c.live()) {
-      inst[p] = &c.create_bc(p, id, Attribution::kAgreement,
-                                                cap.sink(p));
-    }
-    for (ProcessId p : c.live()) {
-      c.call(p, [&, p] { inst[p]->propose(k % 2 == 0); });
-    }
-    ASSERT_TRUE(
-        c.run_until([&] { return cap.all_set(c.correct_set()); }, kDeadline))
-        << "instance " << k;
+    const auto cap =
+        test::run_binary_consensus(c, std::vector<bool>(4, k % 2 == 0), k);
+    ASSERT_TRUE(cap.all_set(c.correct_set())) << "instance " << k;
     EXPECT_EQ(*cap.got[0], k % 2 == 0);
     c.run_all();
     for (ProcessId p : c.live()) c.destroy_roots(p);

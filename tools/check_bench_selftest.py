@@ -4,7 +4,8 @@
 Copies bench/baselines/*.json into a temp dir as "fresh" artifacts, edits
 one thing at a time, and asserts the checker's verdict: unchanged artifacts
 pass; a gate whose lhs now violates its rhs fails although its stored "ok"
-says true; a changed config is a "config mismatch" (exit 3, never PERF
+says true, the `oracles` gate (a failed property oracle) included; a
+changed config is a "config mismatch" (exit 3, never PERF
 REGRESSION); +30% on a tracked latency is a PERF REGRESSION; a dropped row
 fails. Run: python3 tools/check_bench_selftest.py
 """
@@ -58,6 +59,13 @@ def break_gate(docs):
     gate["lhs"] = gate["rhs"]  # violates "<"; the stored ok stays true
 
 
+def break_oracles(docs):
+    gate = next(g for g in docs["BENCH_ablation.json"]["gates"]
+                if g["name"] == "oracles")
+    assert gate["lhs"] is True and gate["ok"] is True, gate
+    gate["lhs"] = False  # a violated oracle; the stored ok stays true
+
+
 def more_runs(docs):
     docs["BENCH_variants.json"]["config"]["runs"] = 5
 
@@ -84,6 +92,8 @@ def main() -> int:
         expect("unchanged artifacts pass", unchanged, 0),
         expect("violated gate fails despite its stored ok",
                doctored(break_gate), 1, "does not hold"),
+        expect("failed oracles gate fails despite its stored ok",
+               doctored(break_oracles), 1, "oracles: False == True does not hold"),
         expect("runs 3 -> 5 is a config mismatch", doctored(more_runs), 3,
                "config mismatch", absent="PERF REGRESSION"),
         expect("+30% tracked latency is a regression", doctored(slower), 1,
