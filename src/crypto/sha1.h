@@ -1,44 +1,27 @@
 // SHA-1 (FIPS 180-4), implemented from scratch.
 //
-// RITAS uses SHA-1 in two places, exactly as the paper does: (1) the matrix
-// echo broadcast's hash vectors H(m || s_ij) (§2.3), and (2) the IPSec AH
-// integrity stand-in on the reliable channel. SHA-1 is cryptographically
-// broken for collision resistance today; it is kept because the point of
-// this codebase is to reproduce the 2006 system (SHA-256 is available in
-// crypto/sha256.h and the channel layer can be configured to use it).
+// RITAS uses SHA-1 where the paper does inside the protocols: the matrix
+// echo broadcast's hash vectors H(m || s_ij) (§2.3) and the digests that
+// reliable broadcast tallies. SHA-1 is cryptographically broken for
+// collision resistance today; it is kept because the point of this codebase
+// is to reproduce the 2006 system. The reliable channel's per-frame
+// integrity (the IPSec AH stand-in) is HMAC-SHA-256 (crypto/sha256.h).
 #pragma once
 
-#include <array>
 #include <cstdint>
 
-#include "common/bytes.h"
+#include "crypto/md_hash.h"
 
 namespace ritas {
 
-class Sha1 {
- public:
-  static constexpr std::size_t kDigestSize = 20;
-  static constexpr std::size_t kBlockSize = 64;
-  using Digest = std::array<std::uint8_t, kDigestSize>;
-
-  Sha1() { reset(); }
-
-  void reset();
-  void update(ByteView data);
-  /// Finalizes and returns the digest. The object must be reset() before
-  /// further use.
-  Digest finish();
-
-  /// One-shot convenience.
-  static Digest hash(ByteView data);
-
- private:
-  void process_block(const std::uint8_t* block);
-
-  std::uint32_t h_[5];
-  std::uint8_t buffer_[kBlockSize];
-  std::size_t buffered_ = 0;
-  std::uint64_t total_ = 0;
+struct Sha1Core {
+  static constexpr std::size_t kWords = 5;
+  static constexpr std::uint32_t kIv[kWords] = {
+      0x67452301u, 0xefcdab89u, 0x98badcfeu, 0x10325476u, 0xc3d2e1f0u};
+  static void compress(std::uint32_t* state, const std::uint8_t* blocks,
+                       std::size_t count);
 };
+
+using Sha1 = MdHash<Sha1Core>;
 
 }  // namespace ritas

@@ -1,38 +1,24 @@
 // SHA-256 (FIPS 180-4), implemented from scratch.
 //
 // Used by the real-socket transport's HMAC integrity layer (the modern
-// stand-in for IPSec AH) and available as an alternative hash for the
-// matrix echo broadcast.
+// stand-in for IPSec AH), the dealt keys and the signed-echo baseline.
 #pragma once
 
-#include <array>
 #include <cstdint>
 
-#include "common/bytes.h"
+#include "crypto/md_hash.h"
 
 namespace ritas {
 
-class Sha256 {
- public:
-  static constexpr std::size_t kDigestSize = 32;
-  static constexpr std::size_t kBlockSize = 64;
-  using Digest = std::array<std::uint8_t, kDigestSize>;
-
-  Sha256() { reset(); }
-
-  void reset();
-  void update(ByteView data);
-  Digest finish();
-
-  static Digest hash(ByteView data);
-
- private:
-  void process_block(const std::uint8_t* block);
-
-  std::uint32_t h_[8];
-  std::uint8_t buffer_[kBlockSize];
-  std::size_t buffered_ = 0;
-  std::uint64_t total_ = 0;
+struct Sha256Core {
+  static constexpr std::size_t kWords = 8;
+  static constexpr std::uint32_t kIv[kWords] = {
+      0x6a09e667u, 0xbb67ae85u, 0x3c6ef372u, 0xa54ff53au,
+      0x510e527fu, 0x9b05688cu, 0x1f83d9abu, 0x5be0cd19u};
+  static void compress(std::uint32_t* state, const std::uint8_t* blocks,
+                       std::size_t count);
 };
+
+using Sha256 = MdHash<Sha256Core>;
 
 }  // namespace ritas

@@ -55,13 +55,13 @@ constexpr std::int64_t kWakeTag = -1;
 constexpr std::int64_t kListenTag = -2;
 constexpr std::int64_t kHandshakeTag = -3;
 
+// Every socket the transport opens is non-blocking and close-on-exec: a
+// process embedding the transport that forks and execs must not hand the
+// child its listen socket (which would keep the port bound) or a link.
+constexpr int kSockFlags = SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC;
+
 std::int64_t handshake_tag(std::uint64_t id) {
   return kHandshakeTag - static_cast<std::int64_t>(id);
-}
-
-void set_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
 }
 
 void set_nodelay(int fd) {
@@ -157,7 +157,7 @@ TcpTransport::TcpTransport(Options opts, const KeyChain& keys)
   // Listen before anyone dials: a peer that dials us before our start()
   // lands in the accept backlog instead of hitting ECONNREFUSED and a
   // backoff. The handshake completes once start() polls.
-  Fd lfd(::socket(AF_INET, SOCK_STREAM, 0));
+  Fd lfd(::socket(AF_INET, kSockFlags, 0));
   if (!lfd.valid()) throw std::runtime_error("socket() failed");
   int one = 1;
   ::setsockopt(lfd.get(), SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
@@ -170,7 +170,6 @@ TcpTransport::TcpTransport(Options opts, const KeyChain& keys)
                              std::to_string(opts_.peers[opts_.self].port));
   }
   if (::listen(lfd.get(), 64) != 0) throw std::runtime_error("listen() failed");
-  set_nonblocking(lfd.get());
   listen_fd_ = std::move(lfd);
   epoll_fd_ = Fd(::epoll_create1(EPOLL_CLOEXEC));
   // The wakeup pipe lets other threads interrupt poll_once() from here on.
@@ -410,7 +409,7 @@ void TcpTransport::begin_dial(ProcessId peer) {
   hs.await = Handshake::Await::kConnect;
   hs.peer = peer;
   hs.deadline_ms = now_ms() + static_cast<std::uint64_t>(opts_.handshake_timeout_ms);
-  hs.fd = Fd(::socket(AF_INET, SOCK_STREAM, 0));
+  hs.fd = Fd(::socket(AF_INET, kSockFlags, 0));
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(opts_.peers[peer].port);
@@ -418,7 +417,6 @@ void TcpTransport::begin_dial(ProcessId peer) {
             ::inet_pton(AF_INET, opts_.peers[peer].host.c_str(), &addr.sin_addr) == 1;
   int rc = -1;
   if (ok) {
-    set_nonblocking(hs.fd.get());
     rc = ::connect(hs.fd.get(), reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
     ok = (rc == 0 || errno == EINPROGRESS) &&
          watch(EPOLL_CTL_ADD, hs.fd.get(), EPOLLOUT, handshake_tag(hs.id));
@@ -600,12 +598,14 @@ void TcpTransport::complete_handshake(Handshake& hs, std::uint64_t peer_rx_expec
   const std::uint64_t resync_base =
       c.retained.empty() ? c.tx_next : c.retained.front().counter;
   c.tx_write_next = resync_base;
+  // Count the reconnect before the state store publishes the link: a
+  // thread that sees it up (links_up(), link_states()) sees it counted.
+  if (c.ever_up) counters_->link_reconnects.fetch_add(1, std::memory_order_relaxed);
+  c.ever_up = true;
   c.state = LinkState::kUp;
   drain(c, peer);
   const std::uint64_t flushed = c.tx_write_next - resync_base;
   if (c.retry) c.retry->on_up();
-  if (c.ever_up) counters_->link_reconnects.fetch_add(1, std::memory_order_relaxed);
-  c.ever_up = true;
   trace_link(TraceEventKind::kLinkHandshake, peer, flushed);
   trace_link(TraceEventKind::kLinkUp, peer, sid);
   // Bytes past the last handshake message are the new session's frames.
@@ -718,9 +718,8 @@ void TcpTransport::dispatch_event(std::int64_t owner, bool rin, bool rout,
   }
   if (owner == kListenTag) {
     for (;;) {
-      Fd fd(::accept(listen_fd_.get(), nullptr, nullptr));
+      Fd fd(::accept4(listen_fd_.get(), nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC));
       if (!fd.valid()) break;
-      set_nonblocking(fd.get());
       Handshake hs;
       hs.id = next_handshake_id_++;
       hs.fd = std::move(fd);

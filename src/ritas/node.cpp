@@ -83,7 +83,11 @@ void Node::start() {
   }
   // Return once the poll thread has run a cycle: links still handshaking
   // when the threshold was met usually complete in it, so start() tends to
-  // return with every live link up.
+  // return with every live link up. This wait stays although it costs a
+  // thread hand-off: without it start() returns before the last link is
+  // up, and a caller that then waits for the full mesh pays a longer poll
+  // tick instead (EXPERIMENTS.md "Mesh set-up anatomy": set-up was slower
+  // on two of three benchmark workloads with it removed).
   run([] {});
 }
 

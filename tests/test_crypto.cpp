@@ -42,38 +42,6 @@ TEST(Sha1, MillionAs) {
   EXPECT_EQ(hex(ctx.finish()), "34aa973cd4c4daa4f61eeb2bdbad27316534016f");
 }
 
-TEST(Sha1, IncrementalMatchesOneShot) {
-  const Bytes msg = to_bytes("the quick brown fox jumps over the lazy dog!!");
-  for (std::size_t split = 0; split <= msg.size(); ++split) {
-    Sha1 ctx;
-    ctx.update(ByteView(msg.data(), split));
-    ctx.update(ByteView(msg.data() + split, msg.size() - split));
-    EXPECT_EQ(ctx.finish(), Sha1::hash(msg)) << "split=" << split;
-  }
-}
-
-TEST(Sha1, ExactBlockBoundaries) {
-  // 55/56/63/64/65 bytes straddle the padding edge cases.
-  for (std::size_t len : {55u, 56u, 63u, 64u, 65u, 119u, 120u, 128u}) {
-    const Bytes msg(len, 0x5a);
-    Sha1 a;
-    a.update(msg);
-    const auto one = a.finish();
-    Sha1 b;
-    for (std::size_t i = 0; i < len; ++i) b.update(ByteView(&msg[i], 1));
-    EXPECT_EQ(one, b.finish()) << "len=" << len;
-  }
-}
-
-TEST(Sha1, ResetReusesObject) {
-  Sha1 ctx;
-  ctx.update(to_bytes("garbage"));
-  (void)ctx.finish();
-  ctx.reset();
-  ctx.update(to_bytes("abc"));
-  EXPECT_EQ(hex(ctx.finish()), "a9993e364706816aba3e25717850c26c9cd0d89d");
-}
-
 // --- SHA-256 known-answer tests (FIPS 180-4) --------------------------------
 
 TEST(Sha256, EmptyInput) {
@@ -100,36 +68,82 @@ TEST(Sha256, MillionAs) {
             "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
 }
 
-TEST(Sha256, IncrementalMatchesOneShot) {
-  const Bytes msg = to_bytes(std::string(200, 'x') + "suffix");
-  for (std::size_t split : {0u, 1u, 63u, 64u, 65u, 100u, 206u}) {
-    Sha256 ctx;
-    ctx.update(ByteView(msg.data(), split));
-    ctx.update(ByteView(msg.data() + split, msg.size() - split));
-    EXPECT_EQ(ctx.finish(), Sha256::hash(msg)) << "split=" << split;
-  }
-}
+// --- The shared Merkle–Damgård driver, once per hash -----------------------
 
-TEST(Sha256, ExactBlockBoundaries) {
-  // 55/56/63/64 bytes straddle the padding edge cases; digests of
-  // len x 0x5a from Python's hashlib.
-  const std::pair<std::size_t, const char*> cases[] = {
+// Known answers per hash: "abc" (FIPS 180-4) and len x 0x5a digests from
+// Python's hashlib at the padding edges (55/56 bytes leave 9/8 bytes free
+// for the 0x80 and the length, 63/64/65 straddle one block, 119/120/128 two).
+template <typename Hash>
+struct Vectors;
+
+template <>
+struct Vectors<Sha1> {
+  static constexpr const char* kAbc = "a9993e364706816aba3e25717850c26c9cd0d89d";
+  static constexpr std::pair<std::size_t, const char*> kBoundaries[] = {
+      {0u, "da39a3ee5e6b4b0d3255bfef95601890afd80709"},
+      {55u, "55b80d96c523566d3c8a3b8de03a5549fd04915c"},
+      {56u, "bfe3466cd0dcd5e29b11e7885010fa7c61b737a6"},
+      {63u, "7db05d8e931f0a6731328e4923fbda65ced2f5db"},
+      {64u, "eece723b8a411e8c53e7bf49514234da5d394236"},
+      {65u, "f9619e0496c7fbeff2f2b4f3f93ed379329fe7d6"},
+      {119u, "791fa3ef300032b7b8efab39b22dead4327cba55"},
+      {120u, "856ffb270b6b9340b620653753dfc5bafaff0a1f"},
+      {128u, "3f3bf5bb6111e4eb5a06c996ec9bad396384707b"},
+  };
+};
+
+template <>
+struct Vectors<Sha256> {
+  static constexpr const char* kAbc =
+      "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad";
+  static constexpr std::pair<std::size_t, const char*> kBoundaries[] = {
       {0u, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
       {55u, "5f25f149aa92e3e13093aed8216072fae623f35e26ca605b6cce17e04b7ccf44"},
       {56u, "301c69927f1603720c9f847b7e5e3bef77a7b9f75344490fe9039f13c36b842a"},
       {63u, "939765b120205cbedae2ed31256b1967c38b6bdd9b0220535224cbc0b906d333"},
       {64u, "cc7321cce5e4409bd8077d58422e1214969059bbd40b4eeb0de0a642f40f7282"},
+      {65u, "b8de0db62b6c87db61345504a8038bf973d987e8d2111abd8beb407c0bf3d9db"},
       {119u, "a96851d641310ce032ff832b6f08125878deed2a825fe515dd1ba414afe95f7e"},
       {120u, "60ec7f280e45d0c7bf77b70ff16958b1c1701a9fb7faa12b798207cf120ec6ee"},
       {128u, "349d65e9ba1de7b0a13f9a3eadcc5b0202f15d6008fe9477f2a7b80f6194b20f"},
   };
-  for (const auto& [len, want] : cases) {
+};
+
+template <typename Hash>
+class ShaDriver : public ::testing::Test {};
+
+using Hashes = ::testing::Types<Sha1, Sha256>;
+TYPED_TEST_SUITE(ShaDriver, Hashes);
+
+TYPED_TEST(ShaDriver, IncrementalMatchesOneShot) {
+  // Every split of a message longer than three blocks.
+  const Bytes msg = to_bytes(std::string(200, 'x') + "suffix");
+  const auto want = TypeParam::hash(msg);
+  for (std::size_t split = 0; split <= msg.size(); ++split) {
+    TypeParam ctx;
+    ctx.update(ByteView(msg.data(), split));
+    ctx.update(ByteView(msg.data() + split, msg.size() - split));
+    EXPECT_EQ(ctx.finish(), want) << "split=" << split;
+  }
+}
+
+TYPED_TEST(ShaDriver, ExactBlockBoundaries) {
+  for (const auto& [len, want] : Vectors<TypeParam>::kBoundaries) {
     const Bytes msg(len, 0x5a);
-    EXPECT_EQ(hex(Sha256::hash(msg)), want) << "len=" << len;
-    Sha256 bytewise;
+    EXPECT_EQ(hex(TypeParam::hash(msg)), want) << "len=" << len;
+    TypeParam bytewise;
     for (std::size_t i = 0; i < len; ++i) bytewise.update(ByteView(&msg[i], 1));
     EXPECT_EQ(hex(bytewise.finish()), want) << "len=" << len;
   }
+}
+
+TYPED_TEST(ShaDriver, ResetReusesObject) {
+  TypeParam ctx;
+  ctx.update(to_bytes("garbage"));
+  (void)ctx.finish();
+  ctx.reset();
+  ctx.update(to_bytes("abc"));
+  EXPECT_EQ(hex(ctx.finish()), Vectors<TypeParam>::kAbc);
 }
 
 // --- HMAC known-answer tests (RFC 2202 for SHA-1, RFC 4231 for SHA-256) ----

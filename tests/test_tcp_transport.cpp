@@ -3,11 +3,13 @@
 // adversarial wire peers, concurrent traffic and the cross-thread reads.
 #include "net/tcp_transport.h"
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
+#include <filesystem>
 #include <map>
 #include <mutex>
 #include <set>
@@ -213,6 +215,26 @@ TEST(TcpTransport, LinkStatesReachFullMesh) {
       EXPECT_EQ(states[q], LinkState::kUp) << "p=" << p << " q=" << q;
     }
   }
+}
+
+TEST(TcpTransport, EverySocketIsCloseOnExec) {
+  // A process embedding the transport that forks and execs must not hand
+  // its listen socket or a link to the child, which would keep the port
+  // bound after the parent exits.
+  Mesh mesh(2);
+  ASSERT_TRUE(wait_full_mesh(mesh.nodes()));
+  std::size_t sockets = 0;
+  for (const auto& entry : std::filesystem::directory_iterator("/proc/self/fd")) {
+    std::error_code ec;
+    const auto target = std::filesystem::read_symlink(entry.path(), ec);
+    if (ec || !target.string().starts_with("socket:")) continue;
+    const int fd = std::stoi(entry.path().filename().string());
+    const int flags = ::fcntl(fd, F_GETFD);
+    ASSERT_NE(flags, -1) << "fd " << fd;
+    EXPECT_TRUE(flags & FD_CLOEXEC) << "fd " << fd << " " << target;
+    ++sockets;
+  }
+  EXPECT_GE(sockets, 4u);  // two listen sockets, both ends of the link
 }
 
 TEST(TcpTransport, MismatchedKeysCannotJoinTheMesh) {
