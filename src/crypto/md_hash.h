@@ -26,7 +26,8 @@ namespace ritas {
 inline std::uint32_t load_be32(const std::uint8_t* p) {
   return static_cast<std::uint32_t>(p[0]) << 24 |
          static_cast<std::uint32_t>(p[1]) << 16 |
-         static_cast<std::uint32_t>(p[2]) << 8 | static_cast<std::uint32_t>(p[3]);
+         static_cast<std::uint32_t>(p[2]) << 8 |
+         static_cast<std::uint32_t>(p[3]);
 }
 
 template <typename Core>

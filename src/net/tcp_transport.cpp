@@ -718,7 +718,8 @@ void TcpTransport::dispatch_event(std::int64_t owner, bool rin, bool rout,
   }
   if (owner == kListenTag) {
     for (;;) {
-      Fd fd(::accept4(listen_fd_.get(), nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC));
+      Fd fd(::accept4(listen_fd_.get(), nullptr, nullptr,
+                      SOCK_NONBLOCK | SOCK_CLOEXEC));
       if (!fd.valid()) break;
       Handshake hs;
       hs.id = next_handshake_id_++;

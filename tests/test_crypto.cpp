@@ -78,7 +78,8 @@ struct Vectors;
 
 template <>
 struct Vectors<Sha1> {
-  static constexpr const char* kAbc = "a9993e364706816aba3e25717850c26c9cd0d89d";
+  static constexpr const char* kAbc =
+      "a9993e364706816aba3e25717850c26c9cd0d89d";
   static constexpr std::pair<std::size_t, const char*> kBoundaries[] = {
       {0u, "da39a3ee5e6b4b0d3255bfef95601890afd80709"},
       {55u, "55b80d96c523566d3c8a3b8de03a5549fd04915c"},

@@ -217,18 +217,30 @@ TEST(TcpTransport, LinkStatesReachFullMesh) {
   }
 }
 
-TEST(TcpTransport, EverySocketIsCloseOnExec) {
-  // A process embedding the transport that forks and execs must not hand
-  // its listen socket or a link to the child, which would keep the port
-  // bound after the parent exits.
-  Mesh mesh(2);
-  ASSERT_TRUE(wait_full_mesh(mesh.nodes()));
-  std::size_t sockets = 0;
-  for (const auto& entry : std::filesystem::directory_iterator("/proc/self/fd")) {
+/// The open socket fds of this process and their /proc/self/fd targets.
+std::map<int, std::string> open_sockets() {
+  std::map<int, std::string> out;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
     std::error_code ec;
     const auto target = std::filesystem::read_symlink(entry.path(), ec);
     if (ec || !target.string().starts_with("socket:")) continue;
-    const int fd = std::stoi(entry.path().filename().string());
+    out.emplace(std::stoi(entry.path().filename().string()), target.string());
+  }
+  return out;
+}
+
+TEST(TcpTransport, EverySocketIsCloseOnExec) {
+  // A process embedding the transport that forks and execs must not hand
+  // its listen socket or a link to the child, which would keep the port
+  // bound after the parent exits. Sockets the test process inherited from
+  // its launcher are not the transport's and are skipped.
+  const auto inherited = open_sockets();
+  Mesh mesh(2);
+  ASSERT_TRUE(wait_full_mesh(mesh.nodes()));
+  std::size_t sockets = 0;
+  for (const auto& [fd, target] : open_sockets()) {
+    if (inherited.contains(fd) && inherited.at(fd) == target) continue;
     const int flags = ::fcntl(fd, F_GETFD);
     ASSERT_NE(flags, -1) << "fd " << fd;
     EXPECT_TRUE(flags & FD_CLOEXEC) << "fd " << fd << " " << target;
