@@ -11,6 +11,7 @@
 #include <cstring>
 #include <set>
 #include <thread>
+#include <vector>
 
 #include "net_helpers.h"
 #include "ritas/ritas_c_context.h"
@@ -432,6 +433,118 @@ TEST(CApi, LinkProbesAndStats) {
         });
   }
   EXPECT_EQ(RITAS_STAT_PEER_CLOSED, 20);
+}
+
+TEST(CApi, ReturnCodeTable) {
+  // Every service entry point and probe in four states: a NULL handle,
+  // before ritas_start, running with a null buffer and cap > 0, and after
+  // ritas_stop with the queues drained. docs/API.md §1 prints this table.
+  enum { kNull, kCold, kRunning, kStopped };
+  // A running ritas_bc takes no buffer and blocks until the group decides;
+  // CApi.BinaryConsensus covers that cell.
+  constexpr long long kNotRun = 1000;
+  constexpr std::size_t kCap = 64;
+  struct Row {
+    const char* name;
+    long long (*call)(ritas_t* r, std::uint8_t* b, std::size_t n);
+    std::array<long long, 4> want;
+  };
+  const Row rows[] = {
+      {"rb_bcast",
+       [](ritas_t* r, std::uint8_t* b, std::size_t n) -> long long {
+         return ritas_rb_bcast(r, b, n);
+       },
+       {RITAS_EINVAL, RITAS_EINVAL, RITAS_EINVAL, RITAS_ESTATE}},
+      {"eb_bcast",
+       [](ritas_t* r, std::uint8_t* b, std::size_t n) -> long long {
+         return ritas_eb_bcast(r, b, n);
+       },
+       {RITAS_EINVAL, RITAS_EINVAL, RITAS_EINVAL, RITAS_ESTATE}},
+      {"ab_bcast",
+       [](ritas_t* r, std::uint8_t* b, std::size_t n) -> long long {
+         return ritas_ab_bcast(r, b, n);
+       },
+       {RITAS_EINVAL, RITAS_EINVAL, RITAS_EINVAL, RITAS_ESTATE}},
+      {"rb_recv",
+       [](ritas_t* r, std::uint8_t* b, std::size_t n) -> long long {
+         return ritas_rb_recv(r, nullptr, b, n);
+       },
+       {RITAS_EINVAL, RITAS_EINVAL, RITAS_EINVAL, RITAS_ESHUTDOWN}},
+      {"eb_recv",
+       [](ritas_t* r, std::uint8_t* b, std::size_t n) -> long long {
+         return ritas_eb_recv(r, nullptr, b, n);
+       },
+       {RITAS_EINVAL, RITAS_EINVAL, RITAS_EINVAL, RITAS_ESHUTDOWN}},
+      {"ab_recv",
+       [](ritas_t* r, std::uint8_t* b, std::size_t n) -> long long {
+         return ritas_ab_recv(r, nullptr, b, n);
+       },
+       {RITAS_EINVAL, RITAS_EINVAL, RITAS_EINVAL, RITAS_ESHUTDOWN}},
+      {"ab_recv_timeout(0)",
+       [](ritas_t* r, std::uint8_t* b, std::size_t n) -> long long {
+         return ritas_ab_recv_timeout(r, nullptr, b, n, 0);
+       },
+       {RITAS_EINVAL, RITAS_EINVAL, RITAS_EINVAL, RITAS_ESHUTDOWN}},
+      {"ab_recv_timeout(10)",
+       [](ritas_t* r, std::uint8_t* b, std::size_t n) -> long long {
+         return ritas_ab_recv_timeout(r, nullptr, b, n, 10);
+       },
+       {RITAS_EINVAL, RITAS_EINVAL, RITAS_EINVAL, RITAS_ESHUTDOWN}},
+      {"ab_flush",
+       [](ritas_t* r, std::uint8_t*, std::size_t) -> long long {
+         return ritas_ab_flush(r);
+       },
+       {RITAS_EINVAL, RITAS_EINVAL, RITAS_OK, RITAS_ESTATE}},
+      {"bc",
+       [](ritas_t* r, std::uint8_t*, std::size_t) -> long long {
+         return ritas_bc(r, 1);
+       },
+       {RITAS_EINVAL, RITAS_EINVAL, kNotRun, RITAS_ESTATE}},
+      {"mvc",
+       [](ritas_t* r, std::uint8_t* b, std::size_t n) -> long long {
+         int decided_default = 0;
+         return ritas_mvc(r, b, n, b, n, &decided_default);
+       },
+       {RITAS_EINVAL, RITAS_EINVAL, RITAS_EINVAL, RITAS_ESTATE}},
+      {"vc",
+       [](ritas_t* r, std::uint8_t* b, std::size_t n) -> long long {
+         long lens[4];
+         return ritas_vc(r, b, n, b, n / 4, lens);
+       },
+       {RITAS_EINVAL, RITAS_EINVAL, RITAS_EINVAL, RITAS_ESTATE}},
+      {"link_states",
+       [](ritas_t* r, std::uint8_t* b, std::size_t n) -> long long {
+         return ritas_link_states(r, b, n);
+       },
+       {RITAS_EINVAL, RITAS_ESTATE, RITAS_EINVAL, 4}},
+      {"stat",
+       [](ritas_t* r, std::uint8_t*, std::size_t) -> long long {
+         return ritas_stat(r, RITAS_STAT_MAC_FAILURES);
+       },
+       {RITAS_EINVAL, RITAS_ESTATE, 0, 0}},
+      // Last: in the running state this call is the step to kStopped.
+      {"stop",
+       [](ritas_t* r, std::uint8_t*, std::size_t) -> long long {
+         return ritas_stop(r);
+       },
+       {RITAS_EINVAL, RITAS_ESTATE, RITAS_OK, RITAS_OK}},
+  };
+
+  ritas_t* cold = ritas_init(4, 0, kSecret, sizeof(kSecret));
+  ASSERT_NE(cold, nullptr);
+  CCluster c;
+  std::array<std::uint8_t, kCap> buf{};
+  const std::array<ritas_t*, 4> handle = {nullptr, cold, c.r[0], c.r[0]};
+  const char* const state_name[] = {"null", "cold", "running", "stopped"};
+  for (int s : {kNull, kCold, kRunning, kStopped}) {
+    std::uint8_t* b = s == kRunning ? nullptr : buf.data();
+    for (const Row& row : rows) {
+      if (row.want[s] == kNotRun) continue;
+      EXPECT_EQ(row.call(handle[s], b, kCap), row.want[s])
+          << row.name << " in state " << state_name[s];
+    }
+  }
+  ritas_destroy(cold);
 }
 
 TEST(CApi, RetiredPipelineIdsAreEinval) {
