@@ -80,7 +80,6 @@ ClusterOptions cell_options(const Combo& cb, Faultload fl, std::uint32_t n,
   o.seed = seed;
   o.lan = paper_lan(true);
   o.stack.variants = cb.variants;
-  if (cb.variants.bc == BcVariant::kCrain) o.stack.coin_mode = CoinMode::kDealt;
   const std::uint32_t f = fault_budget(cb.variants, n);
   if (fl == Faultload::kFailStop) {
     for (std::uint32_t i = 0; i < f; ++i) o.crashed.push_back(n - 1 - i);

@@ -120,11 +120,6 @@ std::optional<std::uint64_t> JsonValue::as_u64() const {
   return unsigned_num;
 }
 
-std::optional<double> JsonValue::as_double() const {
-  if (kind != Kind::kNumber) return std::nullopt;
-  return number;
-}
-
 std::optional<std::string_view> JsonValue::as_string() const {
   if (kind != Kind::kString) return std::nullopt;
   return std::string_view(string);
@@ -138,11 +133,6 @@ std::optional<bool> JsonValue::bool_at(std::string_view key) const {
 std::optional<std::uint64_t> JsonValue::u64_at(std::string_view key) const {
   const JsonValue* v = get(key);
   return v ? v->as_u64() : std::nullopt;
-}
-
-std::optional<double> JsonValue::double_at(std::string_view key) const {
-  const JsonValue* v = get(key);
-  return v ? v->as_double() : std::nullopt;
 }
 
 std::optional<std::string_view> JsonValue::string_at(std::string_view key) const {

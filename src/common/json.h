@@ -79,13 +79,11 @@ struct JsonValue {
 
   std::optional<bool> as_bool() const;
   std::optional<std::uint64_t> as_u64() const;
-  std::optional<double> as_double() const;
   std::optional<std::string_view> as_string() const;
 
   /// get(key) + typed accessor in one step.
   std::optional<bool> bool_at(std::string_view key) const;
   std::optional<std::uint64_t> u64_at(std::string_view key) const;
-  std::optional<double> double_at(std::string_view key) const;
   std::optional<std::string_view> string_at(std::string_view key) const;
 };
 

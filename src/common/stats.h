@@ -1,10 +1,10 @@
 // Statistics helpers used by the benchmark harnesses.
 //
-// `OnlineStats` keeps running mean/variance (Welford); `Sample` stores the
-// raw observations for percentile queries — the paper reports averages of
-// 100 isolated runs (Table 1) and of 10 burst runs (Figures 4-6), so both
-// forms are needed. `Histogram` is the cheap always-on form carried inside
-// `Metrics`: power-of-two buckets, O(1) add, mergeable across processes.
+// `Sample` stores the raw observations for mean, deviation and percentile
+// queries — the paper reports averages of 100 isolated runs (Table 1) and
+// of 10 burst runs (Figures 4-6). `Histogram` is the cheap always-on form
+// carried inside `Metrics`: power-of-two buckets, O(1) add, mergeable
+// across processes.
 #pragma once
 
 #include <array>
@@ -22,26 +22,6 @@ struct CounterInfo {
   const char* unit;
   const char* help;
   int c_id = 0;
-};
-
-/// Welford running mean / variance. O(1) memory.
-class OnlineStats {
- public:
-  void add(double x);
-  std::size_t count() const { return n_; }
-  double mean() const { return n_ ? mean_ : 0.0; }
-  /// Sample variance (n-1 denominator); 0 for fewer than two samples.
-  double variance() const;
-  double stddev() const;
-  double min() const { return n_ ? min_ : 0.0; }
-  double max() const { return n_ ? max_ : 0.0; }
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
 };
 
 /// Raw-observation container with percentile queries.

@@ -376,7 +376,6 @@ void AtomicBroadcast::flush_deliveries() {
             static_cast<std::uint8_t>(std::min<std::size_t>(msgs.size(), 255)));
     }
     for (Slice& m : msgs) {
-      ++delivered_count_;
       ++stack_.metrics().ab_delivered;
       trace(TracePhase::kAbDeliver, id.rbid,
             static_cast<std::uint8_t>(id.origin & 0xff));

@@ -27,8 +27,8 @@
 // agreement round completes), or on an explicit flush(). No clocks are
 // involved: sealing is driven purely by protocol events, so simulated
 // runs stay deterministic. Delivery unpacks batches message by message,
-// keeping per-message total order, delivered_count() and the Figure-7
-// agreement-cost accounting unchanged; identifiers (origin, rbid) then
+// keeping per-message total order and the Figure-7 agreement-cost
+// accounting unchanged; identifiers (origin, rbid) then
 // name batches, and every message in a batch shares its batch's rbid.
 // Malformed batch framing from a Byzantine origin is a counted drop
 // (ab_batch_malformed + invalid_dropped), never a throw, and is dropped
@@ -83,7 +83,6 @@ class AtomicBroadcast final : public Protocol {
   Protocol* spawn_child(const Component& c, bool& drop) override;
   void collect_garbage() override;
 
-  std::uint64_t delivered_count() const { return delivered_count_; }
   std::uint32_t round() const { return round_; }
   /// Identifiers held one by one (pending, awaiting content, or above a
   /// watermark floor); at quiescence this is O(n), not O(delivered).
@@ -184,7 +183,6 @@ class AtomicBroadcast final : public Protocol {
   bool proposed_mvc_ = false;
   std::map<std::uint32_t, VectState> vects_;
   std::deque<MsgId> delivery_queue_;
-  std::uint64_t delivered_count_ = 0;
   std::uint32_t gc_round_floor_ = 0;  // rounds below this are already freed
 };
 

@@ -25,9 +25,9 @@
 // AUX quorums intersect in >= n-2f >= f+1 processes, so v is in every
 // vals and the {0,1} process adopts s — which equals v exactly when every
 // process sees the same s. With private per-process coins the adopter can
-// draw 1-v and later decide it: an agreement violation. The factory
-// therefore rejects this variant unless coin_mode = kDealt
-// (core/variants.h, validate_variants).
+// draw 1-v and later decide it: an agreement violation. This variant
+// therefore always tosses the dealt coin, whatever coin_mode says
+// (core/variants.h, tossed_coin).
 //
 // Termination uses a DONE gadget instead of Bracha's courtesy round: a
 // decider broadcasts DONE(v) and keeps participating in rounds; f+1

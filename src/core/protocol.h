@@ -55,7 +55,6 @@ class Protocol {
   virtual void collect_garbage() {}
 
   Protocol* find_child(const Component& c) const;
-  std::size_t child_count() const { return children_.size(); }
 
   /// Transport timestamp at construction; with note_complete() this yields
   /// the instance's spawn->terminal latency.

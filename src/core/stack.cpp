@@ -21,7 +21,13 @@ ProtocolStack::ProtocolStack(StackConfig cfg, Transport& transport,
       ooc_count_(cfg.n, 0) {
   if (cfg_.n < 4) throw std::invalid_argument("ProtocolStack: need n >= 4 (n >= 3f+1, f >= 1)");
   if (cfg_.self >= cfg_.n) throw std::invalid_argument("ProtocolStack: self out of range");
-  validate_variants(cfg_.variants, cfg_.n, cfg_.coin_mode);
+  validate_variants(cfg_.variants, cfg_.n);
+  if (tossed_coin(cfg_.variants.bc, cfg_.coin_mode) == CoinMode::kDealt &&
+      keys_.group_key().empty()) {
+    throw std::invalid_argument(
+        "ProtocolStack: the dealt coin needs the dealer's group key, and "
+        "this keychain has none (built from external pairwise keys)");
+  }
 }
 
 ProtocolStack::~ProtocolStack() = default;

@@ -65,14 +65,18 @@ struct StackConfig {
   /// single-group wire format bit-for-bit.
   GroupId group = 0;
 
+  /// The coin Bracha's binary consensus tosses; Crain always tosses the
+  /// dealt one (tossed_coin in core/variants.h). A dealt coin needs the
+  /// keychain's group key: the ProtocolStack constructor throws
+  /// std::invalid_argument without one.
   CoinMode coin_mode = CoinMode::kLocal;
 
   /// Which algorithm runs each swappable layer (core/variants.h). The
   /// default is the paper's Bracha pair, bit-identical to the pre-variant
   /// stack; like every wire-format switch, all correct processes of a
-  /// group must select the same variants. Validated (with n and
-  /// coin_mode) in the ProtocolStack constructor — invalid combinations
-  /// throw std::invalid_argument at config time, never on the packet path.
+  /// group must select the same variants. Validated (with n) in the
+  /// ProtocolStack constructor — invalid combinations throw
+  /// std::invalid_argument at config time, never on the packet path.
   VariantConfig variants;
 
   /// Atomic broadcast payload batching (see AbBatchConfig).

@@ -40,21 +40,17 @@ std::optional<BcVariant> bc_variant_from_name(std::string_view name) {
   return std::nullopt;
 }
 
-void validate_variants(const VariantConfig& v, std::uint32_t n,
-                       CoinMode coin_mode) {
+CoinMode tossed_coin(BcVariant bc, CoinMode coin_mode) {
+  return bc == BcVariant::kCrain ? CoinMode::kDealt : coin_mode;
+}
+
+void validate_variants(const VariantConfig& v, std::uint32_t n) {
   if (v.rb == RbVariant::kImbsRaynal && n < 6) {
     throw std::invalid_argument(
         "variants.rb = imbs-raynal requires n >= 6: the 2-step broadcast "
         "tolerates only t = (n-1)/5 Byzantine faults and its witness "
         "quorums are unsound with n <= 5t (got n = " + std::to_string(n) +
         "); use the bracha variant for smaller groups");
-  }
-  if (v.bc == BcVariant::kCrain && coin_mode != CoinMode::kDealt) {
-    throw std::invalid_argument(
-        "variants.bc = crain requires coin_mode = dealt: the round rule "
-        "adopts the coin value, so agreement holds only if every process "
-        "sees the SAME coin — a private (local) coin can split the "
-        "estimates for good");
   }
 }
 
@@ -90,8 +86,8 @@ std::unique_ptr<BcAlgorithm> make_bc(ProtocolStack& stack, Protocol* parent,
 
 bool toss_round_coin(ProtocolStack& stack, const InstanceId& id,
                      std::uint32_t round) {
-  if (stack.config().coin_mode == CoinMode::kDealt &&
-      !stack.keys().group_key().empty()) {
+  const StackConfig& cfg = stack.config();
+  if (tossed_coin(cfg.variants.bc, cfg.coin_mode) == CoinMode::kDealt) {
     // Rabin-style dealt coin: every process derives the same bit for
     // (instance, round) from the dealer's group key.
     Writer w;

@@ -58,8 +58,14 @@ enum class RbVariant : std::uint8_t {
 
 enum class BcVariant : std::uint8_t {
   kBracha = 0,  // paper §2.4: RB-backed 3-step rounds, t < n/3
-  kCrain = 1,   // MMR-style BV-broadcast rounds; requires the dealt coin
+  kCrain = 1,   // MMR-style BV-broadcast rounds; always the dealt coin
 };
+
+/// The coin a binary consensus `bc` tosses under `coin_mode`: the dealt
+/// common coin for Crain, whose round rule adopts the coin value, so
+/// agreement holds only if every process sees the SAME coin; otherwise
+/// the coin `coin_mode` asks for.
+CoinMode tossed_coin(BcVariant bc, CoinMode coin_mode);
 
 /// Per-stack algorithm selection. The default value is the paper's stack;
 /// a default-constructed config is bit-identical to the pre-variant wire
@@ -79,16 +85,12 @@ std::optional<RbVariant> rb_variant_from_name(std::string_view name);
 std::optional<BcVariant> bc_variant_from_name(std::string_view name);
 
 /// Rejects incompatible variant selections with std::invalid_argument
-/// carrying an actionable message:
-///   * Imbs–Raynal RB needs n >= 6 — its witness quorums assume n > 5t
-///     with t = (n-1)/5 >= 1; below that the variant is unsound.
-///   * Crain BC needs CoinMode::kDealt — its round rule adopts the coin
-///     value, so agreement relies on the coin being COMMON; private coins
-///     break the argument.
-/// Called from the ProtocolStack constructor (config time, never on the
-/// packet path) and mirrored as RITAS_EINVAL through the C API.
-void validate_variants(const VariantConfig& v, std::uint32_t n,
-                       CoinMode coin_mode);
+/// carrying an actionable message: Imbs–Raynal RB needs n >= 6 — its
+/// witness quorums assume n > 5t with t = (n-1)/5 >= 1; below that the
+/// variant is unsound. Called from the ProtocolStack constructor (config
+/// time, never on the packet path) and mirrored as RITAS_EINVAL through
+/// the C API.
+void validate_variants(const VariantConfig& v, std::uint32_t n);
 
 /// One reliable-broadcast instance: one broadcast by `origin`, delivered
 /// at most once. All variants provide agreement + integrity + totality for
@@ -144,11 +146,12 @@ std::unique_ptr<BcAlgorithm> make_bc(ProtocolStack& stack, Protocol* parent,
                                      InstanceId id, Attribution attr,
                                      BcAlgorithm::DecideFn decide);
 
-/// The per-(instance, round) coin both BC variants share. kDealt derives a
-/// common bit from the dealer's group key via HMAC over (id, round);
-/// kLocal (or a missing group key) falls back to the stack's seeded
-/// private coin. One helper so the variants' coins are computed
-/// identically — the default Bracha path stays bit-identical.
+/// The per-(instance, round) coin both BC variants share, of the kind
+/// tossed_coin picks. kDealt derives a common bit from the dealer's group
+/// key via HMAC over (id, round) (the ProtocolStack constructor refuses a
+/// keychain without one); kLocal is the stack's seeded private coin. One
+/// helper so the variants' coins are computed identically — the default
+/// Bracha path stays bit-identical.
 bool toss_round_coin(ProtocolStack& stack, const InstanceId& id,
                      std::uint32_t round);
 

@@ -75,9 +75,6 @@ typename Hash::Digest hmac(ByteView key, Views... msg) {
   return HmacKey<Hash>(key).mac(msg...);
 }
 
-using HmacSha1 = Sha1::Digest;
-using HmacSha256 = Sha256::Digest;
-
 inline Sha1::Digest hmac_sha1(ByteView key, ByteView msg) {
   return hmac<Sha1>(key, msg);
 }

@@ -6,6 +6,7 @@
 #include <mutex>
 #include <optional>
 #include <stdexcept>
+#include <type_traits>
 
 #include "core/binary_consensus.h"
 #include "core/multivalued_consensus.h"
@@ -177,45 +178,38 @@ void Context::ab_subscribe(AbSubscriber fn) {
   node_.run([this, f = std::move(fn)]() mutable { ab_sub_ = std::move(f); });
 }
 
-bool Context::bc(bool proposal) {
-  Decision<bool> decision;
-  node_.run([this, proposal, decide = decision.callback()] {
-    const std::uint64_t k = bc_calls_++;
-    auto inst = make_bc(node_.stack(), nullptr,
-                        InstanceId::root(ProtocolType::kBinaryConsensus, k),
-                        Attribution::kAgreement, decide);
-    inst->propose(proposal);
-    roots_.emplace(inst->id(), std::move(inst));
+template <typename Root, typename T, typename Proposal>
+T Context::consensus(ProtocolType type, Proposal proposal) {
+  Decision<T> decision;
+  node_.run([this, type, &proposal, decide = decision.callback()] {
+    const InstanceId id = InstanceId::root(type, consensus_calls_[type]++);
+    std::unique_ptr<Root> root;
+    if constexpr (std::is_same_v<Root, BcAlgorithm>) {
+      root = make_bc(node_.stack(), nullptr, id, Attribution::kAgreement,
+                     decide);
+    } else {
+      root = std::make_unique<Root>(node_.stack(), nullptr, id,
+                                    Attribution::kAgreement, decide);
+    }
+    root->propose(std::move(proposal));
+    roots_.emplace(id, std::move(root));
   });
   return decision.wait();
+}
+
+bool Context::bc(bool proposal) {
+  return consensus<BcAlgorithm, bool>(ProtocolType::kBinaryConsensus,
+                                      proposal);
 }
 
 std::optional<Bytes> Context::mvc(Bytes proposal) {
-  Decision<std::optional<Bytes>> decision;
-  node_.run([this, &proposal, decide = decision.callback()] {
-    const std::uint64_t k = mvc_calls_++;
-    auto inst = std::make_unique<MultiValuedConsensus>(
-        node_.stack(), nullptr,
-        InstanceId::root(ProtocolType::kMultiValuedConsensus, k),
-        Attribution::kAgreement, decide);
-    inst->propose(std::move(proposal));
-    roots_.emplace(inst->id(), std::move(inst));
-  });
-  return decision.wait();
+  return consensus<MultiValuedConsensus, std::optional<Bytes>>(
+      ProtocolType::kMultiValuedConsensus, std::move(proposal));
 }
 
 std::vector<std::optional<Bytes>> Context::vc(Bytes proposal) {
-  Decision<VectorConsensus::Vector> decision;
-  node_.run([this, &proposal, decide = decision.callback()] {
-    const std::uint64_t k = vc_calls_++;
-    auto inst = std::make_unique<VectorConsensus>(
-        node_.stack(), nullptr,
-        InstanceId::root(ProtocolType::kVectorConsensus, k),
-        Attribution::kAgreement, decide);
-    inst->propose(std::move(proposal));
-    roots_.emplace(inst->id(), std::move(inst));
-  });
-  return decision.wait();
+  return consensus<VectorConsensus, VectorConsensus::Vector>(
+      ProtocolType::kVectorConsensus, std::move(proposal));
 }
 
 }  // namespace ritas

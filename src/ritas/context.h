@@ -172,31 +172,20 @@ class Context {
     }
     /// Blocks until an element arrives; throws ShutdownError if the queue
     /// is closed and drained (the session stopped).
-    T pop() {
-      std::unique_lock<std::mutex> lock(m_);
-      cv_.wait(lock, [this] { return !q_.empty() || closed_; });
-      if (q_.empty()) throw ShutdownError();
-      T v = std::move(q_.front());
-      q_.pop_front();
-      return v;
-    }
+    T pop() { return *pop_for(std::nullopt); }
     /// Non-blocking: nullopt when nothing is queued. Throws ShutdownError
     /// only once the queue is closed *and* drained.
-    std::optional<T> try_pop() {
-      std::lock_guard<std::mutex> lock(m_);
-      if (q_.empty()) {
-        if (closed_) throw ShutdownError();
-        return std::nullopt;
-      }
-      T v = std::move(q_.front());
-      q_.pop_front();
-      return v;
-    }
-    /// Blocks up to `timeout`; nullopt on timeout, ShutdownError when
-    /// closed and drained.
-    std::optional<T> pop_for(std::chrono::milliseconds timeout) {
+    std::optional<T> try_pop() { return pop_for(std::chrono::milliseconds(0)); }
+    /// Blocks up to `timeout` (nullopt: no limit); nullopt on timeout,
+    /// ShutdownError when closed and drained.
+    std::optional<T> pop_for(std::optional<std::chrono::milliseconds> timeout) {
       std::unique_lock<std::mutex> lock(m_);
-      cv_.wait_for(lock, timeout, [this] { return !q_.empty() || closed_; });
+      const auto ready = [this] { return !q_.empty() || closed_; };
+      if (timeout) {
+        cv_.wait_for(lock, *timeout, ready);
+      } else {
+        cv_.wait(lock, ready);
+      }
       if (q_.empty()) {
         if (closed_) throw ShutdownError();
         return std::nullopt;
@@ -220,6 +209,12 @@ class Context {
     bool closed_ = false;
   };
 
+  /// The consensus calls' one path: on the poll thread, numbers the call
+  /// among those of `type`, creates its root, proposes and keeps the root
+  /// in roots_; then blocks on the root's decision.
+  template <typename Root, typename T, typename Proposal>
+  T consensus(ProtocolType type, Proposal proposal);
+
   Options opts_;
   Node node_;
 
@@ -230,7 +225,9 @@ class Context {
   AtomicBroadcast* ab_ = nullptr;
   BroadcastService* rb_ = nullptr;
   BroadcastService* eb_ = nullptr;
-  std::uint64_t bc_calls_ = 0, mvc_calls_ = 0, vc_calls_ = 0;
+  /// Per consensus type, the calls made so far: call k's root is
+  /// (type, k).
+  std::map<ProtocolType, std::uint64_t> consensus_calls_;
 
   BlockingQueue<Delivery> rb_rx_, eb_rx_;
   BlockingQueue<AbDelivery> ab_rx_;

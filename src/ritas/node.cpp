@@ -33,7 +33,7 @@ void Node::validate(const std::string& who, const Options& o,
   // Unknown or incompatible protocol-variant selections fail here, before
   // any networking exists (the ProtocolStack constructor re-checks, but
   // this path owns the user-facing error).
-  validate_variants(o.stack.variants, o.n, o.stack.coin_mode);
+  validate_variants(o.stack.variants, o.n);
 }
 
 Node::Node(std::string who, const Options& opts, std::uint32_t groups)

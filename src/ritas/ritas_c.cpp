@@ -14,6 +14,43 @@ long copy_out(const ritas::Bytes& payload, uint8_t* buf, size_t cap) {
   return static_cast<long>(payload.size());
 }
 
+/// Runs one service call of a started session and maps what it throws to
+/// the C codes: a wait that ritas_stop cut short is RITAS_ESHUTDOWN, a
+/// call the session refuses (after the stop, beyond the rb window)
+/// RITAS_ESTATE, anything else RITAS_EINTERNAL.
+template <typename F>
+auto guarded(F&& call) noexcept -> decltype(call()) {
+  try {
+    return call();
+  } catch (const ritas::ShutdownError&) {
+    return RITAS_ESHUTDOWN;
+  } catch (const std::logic_error&) {
+    return RITAS_ESTATE;
+  } catch (...) {
+    return RITAS_EINTERNAL;
+  }
+}
+
+/// The receive calls' one routine: takes the service's stashed delivery,
+/// or pops one with `pop` (nullopt: none in time, RITAS_EAGAIN), and
+/// copies it out. One that does not fit stays stashed (RITAS_ETOOBIG).
+template <typename D, typename Pop>
+long receive(ritas_t* r, ritas_t::Recv<D> ritas_t::*service,
+             uint32_t* origin, uint8_t* buf, size_t cap, Pop pop) {
+  if (!started(r) || (buf == nullptr && cap > 0)) return RITAS_EINVAL;
+  ritas_t::Recv<D>& slot = r->*service;
+  return guarded([&]() -> long {
+    std::lock_guard<std::mutex> lock(slot.mutex);
+    if (!slot.stash) slot.stash = pop(*r->ctx);
+    if (!slot.stash) return RITAS_EAGAIN;
+    const long rc = copy_out(slot.stash->payload, buf, cap);
+    if (rc < 0) return rc;
+    if (origin != nullptr) *origin = slot.stash->origin;
+    slot.stash.reset();
+    return rc;
+  });
+}
+
 }  // namespace
 
 extern "C" {
@@ -74,11 +111,6 @@ int ritas_set_opt(ritas_t* r, int opt, long value) {
     case RITAS_OPT_BC_VARIANT:
       if (value != 0 && value != 1) return RITAS_EINVAL;
       r->opts.stack.variants.bc = static_cast<ritas::BcVariant>(value);
-      /* Crain's agreement argument needs a COMMON coin; selecting it
-       * implies the dealt coin so the pair can't be misconfigured. */
-      if (r->opts.stack.variants.bc == ritas::BcVariant::kCrain) {
-        r->opts.stack.coin_mode = ritas::CoinMode::kDealt;
-      }
       return RITAS_OK;
   }
   return RITAS_EINVAL;
@@ -88,15 +120,13 @@ long ritas_link_states(ritas_t* r, uint8_t* states, size_t cap) {
   if (r == nullptr || (states == nullptr && cap > 0)) return RITAS_EINVAL;
   if (!started(r)) return RITAS_ESTATE;
   if (cap < r->opts.n) return RITAS_ETOOBIG;
-  try {
+  return guarded([&]() -> long {
     const auto ls = r->ctx->link_states();
     for (size_t i = 0; i < ls.size(); ++i) {
       states[i] = static_cast<uint8_t>(ls[i]);
     }
     return static_cast<long>(ls.size());
-  } catch (...) {
-    return RITAS_EINTERNAL;
-  }
+  });
 }
 
 long long ritas_stat(ritas_t* r, int stat) {
@@ -132,12 +162,10 @@ int ritas_start(ritas_t* r) {
 int ritas_stop(ritas_t* r) {
   if (r == nullptr) return RITAS_EINVAL;
   if (!started(r)) return RITAS_ESTATE;
-  try {
+  return guarded([r]() -> int {
     r->ctx->stop();  // wakes blocked recvs; ctx stays alive until destroy
     return RITAS_OK;
-  } catch (...) {
-    return RITAS_EINTERNAL;
-  }
+  });
 }
 
 void ritas_destroy(ritas_t* r) {
@@ -151,72 +179,36 @@ void ritas_destroy(ritas_t* r) {
 
 int ritas_rb_bcast(ritas_t* r, const uint8_t* msg, size_t len) {
   if (!started(r) || (msg == nullptr && len > 0)) return RITAS_EINVAL;
-  try {
+  return guarded([&]() -> int {
     r->ctx->rb_bcast(ritas::Bytes(msg, msg + len));
     return RITAS_OK;
-  } catch (const std::logic_error&) {
-    return RITAS_ESTATE;  // session stopped
-  } catch (...) {
-    return RITAS_EINTERNAL;
-  }
+  });
 }
 
 int ritas_eb_bcast(ritas_t* r, const uint8_t* msg, size_t len) {
   if (!started(r) || (msg == nullptr && len > 0)) return RITAS_EINVAL;
-  try {
+  return guarded([&]() -> int {
     r->ctx->eb_bcast(ritas::Bytes(msg, msg + len));
     return RITAS_OK;
-  } catch (const std::logic_error&) {
-    return RITAS_ESTATE;  // session stopped
-  } catch (...) {
-    return RITAS_EINTERNAL;
-  }
+  });
 }
 
 int ritas_ab_bcast(ritas_t* r, const uint8_t* msg, size_t len) {
   if (!started(r) || (msg == nullptr && len > 0)) return RITAS_EINVAL;
-  try {
+  return guarded([&]() -> int {
     r->ctx->ab_bcast(ritas::Bytes(msg, msg + len));
     return RITAS_OK;
-  } catch (const std::logic_error&) {
-    return RITAS_ESTATE;  // session stopped
-  } catch (...) {
-    return RITAS_EINTERNAL;
-  }
+  });
 }
 
 long ritas_rb_recv(ritas_t* r, uint32_t* origin, uint8_t* buf, size_t cap) {
-  if (!started(r) || (buf == nullptr && cap > 0)) return RITAS_EINVAL;
-  try {
-    std::lock_guard<std::mutex> lock(r->rb_mutex);
-    if (!r->rb_stash) r->rb_stash = r->ctx->rb_recv();
-    const long rc = copy_out(r->rb_stash->payload, buf, cap);
-    if (rc < 0) return rc;  // stays stashed
-    if (origin != nullptr) *origin = r->rb_stash->origin;
-    r->rb_stash.reset();
-    return rc;
-  } catch (const ritas::ShutdownError&) {
-    return RITAS_ESHUTDOWN;
-  } catch (...) {
-    return RITAS_EINTERNAL;
-  }
+  return receive(r, &ritas_t::rb, origin, buf, cap,
+                 [](ritas::Context& c) { return c.rb_recv(); });
 }
 
 long ritas_eb_recv(ritas_t* r, uint32_t* origin, uint8_t* buf, size_t cap) {
-  if (!started(r) || (buf == nullptr && cap > 0)) return RITAS_EINVAL;
-  try {
-    std::lock_guard<std::mutex> lock(r->eb_mutex);
-    if (!r->eb_stash) r->eb_stash = r->ctx->eb_recv();
-    const long rc = copy_out(r->eb_stash->payload, buf, cap);
-    if (rc < 0) return rc;
-    if (origin != nullptr) *origin = r->eb_stash->origin;
-    r->eb_stash.reset();
-    return rc;
-  } catch (const ritas::ShutdownError&) {
-    return RITAS_ESHUTDOWN;
-  } catch (...) {
-    return RITAS_EINTERNAL;
-  }
+  return receive(r, &ritas_t::eb, origin, buf, cap,
+                 [](ritas::Context& c) { return c.eb_recv(); });
 }
 
 long ritas_ab_recv(ritas_t* r, uint32_t* origin, uint8_t* buf, size_t cap) {
@@ -225,56 +217,29 @@ long ritas_ab_recv(ritas_t* r, uint32_t* origin, uint8_t* buf, size_t cap) {
 
 long ritas_ab_recv_timeout(ritas_t* r, uint32_t* origin, uint8_t* buf,
                            size_t cap, long timeout_ms) {
-  if (!started(r) || (buf == nullptr && cap > 0)) return RITAS_EINVAL;
-  try {
-    std::lock_guard<std::mutex> lock(r->ab_mutex);
-    if (!r->ab_stash) {
-      std::optional<ritas::Context::AbDelivery> d;
-      if (timeout_ms < 0) {
-        d = r->ctx->ab_recv();
-      } else if (timeout_ms == 0) {
-        d = r->ctx->ab_try_recv();
-      } else {
-        d = r->ctx->ab_recv_for(std::chrono::milliseconds(timeout_ms));
-      }
-      if (!d) return RITAS_EAGAIN;
-      r->ab_stash = std::move(d);
-    }
-    const long rc = copy_out(r->ab_stash->payload, buf, cap);
-    if (rc < 0) return rc;
-    if (origin != nullptr) *origin = r->ab_stash->origin;
-    r->ab_stash.reset();
-    return rc;
-  } catch (const ritas::ShutdownError&) {
-    return RITAS_ESHUTDOWN;
-  } catch (...) {
-    return RITAS_EINTERNAL;
-  }
+  return receive(r, &ritas_t::ab, origin, buf, cap,
+                 [timeout_ms](ritas::Context& c)
+                     -> std::optional<ritas::Context::AbDelivery> {
+                   if (timeout_ms < 0) return c.ab_recv();
+                   if (timeout_ms == 0) return c.ab_try_recv();
+                   return c.ab_recv_for(
+                       std::chrono::milliseconds(timeout_ms));
+                 });
 }
 
 int ritas_ab_flush(ritas_t* r) {
   if (!started(r)) return RITAS_EINVAL;
-  try {
+  return guarded([r]() -> int {
     r->ctx->ab_flush();
     return RITAS_OK;
-  } catch (const std::logic_error&) {
-    return RITAS_ESTATE;  // session stopped
-  } catch (...) {
-    return RITAS_EINTERNAL;
-  }
+  });
 }
 
 int ritas_bc(ritas_t* r, int proposal) {
   if (!started(r)) return RITAS_EINVAL;
-  try {
+  return guarded([r, proposal]() -> int {
     return r->ctx->bc(proposal != 0) ? 1 : 0;
-  } catch (const ritas::ShutdownError&) {
-    return RITAS_ESHUTDOWN;  // ritas_stop cut the wait short
-  } catch (const std::logic_error&) {
-    return RITAS_ESTATE;  // session stopped
-  } catch (...) {
-    return RITAS_EINTERNAL;
-  }
+  });
 }
 
 long ritas_mvc(ritas_t* r, const uint8_t* msg, size_t len, uint8_t* buf,
@@ -283,21 +248,11 @@ long ritas_mvc(ritas_t* r, const uint8_t* msg, size_t len, uint8_t* buf,
       (buf == nullptr && cap > 0)) {
     return RITAS_EINVAL;
   }
-  try {
+  return guarded([&]() -> long {
     const auto decision = r->ctx->mvc(ritas::Bytes(msg, msg + len));
-    if (!decision) {
-      if (decided_default != nullptr) *decided_default = 1;
-      return 0;
-    }
-    if (decided_default != nullptr) *decided_default = 0;
-    return copy_out(*decision, buf, cap);
-  } catch (const ritas::ShutdownError&) {
-    return RITAS_ESHUTDOWN;
-  } catch (const std::logic_error&) {
-    return RITAS_ESTATE;
-  } catch (...) {
-    return RITAS_EINTERNAL;
-  }
+    if (decided_default != nullptr) *decided_default = decision ? 0 : 1;
+    return decision ? copy_out(*decision, buf, cap) : 0;
+  });
 }
 
 int ritas_vc(ritas_t* r, const uint8_t* msg, size_t len, uint8_t* buf,
@@ -306,7 +261,7 @@ int ritas_vc(ritas_t* r, const uint8_t* msg, size_t len, uint8_t* buf,
       lens == nullptr) {
     return RITAS_EINVAL;
   }
-  try {
+  return guarded([&]() -> int {
     const auto vec = r->ctx->vc(ritas::Bytes(msg, msg + len));
     for (size_t i = 0; i < vec.size(); ++i) {
       if (!vec[i]) {
@@ -320,13 +275,7 @@ int ritas_vc(ritas_t* r, const uint8_t* msg, size_t len, uint8_t* buf,
       lens[i] = static_cast<long>(vec[i]->size());
     }
     return RITAS_OK;
-  } catch (const ritas::ShutdownError&) {
-    return RITAS_ESHUTDOWN;
-  } catch (const std::logic_error&) {
-    return RITAS_ESTATE;
-  } catch (...) {
-    return RITAS_EINTERNAL;
-  }
+  });
 }
 
 }  // extern "C"

@@ -14,9 +14,11 @@
  *   ritas_destroy(r);
  *
  * All functions return 0 (or a non-negative count) on success and a
- * negative RITAS_E* code on failure. Buffers are caller-owned; *_recv
- * copies into the caller's buffer and fails with RITAS_ETOOBIG if it does
- * not fit. The library never throws across this boundary.
+ * negative RITAS_E* code on failure; docs/API.md §1 tabulates the code
+ * every service call and probe returns in each session state. Buffers are
+ * caller-owned; *_recv copies into the caller's buffer and fails with
+ * RITAS_ETOOBIG if it does not fit. The library never throws across this
+ * boundary.
  */
 #ifndef RITAS_C_H
 #define RITAS_C_H
@@ -32,8 +34,10 @@ typedef struct ritas_t ritas_t;
 
 enum {
   RITAS_OK = 0,
-  RITAS_EINVAL = -1,    /* bad argument */
-  RITAS_ESTATE = -2,    /* wrong state (e.g. service call before start) */
+  RITAS_EINVAL = -1,    /* bad argument; also any service call made
+                         * before ritas_start */
+  RITAS_ESTATE = -2,    /* wrong state (e.g. service call after ritas_stop,
+                         * ritas_stop or a probe before ritas_start) */
   RITAS_ENET = -3,      /* mesh setup / network failure */
   RITAS_ETOOBIG = -4,   /* caller buffer too small (value preserved) */
   RITAS_EINTERNAL = -5, /* unexpected internal failure */
@@ -62,11 +66,10 @@ enum {
                                   * tags; all correct processes of a group
                                   * must pick the same one. */
   RITAS_OPT_BC_VARIANT = 8       /* binary-consensus algorithm: 0 = Bracha
-                                  * (default), 1 = Crain. Selecting Crain
-                                  * also switches the stack to the dealt
-                                  * common coin (derived from the group
-                                  * key), which its agreement argument
-                                  * requires. */
+                                  * (default), 1 = Crain. Crain always
+                                  * tosses the dealt common coin (derived
+                                  * from the group key), which its
+                                  * agreement argument requires. */
   /* 6, 9, 10 and 11 are retired (formerly the consensus group id,
    * execution-pipeline reactor threads, HMAC worker threads and the
    * transport send-batching switch; sends are always batched now);

@@ -12,14 +12,20 @@
 #include "ritas/ritas_c.h"
 
 /* The opaque context: accumulates configuration until ritas_start, then
- * owns the C++ Context. recv stashes hold a popped-but-undersized delivery
- * so RITAS_ETOOBIG does not lose the message. */
+ * owns the C++ Context. */
 struct ritas_t {
+  /// One service's receive side: its own mutex, so a blocked rb_recv does
+  /// not stall eb/ab_recv, and a stash holding a popped-but-undersized
+  /// delivery, so RITAS_ETOOBIG does not lose the message.
+  template <typename D>
+  struct Recv {
+    std::mutex mutex;
+    std::optional<D> stash;
+  };
+
   ritas::Context::Options opts;
   std::vector<bool> added;
   std::unique_ptr<ritas::Context> ctx;
-  // One mutex per service: a blocked rb_recv must not stall eb/ab_recv.
-  std::mutex rb_mutex, eb_mutex, ab_mutex;
-  std::optional<ritas::Context::Delivery> rb_stash, eb_stash;
-  std::optional<ritas::Context::AbDelivery> ab_stash;
+  Recv<ritas::Context::Delivery> rb, eb;
+  Recv<ritas::Context::AbDelivery> ab;
 };

@@ -276,9 +276,7 @@ std::optional<Schedule> Schedule::from_json(std::string_view text) {
     s.variants = {*rb, *bc};
     // A schedule a stack would refuse to construct is not replayable.
     try {
-      validate_variants(s.variants, s.n,
-                        s.variants.bc == BcVariant::kCrain ? CoinMode::kDealt
-                                                           : s.coin_mode);
+      validate_variants(s.variants, s.n);
     } catch (const std::invalid_argument&) {
       return std::nullopt;
     }
@@ -352,14 +350,13 @@ Schedule Explorer::make_schedule(std::uint64_t trial_seed) const {
   s.workload = cfg_.workload;
   s.messages = std::max(1u, cfg_.messages);
   s.max_events = cfg_.max_events;
-  s.coin_mode = cfg_.coin_mode;
+  // The coin the stack tosses, so a replay reconstructs the identical
+  // stack (Crain always tosses the dealt coin).
+  s.coin_mode = tossed_coin(cfg_.variants.bc, cfg_.coin_mode);
   s.weak_bc_quorum = cfg_.weak_bc_quorum;
   s.ab_batching = cfg_.ab_batching;
   s.variants = cfg_.variants;
   s.wan = cfg_.wan;
-  // Crain's agreement argument needs the common coin; record it in the
-  // schedule so a replay reconstructs the identical stack.
-  if (s.variants.bc == BcVariant::kCrain) s.coin_mode = CoinMode::kDealt;
 
   Rng rng(derive_seed(trial_seed, kTagSchedule));
   // The fault budget (Byzantine + crashes) respects the weakest configured
@@ -454,9 +451,6 @@ TrialResult Explorer::run_trial(const Schedule& s) {
   o.lan = trial_lan();
   o.stack.coin_mode = s.coin_mode;
   o.stack.variants = s.variants;
-  // Defensive normalization for hand-written schedules: a Crain stack
-  // refuses to construct with private coins.
-  if (s.variants.bc == BcVariant::kCrain) o.stack.coin_mode = CoinMode::kDealt;
   o.stack.test_weak_bc_quorum = s.weak_bc_quorum;
   o.stack.ab_batch.enabled = s.ab_batching;
   o.byzantine = s.byzantine;

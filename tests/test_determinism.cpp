@@ -201,7 +201,8 @@ TEST(Determinism, NonDefaultVariantTracesAreDeterministicAndDistinct) {
   // switch actually changes the wire activity.
   VariantConfig crain;
   crain.bc = BcVariant::kCrain;
-  // The Crain variant requires the dealt common coin (validate_variants).
+  // Crain tosses the dealt common coin whatever coin_mode says
+  // (tossed_coin); setting it changes nothing.
   auto crain_trace = [&] {
     test::ClusterOptions o = fast_lan(4, 21);
     o.lan.jitter_ns = 500'000;

@@ -154,7 +154,7 @@ INSTANTIATE_TEST_SUITE_P(Matrix, StackProperties, ::testing::ValuesIn(make_matri
 // The same §2 oracles, run against every non-default protocol-variant
 // combination (core/variants.h). The fault budget respects the weakest
 // layer: Imbs–Raynal RB tolerates only t = (n-1)/5, so a mixed stack gets
-// min(f, (n-1)/5) faults; Crain BC requires the dealt common coin.
+// min(f, (n-1)/5) faults; Crain BC always tosses the dealt common coin.
 
 // Padding-free: gtest prints the raw bytes of an unprintable parameter
 // into the test name, so padding would leak uninitialised bytes there.
@@ -197,7 +197,6 @@ test::ClusterOptions options_for_variant(const VariantParams& p) {
   o.lan.jitter_ns = 400'000;
   o.stack.variants.rb = p.rb;
   o.stack.variants.bc = p.bc;
-  if (p.bc == BcVariant::kCrain) o.stack.coin_mode = CoinMode::kDealt;
   const std::uint32_t f = variant_fault_budget(p.rb, p.n);
   switch (p.fault) {
     case Fault::kNone:
@@ -371,19 +370,31 @@ TEST(VariantProperties, InvalidVariantCombinationsAreRejected) {
     o.stack.variants.rb = RbVariant::kImbsRaynal;
     EXPECT_THROW(Cluster c(o), std::invalid_argument);
   }
-  // Crain without the dealt common coin can violate agreement.
-  {
-    test::ClusterOptions o = fast_lan(4, 1);
-    o.stack.variants.bc = BcVariant::kCrain;
-    EXPECT_THROW(Cluster c(o), std::invalid_argument);
-  }
-  // The same selections are fine once the preconditions hold.
+  // The same selection is fine once n allows it.
   {
     test::ClusterOptions o = fast_lan(6, 1);
     o.stack.variants.rb = RbVariant::kImbsRaynal;
     o.stack.variants.bc = BcVariant::kCrain;
-    o.stack.coin_mode = CoinMode::kDealt;
     EXPECT_NO_THROW(Cluster c(o));
+  }
+}
+
+TEST(VariantProperties, CrainWithTheDefaultCoinModeDecides) {
+  // Crain's agreement argument needs a common coin. Left at the default
+  // (private) coin_mode, it still tosses the dealt one, so split proposals
+  // decide and agree under the shared oracles.
+  for (std::uint64_t seed = 0; seed < 10; ++seed) {
+    test::ClusterOptions o = fast_lan(4, 900 + seed);
+    o.lan.jitter_ns = 400'000;
+    o.stack.variants.bc = BcVariant::kCrain;
+    ASSERT_EQ(o.stack.coin_mode, CoinMode::kLocal);
+    Cluster c(o);
+    const std::vector<bool> proposals = {true, false, true, false};
+    auto cap = test::run_binary_consensus(c, proposals);
+    ASSERT_TRUE(cap.all_set(c.correct_set())) << "seed " << seed;
+    sim::oracle::Report rep;
+    sim::oracle::check_bc(rep, c.correct_set(), proposals, cap.got);
+    EXPECT_TRUE(rep.ok()) << "seed " << seed << ": " << rep.text();
   }
 }
 

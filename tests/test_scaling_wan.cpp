@@ -24,7 +24,6 @@ Schedule wan_schedule(Workload w, std::uint32_t n, VariantConfig variants,
   s.messages = 1;
   s.max_events = 2'000'000;
   s.variants = variants;
-  if (variants.bc == BcVariant::kCrain) s.coin_mode = CoinMode::kDealt;
   s.wan.enabled = true;
   s.wan.sites = 4;
   s.wan.jitter_permille = 100;

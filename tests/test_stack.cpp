@@ -358,6 +358,26 @@ TEST_F(StackTest, RejectsBadConfig) {
   EXPECT_THROW(ProtocolStack(bad2, transport_, keys_, 1), std::invalid_argument);
 }
 
+TEST_F(StackTest, RefusesDealtCoinWithoutGroupKey) {
+  // A keychain built from external pairwise keys has no group key, so it
+  // cannot toss the dealt coin; the stack refuses instead of silently
+  // tossing private coins.
+  const KeyChain pairwise(0, {to_bytes("a"), to_bytes("b"), to_bytes("c"),
+                              to_bytes("d")});
+  StackConfig dealt = make_config();
+  dealt.coin_mode = CoinMode::kDealt;
+  EXPECT_THROW(ProtocolStack(dealt, transport_, pairwise, 1),
+               std::invalid_argument);
+  StackConfig crain = make_config();
+  crain.variants.bc = BcVariant::kCrain;  // tosses the dealt coin
+  EXPECT_THROW(ProtocolStack(crain, transport_, pairwise, 1),
+               std::invalid_argument);
+  // The private coin needs no group key, and a dealt keychain has one.
+  EXPECT_NO_THROW(ProtocolStack(make_config(), transport_, pairwise, 1));
+  EXPECT_NO_THROW(ProtocolStack(dealt, transport_, keys_, 1));
+  EXPECT_NO_THROW(ProtocolStack(crain, transport_, keys_, 1));
+}
+
 // --- the rb/eb broadcast service on a loopback mesh ---------------------
 
 /// n stacks joined by an in-memory loopback: sends queue up and run()

@@ -253,10 +253,7 @@ int main(int argc, char** argv) {
   try {
     // Surface incompatible variant selections (e.g. imbs-raynal below
     // n = 6) here, not as a crash inside the first trial.
-    ritas::validate_variants(cfg.variants, cfg.n,
-                             cfg.variants.bc == ritas::BcVariant::kCrain
-                                 ? CoinMode::kDealt
-                                 : cfg.coin_mode);
+    ritas::validate_variants(cfg.variants, cfg.n);
   } catch (const std::invalid_argument& e) {
     std::fprintf(stderr, "ritas_explore: %s\n", e.what());
     return 1;
