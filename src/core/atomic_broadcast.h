@@ -28,8 +28,8 @@
 // involved: sealing is driven purely by protocol events, so simulated
 // runs stay deterministic. Delivery unpacks batches message by message,
 // keeping per-message total order and the Figure-7 agreement-cost
-// accounting unchanged; identifiers (origin, rbid) then
-// name batches, and every message in a batch shares its batch's rbid.
+// accounting unchanged; identifiers (origin, rbid) then name batches, and
+// every message in a batch shares its batch's rbid.
 // Malformed batch framing from a Byzantine origin is a counted drop
 // (ab_batch_malformed + invalid_dropped), never a throw, and is dropped
 // identically at every correct process (RB agreement on the bytes).
