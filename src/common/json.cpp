@@ -250,7 +250,7 @@ class JsonParser {
     const std::string token(text_.substr(start, pos_ - start));
     char* end = nullptr;
     out.kind = JsonValue::Kind::kNumber;
-    out.number = std::strtod(token.c_str(), &end);
+    (void)std::strtod(token.c_str(), &end);  // validation only
     if (end != token.c_str() + token.size()) return false;
     if (integral && token[0] != '-') {
       errno = 0;

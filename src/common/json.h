@@ -67,7 +67,6 @@ struct JsonValue {
 
   Kind kind = Kind::kNull;
   bool boolean = false;
-  double number = 0.0;          // every number, as parsed by strtod
   std::uint64_t unsigned_num = 0;  // exact value when the token was a u64
   bool is_unsigned = false;
   std::string string;

@@ -156,7 +156,7 @@ TcpTransport::TcpTransport(Options opts, const KeyChain& keys)
 
   // Listen before anyone dials: a peer that dials us before our start()
   // lands in the accept backlog instead of hitting ECONNREFUSED and a
-  // backoff. The handshake completes once start() polls.
+  // backoff. The handshake completes once our owner polls.
   Fd lfd(::socket(AF_INET, kSockFlags, 0));
   if (!lfd.valid()) throw std::runtime_error("socket() failed");
   int one = 1;
@@ -207,22 +207,29 @@ std::uint32_t TcpTransport::start_threshold() const {
   return want - f;  // n - f - 1
 }
 
+bool TcpTransport::started() const {
+  const std::uint32_t up = links_up();
+  if (up < start_threshold()) return false;
+  return up == opts_.n - 1 ||
+         std::none_of(handshakes_.begin(), handshakes_.end(),
+                      [](const Handshake& hs) { return hs.fd.valid(); });
+}
+
+std::runtime_error TcpTransport::setup_timeout() const {
+  return std::runtime_error("TcpTransport: mesh setup timed out (" +
+                            std::to_string(links_up()) + "/" +
+                            std::to_string(start_threshold()) + " links up)");
+}
+
 void TcpTransport::start() {
-  // Partial-mesh startup: pump the reactor until enough links are up; the
-  // stragglers keep dialing from poll_once() for the session's lifetime.
   const std::uint64_t deadline =
       now_ms() + static_cast<std::uint64_t>(opts_.connect_timeout_ms);
-  const std::uint32_t want = start_threshold();
-  while (links_up() < want) {
+  while (!started()) {
     if (stopped_.load()) {
       stop();  // this thread owns the sockets a request_stop() left open
       throw std::runtime_error("TcpTransport: stopped during start");
     }
-    if (now_ms() > deadline) {
-      throw std::runtime_error(
-          "TcpTransport: mesh setup timed out (" + std::to_string(links_up()) +
-          "/" + std::to_string(want) + " links up)");
-    }
+    if (now_ms() > deadline) throw setup_timeout();
     poll_once(20);
   }
 }

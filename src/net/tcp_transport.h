@@ -18,8 +18,8 @@
 // Frames from an old session are replay-dropped by session id, never
 // accepted. While a link is down, sends land in a bounded per-link
 // retained-frame queue (drop-oldest; drops of frames that never reached a
-// socket are counted). `start()` needs only a partial mesh (>= n-f-1
-// links) to return; the rest keep dialing in the background.
+// socket are counted). `started()` needs only a partial mesh (>= n-f-1
+// links); the rest keep dialing in the background.
 // Wire formats: docs/PROTOCOLS.md "Reliable channel".
 //
 // Handshakes: a dial in flight and an accepted socket are the same
@@ -55,17 +55,17 @@
 // checks).
 //
 // Threading contract: one thread owns the transport, the one that calls
-// start() and then poll_once() (see ritas::Node). Ownership moves to
-// another thread only through something that orders the two, such as
-// that thread's creation or a join. The owner makes every other call —
-// send(), set_sink(), set_tracer(), stop() — so a sender on another
-// thread posts its send to the owner (ritas::Node's task lane). All socket
-// I/O — receiving, the batched drains, handshakes and link management —
-// happens in poll_once(), and none of it blocks: a handshake message the
-// socket does not take whole fails that attempt. Frames are MAC-verified
-// and handed to the sink inline from poll_once. Any thread may call
-// wakeup(), request_stop(), kill_link() (the owner executes the kill) and
-// the reads link_states(), links_up() and stats(), which load atomics.
+// poll_once(). Ownership moves to another thread only through something
+// that orders the two, such as that thread's creation or a join (see
+// ritas::Node::start()). The owner makes every other call — start(),
+// started(), send(), set_sink(), set_tracer(), stop() — so a sender on
+// another thread posts its send to the owner (ritas::Node's task lane).
+// All socket I/O — receiving, the batched drains, handshakes and link
+// management — happens in poll_once(), and none of it blocks: a handshake
+// message the socket does not take whole fails that attempt. Frames are
+// MAC-verified and handed to the sink inline from poll_once. Any thread
+// may call wakeup(), request_stop(), kill_link() (the owner executes the
+// kill) and the reads link_states(), links_up(), stats(), setup_timeout().
 #pragma once
 
 #include <array>
@@ -74,6 +74,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -150,7 +151,7 @@ class TcpTransport final : public Transport {
     ProcessId self = 0;
     std::vector<PeerAddr> peers;  // size n; peers[self] = own listen address
     int connect_timeout_ms = 15'000;
-    /// start() returns once this many links are up; 0 = auto (n - f - 1,
+    /// started() needs this many links up; 0 = auto (n - f - 1,
     /// f = (n-1)/3): enough links that the local stack can make protocol
     /// progress while stragglers keep dialing in the background.
     std::uint32_t min_start_links = 0;
@@ -206,14 +207,16 @@ class TcpTransport final : public Transport {
   TcpTransport(Options opts, const KeyChain& keys);
   ~TcpTransport() override;
 
-  /// Dials the mesh (higher id connects, lower id accepts; an
-  /// authenticated handshake identifies the peer and opens a session) and
-  /// accepts the dials queued since construction. Blocks until at least
-  /// min_start_links links are up (throws std::runtime_error on timeout);
-  /// remaining links keep connecting in the background as long as
-  /// poll_once keeps being called. After request_stop() it closes every
-  /// socket and throws at once.
+  /// Polls until started(); throws setup_timeout() after connect_timeout_ms
+  /// and, after request_stop(), closes every socket and throws at once.
+  /// ritas::Node does not call it; it serves owners that block in it.
   void start();
+  /// At least min_start_links links are up, and either every link is up
+  /// or no handshake is in flight.
+  bool started() const;
+  int connect_timeout_ms() const { return opts_.connect_timeout_ms; }
+  /// "TcpTransport: mesh setup timed out (k/want links up)".
+  std::runtime_error setup_timeout() const;
   /// Closes every socket; subsequent sends are dropped silently.
   void stop();
   /// Any thread: a start() in progress closes every socket and throws,

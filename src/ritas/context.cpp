@@ -117,8 +117,7 @@ void Context::start() { node_.start(); }
 
 void Context::stop() {
   // Joins the poll thread, so nothing touches the stack-owned state
-  // (roots_) below; when the node was not running it only ends a start()
-  // still dialing, which may be polling on another thread.
+  // (roots_) below; false means there was no poll thread to stop.
   const bool was_running = node_.stop();
   // Wake any threads blocked in the recv calls.
   rb_rx_.close();

@@ -1,5 +1,6 @@
 #include "ritas/node.h"
 
+#include <chrono>
 #include <future>
 #include <random>
 #include <stdexcept>
@@ -69,57 +70,48 @@ Node::Node(std::string who, const Options& opts, std::uint32_t groups)
 Node::~Node() { stop(); }
 
 void Node::start() {
-  if (running_.load()) return;
-  transport_->start();  // throws on timeout, and once stop() has run
-  {
-    std::lock_guard<std::mutex> lock(tasks_mutex_);
-    if (lane_ == Lane::kClosed) {  // stop() came after the mesh was up
-      transport_->stop();
-      throw std::runtime_error(who_ + ": stopped during start");
-    }
-    lane_ = Lane::kOpen;
-    running_.store(true);
+  std::unique_lock<std::mutex> lock(tasks_mutex_);
+  if (lane_ == Lane::kIdle && !poll_thread_.joinable()) {
+    // Dial every lower id and send each HELLO, so peers answer while the
+    // thread starts; its creation orders this poll before the thread's.
+    transport_->poll_once(0);
     poll_thread_ = std::thread([this] { poll_loop(); });
   }
-  // Return once the poll thread has run a cycle: links still handshaking
-  // when the threshold was met usually complete in it, so start() tends to
-  // return with every live link up. This wait stays although it costs a
-  // thread hand-off: without it start() returns before the last link is
-  // up, and a caller that then waits for the full mesh pays a longer poll
-  // tick instead (EXPERIMENTS.md "Mesh set-up anatomy": set-up was slower
-  // on two of three benchmark workloads with it removed).
-  run([] {});
+  const std::chrono::milliseconds budget(transport_->connect_timeout_ms());
+  if (!lane_cv_.wait_for(lock, budget,
+                         [this] { return lane_ != Lane::kIdle; })) {
+    const std::runtime_error timeout = transport_->setup_timeout();
+    lock.unlock();
+    stop();
+    throw timeout;
+  }
+  if (lane_ == Lane::kClosed) throw std::runtime_error(who_ + ": stopped");
 }
 
 bool Node::stop() {
   {
     std::lock_guard<std::mutex> lock(tasks_mutex_);
-    if (!running_.exchange(false)) {
-      // Not running: a start() still dialing stops and throws, on its own
-      // thread, and so does any later one.
-      lane_ = Lane::kClosed;
-      transport_->request_stop();
-      return false;
-    }
+    const bool first = lane_.exchange(Lane::kClosed) != Lane::kClosed;
+    if (!first || !poll_thread_.joinable()) return false;
   }
   transport_->wakeup();
-  if (poll_thread_.joinable()) poll_thread_.join();
+  poll_thread_.join();
+  lane_cv_.notify_all();  // a start() still waiting throws
   transport_->stop();
   return true;
 }
 
 void Node::poll_loop() {
-  while (running_.load()) {
+  while (lane_ != Lane::kClosed) {
     transport_->poll_once(20);
+    if (lane_ == Lane::kIdle && transport_->started()) {
+      std::lock_guard<std::mutex> lock(tasks_mutex_);
+      if (lane_ == Lane::kIdle) lane_ = Lane::kOpen;  // else stop() closed it
+      lane_cv_.notify_all();
+    }
     drain_tasks();
   }
-  // Close the lane, then drain it: every task post() accepted still runs
-  // (and its caller in run() is released), and any later post() refuses
-  // instead of queueing a task no thread would run.
-  {
-    std::lock_guard<std::mutex> lock(tasks_mutex_);
-    lane_ = Lane::kClosed;
-  }
+  // Every task post() accepted before stop() closed the lane runs here.
   drain_tasks();
 }
 

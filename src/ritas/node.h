@@ -16,9 +16,8 @@
 //                  stack's on_packet, every posted task, and after each
 //                  drain every stack's pump (the safe point where
 //                  protocols free what completed); one thread per node,
-//                  as in the paper (§3). Until
-//                  start() returns, the thread calling it polls the mesh
-//                  and plays this role.
+//                  as in the paper (§3). Only start()'s first, non-blocking
+//                  poll runs on the caller, before the thread exists.
 //   app threads  — post()/run(), metrics(), stats, waits
 //
 // Protocol work therefore always runs on exactly one thread, the
@@ -26,6 +25,7 @@
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -55,9 +55,9 @@ class Node {
     /// Shared secret all processes derive pairwise keys from (the trusted
     /// dealer of §2; distribute out of band).
     Bytes master_secret;
-    /// start() returns once this many links are up (0 = auto: n - f - 1);
-    /// the remaining links keep dialing in the background and heal through
-    /// the transport's backoff/reconnect machinery.
+    /// start() needs this many links up (0 = auto: n - f - 1; see
+    /// TcpTransport::started()); the remaining links keep dialing in the
+    /// background and heal through the transport's backoff/reconnect.
     std::uint32_t min_start_links = 0;
     std::uint64_t rng_seed = 0;  // 0 = seed from std::random_device
     /// Template for every group's stack (n/self/group overwritten). Its
@@ -81,21 +81,21 @@ class Node {
   Node(const Node&) = delete;
   Node& operator=(const Node&) = delete;
 
-  /// Dials the mesh (blocks until min_start_links links are up; frames
-  /// that arrive meanwhile already reach the stacks), starts the poll
-  /// thread and returns after its first cycle. Throws std::runtime_error
-  /// when the mesh times out or stop() cuts it short.
+  /// Sends the first dials, hands the transport to the poll thread and
+  /// waits until it opens the task lane (TcpTransport::started()). Throws
+  /// std::runtime_error when stop() lands first, or after the transport's
+  /// connect timeout, which stops the node for good as stop() would.
   void start();
   /// Stops the poll thread — tasks already posted still run — then closes
-  /// every socket. Returns false when the node was not running; a start()
-  /// blocked on the mesh in another thread then closes its sockets and
-  /// throws, and a later start() throws at once.
+  /// every socket; a start() still waiting throws, and so does any later
+  /// one. Returns false when there was no poll thread to stop.
   bool stop();
-  bool running() const { return running_.load(); }
+  /// True from the moment the task lane opens until stop().
+  bool running() const { return lane_ == Lane::kOpen; }
 
   /// Runs `fn` on the poll thread; callable from any thread. Returns false,
-  /// dropping `fn`, when the task lane is closed: before start(), and from
-  /// the poll thread's last drain on.
+  /// dropping `fn`, while the task lane is not open: until start() sees
+  /// the mesh ready, and from stop() on.
   bool post(std::function<void()> fn);
   /// post() and wait; an exception thrown by `fn` is rethrown here.
   /// Throws std::logic_error when post() refuses `fn`.
@@ -128,14 +128,13 @@ class Node {
   std::vector<std::unique_ptr<ProtocolStack>> stacks_;  // [group]
   GroupMux mux_;
 
-  std::atomic<bool> running_{false};
   std::mutex tasks_mutex_;
-  /// The task lane: kIdle until start(), kOpen while the poll thread
-  /// runs, kClosed for good from its last drain, or from a stop() before
-  /// start() finished. Guarded by tasks_mutex_, as running_'s transitions
-  /// are.
+  /// The task lane: kIdle until the poll thread sees the mesh ready, then
+  /// kOpen; kClosed for good from stop(), which ends the poll loop. Written
+  /// under tasks_mutex_, which lane_cv_ waits on for start().
   enum class Lane : std::uint8_t { kIdle, kOpen, kClosed };
-  Lane lane_ = Lane::kIdle;
+  std::atomic<Lane> lane_{Lane::kIdle};
+  std::condition_variable lane_cv_;
   std::deque<std::function<void()>> tasks_;
   std::thread poll_thread_;
 };

@@ -1,8 +1,9 @@
 // ritas::Node — the runtime Context and ShardedNode share: option checks,
 // the task lane onto the poll thread, the per-group stacks (their seed
 // rule and their pumps), a stop() that still runs every task posted before
-// it, and a run() racing stop() that never hangs; plus a ShardedNode
-// cluster on a real loopback mesh.
+// it, a run() racing stop() that never hangs and a stop() racing start()
+// that ends it at once; plus a ShardedNode cluster on a real loopback
+// mesh.
 #include "ritas/node.h"
 
 #include <gtest/gtest.h>
@@ -233,6 +234,42 @@ TEST(Node, RunRacingStopRunsOrThrowsNeverHangs) {
   watchdog.join();
   EXPECT_EQ(refused.load(), std::uint64_t{kMeshes} * 4 * kRacers);
   EXPECT_GT(ran.load(), 0u);
+}
+
+TEST(Node, StopRacingStartEndsItPromptly) {
+  // Node 3 dials peers that never start, so its start() waits below its
+  // link threshold for the 15 s connect timeout. A stop() from another
+  // thread lands before start() begins, during its first poll, before or
+  // after the poll thread exists, or while it waits; every start() must
+  // throw within 1 s, and the node stays stopped.
+  using std::chrono::microseconds;
+  for (const microseconds delay :
+       {microseconds(0), microseconds(50), microseconds(1000),
+        microseconds(20'000)}) {
+    for (int i = 0; i < 20; ++i) {
+      Node node("test", options(local_peers(free_ports(4)), 3));
+      bool threw = false;
+      std::chrono::steady_clock::duration took{};
+      std::thread starter([&] {
+        const auto t0 = std::chrono::steady_clock::now();
+        try {
+          node.start();
+        } catch (const std::runtime_error&) {
+          threw = true;
+        }
+        took = std::chrono::steady_clock::now() - t0;
+      });
+      std::this_thread::sleep_for(delay);
+      node.stop();
+      starter.join();
+      EXPECT_TRUE(threw) << delay.count() << " us, run " << i;
+      EXPECT_LT(took, std::chrono::seconds(1))
+          << delay.count() << " us, run " << i;
+      EXPECT_THROW(node.start(), std::runtime_error) << "stopped for good";
+      EXPECT_FALSE(node.post([] {}));
+      EXPECT_FALSE(node.running());
+    }
+  }
 }
 
 TEST(ShardedNode, ClusterReachesAgreementOverTcp) {
